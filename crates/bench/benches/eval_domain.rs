@@ -26,7 +26,7 @@
 use bix_bench::results;
 use bix_core::{
     BitmapIndex, BufferPool, CodecKind, CostModel, DomainCostModel, EncodingScheme, EvalDomain,
-    EvalStrategy, IndexConfig, Query, Tracer,
+    EvalOptions, EvalStrategy, IndexConfig, Query,
 };
 use bix_workload::{DatasetSpec, QuerySetSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -85,23 +85,31 @@ fn setup(codec: CodecKind, scheme: EncodingScheme) -> (BitmapIndex, Vec<Query>) 
     (index, queries)
 }
 
+/// One component-wise evaluation of `q` in `domain`.
+fn evaluate_in(
+    index: &mut BitmapIndex,
+    q: &Query,
+    pool: &mut BufferPool,
+    cost: &CostModel,
+    domain: EvalDomain,
+) -> bix_core::EvalResult {
+    let opts = EvalOptions {
+        domain,
+        ..EvalOptions::default()
+    };
+    index
+        .evaluate_with(q, pool, EvalStrategy::ComponentWise, cost, &opts)
+        .expect("no deadline, no corruption")
+}
+
 /// Runs the whole query set in one domain, returning
 /// `(total scans, total decompressions)`.
 fn run_domain(index: &mut BitmapIndex, queries: &[Query], domain: EvalDomain) -> (usize, usize) {
     let mut pool = BufferPool::new(POOL_PAGES);
     let cost = CostModel::default();
-    let tracer = Tracer::disabled();
     let (mut scans, mut decompressions) = (0usize, 0usize);
     for q in queries {
-        let r = index.evaluate_detailed_with_domain(
-            q,
-            &mut pool,
-            EvalStrategy::ComponentWise,
-            domain,
-            &cost,
-            &tracer,
-            None,
-        );
+        let r = evaluate_in(index, q, &mut pool, &cost, domain);
         scans += r.scans;
         decompressions += r.decompressions;
     }
@@ -126,20 +134,9 @@ fn median_seconds(reps: usize, mut f: impl FnMut()) -> f64 {
 fn verify_agreement(index: &mut BitmapIndex, queries: &[Query]) -> (usize, usize) {
     let mut pool = BufferPool::new(POOL_PAGES);
     let cost = CostModel::default();
-    let tracer = Tracer::disabled();
     let (mut raw_dec, mut packed_dec) = (0usize, 0usize);
     for (i, q) in queries.iter().enumerate() {
-        let mut run = |domain| {
-            index.evaluate_detailed_with_domain(
-                q,
-                &mut pool,
-                EvalStrategy::ComponentWise,
-                domain,
-                &cost,
-                &tracer,
-                None,
-            )
-        };
+        let mut run = |domain| evaluate_in(index, q, &mut pool, &cost, domain);
         let raw = run(EvalDomain::Raw);
         let packed = run(EvalDomain::Compressed);
         let auto = run(EvalDomain::Auto);
@@ -199,22 +196,26 @@ fn write_results_json() {
     }
 
     // One traced compressed-domain run: where the time goes (eval span,
-    // per-bitmap reads, DAG fold, per-node kernel ops), keyed by phase.
+    // DAG build, fold with per-node reads and kernel ops), keyed by phase.
     let traced = {
         let (mut index, queries) = setup(CodecKind::Bbc, EncodingScheme::Interval);
         results::trace_run(|tracer| {
             let mut pool = BufferPool::new(POOL_PAGES);
             let cost = CostModel::default();
             for q in &queries {
-                black_box(index.evaluate_detailed_with_domain(
+                let opts = EvalOptions {
+                    domain: EvalDomain::Compressed,
+                    tracer,
+                    ..EvalOptions::default()
+                };
+                black_box(index.evaluate_with(
                     q,
                     &mut pool,
                     EvalStrategy::ComponentWise,
-                    EvalDomain::Compressed,
                     &cost,
-                    tracer,
-                    None,
-                ));
+                    &opts,
+                ))
+                .expect("no deadline, no corruption");
             }
         })
     };

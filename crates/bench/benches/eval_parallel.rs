@@ -15,8 +15,8 @@
 
 use bix_bench::results;
 use bix_core::{
-    BitmapIndex, BufferPool, CodecKind, CostModel, EncodingScheme, EvalStrategy, IndexConfig,
-    ParallelExecutor, Query, ShardedBufferPool,
+    BitmapIndex, BufferPool, CodecKind, CostModel, EncodingScheme, EvalOptions, EvalStrategy,
+    IndexConfig, ParallelExecutor, Query, ShardedBufferPool,
 };
 use bix_workload::{DatasetSpec, QuerySetSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -61,7 +61,14 @@ fn run_sequential(index: &mut BitmapIndex, queries: &[Query]) -> usize {
 fn run_parallel(index: &BitmapIndex, queries: &[Query], threads: usize) -> usize {
     let pool = ShardedBufferPool::new(POOL_PAGES, threads.max(2));
     ParallelExecutor::new(threads)
-        .execute(index, queries, &pool, &CostModel::default())
+        .execute(
+            index,
+            queries,
+            &pool,
+            &CostModel::default(),
+            &EvalOptions::default(),
+        )
+        .expect("no deadline, no corruption")
         .total_scans()
 }
 
@@ -90,7 +97,9 @@ fn median_seconds(reps: usize, mut f: impl FnMut()) -> f64 {
 fn verify_agreement(index: &mut BitmapIndex, queries: &[Query]) {
     let cost = CostModel::default();
     let pool = ShardedBufferPool::new(POOL_PAGES, 4);
-    let batch = ParallelExecutor::new(4).execute(index, queries, &pool, &cost);
+    let batch = ParallelExecutor::new(4)
+        .execute(index, queries, &pool, &cost, &EvalOptions::default())
+        .expect("no deadline, no corruption");
     let mut seq_pool = BufferPool::new(POOL_PAGES);
     for (i, q) in queries.iter().enumerate() {
         let want = index.evaluate_detailed(q, &mut seq_pool, EvalStrategy::ComponentWise, &cost);
@@ -130,14 +139,18 @@ fn write_results_json(index: &mut BitmapIndex, queries: &[Query]) {
         let shared: &BitmapIndex = index;
         let pool = ShardedBufferPool::new(POOL_PAGES, 4);
         results::trace_run(|tracer| {
-            black_box(ParallelExecutor::new(4).execute_traced(
+            let opts = EvalOptions {
+                tracer,
+                ..EvalOptions::default()
+            };
+            black_box(ParallelExecutor::new(4).execute(
                 shared,
                 queries,
                 &pool,
                 &CostModel::default(),
-                tracer,
-                None,
-            ));
+                &opts,
+            ))
+            .expect("no deadline, no corruption");
         })
     };
 

@@ -17,7 +17,10 @@
 //! the numbers can never come from a delta that answers wrong.
 
 use bix_bench::results;
-use bix_core::{BitmapIndex, CodecKind, DeltaIndex, EncodingScheme, IndexConfig, Query};
+use bix_core::{
+    BitmapIndex, BufferPool, CodecKind, CostModel, DeltaIndex, EncodingScheme, EvalOptions,
+    EvalStrategy, IndexConfig, Query,
+};
 use bix_server::{Client, Server, ServerConfig};
 use bix_workload::DatasetSpec;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -81,8 +84,21 @@ fn verify_bit_identity(main: &mut BitmapIndex, tail: &[u64]) {
         "in:0,50,100,150",
     ] {
         let q = Query::parse(pred, C).expect("verify predicate");
+        let opts = EvalOptions {
+            delta: &[Some(&delta)],
+            ..EvalOptions::default()
+        };
+        let overlaid = main
+            .evaluate_with(
+                &q,
+                &mut BufferPool::new(16_384),
+                EvalStrategy::ComponentWise,
+                &CostModel::default(),
+                &opts,
+            )
+            .expect("no deadline, no corruption");
         assert_eq!(
-            main.evaluate_with_delta(&q, &delta).to_positions(),
+            overlaid.bitmap.to_positions(),
             rebuilt.evaluate(&q).to_positions(),
             "{pred}: main ∪ delta drifts from rebuild"
         );

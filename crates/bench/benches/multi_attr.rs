@@ -18,8 +18,8 @@
 
 use bix_bench::results;
 use bix_core::{
-    CodecKind, CostModel, EncodingScheme, IndexConfig, IndexedTable, ParallelExecutor, Planner,
-    ShardedBufferPool,
+    CodecKind, CostModel, EncodingScheme, EvalOptions, IndexConfig, IndexedTable, ParallelExecutor,
+    Planner, ShardedBufferPool,
 };
 use bix_workload::DatasetSpec;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -74,7 +74,16 @@ fn bench_multi_attr(c: &mut Criterion) {
     // must agree exactly, and the pushdown count must equal the
     // materialised row count, before anything is timed.
     let naive = table.evaluate(&query);
-    let sequential = table.execute_plan(&plan, &cost);
+    // The one-thread executor over a cold pool per execution, like the
+    // naive tree's fresh per-attribute pools.
+    let opts = EvalOptions::default();
+    let execute_sequential = |table: &IndexedTable| {
+        let pool = ShardedBufferPool::new(8192, 2);
+        ParallelExecutor::new(1)
+            .execute_plan(table, &plan, &pool, &cost, &opts)
+            .expect("no deadline, no corruption")
+    };
+    let sequential = execute_sequential(&table);
     assert_eq!(
         sequential.bitmap.to_positions(),
         naive.to_positions(),
@@ -82,7 +91,12 @@ fn bench_multi_attr(c: &mut Criterion) {
     );
     let pool = ShardedBufferPool::new(8192, 4);
     let executor = ParallelExecutor::new(4);
-    let parallel = executor.execute_plan(&table, &plan, &pool, &cost);
+    let execute_parallel = |table: &IndexedTable| {
+        executor
+            .execute_plan(table, &plan, &pool, &cost, &opts)
+            .expect("no deadline, no corruption")
+    };
+    let parallel = execute_parallel(&table);
     assert_eq!(
         parallel.bitmap.to_positions(),
         naive.to_positions(),
@@ -101,10 +115,10 @@ fn bench_multi_attr(c: &mut Criterion) {
         b.iter(|| black_box(table.evaluate(&query)))
     });
     group.bench_function("planned_sequential", |b| {
-        b.iter(|| black_box(table.execute_plan(&plan, &cost)))
+        b.iter(|| black_box(execute_sequential(&table)))
     });
     group.bench_function("planned_parallel_4", |b| {
-        b.iter(|| black_box(executor.execute_plan(&table, &plan, &pool, &cost)))
+        b.iter(|| black_box(execute_parallel(&table)))
     });
     group.finish();
 
@@ -113,18 +127,18 @@ fn bench_multi_attr(c: &mut Criterion) {
         black_box(table.evaluate(&query));
     });
     let planned_seconds = best_of(RUNS, || {
-        black_box(table.execute_plan(&plan, &cost));
+        black_box(execute_sequential(&table));
     });
     // COUNT pushdown: fold then popcount; the bitmap never leaves the
     // evaluator as rows.
     let count_pushdown_seconds = best_of(RUNS, || {
-        let r = table.execute_plan(&plan, &cost);
+        let r = execute_sequential(&table);
         black_box(r.count());
     });
     // Materialisation: fold, extract positions, and build the 8-byte-
     // per-row reply array a serving shard encodes into a rows frame.
     let materialize_seconds = best_of(RUNS, || {
-        let r = table.execute_plan(&plan, &cost);
+        let r = execute_sequential(&table);
         let rows: Vec<u64> = r.bitmap.to_positions().iter().map(|&p| p as u64).collect();
         let mut reply = Vec::with_capacity(rows.len() * 8);
         for row in &rows {

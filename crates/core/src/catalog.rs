@@ -438,9 +438,16 @@ mod tests {
 
         // Plans built against the loaded schema execute identically too.
         let plan = Planner::new(&loaded.table().schema()).plan(&q).unwrap();
-        let planned = loaded
-            .table_mut()
-            .execute_plan(&plan, &crate::CostModel::default());
+        let pool = crate::ShardedBufferPool::new(1024, 2);
+        let planned = crate::ParallelExecutor::new(1)
+            .execute_plan(
+                loaded.table(),
+                &plan,
+                &pool,
+                &crate::CostModel::default(),
+                &crate::EvalOptions::default(),
+            )
+            .unwrap();
         assert_eq!(planned.bitmap.to_positions(), want.to_positions());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -35,12 +35,15 @@
 //! existence bitmap itself ([`EXISTENCE_REF`]) carries information no
 //! value bitmap holds and is never reconstructible.
 
-use crate::{BitmapIndex, BitmapRef, EncodingScheme, EvalResult, Expr, Query};
-use bix_bitvec::Bitvec;
+use crate::parallel::evaluate_exclusive;
+use crate::{
+    BitmapIndex, BitmapRef, EncodingScheme, EvalError, EvalFailure, EvalOptions, EvalResult,
+    EvalStrategy, Expr, Query,
+};
 use bix_storage::{BufferPool, CostModel, FileId};
+use bix_telemetry::Tracer;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::time::Instant;
 
 /// Sentinel [`BitmapRef`] naming the existence bitmap in quarantine sets
 /// and reports (it lives outside the component/slot layout).
@@ -160,84 +163,58 @@ pub(crate) fn reconstruct_slot(
 impl BitmapIndex {
     /// Evaluates a query with checksum verification on every bitmap read.
     ///
-    /// A bitmap failing verification is quarantined and the evaluation
-    /// retries with the query rewritten over surviving bitmaps (when the
-    /// encoding permits — see the module docs). Returns [`Degraded`] when
-    /// a required bitmap cannot be routed around; corrupt data is never
-    /// silently incorporated into a result.
+    /// Quarantine-and-retry around the one DAG fold: a bitmap failing
+    /// verification is quarantined and the evaluation retries with the
+    /// query rewritten over surviving bitmaps (when the encoding permits —
+    /// see the module docs). Returns [`Degraded`] when a required bitmap
+    /// cannot be routed around; corrupt data is never silently
+    /// incorporated into a result.
     pub fn evaluate_checked(&mut self, q: &Query) -> Result<EvalResult, Degraded> {
-        let before_io = self.store().stats();
-        let cpu_start = Instant::now();
-        let expr = Expr::or(self.rewrite_constituents(q));
-        let rows = self.rows();
-        let mut pool = BufferPool::new(self.config().disk.pages_for_bytes(64 << 20));
-
         if self.existence_handle().is_some() && self.quarantined().contains(&EXISTENCE_REF) {
             return Err(self.degraded(vec![EXISTENCE_REF]));
         }
+        let expr = Expr::or(self.rewrite_constituents(q, &Tracer::disabled(), None));
+        let mut pool = BufferPool::new(self.config().disk.pages_for_bytes(64 << 20));
 
         // Each round either finishes or quarantines a bitmap it had not
         // seen corrupt before, so `num_bitmaps` rounds always suffice.
         for _ in 0..self.num_bitmaps() + 2 {
             let subst = self.route_around_quarantine(&expr)?;
-            let leaves: Vec<BitmapRef> = subst.leaves().into_iter().collect();
-            let mut cache: BTreeMap<BitmapRef, Bitvec> = BTreeMap::new();
-            let mut newly_corrupt = None;
-            for &r in &leaves {
-                let handle = self.handle(r.component, r.slot);
-                match self.store_mut().read_verified(handle, &mut pool) {
-                    Ok(bv) => {
-                        cache.insert(r, bv);
-                    }
-                    Err(_) => {
-                        newly_corrupt = Some(r);
-                        break;
-                    }
-                }
+            match self.fold_verified(subst, &mut pool) {
+                Ok(result) => return Ok(result),
+                Err(EXISTENCE_REF) => return Err(self.degraded(vec![EXISTENCE_REF])),
+                Err(_) => {}
             }
-            if let Some(r) = newly_corrupt {
-                self.quarantine(r);
-                continue;
-            }
-
-            let mut bitmap = subst.evaluate(rows, &mut |r| cache[&r].clone());
-            let mut scans = leaves.len();
-            if let Some(eb) = self.existence_handle() {
-                match self.store_mut().read_verified(eb, &mut pool) {
-                    Ok(existence) => {
-                        bitmap.and_assign(&existence);
-                        scans += 1;
-                    }
-                    Err(_) => {
-                        self.quarantine(EXISTENCE_REF);
-                        return Err(self.degraded(vec![EXISTENCE_REF]));
-                    }
-                }
-            }
-            let io = self.store().stats().since(&before_io);
-            let cost = CostModel::default();
-            let codec = self.config().codec;
-            return Ok(EvalResult {
-                bitmap,
-                scans,
-                distinct_bitmaps: scans,
-                io_seconds: cost.io_seconds(&io),
-                io,
-                cpu_seconds: cpu_start.elapsed().as_secs_f64(),
-                decompressions: if codec == crate::CodecKind::Raw {
-                    0
-                } else {
-                    scans
-                },
-                peak_resident: scans + 1,
-                // The degraded path folds raw bitmaps only.
-                nodes_raw: scans,
-                nodes_compressed: 0,
-                delta_scans: 0,
-                delta_rows: 0,
-            });
         }
         Err(self.degraded(Vec::new()))
+    }
+
+    /// Folds `expr` through the one DAG fold, whose reads are all
+    /// verified; a bitmap failing verification is quarantined and
+    /// returned as the error.
+    fn fold_verified(
+        &mut self,
+        expr: Expr,
+        pool: &mut BufferPool,
+    ) -> Result<EvalResult, BitmapRef> {
+        let outcome = evaluate_exclusive(
+            &self.exclusive_source(pool),
+            &[expr],
+            EvalStrategy::ComponentWise,
+            &CostModel::default(),
+            &EvalOptions::default(),
+        );
+        match outcome {
+            Ok(result) => Ok(result),
+            Err(EvalError {
+                failure: EvalFailure::Corrupt { bitmap, .. },
+                ..
+            }) => {
+                self.quarantine(bitmap);
+                Err(bitmap)
+            }
+            Err(e) => unreachable!("no deadline was set: {e}"),
+        }
     }
 
     /// Rewrites `expr` so no quarantined bitmap is referenced, or reports
@@ -363,42 +340,21 @@ impl BitmapIndex {
     /// re-checksummed, so corruption is never laundered into validity.
     pub fn repair(&mut self) -> RepairReport {
         self.verify();
-        let rows = self.rows();
         let codec = self.config().codec;
         let bases = self.config().bases.bases().to_vec();
         let encoding = self.config().encoding;
         let mut pool = BufferPool::new(self.config().disk.pages_for_bytes(64 << 20));
         let mut repaired = Vec::new();
 
-        // Nullable indexes need the existence bitmap to re-clear NULL rows
-        // after complemented rewrites; without it value slots cannot be
-        // trusted and stay quarantined.
-        let existence: Option<Bitvec> = match self.existence_handle() {
-            Some(h) if !self.quarantined().contains(&EXISTENCE_REF) => {
-                match self.store_mut().read_verified(h, &mut pool) {
-                    Ok(bv) => Some(bv),
-                    Err(_) => {
-                        self.quarantine(EXISTENCE_REF);
-                        None
-                    }
-                }
-            }
-            _ => None,
-        };
-        let eb_usable = self.existence_handle().is_none() || existence.is_some();
-
-        loop {
-            let pending: Vec<BitmapRef> = self
-                .quarantined()
-                .iter()
-                .copied()
-                .filter(|r| *r != EXISTENCE_REF)
-                .collect();
-            let mut progressed = false;
-            'slots: for r in pending {
-                if !eb_usable {
-                    break;
-                }
+        // Rebuilds run through the one fold, whose existence intersection
+        // re-clears NULL rows after complemented rewrites; with the
+        // existence bitmap lost, value slots cannot be trusted and stay
+        // quarantined.
+        let mut progressed = true;
+        while progressed && !self.quarantined().contains(&EXISTENCE_REF) {
+            progressed = false;
+            let pending: Vec<BitmapRef> = self.quarantined().iter().copied().collect();
+            for r in pending {
                 let lost: BTreeSet<usize> = self
                     .quarantined()
                     .iter()
@@ -410,35 +366,16 @@ impl BitmapIndex {
                 else {
                     continue;
                 };
-                let mut cache: BTreeMap<BitmapRef, Bitvec> = BTreeMap::new();
-                for leaf in expr.leaves() {
-                    let handle = self.handle(leaf.component, leaf.slot);
-                    match self.store_mut().read_verified(handle, &mut pool) {
-                        Ok(bv) => {
-                            cache.insert(leaf, bv);
-                        }
-                        Err(_) => {
-                            // A survivor turned out corrupt: quarantine it
-                            // and restart with the enlarged lost set.
-                            self.quarantine(leaf);
-                            progressed = true;
-                            continue 'slots;
-                        }
-                    }
-                }
-                let mut bv = expr.evaluate(rows, &mut |leaf| cache[&leaf].clone());
-                if let Some(eb) = &existence {
-                    bv.and_assign(eb);
-                }
-                let old = self.handle(r.component, r.slot);
-                let new_handle = self.store_mut().replace(old, codec, &bv);
-                self.set_handle(r.component, r.slot, new_handle);
-                self.unquarantine(&r);
-                repaired.push(r);
+                // A survivor turning out corrupt is quarantined; the next
+                // pass works with the enlarged lost set.
                 progressed = true;
-            }
-            if !progressed {
-                break;
+                if let Ok(result) = self.fold_verified(expr, &mut pool) {
+                    let old = self.handle(r.component, r.slot);
+                    let new_handle = self.store_mut().replace(old, codec, &result.bitmap);
+                    self.set_handle(r.component, r.slot, new_handle);
+                    self.unquarantine(&r);
+                    repaired.push(r);
+                }
             }
         }
         let unrepairable: Vec<BitmapRef> = self.quarantined().iter().copied().collect();

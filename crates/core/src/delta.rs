@@ -17,8 +17,10 @@
 //! independently on each bit position, so folding the same expression
 //! over the main bitmaps and over the delta tails, then concatenating
 //! the two results, is bit-identical to rebuilding the index from the
-//! concatenated column. [`DeltaIndex::overlay`] appends the delta's
-//! answer to an [`EvalResult`] produced by the main index and splits
+//! concatenated column. [`DeltaIndex::overlay`] — run by the one
+//! evaluator for every query whose [`crate::EvalOptions`] carries a
+//! delta — appends the delta's answer to an [`EvalResult`] produced by
+//! the main index and splits
 //! the counters (`delta_scans` / `delta_rows`) so the cost accounting
 //! stays honest about which rows never touched the store.
 //!
@@ -29,7 +31,7 @@
 //! through the journaled [`BitmapIndex::try_append`] protocol before
 //! the client retries.
 
-use crate::{AppendError, BitmapIndex, EvalResult, Expr, IndexConfig, Query};
+use crate::{AppendError, BitmapIndex, EvalResult, Expr, IndexConfig};
 use bix_bitvec::Bitvec;
 
 /// Gauges describing the current delta memtable (for `bix stats` and
@@ -213,37 +215,13 @@ impl DeltaIndex {
         Bitvec::from_words(self.rows, self.tails[component][slot].clone())
     }
 
-    /// Evaluates `q` against the delta rows alone, returning the
-    /// matching tail bitmap plus the number of distinct tails folded.
-    /// Runs the same §6 rewrite as the main index (shared
-    /// [`IndexConfig`] ⇒ identical expression), folded in memory.
-    pub fn evaluate_query(&self, q: &Query) -> (Bitvec, usize) {
-        let c = self.config.cardinality;
-        let constituents: Vec<Expr> = match q {
-            Query::Membership(values) => crate::minimal_intervals(values)
-                .into_iter()
-                .map(|(lo, hi)| {
-                    crate::rewrite_interval(lo, hi, c, &self.config.bases, self.config.encoding)
-                })
-                .collect(),
-            other => vec![crate::rewrite_query(
-                other,
-                c,
-                &self.config.bases,
-                self.config.encoding,
-            )],
-        };
-        let merged = Expr::or(constituents);
-        let scans = merged.scan_count();
-        let mut fetch = |r: crate::BitmapRef| self.tail(r.component, r.slot);
-        (merged.evaluate(self.rows, &mut fetch), scans)
-    }
-
-    /// Appends the delta's answer for `q` to a main-index
-    /// [`EvalResult`], making it the `main ∪ delta` answer. Splits the
-    /// counters: tails folded go to `delta_scans`, appended rows to
-    /// `delta_rows`; the store-side counters are untouched (delta reads
-    /// never perform I/O).
+    /// Appends the delta's answer to a main-index [`EvalResult`], making
+    /// it the `main ∪ delta` answer. `merged` is the query's rewritten
+    /// expression: the delta shares the main index's [`IndexConfig`], so
+    /// the same expression folded over the tails answers the delta rows.
+    /// Splits the counters: tails folded go to `delta_scans`, appended
+    /// rows to `delta_rows`; the store-side counters are untouched (delta
+    /// reads never perform I/O).
     ///
     /// # Panics
     ///
@@ -251,7 +229,7 @@ impl DeltaIndex {
     /// [`DeltaIndex::base_rows`] rows — the result was computed against
     /// a different main-index snapshot than this delta extends (a torn
     /// main/delta pairing, which must never reach a client).
-    pub fn overlay(&self, q: &Query, result: &mut EvalResult) {
+    pub fn overlay(&self, merged: &Expr, result: &mut EvalResult) {
         assert_eq!(
             result.bitmap.len(),
             self.base_rows,
@@ -262,9 +240,9 @@ impl DeltaIndex {
         if self.rows == 0 {
             return;
         }
-        let (tail, scans) = self.evaluate_query(q);
+        let tail = merged.evaluate(self.rows, &mut |r| self.tail(r.component, r.slot));
         result.bitmap.extend_from(&tail);
-        result.delta_scans += scans;
+        result.delta_scans += merged.scan_count();
         result.delta_rows += self.rows;
     }
 
@@ -295,34 +273,33 @@ impl DeltaIndex {
     }
 }
 
-impl BitmapIndex {
-    /// Evaluates a query over `main ∪ delta`: this index's answer with
-    /// the delta tail appended (see [`DeltaIndex::overlay`]). The
-    /// sequential counterpart of
-    /// [`crate::ParallelExecutor::execute_full_delta`].
-    pub fn evaluate_with_delta(&mut self, q: &Query, delta: &DeltaIndex) -> Bitvec {
-        let mut result = {
-            let mut pool =
-                bix_storage::BufferPool::new(self.config().disk.pages_for_bytes(64 << 20));
-            self.evaluate_detailed(
-                q,
-                &mut pool,
-                crate::EvalStrategy::ComponentWise,
-                &bix_storage::CostModel::default(),
-            )
-        };
-        delta.overlay(q, &mut result);
-        result.bitmap
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CodecKind, EncodingScheme, Query};
+    use crate::{CodecKind, EncodingScheme, EvalOptions, EvalStrategy, Query};
+    use bix_bitvec::Bitvec;
+    use bix_storage::{BufferPool, CostModel};
 
     fn config(scheme: EncodingScheme) -> IndexConfig {
         IndexConfig::one_component(10, scheme)
+    }
+
+    /// `main ∪ delta` through the in-process entry point.
+    fn with_delta(main: &mut BitmapIndex, q: &Query, delta: &DeltaIndex) -> Bitvec {
+        let opts = EvalOptions {
+            delta: &[Some(delta)],
+            ..EvalOptions::default()
+        };
+        let mut pool = BufferPool::new(4096);
+        main.evaluate_with(
+            q,
+            &mut pool,
+            EvalStrategy::ComponentWise,
+            &CostModel::default(),
+            &opts,
+        )
+        .unwrap()
+        .bitmap
     }
 
     #[test]
@@ -341,7 +318,7 @@ mod tests {
                 for hi in lo..10 {
                     let q = Query::range(lo, hi);
                     assert_eq!(
-                        main.evaluate_with_delta(&q, &delta).to_positions(),
+                        with_delta(&mut main, &q, &delta).to_positions(),
                         rebuilt.evaluate(&q).to_positions(),
                         "{scheme} [{lo},{hi}]"
                     );
@@ -369,7 +346,7 @@ mod tests {
             Query::range(20, 80).not(),
         ] {
             assert_eq!(
-                main.evaluate_with_delta(&q, &delta).to_positions(),
+                with_delta(&mut main, &q, &delta).to_positions(),
                 rebuilt.evaluate(&q).to_positions(),
                 "{q:?}"
             );
@@ -427,7 +404,7 @@ mod tests {
         let mut rebuilt = BitmapIndex::build(&[1, 2, 3, 4, 5, 6, 7, 8], &cfg);
         for q in [Query::range(2, 6), Query::equality(7), Query::le(4)] {
             assert_eq!(
-                main.evaluate_with_delta(&q, &delta).to_positions(),
+                with_delta(&mut main, &q, &delta).to_positions(),
                 rebuilt.evaluate(&q).to_positions(),
                 "{q:?}"
             );
@@ -442,7 +419,7 @@ mod tests {
         // Delta claims to extend a 5-row main; main has 3 rows.
         let mut delta = DeltaIndex::new(&cfg, 5, 1 << 20);
         delta.absorb(&[4]).expect("fits");
-        let _ = main.evaluate_with_delta(&Query::equality(1), &delta);
+        let _ = with_delta(&mut main, &Query::equality(1), &delta);
     }
 
     #[test]

@@ -1,29 +1,35 @@
-//! Query evaluation strategies (§6.3).
+//! Query evaluation strategies (§6.3), the evaluation domains, and the
+//! hash-consed expression DAG.
 //!
 //! The rewrite phase produces a bitmap expression DAG; evaluating it is a
 //! scheduling problem over a bounded buffer. The paper describes the two
-//! extreme points, both implemented here:
+//! extreme points:
 //!
 //! * **Component-wise** — all constituent interval queries are merged and
 //!   their bitmaps fetched one component at a time, each distinct bitmap
 //!   scanned exactly once (given sufficient buffer). This is the strategy
-//!   used throughout the paper's performance study.
+//!   used throughout the paper's performance study, and the one DAG fold
+//!   every caller runs (`crate::parallel`).
 //! * **Query-wise** — constituents are evaluated one at a time, keeping a
 //!   single intermediate result. Minimal buffer requirement, but bitmaps
-//!   shared between constituents may be re-read if evicted.
+//!   shared between constituents may be re-read if evicted. Kept here,
+//!   with the streaming component-wise pass, as the Fig. 8/9 ablation.
 
+use crate::parallel::{Folded, Run, Source};
 use crate::{BitmapRef, Expr};
 use bix_bitvec::Bitvec;
 use bix_compress::{BitOp, CodecKind, CompressedBitmap};
-use bix_storage::{BitmapHandle, BitmapStore, BufferPool, CostModel, IoStats};
-use bix_telemetry::{SpanId, Tracer};
-use std::collections::BTreeMap;
+use bix_storage::{BitmapHandle, IoStats, ReadContext};
+use bix_telemetry::{Counter, MetricsRegistry, SpanId};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Which evaluation strategy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EvalStrategy {
-    /// Fetch each distinct bitmap once, ordered by component (§6.3).
+    /// Fetch each distinct bitmap once, ordered by component, and fold
+    /// the hash-consed DAG (§6.3). The one evaluator every serving and
+    /// in-process path runs.
     #[default]
     ComponentWise,
     /// Evaluate one constituent at a time with one intermediate result.
@@ -396,7 +402,7 @@ impl DomainCostModel {
 }
 
 /// Decides whether a leaf bitmap is read as a compressed stream
-/// ([`BitmapStore::read_compressed`]) or decoded at read time.
+/// ([`bix_storage::BitmapStore::read_compressed`]) or decoded at read time.
 pub(crate) fn reads_compressed(
     domain: EvalDomain,
     handle: BitmapHandle,
@@ -478,6 +484,34 @@ impl NodeVal {
     /// cache.
     pub(crate) fn packed(c: CompressedBitmap) -> NodeVal {
         NodeVal::Packed(c, DecodedCell::default())
+    }
+
+    /// Model-predicted nanoseconds for one fold op on this value: its
+    /// complement (`rhs` is `None`) or a combine with `rhs` — the number
+    /// traced folds put next to each node's measured time. Same-codec
+    /// packed pairs are priced as one kernel pass over the larger stream;
+    /// anything else decodes its packed operands and folds word-wise.
+    pub(crate) fn predicted_ns(&self, rhs: Option<&NodeVal>, model: &DomainCostModel) -> f64 {
+        let decode = |v: &NodeVal| match v {
+            NodeVal::Packed(c, _) => model.costs(c.kind()).map_or(0.0, |s| {
+                s.decode_slope(c.stored_size(), c.raw_size()) * c.raw_size() as f64
+            }),
+            NodeVal::Raw(_) => 0.0,
+        };
+        let raw_bytes = match self {
+            NodeVal::Raw(bv) => bv.byte_size(),
+            NodeVal::Packed(c, _) => c.raw_size(),
+        };
+        match (self, rhs) {
+            (NodeVal::Packed(p, _), None) => model.packed_op_ns(p.kind(), p.stored_size()),
+            (NodeVal::Raw(_), None) => model.word_ns_per_byte * raw_bytes as f64,
+            (NodeVal::Packed(a, _), Some(NodeVal::Packed(b, _))) if a.kind() == b.kind() => {
+                model.packed_op_ns(a.kind(), a.stored_size().max(b.stored_size()))
+            }
+            (_, Some(rhs)) => {
+                decode(self) + decode(rhs) + model.word_ns_per_byte * raw_bytes as f64
+            }
+        }
     }
 
     /// Decodes (through the shared cache, counting only a fresh
@@ -641,8 +675,8 @@ pub struct EvalResult {
     /// strategies report their full cache size.
     pub peak_resident: usize,
     /// DAG-fold nodes whose value ended up as a decoded (raw) bitmap.
-    /// Tracked by the [`EvalStrategy::ComponentWise`] fold and the
-    /// parallel executor; the non-DAG strategies report zero. Together
+    /// Tracked by the [`EvalStrategy::ComponentWise`] fold; the ablation
+    /// strategies report zero. Together
     /// with [`EvalResult::nodes_compressed`] this is the operator-level
     /// compressed-vs-raw evaluation mix.
     pub nodes_raw: usize,
@@ -666,350 +700,41 @@ impl EvalResult {
     }
 }
 
-/// Evaluates constituent expressions against stored bitmaps.
-///
-/// `handles` maps a [`BitmapRef`] to its stored bitmap; `rows` is the
-/// relation cardinality. Constituents are OR-ed together (a membership
-/// query is a disjunction of its interval constituents); pass a single
-/// constituent for a plain interval query.
-pub fn evaluate(
-    constituents: &[Expr],
-    rows: usize,
-    handles: &dyn Fn(BitmapRef) -> BitmapHandle,
-    store: &mut BitmapStore,
-    pool: &mut BufferPool,
-    strategy: EvalStrategy,
-    cost: &CostModel,
-) -> EvalResult {
-    evaluate_traced(
-        constituents,
-        rows,
-        handles,
-        store,
-        pool,
-        strategy,
-        cost,
-        &Tracer::disabled(),
-        None,
-    )
+/// The evaluation-mix counters every entry point exports — compressed
+/// bitmaps decoded, and DAG nodes folded per domain — so in-process runs,
+/// index servers and catalog servers publish one schema.
+pub struct EvalMetrics {
+    decompressions: Arc<Counter>,
+    nodes_raw: Arc<Counter>,
+    nodes_compressed: Arc<Counter>,
 }
 
-/// [`evaluate`] with span tracing: opens an `eval` span under `parent`
-/// with `fetch` / `fold` / `stream` / `constituent` children and
-/// per-bitmap `read` spans. A disabled tracer makes this identical to
-/// [`evaluate`].
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_traced(
-    constituents: &[Expr],
-    rows: usize,
-    handles: &dyn Fn(BitmapRef) -> BitmapHandle,
-    store: &mut BitmapStore,
-    pool: &mut BufferPool,
-    strategy: EvalStrategy,
-    cost: &CostModel,
-    tracer: &Tracer,
-    parent: Option<SpanId>,
-) -> EvalResult {
-    evaluate_domain_traced(
-        constituents,
-        rows,
-        handles,
-        store,
-        pool,
-        strategy,
-        EvalDomain::default(),
-        &DomainCostModel::DEFAULT,
-        cost,
-        tracer,
-        parent,
-    )
-}
-
-/// [`evaluate_traced`] with an explicit [`EvalDomain`] and the
-/// [`DomainCostModel`] that prices [`EvalDomain::Auto`]'s per-node
-/// packed-vs-raw choice. The domain applies to the
-/// [`EvalStrategy::ComponentWise`] DAG fold; the query-wise and
-/// streaming strategies always fold raw bitmaps (their per-constituent
-/// structure re-reads shared bitmaps, so stream-level ops buy nothing).
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_domain_traced(
-    constituents: &[Expr],
-    rows: usize,
-    handles: &dyn Fn(BitmapRef) -> BitmapHandle,
-    store: &mut BitmapStore,
-    pool: &mut BufferPool,
-    strategy: EvalStrategy,
-    domain: EvalDomain,
-    model: &DomainCostModel,
-    cost: &CostModel,
-    tracer: &Tracer,
-    parent: Option<SpanId>,
-) -> EvalResult {
-    let before_io = store.stats();
-    let started = Instant::now();
-    let eval_span = tracer.span("eval", parent);
-    let eval_id = eval_span.id();
-
-    let merged = Expr::or(constituents.iter().cloned());
-    let distinct = merged.scan_count();
-    let mut scans = 0usize;
-    let mut peak_resident = 0usize;
-    let mut decompressions = 0usize;
-    let mut node_mix = (0usize, 0usize);
-
-    let bitmap = match strategy {
-        EvalStrategy::ComponentStreaming => {
-            let stream = tracer.span("stream", eval_id);
-            let (result, peak, n_scans, n_dec) =
-                evaluate_streaming(&merged, rows, handles, store, pool);
-            scans = n_scans;
-            peak_resident = peak;
-            decompressions = n_dec;
-            stream.attr("scans", n_scans);
-            stream.attr("peak_resident", peak);
-            result
-        }
-        EvalStrategy::ComponentWise => {
-            // Fetch every distinct bitmap once, in component order —
-            // compressed streams stay compressed when the domain says so —
-            // then fold the hash-consed DAG from the cache.
-            let fetch_span = tracer.span("fetch", eval_id);
-            let fetch_id = fetch_span.id();
-            let mut cache: BTreeMap<BitmapRef, NodeVal> = BTreeMap::new();
-            for r in merged.leaves() {
-                let handle = handles(r);
-                let read_span = if tracer.is_enabled() {
-                    let before = store.stats();
-                    Some((
-                        tracer.span(&format!("read c{}:{}", r.component, r.slot), fetch_id),
-                        before,
-                    ))
-                } else {
-                    None
-                };
-                let val = if reads_compressed(domain, handle, store.stored_size(handle), model) {
-                    let c = store.read_compressed(handle, pool).unwrap_or_else(|e| {
-                        panic!("corrupt bitmap on an unguarded read path: {e}")
-                    });
-                    NodeVal::packed(c)
-                } else {
-                    decompressions += usize::from(handle.codec() != CodecKind::Raw);
-                    NodeVal::Raw(store.read(handle, pool))
-                };
-                if let Some((span, before)) = read_span {
-                    let d = store.stats().since(&before);
-                    span.attr("pages", d.pages_read);
-                    span.attr("pool_hits", d.pool_hits);
-                    span.attr("bytes", d.bytes_read);
-                    span.attr("domain", val.domain_name());
-                }
-                scans += 1;
-                cache.insert(r, val);
-            }
-            fetch_span.attr("scans", scans);
-            fetch_span.finish();
-            peak_resident = cache.len() + 1;
-            let fold_span = tracer.span("fold", eval_id);
-            let result = fold_cache(
-                &merged,
-                rows,
-                cache,
-                domain,
-                model,
-                &mut decompressions,
-                &mut node_mix,
-                tracer,
-                fold_span.id(),
-            );
-            fold_span.finish();
-            result
-        }
-        EvalStrategy::QueryWise | EvalStrategy::QueryWiseScheduled => {
-            // One constituent at a time; each constituent re-fetches its
-            // own leaves (the pool may or may not still hold them).
-            let order: Vec<usize> = match strategy {
-                EvalStrategy::QueryWiseScheduled => schedule(constituents),
-                _ => (0..constituents.len()).collect(),
-            };
-            let mut acc = Bitvec::zeros(rows);
-            let mut any = false;
-            for &ci in &order {
-                let expr = &constituents[ci];
-                let c_span = if tracer.is_enabled() {
-                    Some(tracer.span(&format!("constituent {ci}"), eval_id))
-                } else {
-                    None
-                };
-                let before_scans = scans;
-                let mut fetch = |r: BitmapRef| {
-                    scans += 1;
-                    let handle = handles(r);
-                    decompressions += usize::from(handle.codec() != CodecKind::Raw);
-                    store.read(handle, pool)
-                };
-                let result = expr.evaluate(rows, &mut fetch);
-                if let Some(span) = c_span {
-                    span.attr("scans", scans - before_scans);
-                }
-                if any {
-                    acc.or_assign(&result);
-                } else {
-                    acc = result;
-                    any = true;
-                }
-            }
-            if constituents.is_empty() {
-                Bitvec::zeros(rows)
-            } else {
-                acc
-            }
-        }
-    };
-
-    let cpu_seconds = cost.cpu_seconds(started.elapsed().as_secs_f64());
-    let io = store.stats().since(&before_io);
-    eval_span.attr("scans", scans);
-    eval_span.attr("distinct", distinct);
-    eval_span.attr("pages", io.pages_read);
-    eval_span.attr("decompressions", decompressions);
-    EvalResult {
-        bitmap,
-        scans,
-        distinct_bitmaps: distinct,
-        io,
-        io_seconds: cost.io_seconds(&io),
-        cpu_seconds,
-        decompressions,
-        peak_resident,
-        nodes_raw: node_mix.0,
-        nodes_compressed: node_mix.1,
-        delta_scans: 0,
-        delta_rows: 0,
-    }
-}
-
-/// Folds the hash-consed DAG of `merged` over the fetched leaf values,
-/// combining compressed streams in the compressed domain and decoding
-/// (once, at the root, in the best case) where the domain or codec
-/// requires. Emits a per-node span recording which representation each
-/// node's value ended up in.
-#[allow(clippy::too_many_arguments)]
-/// Model-predicted nanoseconds for one pairwise combine — the number
-/// `bix explain` puts next to each node's measured time. Same-codec
-/// packed pairs are priced as one kernel pass over the larger stream;
-/// anything else decodes its packed operands and folds word-wise.
-fn predict_combine_ns(lhs: &NodeVal, rhs: &NodeVal, model: &DomainCostModel) -> f64 {
-    match (lhs, rhs) {
-        (NodeVal::Packed(a, _), NodeVal::Packed(b, _)) if a.kind() == b.kind() => {
-            model.packed_op_ns(a.kind(), a.stored_size().max(b.stored_size()))
-        }
-        _ => {
-            let decode = |v: &NodeVal| match v {
-                NodeVal::Packed(c, _) => model.costs(c.kind()).map_or(0.0, |s| {
-                    s.decode_slope(c.stored_size(), c.raw_size()) * c.raw_size() as f64
-                }),
-                NodeVal::Raw(_) => 0.0,
-            };
-            let raw_bytes = match lhs {
-                NodeVal::Raw(bv) => bv.byte_size(),
-                NodeVal::Packed(c, _) => c.raw_size(),
-            };
-            decode(lhs) + decode(rhs) + model.word_ns_per_byte * raw_bytes as f64
+impl EvalMetrics {
+    /// Registers (or looks up) the counters in `registry`.
+    pub fn register(registry: &MetricsRegistry) -> EvalMetrics {
+        let c = |name: &str, help: &str| registry.counter(name, help);
+        EvalMetrics {
+            decompressions: c(
+                "bix_eval_decompressions_total",
+                "Compressed bitmaps materialised during evaluation",
+            ),
+            nodes_raw: c(
+                "bix_eval_nodes_raw_total",
+                "DAG nodes folded in the raw (decoded) domain",
+            ),
+            nodes_compressed: c(
+                "bix_eval_nodes_compressed_total",
+                "DAG nodes folded in the compressed domain",
+            ),
         }
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn fold_cache(
-    merged: &Expr,
-    rows: usize,
-    mut cache: BTreeMap<BitmapRef, NodeVal>,
-    domain: EvalDomain,
-    model: &DomainCostModel,
-    decompressions: &mut usize,
-    node_mix: &mut (usize, usize),
-    tracer: &Tracer,
-    parent: Option<SpanId>,
-) -> Bitvec {
-    let dag = Dag::build(merged);
-    let mut values: Vec<Option<NodeVal>> = Vec::with_capacity(dag.ops.len());
-    let child = |values: &[Option<NodeVal>], c: usize| -> NodeVal {
-        values[c].clone().expect("child computed")
-    };
-    for (i, op) in dag.ops.iter().enumerate() {
-        // Open the node span before doing the work so its duration is
-        // the measured per-node cost `bix explain` compares against the
-        // model's prediction.
-        let node_span = if tracer.is_enabled() {
-            let kind = match op {
-                NodeOp::Const(_) => "const",
-                NodeOp::Leaf(_) => "leaf",
-                NodeOp::Not(_) => "not",
-                NodeOp::And(_) => "and",
-                NodeOp::Or(_) => "or",
-                NodeOp::Xor(..) => "xor",
-            };
-            Some(tracer.span(&format!("node {i} {kind}"), parent))
-        } else {
-            None
-        };
-        // Sum of model predictions for the work this node performs
-        // (tracing only; stays 0.0 on the untraced hot path).
-        let mut predicted_ns = 0.0f64;
-        let value = match op {
-            NodeOp::Const(true) => NodeVal::Raw(Bitvec::ones_vec(rows)),
-            NodeOp::Const(false) => NodeVal::Raw(Bitvec::zeros(rows)),
-            NodeOp::Leaf(r) => cache.remove(r).expect("leaf fetched"),
-            NodeOp::Not(c) => {
-                let operand = values[*c].as_ref().expect("child computed");
-                if tracer.is_enabled() {
-                    predicted_ns = match operand {
-                        NodeVal::Packed(p, _) => model.packed_op_ns(p.kind(), p.stored_size()),
-                        NodeVal::Raw(bv) => model.word_ns_per_byte * bv.byte_size() as f64,
-                    };
-                }
-                operand.not(domain, model, decompressions)
-            }
-            NodeOp::And(cs) | NodeOp::Or(cs) => {
-                let bit_op = if matches!(op, NodeOp::And(_)) {
-                    BitOp::And
-                } else {
-                    BitOp::Or
-                };
-                let mut acc = child(&values, cs[0]);
-                for &c in &cs[1..] {
-                    let rhs = values[c].as_ref().expect("child computed");
-                    if tracer.is_enabled() {
-                        predicted_ns += predict_combine_ns(&acc, rhs, model);
-                    }
-                    acc = acc.combine(rhs, bit_op, domain, model, decompressions);
-                }
-                acc
-            }
-            NodeOp::Xor(a, b) => {
-                let lhs = child(&values, *a);
-                let rhs = values[*b].as_ref().expect("child computed");
-                if tracer.is_enabled() {
-                    predicted_ns = predict_combine_ns(&lhs, rhs, model);
-                }
-                lhs.combine(rhs, BitOp::Xor, domain, model, decompressions)
-            }
-        };
-        match &value {
-            NodeVal::Raw(_) => node_mix.0 += 1,
-            NodeVal::Packed(..) => node_mix.1 += 1,
-        }
-        if let Some(span) = &node_span {
-            span.attr("domain", value.domain_name());
-            span.attr("predicted_ns", predicted_ns.round() as u64);
-        }
-        drop(node_span);
-        values.push(Some(value));
+    /// Charges one evaluation's decodes and node mix.
+    pub fn record(&self, decompressions: usize, nodes_raw: usize, nodes_compressed: usize) {
+        self.decompressions.add(decompressions as u64);
+        self.nodes_raw.add(nodes_raw as u64);
+        self.nodes_compressed.add(nodes_compressed as u64);
     }
-    values[dag.root]
-        .take()
-        .expect("root computed")
-        .into_raw(decompressions)
 }
 
 /// One operation of the hash-consed expression DAG (children are node
@@ -1027,26 +752,38 @@ pub(crate) enum NodeOp {
     /// Disjunction of two or more nodes.
     Or(Vec<usize>),
     /// Symmetric difference of two nodes.
-    Xor(usize, usize),
+    Xor([usize; 2]),
 }
 
 impl NodeOp {
     /// Child node indexes of this operation.
-    pub(crate) fn children(&self) -> Vec<usize> {
+    pub(crate) fn children(&self) -> &[usize] {
         match self {
-            NodeOp::Const(_) | NodeOp::Leaf(_) => Vec::new(),
-            NodeOp::Not(c) => vec![*c],
-            NodeOp::And(cs) | NodeOp::Or(cs) => cs.clone(),
-            NodeOp::Xor(a, b) => vec![*a, *b],
+            NodeOp::Const(_) | NodeOp::Leaf(_) => &[],
+            NodeOp::Not(c) => std::slice::from_ref(c),
+            NodeOp::And(cs) | NodeOp::Or(cs) => cs,
+            NodeOp::Xor(ab) => ab,
+        }
+    }
+
+    /// The operation's name in `node {i} {kind}` spans.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            NodeOp::Const(_) => "const",
+            NodeOp::Leaf(_) => "read",
+            NodeOp::Not(_) => "not",
+            NodeOp::And(_) => "and",
+            NodeOp::Or(_) => "or",
+            NodeOp::Xor(_) => "xor",
         }
     }
 }
 
 /// The hash-consed form of a merged query expression, shared by the
-/// streaming evaluator below and the parallel DAG evaluator
-/// (`crate::parallel`). Nodes are unique (identical subexpressions intern
-/// to one node, so each distinct bitmap has exactly one `Leaf`) and stored
-/// in topological postorder: every child index precedes its parents.
+/// streaming ablation below and the one DAG fold (`crate::parallel`).
+/// Nodes are unique (identical subexpressions intern to one node, so each
+/// distinct bitmap has exactly one `Leaf`) and stored in topological
+/// postorder: every child index precedes its parents.
 pub(crate) struct Dag {
     /// The operations, child-before-parent.
     pub(crate) ops: Vec<NodeOp>,
@@ -1086,26 +823,22 @@ impl Dag {
                     let c = intern(inner, index_of, ops, phase_of);
                     (NodeOp::Not(c), phase_of[c])
                 }
-                Expr::And(children) => {
+                Expr::And(children) | Expr::Or(children) => {
                     let cs: Vec<usize> = children
                         .iter()
                         .map(|c| intern(c, index_of, ops, phase_of))
                         .collect();
                     let phase = cs.iter().map(|&c| phase_of[c]).max().unwrap_or(0);
-                    (NodeOp::And(cs), phase)
-                }
-                Expr::Or(children) => {
-                    let cs: Vec<usize> = children
-                        .iter()
-                        .map(|c| intern(c, index_of, ops, phase_of))
-                        .collect();
-                    let phase = cs.iter().map(|&c| phase_of[c]).max().unwrap_or(0);
-                    (NodeOp::Or(cs), phase)
+                    let op = match e {
+                        Expr::And(_) => NodeOp::And(cs),
+                        _ => NodeOp::Or(cs),
+                    };
+                    (op, phase)
                 }
                 Expr::Xor(a, b) => {
                     let ca = intern(a, index_of, ops, phase_of);
                     let cb = intern(b, index_of, ops, phase_of);
-                    (NodeOp::Xor(ca, cb), phase_of[ca].max(phase_of[cb]))
+                    (NodeOp::Xor([ca, cb]), phase_of[ca].max(phase_of[cb]))
                 }
             };
             ops.push(op);
@@ -1119,7 +852,7 @@ impl Dag {
         // Reference counts (how many consumers each node has).
         let mut refs = vec![0usize; ops.len()];
         for op in &ops {
-            for c in op.children() {
+            for &c in op.children() {
                 refs[c] += 1;
             }
         }
@@ -1134,19 +867,83 @@ impl Dag {
     }
 }
 
+/// The paper's Fig. 8/9 ablation strategies — everything except
+/// [`EvalStrategy::ComponentWise`], which is the one DAG fold. They fold
+/// decoded bitmaps only, reading through the same fallible leaf reader
+/// as the fold: a failed read stops `run`, later reads are skipped, and
+/// the (then discarded) result is a placeholder.
+pub(crate) fn evaluate_ablation(
+    strategy: EvalStrategy,
+    constituents: &[Expr],
+    source: &Source<'_>,
+    run: &Run<'_>,
+    parent: Option<SpanId>,
+) -> Folded {
+    let mut ctx = ReadContext::new();
+    let mut scans = 0usize;
+    let mut decompressions = 0usize;
+    let mut fetch = |r: BitmapRef| -> Bitvec {
+        if run.stopped() {
+            return Bitvec::zeros(source.rows);
+        }
+        scans += 1;
+        match source.read(r, EvalDomain::Raw, &mut ctx, &mut decompressions) {
+            Ok(value) => value.into_raw(&mut decompressions),
+            Err(failure) => {
+                run.fail(failure);
+                Bitvec::zeros(source.rows)
+            }
+        }
+    };
+    let (bitmap, peak_resident) = match strategy {
+        EvalStrategy::ComponentStreaming => {
+            let span = run.tracer.span("stream", parent);
+            let merged = Expr::or(constituents.iter().cloned());
+            let (bitmap, peak) = evaluate_streaming(&merged, source.rows, &mut fetch);
+            span.attr("peak_resident", peak);
+            (bitmap, peak)
+        }
+        _ => {
+            // One constituent at a time; each constituent re-fetches its
+            // own leaves (the pool may or may not still hold them).
+            let order: Vec<usize> = match strategy {
+                EvalStrategy::QueryWiseScheduled => schedule(constituents),
+                _ => (0..constituents.len()).collect(),
+            };
+            let mut acc = Bitvec::zeros(source.rows);
+            for ci in order {
+                let span = run
+                    .tracer
+                    .is_enabled()
+                    .then(|| run.tracer.span(&format!("constituent {ci}"), parent));
+                acc.or_assign(&constituents[ci].evaluate(source.rows, &mut fetch));
+                drop(span);
+            }
+            (acc, 0)
+        }
+    };
+    Folded {
+        bitmap,
+        peak_resident,
+        scans,
+        io: ctx.take_stats(),
+        decompressions,
+        nodes_raw: 0,
+        nodes_compressed: 0,
+    }
+}
+
 /// The §6.3 streaming component-wise pass: a dataflow schedule over the
 /// expression DAG. Unique subexpressions are computed in component phases
 /// (a node runs in the phase of its highest-component leaf), leaf bitmaps
 /// are loaded only during their component's phase, and every value —
 /// leaf or intermediate — is freed as soon as its last consumer has run.
-/// Returns `(result, peak_resident, scans, decompressions)`.
+/// Returns `(result, peak_resident)`.
 fn evaluate_streaming(
     merged: &Expr,
     rows: usize,
-    handles: &dyn Fn(BitmapRef) -> BitmapHandle,
-    store: &mut BitmapStore,
-    pool: &mut BufferPool,
-) -> (Bitvec, usize, usize, usize) {
+    fetch: &mut dyn FnMut(BitmapRef) -> Bitvec,
+) -> (Bitvec, usize) {
     let Dag {
         ops,
         phase_of,
@@ -1163,37 +960,24 @@ fn evaluate_streaming(
     let mut results: Vec<Option<Bitvec>> = vec![None; ops.len()];
     let mut resident = 0usize;
     let mut peak = 0usize;
-    let mut scans = 0usize;
-    let mut decompressions = 0usize;
 
     for &i in &order {
+        let child = |c: usize| results[c].as_ref().expect("child computed");
         let value = match &ops[i] {
             NodeOp::Const(true) => Bitvec::ones_vec(rows),
             NodeOp::Const(false) => Bitvec::zeros(rows),
-            NodeOp::Leaf(r) => {
-                scans += 1;
-                let handle = handles(*r);
-                decompressions += usize::from(handle.codec() != CodecKind::Raw);
-                store.read(handle, pool)
-            }
-            NodeOp::Not(c) => results[*c].as_ref().expect("child computed").not(),
-            NodeOp::And(cs) => {
-                let mut acc = results[cs[0]].as_ref().expect("child computed").clone();
-                for &c in &cs[1..] {
-                    acc.and_assign(results[c].as_ref().expect("child computed"));
+            NodeOp::Leaf(r) => fetch(*r),
+            NodeOp::Not(c) => child(*c).not(),
+            op => {
+                let children = op.children();
+                let mut acc = child(children[0]).clone();
+                for &c in &children[1..] {
+                    match op {
+                        NodeOp::And(_) => acc.and_assign(child(c)),
+                        NodeOp::Or(_) => acc.or_assign(child(c)),
+                        _ => acc.xor_assign(child(c)),
+                    }
                 }
-                acc
-            }
-            NodeOp::Or(cs) => {
-                let mut acc = results[cs[0]].as_ref().expect("child computed").clone();
-                for &c in &cs[1..] {
-                    acc.or_assign(results[c].as_ref().expect("child computed"));
-                }
-                acc
-            }
-            NodeOp::Xor(a, b) => {
-                let mut acc = results[*a].as_ref().expect("child computed").clone();
-                acc.xor_assign(results[*b].as_ref().expect("child computed"));
                 acc
             }
         };
@@ -1201,7 +985,7 @@ fn evaluate_streaming(
         resident += 1;
         peak = peak.max(resident);
         // Release children whose last consumer just ran.
-        for c in ops[i].children() {
+        for &c in ops[i].children() {
             refs[c] -= 1;
             if refs[c] == 0 && results[c].is_some() {
                 results[c] = None;
@@ -1211,14 +995,43 @@ fn evaluate_streaming(
     }
 
     let result = results[root].take().expect("root computed");
-    (result, peak, scans, decompressions)
+    (result, peak)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::{evaluate_exclusive, Store};
+    use crate::EvalOptions;
     use bix_compress::CodecKind;
-    use bix_storage::DiskConfig;
+    use bix_storage::{BitmapStore, BufferPool, CostModel, DiskConfig};
+    use std::sync::Mutex;
+
+    /// Evaluates over the toy store's one component of 100 rows.
+    fn evaluate(
+        constituents: &[Expr],
+        handles: &[BitmapHandle],
+        store: &mut BitmapStore,
+        pool: &mut BufferPool,
+        strategy: EvalStrategy,
+    ) -> EvalResult {
+        let handles = [handles.to_vec()];
+        let source = Source {
+            rows: 100,
+            handles: &handles,
+            existence: None,
+            model: &DomainCostModel::DEFAULT,
+            store: Store::Exclusive(Mutex::new((store, pool))),
+        };
+        evaluate_exclusive(
+            &source,
+            constituents,
+            strategy,
+            &CostModel::default(),
+            &EvalOptions::default(),
+        )
+        .unwrap()
+    }
 
     #[test]
     fn eval_domain_cost_model_calibrates_to_finite_slopes() {
@@ -1282,12 +1095,10 @@ mod tests {
         ]);
         let result = evaluate(
             &[e],
-            100,
-            &|r| handles[r.slot],
+            &handles,
             &mut store,
             &mut pool,
             EvalStrategy::ComponentWise,
-            &CostModel::default(),
         );
         assert_eq!(result.scans, 2);
         assert_eq!(result.distinct_bitmaps, 2);
@@ -1306,12 +1117,10 @@ mod tests {
         ];
         let result = evaluate(
             &constituents,
-            100,
-            &|r| handles[r.slot],
+            &handles,
             &mut store,
             &mut pool,
             EvalStrategy::QueryWise,
-            &CostModel::default(),
         );
         // Bitmap 0 fetched by both constituents: 4 store reads, 3 distinct.
         assert_eq!(result.scans, 4);
@@ -1381,18 +1190,7 @@ mod tests {
         ] {
             let mut pool = BufferPool::new(64);
             store.reset_stats();
-            results.push(
-                evaluate(
-                    &constituents,
-                    100,
-                    &|r| handles[r.slot],
-                    &mut store,
-                    &mut pool,
-                    strategy,
-                    &CostModel::default(),
-                )
-                .bitmap,
-            );
+            results.push(evaluate(&constituents, &handles, &mut store, &mut pool, strategy).bitmap);
         }
         assert_eq!(results[0], results[1]);
     }
@@ -1402,15 +1200,7 @@ mod tests {
         let (mut store, handles, _) = setup();
         for strategy in [EvalStrategy::ComponentWise, EvalStrategy::QueryWise] {
             let mut pool = BufferPool::new(8);
-            let result = evaluate(
-                &[],
-                100,
-                &|r| handles[r.slot],
-                &mut store,
-                &mut pool,
-                strategy,
-                &CostModel::default(),
-            );
+            let result = evaluate(&[], &handles, &mut store, &mut pool, strategy);
             assert!(result.bitmap.is_all_zero());
             assert_eq!(result.scans, 0);
         }
@@ -1423,21 +1213,17 @@ mod tests {
         let e = vec![Expr::leaf(0, 0)];
         let cold = evaluate(
             &e,
-            100,
-            &|r| handles[r.slot],
+            &handles,
             &mut store,
             &mut pool,
             EvalStrategy::ComponentWise,
-            &CostModel::default(),
         );
         let warm = evaluate(
             &e,
-            100,
-            &|r| handles[r.slot],
+            &handles,
             &mut store,
             &mut pool,
             EvalStrategy::ComponentWise,
-            &CostModel::default(),
         );
         assert_eq!(cold.scans, warm.scans);
         assert!(warm.io.pages_read < cold.io.pages_read.max(1));

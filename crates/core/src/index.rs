@@ -1,13 +1,19 @@
 //! The bitmap index: construction, storage, and the query API.
 
-use crate::{best_bases, eval, BaseVector, EncodingScheme, EvalResult, EvalStrategy, Expr, Query};
+use crate::parallel::{evaluate_exclusive, Source, Store};
+use crate::{
+    best_bases, BaseVector, EncodingScheme, EvalError, EvalOptions, EvalResult, EvalStrategy, Expr,
+    Query,
+};
 use bix_bitvec::Bitvec;
 use bix_compress::CodecKind;
 use bix_storage::{
     BitmapHandle, BitmapStore, BufferPool, CostModel, DiskConfig, FaultPlan, IoStats,
+    ShardedBufferPool,
 };
 use bix_telemetry::{SpanId, Tracer};
 use std::collections::BTreeSet;
+use std::sync::Mutex;
 
 /// Predicted evaluation cost of a rewritten expression, from stored
 /// sizes and the cost model alone — no I/O is performed. Matches the
@@ -363,86 +369,62 @@ impl BitmapIndex {
     }
 
     /// Rewrites a query into one expression per constituent interval (the
-    /// unit the query-wise strategy works over).
-    pub fn rewrite_constituents(&self, q: &Query) -> Vec<Expr> {
-        let c = self.config.cardinality;
-        match q {
-            Query::Membership(values) => crate::minimal_intervals(values)
-                .into_iter()
-                .map(|(lo, hi)| {
-                    crate::rewrite_interval(lo, hi, c, &self.config.bases, self.config.encoding)
-                })
-                .collect(),
-            other => vec![crate::rewrite_query(
-                other,
-                c,
-                &self.config.bases,
-                self.config.encoding,
-            )],
-        }
-    }
-
-    /// [`BitmapIndex::rewrite_constituents`] with span tracing: opens a
+    /// unit the query-wise strategy works over). Traced calls open a
     /// `rewrite` span under `parent` with one `constituent` child per
-    /// interval, each annotated with its bounds and carrying a
-    /// `decompose` child recording the endpoint digits under this
-    /// index's base vector. Produces exactly the same expressions.
-    pub fn rewrite_constituents_traced(
+    /// interval, annotated with its bounds and carrying a `decompose`
+    /// child recording the endpoint digits under this index's base
+    /// vector; untraced calls format nothing.
+    pub fn rewrite_constituents(
         &self,
         q: &Query,
         tracer: &Tracer,
         parent: Option<SpanId>,
     ) -> Vec<Expr> {
-        if !tracer.is_enabled() {
-            return self.rewrite_constituents(q);
-        }
-        let fmt_digits = |digits: &[u64]| {
-            digits
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
-        };
+        let (c, bases, encoding) = (
+            self.config.cardinality,
+            &self.config.bases,
+            self.config.encoding,
+        );
         let rewrite_span = tracer.span("rewrite", parent);
         let rid = rewrite_span.id();
-        let c = self.config.cardinality;
+        let constituent = |i: usize, bounds: Option<(u64, u64)>, rewrite: &dyn Fn() -> Expr| {
+            if !tracer.is_enabled() {
+                return rewrite();
+            }
+            let span = tracer.span(&format!("constituent {i}"), rid);
+            if let Some((lo, hi)) = bounds {
+                let digits = |v: u64| {
+                    let digits: Vec<String> =
+                        bases.decompose(v).iter().map(u64::to_string).collect();
+                    digits.join(",")
+                };
+                span.attr("interval", format!("[{lo},{hi}]"));
+                let d = tracer.span("decompose", span.id());
+                d.attr("lo_digits", digits(lo));
+                d.attr("hi_digits", digits(hi.min(c - 1)));
+            }
+            let e = rewrite();
+            span.attr("scans", e.scan_count());
+            e
+        };
         match q {
             Query::Membership(values) => crate::minimal_intervals(values)
                 .into_iter()
                 .enumerate()
                 .map(|(i, (lo, hi))| {
-                    let span = tracer.span(&format!("constituent {i}"), rid);
-                    span.attr("interval", format!("[{lo},{hi}]"));
-                    {
-                        let d = tracer.span("decompose", span.id());
-                        d.attr("lo_digits", fmt_digits(&self.config.bases.decompose(lo)));
-                        d.attr("hi_digits", fmt_digits(&self.config.bases.decompose(hi)));
-                    }
-                    let e = crate::rewrite_interval(
-                        lo,
-                        hi,
-                        c,
-                        &self.config.bases,
-                        self.config.encoding,
-                    );
-                    span.attr("scans", e.scan_count());
-                    e
+                    constituent(i, Some((lo, hi)), &|| {
+                        crate::rewrite_interval(lo, hi, c, bases, encoding)
+                    })
                 })
                 .collect(),
             other => {
-                let span = tracer.span("constituent 0", rid);
-                if let Query::Interval { lo, hi } = other {
-                    span.attr("interval", format!("[{lo},{hi}]"));
-                    let d = tracer.span("decompose", span.id());
-                    d.attr("lo_digits", fmt_digits(&self.config.bases.decompose(*lo)));
-                    d.attr(
-                        "hi_digits",
-                        fmt_digits(&self.config.bases.decompose((*hi).min(c - 1))),
-                    );
-                }
-                let e = crate::rewrite_query(other, c, &self.config.bases, self.config.encoding);
-                span.attr("scans", e.scan_count());
-                vec![e]
+                let bounds = match other {
+                    Query::Interval { lo, hi } => Some((*lo, *hi)),
+                    _ => None,
+                };
+                vec![constituent(0, bounds, &|| {
+                    crate::rewrite_query(other, c, bases, encoding)
+                })]
             }
         }
     }
@@ -486,6 +468,12 @@ impl BitmapIndex {
 
     /// Evaluates a query with explicit buffer pool, strategy, and cost
     /// model, returning the full cost breakdown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bitmap the query reads is corrupt;
+    /// [`BitmapIndex::evaluate_with`] reports that as an error and
+    /// [`BitmapIndex::evaluate_checked`] routes around it.
     pub fn evaluate_detailed(
         &mut self,
         q: &Query,
@@ -493,80 +481,57 @@ impl BitmapIndex {
         strategy: EvalStrategy,
         cost: &CostModel,
     ) -> EvalResult {
-        self.evaluate_detailed_traced(q, pool, strategy, cost, &Tracer::disabled(), None)
+        self.evaluate_with(q, pool, strategy, cost, &EvalOptions::default())
+            .expect("corrupt bitmap on an unguarded read path")
     }
 
-    /// [`BitmapIndex::evaluate_detailed`] with span tracing: records the
-    /// `rewrite` (with per-constituent `decompose` children), `eval`
-    /// (with `fetch`/`fold` or per-constituent children and per-bitmap
-    /// `read` spans), and — for nullable indexes — `existence` phases
-    /// under `parent`. A disabled tracer makes this identical to
-    /// [`BitmapIndex::evaluate_detailed`].
-    pub fn evaluate_detailed_traced(
+    /// Evaluates a query in process under `opts` (domain, tracing,
+    /// deadline, `opts.delta[0]` as this index's ingest delta): the one
+    /// DAG fold runs on the calling thread over this store's own disk
+    /// head and `pool` — the I/O the paper's experiments measure — and the
+    /// [`EvalStrategy`] ablations read through the same fallible reader.
+    /// Traced calls record `rewrite` (with per-constituent `decompose`
+    /// children) and `eval` (with `build`, `fold` and per-node spans, plus
+    /// `existence` for nullable indexes and `delta`) under `opts.parent`.
+    pub fn evaluate_with(
         &mut self,
         q: &Query,
         pool: &mut BufferPool,
         strategy: EvalStrategy,
         cost: &CostModel,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-    ) -> EvalResult {
-        self.evaluate_detailed_with_domain(
-            q,
-            pool,
+        opts: &EvalOptions<'_>,
+    ) -> Result<EvalResult, EvalError> {
+        let constituents = self.rewrite_constituents(q, opts.tracer, opts.parent);
+        evaluate_exclusive(
+            &self.exclusive_source(pool),
+            &constituents,
             strategy,
-            crate::EvalDomain::default(),
             cost,
-            tracer,
-            parent,
+            opts,
         )
     }
 
-    /// [`BitmapIndex::evaluate_detailed_traced`] with an explicit
-    /// [`crate::EvalDomain`] controlling whether the §6.3 DAG fold runs on
-    /// compressed streams or decoded bitmaps (`bix query --eval-domain`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_detailed_with_domain(
-        &mut self,
-        q: &Query,
-        pool: &mut BufferPool,
-        strategy: EvalStrategy,
-        domain: crate::EvalDomain,
-        cost: &CostModel,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-    ) -> EvalResult {
-        let before_io = self.store.stats();
-        let constituents = self.rewrite_constituents_traced(q, tracer, parent);
-        let handles = &self.handles;
-        let lookup = move |r: crate::BitmapRef| handles[r.component][r.slot];
-        let mut result = eval::evaluate_domain_traced(
-            &constituents,
-            self.rows,
-            &lookup,
-            &mut self.store,
-            pool,
-            strategy,
-            domain,
-            &self.domain_cost,
-            cost,
-            tracer,
-            parent,
-        );
-        // Nullable columns: intersect with the existence bitmap so that
-        // NULL rows never match, even through complemented expressions.
-        if let Some(eb) = self.existence {
-            let span = tracer.span("existence", parent);
-            let existence = self.store.read(eb, pool);
-            result.bitmap.and_assign(&existence);
-            span.finish();
-            result.scans += 1;
-            result.distinct_bitmaps += 1;
-            result.decompressions += usize::from(eb.codec() != CodecKind::Raw);
-            result.io = self.store.stats().since(&before_io);
-            result.io_seconds = cost.io_seconds(&result.io);
+    /// This index as the fold reads it through `&self` and a shared pool.
+    pub(crate) fn shared_source<'a>(&'a self, pool: &'a ShardedBufferPool) -> Source<'a> {
+        Source {
+            rows: self.rows,
+            handles: &self.handles,
+            existence: self.existence,
+            model: &self.domain_cost,
+            store: Store::Shared(&self.store, pool),
         }
-        result
+    }
+
+    /// This index as the fold reads it through its own disk head and
+    /// `pool`.
+    pub(crate) fn exclusive_source<'a>(&'a mut self, pool: &'a mut BufferPool) -> Source<'a> {
+        Source {
+            rows: self.rows,
+            handles: &self.handles,
+            existence: self.existence,
+            model: &self.domain_cost,
+            store: Store::Exclusive(Mutex::new((&mut self.store, pool))),
+        }
     }
 
     /// Number of matching records for a query — evaluates through the
@@ -868,7 +833,6 @@ mod tests {
     fn eval_domains_are_bit_identical_across_schemes_and_codecs() {
         use crate::{EvalDomain, EvalStrategy, Query};
         use bix_storage::CostModel;
-        use bix_telemetry::Tracer;
 
         let column: Vec<u64> = (0..12_000u64).map(|i| (i * 37 + i / 13) % 25).collect();
         let queries = [
@@ -885,15 +849,20 @@ mod tests {
                     let mut per_domain = Vec::new();
                     for domain in [EvalDomain::Raw, EvalDomain::Auto, EvalDomain::Compressed] {
                         let mut pool = BufferPool::new(4096);
-                        per_domain.push(idx.evaluate_detailed_with_domain(
-                            q,
-                            &mut pool,
-                            EvalStrategy::ComponentWise,
+                        let opts = EvalOptions {
                             domain,
-                            &CostModel::default(),
-                            &Tracer::disabled(),
-                            None,
-                        ));
+                            ..EvalOptions::default()
+                        };
+                        per_domain.push(
+                            idx.evaluate_with(
+                                q,
+                                &mut pool,
+                                EvalStrategy::ComponentWise,
+                                &CostModel::default(),
+                                &opts,
+                            )
+                            .unwrap(),
+                        );
                     }
                     let [raw, auto, packed] = per_domain.try_into().expect("three domains");
                     assert_eq!(raw.bitmap, auto.bitmap, "{scheme} {codec} {q:?} auto");
@@ -926,7 +895,6 @@ mod tests {
     fn eval_domain_auto_beats_raw_on_compressible_workloads() {
         use crate::{EvalDomain, EvalStrategy, Query};
         use bix_storage::CostModel;
-        use bix_telemetry::Tracer;
 
         let queries = [
             Query::range(3, 30),
@@ -958,15 +926,18 @@ mod tests {
             for q in &queries {
                 let mut run = |domain| {
                     let mut pool = BufferPool::new(4096);
-                    idx.evaluate_detailed_with_domain(
+                    let opts = EvalOptions {
+                        domain,
+                        ..EvalOptions::default()
+                    };
+                    idx.evaluate_with(
                         q,
                         &mut pool,
                         EvalStrategy::ComponentWise,
-                        domain,
                         &CostModel::default(),
-                        &Tracer::disabled(),
-                        None,
+                        &opts,
                     )
+                    .unwrap()
                 };
                 let raw = run(EvalDomain::Raw);
                 let auto = run(EvalDomain::Auto);

@@ -63,16 +63,12 @@ pub use decompose::{best_bases, compose, decompose, BaseVector};
 pub use degrade::{Degraded, RepairReport, VerifyReport, EXISTENCE_REF};
 pub use delta::{DeltaIndex, DeltaStats};
 pub use encoding::{AlphaForm, EncodingScheme};
-pub use eval::{
-    evaluate, evaluate_domain_traced, evaluate_traced, DomainCostModel, DomainCosts, EvalDomain,
-    EvalResult, EvalStrategy,
-};
+pub use eval::{DomainCostModel, DomainCosts, EvalDomain, EvalMetrics, EvalResult, EvalStrategy};
 pub use expr::{BitmapRef, Expr};
 pub use index::{BitmapIndex, CostPrediction, IndexConfig};
 pub use journal::{AppendError, RecoveryAction, RecoveryReport};
 pub use multi::{IndexedTable, PlanEvalResult, TableEvalResult, TableQuery};
-pub use parallel::DeadlineExceeded;
-pub use parallel::{BatchResult, ParallelExecutor};
+pub use parallel::{BatchResult, EvalError, EvalFailure, EvalOptions, ParallelExecutor};
 pub use plan::{
     AttrSchema, Plan, PlanError, PlanLiteral, PlanTextError, Planner, RewriteAction,
     TableParseError, TableSchema, MAX_DNF_CLAUSES, MAX_PLAN_DEPTH,

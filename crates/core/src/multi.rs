@@ -32,10 +32,8 @@
 //! assert_eq!(table.evaluate(&q).to_positions(), vec![1, 4]);
 //! ```
 
-use crate::plan::{display_query, AttrSchema, Plan, PlanLiteral, TableSchema};
-use crate::{
-    BitmapIndex, BufferPool, CostModel, DeltaIndex, EvalStrategy, IndexConfig, IoStats, Query,
-};
+use crate::plan::{display_query, AttrSchema, TableSchema};
+use crate::{BitmapIndex, BufferPool, CostModel, EvalStrategy, IndexConfig, IoStats, Query};
 use bix_bitvec::Bitvec;
 use std::fmt;
 
@@ -157,7 +155,8 @@ pub struct TableEvalResult {
     pub seconds: f64,
 }
 
-/// Aggregated cost of executing a rewritten [`Plan`].
+/// Aggregated cost of executing a rewritten [`crate::Plan`] through
+/// [`crate::ParallelExecutor::execute_plan`].
 #[derive(Debug, Clone)]
 pub struct PlanEvalResult {
     /// The matching records (base rows, then any delta rows).
@@ -170,6 +169,12 @@ pub struct PlanEvalResult {
     pub seconds: f64,
     /// Compressed-bitmap decodes summed over all evaluated literals.
     pub decompressions: usize,
+    /// DAG-fold nodes, summed over all evaluated literals, whose value
+    /// ended up as a decoded bitmap.
+    pub nodes_raw: usize,
+    /// DAG-fold nodes, summed over all evaluated literals, whose value
+    /// stayed a compressed stream.
+    pub nodes_compressed: usize,
     /// Distinct literals evaluated (shared literals run once however
     /// many clauses reference them).
     pub literals: usize,
@@ -312,8 +317,8 @@ impl IndexedTable {
         self.attrs.iter().find(|(n, _)| n == name).map(|(_, i)| i)
     }
 
-    /// The attribute index at a schema position (what [`PlanLiteral::attr`]
-    /// refers to).
+    /// The attribute index at a schema position (what
+    /// [`crate::PlanLiteral::attr`] refers to).
     pub fn index_at(&self, position: usize) -> Option<&BitmapIndex> {
         self.attrs.get(position).map(|(_, i)| i)
     }
@@ -362,95 +367,6 @@ impl IndexedTable {
                 r
             }
         }
-    }
-
-    /// Executes a rewritten [`Plan`]: every distinct literal is
-    /// evaluated once through its attribute's index, then clauses fold
-    /// with AND and combine with OR word-wise over the decoded results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a literal's attribute position is out of range (plans
-    /// must be built against [`IndexedTable::schema`]).
-    pub fn execute_plan(&mut self, plan: &Plan, cost: &CostModel) -> PlanEvalResult {
-        self.execute_plan_delta(plan, &[], cost)
-    }
-
-    /// [`IndexedTable::execute_plan`] with per-attribute delta-index
-    /// overlays. `deltas` is indexed by schema position; `&[]` (or
-    /// `None` entries) means no unmerged rows on that attribute. When
-    /// any delta is present, every attribute a literal touches must
-    /// carry one with the same appended row count, or the per-literal
-    /// bitmap lengths disagree and folding panics.
-    pub fn execute_plan_delta(
-        &mut self,
-        plan: &Plan,
-        deltas: &[Option<&DeltaIndex>],
-        cost: &CostModel,
-    ) -> PlanEvalResult {
-        let lits = plan.distinct_literals();
-        let mut bitmaps: Vec<Bitvec> = Vec::with_capacity(lits.len());
-        let mut out = PlanEvalResult {
-            bitmap: Bitvec::zeros(0),
-            scans: 0,
-            io: IoStats::new(),
-            seconds: 0.0,
-            decompressions: 0,
-            literals: lits.len(),
-        };
-        for lit in &lits {
-            let (_, index) = self
-                .attrs
-                .get_mut(lit.attr)
-                .unwrap_or_else(|| panic!("plan literal references attribute {}", lit.attr));
-            let mut pool = BufferPool::new(index.config().disk.pages_for_bytes(11 << 20));
-            index.reset_stats();
-            let mut r =
-                index.evaluate_detailed(&lit.query, &mut pool, EvalStrategy::ComponentWise, cost);
-            if let Some(delta) = deltas.get(lit.attr).copied().flatten() {
-                delta.overlay(&lit.query, &mut r);
-            }
-            out.scans += r.scans;
-            out.io += r.io;
-            out.seconds += r.total_seconds();
-            out.decompressions += r.decompressions;
-            let mut bitmap = r.bitmap;
-            if lit.complement {
-                bitmap.not_assign();
-            }
-            bitmaps.push(bitmap);
-        }
-        // Constant plans never touch an index; their length is the base
-        // table plus whatever any delta appended.
-        let total_rows = bitmaps.first().map_or_else(
-            || self.rows + deltas.iter().flatten().next().map_or(0, |d| d.rows()),
-            Bitvec::len,
-        );
-        let lookup = |lit: &PlanLiteral| -> &Bitvec {
-            &bitmaps[lits
-                .iter()
-                .position(|l| l == lit)
-                .expect("literal evaluated")]
-        };
-        let mut acc: Option<Bitvec> = None;
-        for clause in &plan.clauses {
-            let folded = match clause.split_first() {
-                None => Bitvec::ones_vec(total_rows),
-                Some((first, rest)) => {
-                    let mut b = lookup(first).clone();
-                    for lit in rest {
-                        b.and_assign(lookup(lit));
-                    }
-                    b
-                }
-            };
-            match &mut acc {
-                None => acc = Some(folded),
-                Some(a) => a.or_assign(&folded),
-            }
-        }
-        out.bitmap = acc.unwrap_or_else(|| Bitvec::zeros(total_rows));
-        out
     }
 
     fn combine(

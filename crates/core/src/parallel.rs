@@ -1,103 +1,407 @@
-//! Parallel batch query execution.
+//! The one evaluator: per-call options, the fallible leaf reader, the
+//! dependency-counting DAG fold, and the batch and plan executors.
 //!
-//! The paper's evaluator answers one query at a time against a disk whose
-//! head position is part of the simulation state. A warehouse workload
-//! arrives as *batches* of selection queries, which parallelize on two
-//! axes:
+//! Every query — a served batch, a multi-attribute plan, an in-process
+//! [`BitmapIndex::evaluate_with`], the checked quarantine-and-retry path —
+//! runs the same per-query pass: the §6.3 component-wise fold over the
+//! hash-consed bitmap-expression DAG, then the existence-bitmap
+//! intersection, then the ingest-delta overlay. The fold reads leaves
+//! through one fallible reader ([`Source`]) with two stores behind it:
 //!
-//! * **Across queries** — each query's rewrite and evaluation is
-//!   independent; a fixed worker pool drains the batch.
-//! * **Within a query** — the §6.3 streaming evaluator's expression DAG
-//!   has independent subtrees (different components' bitmaps, disjoint
-//!   constituents); a dependency-counting scheduler folds ready nodes
-//!   concurrently.
+//! * **shared** — [`BitmapStore::read_shared`] (`&self`) through the
+//!   lock-striped [`ShardedBufferPool`]. Every thread carries its own
+//!   [`ReadContext`] (disk head + I/O counters, one simulated disk arm per
+//!   thread), merged into the batch totals — and charged back to the
+//!   store's global counters — when the batch completes. Served batches
+//!   and plans read this way.
+//! * **exclusive** — `&mut BitmapStore` through an LRU [`BufferPool`]: the
+//!   store's own disk head, fault plan and counters, exactly the I/O the
+//!   paper's experiments measure. In-process calls read this way, with the
+//!   fold on the calling thread.
 //!
-//! Reads go through [`BitmapStore::read_shared`] (`&self`) and the
-//! lock-striped [`ShardedBufferPool`]; every thread carries its own
-//! [`ReadContext`] (disk head + I/O counters, one simulated disk arm per
-//! thread), merged into the batch totals — and charged back to the store's
-//! global counters — when the batch completes.
+//! A failed read stops the run exactly as an expired deadline does: the
+//! remaining DAG nodes drain without work and the call returns a typed
+//! [`EvalError`]. Partial answers are never handed out.
 //!
-//! Hash-consing guarantees each distinct bitmap appears as exactly one DAG
-//! leaf and is therefore scanned exactly once per query, so batch-level
-//! scan counts are identical to running [`EvalStrategy::ComponentWise`]
-//! sequentially (seek counts differ: heads are per-thread).
+//! Batches parallelize across queries (a fixed worker pool drains the
+//! batch) and within a query (ready DAG nodes fold concurrently).
+//! Hash-consing makes each distinct bitmap exactly one DAG leaf, so scan
+//! counts do not depend on the thread count; seek counts do, because
+//! heads are per thread.
 
-use crate::eval::{reads_compressed, Dag, NodeOp, NodeVal};
+use crate::eval::{evaluate_ablation, reads_compressed, Dag, NodeOp, NodeVal};
 use crate::multi::PlanEvalResult;
-use crate::plan::{Plan, PlanLiteral};
-use crate::{BitmapIndex, DeltaIndex, EvalDomain, EvalResult, Expr, IndexedTable, Query};
+use crate::plan::Plan;
+use crate::{
+    BitmapIndex, BitmapRef, DeltaIndex, DomainCostModel, EvalDomain, EvalResult, EvalStrategy,
+    Expr, IndexedTable, Query, EXISTENCE_REF,
+};
 use bix_bitvec::Bitvec;
 use bix_compress::{BitOp, CodecKind};
-use bix_storage::{BitmapHandle, CostModel, IoStats, ReadContext, ShardedBufferPool};
-use bix_telemetry::{SpanId, Tracer};
+use bix_storage::{
+    BitmapHandle, BitmapStore, BufferPool, CostModel, IoStats, ReadContext, ReadError,
+    ShardedBufferPool,
+};
+use bix_telemetry::{SpanGuard, SpanId, Tracer};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-// Referenced by the module docs above.
-#[allow(unused_imports)]
-use crate::EvalStrategy;
-#[allow(unused_imports)]
-use bix_storage::BitmapStore;
+/// The tracer behind [`EvalOptions::default`]: disabled, so an untraced
+/// call records nothing and allocates nothing for spans.
+static UNTRACED: Tracer = Tracer::disabled();
 
-/// Returned by [`ParallelExecutor::execute_deadline`] when the deadline
-/// passed before every query in the batch finished. Partial results are
-/// discarded: a served query is either complete and bit-exact or not
-/// answered at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeadlineExceeded;
+/// Per-call options taken by every evaluation entry point
+/// ([`BitmapIndex::evaluate_with`], [`ParallelExecutor::execute`],
+/// [`ParallelExecutor::execute_plan`]). The default is the plain call:
+/// [`EvalDomain::Auto`], untraced, no deadline, no delta.
+#[derive(Debug, Clone, Copy)]
+pub struct EvalOptions<'a> {
+    /// Representation the DAG fold works over.
+    pub domain: EvalDomain,
+    /// Span recorder. A disabled tracer costs one branch per span site.
+    pub tracer: &'a Tracer,
+    /// Span the call's spans hang under (`None` for roots).
+    pub parent: Option<SpanId>,
+    /// Wall-clock deadline, checked between queries, literals and DAG
+    /// nodes. Once it passes, remaining work is skipped and the call
+    /// returns [`EvalFailure::DeadlineExceeded`].
+    pub deadline: Option<Instant>,
+    /// In-memory ingest deltas by schema position (a single index is
+    /// position 0). A result over an attribute with a delta is the main
+    /// index's answer with the delta's tail appended
+    /// ([`DeltaIndex::overlay`]), bit-identical to a rebuild over the
+    /// concatenated column.
+    pub delta: &'a [Option<&'a DeltaIndex>],
+}
 
-impl std::fmt::Display for DeadlineExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "deadline exceeded before the batch completed")
+impl Default for EvalOptions<'_> {
+    fn default() -> Self {
+        EvalOptions {
+            domain: EvalDomain::default(),
+            tracer: &UNTRACED,
+            parent: None,
+            deadline: None,
+            delta: &[],
+        }
     }
 }
 
-impl std::error::Error for DeadlineExceeded {}
-
-/// Shared cancellation state for one deadline-bounded batch: the wall
-/// deadline plus a sticky flag so that, once any worker observes expiry,
-/// every other worker short-circuits without re-reading the clock.
-struct Cancel {
-    deadline: Instant,
-    expired: std::sync::atomic::AtomicBool,
+/// Why an evaluation produced no answer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EvalFailure {
+    /// The deadline passed before every query or literal finished.
+    DeadlineExceeded,
+    /// A stored bitmap failed checksum verification or did not decode.
+    Corrupt {
+        /// The bitmap ([`EXISTENCE_REF`] for the existence bitmap).
+        bitmap: BitmapRef,
+        /// Its diagnostic name in the store, e.g. `c0:E^3`.
+        name: String,
+        /// What the read reported (boxed to keep results small).
+        error: Box<ReadError>,
+    },
 }
 
-impl Cancel {
-    fn new(deadline: Instant) -> Cancel {
-        Cancel {
-            deadline,
-            expired: std::sync::atomic::AtomicBool::new(false),
+/// A failed evaluation. Partial results are discarded: a query is either
+/// complete and bit-exact or not answered at all.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EvalError {
+    /// What stopped the evaluation.
+    pub failure: EvalFailure,
+    /// Disk activity the abandoned work performed — already charged to
+    /// the store's counters — so metrics still see, for example, the
+    /// checksum failure that stopped it.
+    pub io: IoStats,
+}
+
+impl std::fmt::Display for EvalError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.failure {
+            EvalFailure::DeadlineExceeded => {
+                write!(f, "deadline exceeded before the evaluation completed")
+            }
+            EvalFailure::Corrupt { name, error, .. } => write!(f, "bitmap {name}: {error}"),
+        }
+    }
+}
+
+impl std::error::Error for EvalError {}
+
+/// One call's shared state: what every query evaluates under, and its
+/// cancellation — the optional deadline, the first failed read, and a
+/// sticky cancel flag, so that once any worker observes expiry or a
+/// failure, every other worker short-circuits without re-reading the
+/// clock. The flag publishes no data — the failure sits behind its own
+/// mutex — so it is `Relaxed`.
+pub(crate) struct Run<'a> {
+    pub(crate) domain: EvalDomain,
+    pub(crate) tracer: &'a Tracer,
+    cost: &'a CostModel,
+    /// Threads folding each query's DAG.
+    workers: usize,
+    deadline: Option<Instant>,
+    cancelled: AtomicBool,
+    failure: Mutex<Option<EvalFailure>>,
+}
+
+impl<'a> Run<'a> {
+    fn new(opts: &EvalOptions<'a>, cost: &'a CostModel, workers: usize) -> Run<'a> {
+        Run {
+            domain: opts.domain,
+            tracer: opts.tracer,
+            cost,
+            workers,
+            deadline: opts.deadline,
+            cancelled: AtomicBool::new(false),
+            failure: Mutex::new(None),
         }
     }
 
-    /// True once the deadline has passed. Checked between DAG nodes and
-    /// between queries — the enforcement points of a request deadline —
+    /// True once the deadline has passed or a read failed. Checked
+    /// between queries and between DAG nodes — the enforcement points —
     /// so a single node's work is the cancellation latency bound.
-    fn expired(&self) -> bool {
-        if self.expired.load(Ordering::Relaxed) {
+    pub(crate) fn stopped(&self) -> bool {
+        if self.cancelled.load(Ordering::Relaxed) {
             return true;
         }
-        if Instant::now() >= self.deadline {
-            self.expired.store(true, Ordering::Relaxed);
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.cancelled.store(true, Ordering::Relaxed);
             return true;
         }
         false
     }
+
+    /// Records a failed read (the first one wins) and cancels the run.
+    pub(crate) fn fail(&self, failure: EvalFailure) {
+        self.failure
+            .lock()
+            .expect("failure slot")
+            .get_or_insert(failure);
+        self.cancelled.store(true, Ordering::Relaxed);
+    }
+
+    /// The call's outcome once its work has joined: `Err` carrying `io`
+    /// if the run stopped.
+    fn check(&self, io: IoStats) -> Result<(), EvalError> {
+        if !self.stopped() {
+            return Ok(());
+        }
+        let failure = self
+            .failure
+            .lock()
+            .expect("failure slot")
+            .take()
+            .unwrap_or(EvalFailure::DeadlineExceeded);
+        Err(EvalError { failure, io })
+    }
 }
 
-/// Executes batches of selection queries concurrently against one index.
-///
-/// The single-threaded API ([`BitmapIndex::evaluate_detailed`]) is
-/// untouched; this type is an additive facade over the same rewrite and
-/// the same §6.3 evaluation semantics.
+/// The store behind a [`Source`].
+pub(crate) enum Store<'a> {
+    /// `&self` reads through the lock-striped pool, charged per thread.
+    Shared(&'a BitmapStore, &'a ShardedBufferPool),
+    /// The store's own disk head and LRU pool. The mutex only satisfies
+    /// the fold's `Sync` bound: exclusive folds run on one thread.
+    Exclusive(Mutex<(&'a mut BitmapStore, &'a mut BufferPool)>),
+}
+
+/// One index as the fold reads it: where each leaf is stored, the
+/// optional existence bitmap, the model pricing
+/// [`EvalDomain::Auto`]'s choices, and the store — the one fallible
+/// leaf reader.
+pub(crate) struct Source<'a> {
+    pub(crate) rows: usize,
+    pub(crate) handles: &'a [Vec<BitmapHandle>],
+    pub(crate) existence: Option<BitmapHandle>,
+    pub(crate) model: &'a DomainCostModel,
+    pub(crate) store: Store<'a>,
+}
+
+impl Source<'_> {
+    fn handle(&self, r: BitmapRef) -> BitmapHandle {
+        if r == EXISTENCE_REF {
+            self.existence
+                .expect("existence read on a nullable index only")
+        } else {
+            self.handles[r.component][r.slot]
+        }
+    }
+
+    /// Reads leaf `r` — as a compressed stream when `domain` and the cost
+    /// model say so — charging its I/O to `ctx` and counting a decode
+    /// when a compressed stream arrives decoded. A failed read names the
+    /// bitmap.
+    pub(crate) fn read(
+        &self,
+        r: BitmapRef,
+        domain: EvalDomain,
+        ctx: &mut ReadContext,
+        decompressions: &mut usize,
+    ) -> Result<NodeVal, EvalFailure> {
+        let handle = self.handle(r);
+        let read = match &self.store {
+            Store::Shared(store, pool) => {
+                if reads_compressed(domain, handle, store.stored_size(handle), self.model) {
+                    store
+                        .read_compressed_shared(handle, pool, ctx)
+                        .map(NodeVal::packed)
+                } else {
+                    store.read_shared(handle, pool, ctx).map(NodeVal::Raw)
+                }
+            }
+            Store::Exclusive(exclusive) => {
+                let mut guard = exclusive.lock().expect("exclusive store");
+                let (store, pool) = &mut *guard;
+                let before = store.stats();
+                let read =
+                    if reads_compressed(domain, handle, store.stored_size(handle), self.model) {
+                        store.read_compressed(handle, pool).map(NodeVal::packed)
+                    } else {
+                        store.read_verified(handle, pool).map(NodeVal::Raw)
+                    };
+                ctx.charge(store.stats().since(&before));
+                read
+            }
+        };
+        match read {
+            Ok(value) => {
+                if matches!(value, NodeVal::Raw(_)) && handle.codec() != CodecKind::Raw {
+                    *decompressions += 1;
+                }
+                Ok(value)
+            }
+            Err(error) => Err(EvalFailure::Corrupt {
+                bitmap: r,
+                name: match &self.store {
+                    Store::Shared(store, _) => store.name(handle).to_owned(),
+                    Store::Exclusive(exclusive) => exclusive
+                        .lock()
+                        .expect("exclusive store")
+                        .0
+                        .name(handle)
+                        .to_owned(),
+                },
+                error: Box::new(error),
+            }),
+        }
+    }
+}
+
+/// What one strategy's pass over a query produced, before the
+/// existence intersection and the delta overlay.
+pub(crate) struct Folded {
+    pub(crate) bitmap: Bitvec,
+    pub(crate) peak_resident: usize,
+    pub(crate) scans: usize,
+    pub(crate) io: IoStats,
+    pub(crate) decompressions: usize,
+    pub(crate) nodes_raw: usize,
+    pub(crate) nodes_compressed: usize,
+}
+
+/// Evaluates one query's rewritten constituents: the DAG fold (or, for
+/// in-process callers, an ablation strategy), then the existence-bitmap
+/// intersection, then the delta overlay, under an `eval` span. After a
+/// failed read or an expired deadline the result is a placeholder; the
+/// caller turns the stopped run into its [`EvalError`].
+fn evaluate_expr(
+    source: &Source<'_>,
+    constituents: &[Expr],
+    strategy: EvalStrategy,
+    run: &Run<'_>,
+    parent: Option<SpanId>,
+    delta: Option<&DeltaIndex>,
+) -> EvalResult {
+    let started = Instant::now();
+    let tracer = run.tracer;
+    let eval_span = tracer.span("eval", parent);
+    let eval_id = eval_span.id();
+    let merged = Expr::or(constituents.iter().cloned());
+    let mut folded = if strategy == EvalStrategy::ComponentWise {
+        let build_span = tracer.span("build", eval_id);
+        let dag = Dag::build(&merged);
+        build_span.attr("nodes", dag.ops.len());
+        build_span.finish();
+        let fold_span = tracer.span("fold", eval_id);
+        let folded = fold_dag(&dag, source, run, fold_span.id());
+        fold_span.attr("workers", run.workers);
+        fold_span.attr("decompressions", folded.decompressions);
+        folded
+    } else {
+        evaluate_ablation(strategy, constituents, source, run, eval_id)
+    };
+
+    // Nullable columns: intersect with the existence bitmap so that NULL
+    // rows never match, even through complemented expressions.
+    let mut distinct = merged.scan_count();
+    if source.existence.is_some() && !run.stopped() {
+        let span = tracer.span("existence", eval_id);
+        let mut ctx = ReadContext::new();
+        let dec = &mut folded.decompressions;
+        match source.read(EXISTENCE_REF, EvalDomain::Raw, &mut ctx, dec) {
+            Ok(existence) => folded.bitmap.and_assign(&existence.into_raw(dec)),
+            Err(failure) => run.fail(failure),
+        }
+        span.finish();
+        folded.scans += 1;
+        distinct += 1;
+        folded.io += ctx.take_stats();
+    }
+
+    let mut result = EvalResult {
+        bitmap: folded.bitmap,
+        scans: folded.scans,
+        distinct_bitmaps: distinct,
+        io: folded.io,
+        io_seconds: run.cost.io_seconds(&folded.io),
+        cpu_seconds: run.cost.cpu_seconds(started.elapsed().as_secs_f64()),
+        decompressions: folded.decompressions,
+        peak_resident: folded.peak_resident,
+        nodes_raw: folded.nodes_raw,
+        nodes_compressed: folded.nodes_compressed,
+        delta_scans: 0,
+        delta_rows: 0,
+    };
+    if let Some(delta) = delta {
+        if !run.stopped() {
+            let span = tracer.span("delta", eval_id);
+            delta.overlay(&merged, &mut result);
+            span.attr("delta_rows", result.delta_rows);
+        }
+    }
+    eval_span.attr("scans", result.scans);
+    eval_span.attr("distinct", result.distinct_bitmaps);
+    eval_span.attr("pages", result.io.pages_read);
+    eval_span.attr("decompressions", result.decompressions);
+    result
+}
+
+/// Evaluates `constituents` over an exclusively borrowed index on the
+/// calling thread — the in-process entry behind
+/// [`BitmapIndex::evaluate_with`] and the checked path. `opts.delta[0]`
+/// is the index's delta.
+pub(crate) fn evaluate_exclusive(
+    source: &Source<'_>,
+    constituents: &[Expr],
+    strategy: EvalStrategy,
+    cost: &CostModel,
+    opts: &EvalOptions<'_>,
+) -> Result<EvalResult, EvalError> {
+    let run = Run::new(opts, cost, 1);
+    let delta = opts.delta.first().copied().flatten();
+    let result = evaluate_expr(source, constituents, strategy, &run, opts.parent, delta);
+    run.check(result.io)?;
+    Ok(result)
+}
+
+/// Executes batches of selection queries and multi-attribute plans
+/// concurrently over shared indexes.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelExecutor {
     threads: usize,
     inner_threads: Option<usize>,
-    domain: EvalDomain,
 }
 
 impl ParallelExecutor {
@@ -111,15 +415,7 @@ impl ParallelExecutor {
         ParallelExecutor {
             threads,
             inner_threads: None,
-            domain: EvalDomain::default(),
         }
-    }
-
-    /// Sets the [`EvalDomain`] every query's DAG fold runs in (default
-    /// [`EvalDomain::Auto`]).
-    pub fn with_domain(mut self, domain: EvalDomain) -> Self {
-        self.domain = domain;
-        self
     }
 
     /// Overrides how many threads fold each individual query's DAG.
@@ -143,220 +439,154 @@ impl ParallelExecutor {
         self.threads
     }
 
+    /// Evaluates `items` on the executor's workers — the calling thread
+    /// is worker 0 — each under a `{kind} {i}` span below `parent`, until
+    /// `run` stops. Results come back in input order; `None` marks an
+    /// item no worker started.
+    fn evaluate_all(
+        &self,
+        items: &[Item<'_>],
+        pool: &ShardedBufferPool,
+        run: &Run<'_>,
+        kind: &str,
+        parent: Option<SpanId>,
+    ) -> Vec<Option<EvalResult>> {
+        let tracer = run.tracer;
+        let slots: Vec<Mutex<Option<EvalResult>>> =
+            items.iter().map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
+        let drain = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&(index, q, delta)) = items.get(i) else {
+                break;
+            };
+            if run.stopped() {
+                break;
+            }
+            let span = tracer
+                .is_enabled()
+                .then(|| tracer.span(&format!("{kind} {i}"), parent));
+            let id = span.as_ref().and_then(SpanGuard::id);
+            let constituents = index.rewrite_constituents(q, tracer, id);
+            let source = index.shared_source(pool);
+            let result = evaluate_expr(
+                &source,
+                &constituents,
+                EvalStrategy::ComponentWise,
+                run,
+                id,
+                delta,
+            );
+            if let Some(span) = &span {
+                span.attr("scans", result.scans);
+                span.attr("pages", result.io.pages_read);
+            }
+            *slots[i].lock().expect("result slot") = Some(result);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..self.threads.min(items.len()) {
+                scope.spawn(drain);
+            }
+            drain();
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("result slot"))
+            .collect()
+    }
+
+    /// Threads folding each DAG when `n` work items share the budget:
+    /// it is spent across items first, and only calls narrower than the
+    /// thread count get within-item workers.
+    fn inner_threads(&self, n: usize) -> usize {
+        let outer = self.threads.min(n).max(1);
+        self.inner_threads
+            .unwrap_or_else(|| (self.threads / outer).max(1))
+    }
+
     /// Evaluates every query in `queries`, fanning out over the executor's
-    /// threads. Results arrive in input order. I/O is charged per-thread
-    /// and merged; the merged counters are also added to the index store's
-    /// global statistics so sequential-style accounting keeps working.
+    /// threads; results arrive in input order. I/O is charged per thread
+    /// and merged; the merged counters are also added to the index
+    /// store's global statistics — on failure too — so sequential-style
+    /// accounting keeps working. `opts.delta[0]` is the index's delta.
+    ///
+    /// A traced call records a `batch` span with one `query` child per
+    /// entry (opened on whichever worker picks the query up) and, inside
+    /// each, the `rewrite` / `eval` → `build` / `fold` phases with
+    /// per-DAG-node spans carrying queue-wait time and the cost model's
+    /// predicted nanoseconds.
     pub fn execute(
         &self,
         index: &BitmapIndex,
         queries: &[Query],
         pool: &ShardedBufferPool,
         cost: &CostModel,
-    ) -> BatchResult {
-        self.execute_traced(index, queries, pool, cost, &Tracer::disabled(), None)
-    }
+        opts: &EvalOptions<'_>,
+    ) -> Result<BatchResult, EvalError> {
+        let started = Instant::now();
+        let run = Run::new(opts, cost, self.inner_threads(queries.len()));
+        let batch_span = opts.tracer.span("batch", opts.parent);
+        batch_span.attr("queries", queries.len());
+        batch_span.attr("threads", self.threads);
+        let delta = opts.delta.first().copied().flatten();
+        let items: Vec<Item<'_>> = queries.iter().map(|q| (index, q, delta)).collect();
+        let slots = self.evaluate_all(&items, pool, &run, "query", batch_span.id());
 
-    /// [`ParallelExecutor::execute`] with span tracing: records a `batch`
-    /// span under `parent` with one `query` child per batch entry (opened
-    /// on whichever worker thread picks the query up) and, inside each
-    /// query, the rewrite / build / fold phases with per-DAG-node spans
-    /// carrying queue-wait and run time. A disabled tracer makes this
-    /// identical to [`ParallelExecutor::execute`].
-    pub fn execute_traced(
-        &self,
-        index: &BitmapIndex,
-        queries: &[Query],
-        pool: &ShardedBufferPool,
-        cost: &CostModel,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-    ) -> BatchResult {
-        self.execute_inner(index, None, queries, pool, cost, tracer, parent, None)
-            .expect("no deadline, cannot expire")
-    }
-
-    /// [`ParallelExecutor::execute`] with a wall-clock deadline, the
-    /// serving path's bounded-latency entry point. The deadline is
-    /// checked between queries and between DAG nodes; once it passes,
-    /// remaining work is abandoned (leaf reads and bitwise ops are
-    /// skipped) and the whole batch returns [`DeadlineExceeded`] —
-    /// partial answers are never handed out. `None` behaves exactly like
-    /// [`ParallelExecutor::execute`].
-    pub fn execute_deadline(
-        &self,
-        index: &BitmapIndex,
-        queries: &[Query],
-        pool: &ShardedBufferPool,
-        cost: &CostModel,
-        deadline: Option<Instant>,
-    ) -> Result<BatchResult, DeadlineExceeded> {
-        self.execute_inner(
-            index,
-            None,
-            queries,
-            pool,
-            cost,
-            &Tracer::disabled(),
-            None,
-            deadline,
-        )
-    }
-
-    /// Span tracing *and* a wall-clock deadline together — the traced
-    /// serving path. Behaves like [`ParallelExecutor::execute_traced`]
-    /// when `deadline` is `None` and like
-    /// [`ParallelExecutor::execute_deadline`] when the tracer is
-    /// disabled; a deadline expiry discards the batch but the spans
-    /// recorded up to that point survive in the tracer.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_full(
-        &self,
-        index: &BitmapIndex,
-        queries: &[Query],
-        pool: &ShardedBufferPool,
-        cost: &CostModel,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-        deadline: Option<Instant>,
-    ) -> Result<BatchResult, DeadlineExceeded> {
-        self.execute_inner(index, None, queries, pool, cost, tracer, parent, deadline)
-    }
-
-    /// [`ParallelExecutor::execute_full`] over `main ∪ delta`: every
-    /// query's result is the main index's answer with the in-memory
-    /// delta tail appended ([`DeltaIndex::overlay`]), so mid-ingest
-    /// batches are bit-identical to a from-scratch rebuild over the
-    /// concatenated column. `delta: None` behaves exactly like
-    /// [`ParallelExecutor::execute_full`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_full_delta(
-        &self,
-        index: &BitmapIndex,
-        delta: Option<&DeltaIndex>,
-        queries: &[Query],
-        pool: &ShardedBufferPool,
-        cost: &CostModel,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-        deadline: Option<Instant>,
-    ) -> Result<BatchResult, DeadlineExceeded> {
-        self.execute_inner(index, delta, queries, pool, cost, tracer, parent, deadline)
+        let io = slots
+            .iter()
+            .flatten()
+            .fold(IoStats::new(), |io, r| io + r.io);
+        index.store().charge(io);
+        run.check(io)?;
+        let results: Vec<EvalResult> = slots
+            .into_iter()
+            .map(|slot| slot.expect("every query evaluated"))
+            .collect();
+        Ok(BatchResult {
+            io,
+            io_seconds: results.iter().map(|r| r.io_seconds).sum(),
+            cpu_seconds: results.iter().map(|r| r.cpu_seconds).sum(),
+            wall_seconds: started.elapsed().as_secs_f64(),
+            threads: self.threads,
+            results,
+        })
     }
 
     /// Executes a multi-attribute [`Plan`] against an [`IndexedTable`]:
-    /// every distinct literal becomes an independent work item (its
-    /// per-attribute expression DAG is a root of the cross-index plan),
-    /// drained by the executor's worker pool with the same adaptive
-    /// domain selection as single-index batches. The clause fold runs
-    /// word-wise on the calling thread once all literals land.
+    /// every distinct literal is one work item folded through its
+    /// attribute's index, drained by the executor's worker pool; the
+    /// clause AND/OR fold runs word-wise on the calling thread once all
+    /// literals land. `opts.delta` is indexed by schema position; when
+    /// present, every attribute the plan touches must carry a delta with
+    /// the same appended row count. Traced calls record a `plan` span
+    /// with one `literal` child per distinct literal.
     pub fn execute_plan(
         &self,
         table: &IndexedTable,
         plan: &Plan,
         pool: &ShardedBufferPool,
         cost: &CostModel,
-    ) -> PlanEvalResult {
-        self.execute_plan_full(
-            table,
-            None,
-            plan,
-            pool,
-            cost,
-            &Tracer::disabled(),
-            None,
-            None,
-        )
-        .expect("no deadline, cannot expire")
-    }
-
-    /// [`ParallelExecutor::execute_plan`] with per-attribute delta
-    /// overlays, span tracing, and a wall-clock deadline — the serving
-    /// path. `deltas` is indexed by schema position; when present,
-    /// every attribute the plan touches must carry a delta with the
-    /// same appended row count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_plan_full(
-        &self,
-        table: &IndexedTable,
-        deltas: Option<&[Option<&DeltaIndex>]>,
-        plan: &Plan,
-        pool: &ShardedBufferPool,
-        cost: &CostModel,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-        deadline: Option<Instant>,
-    ) -> Result<PlanEvalResult, DeadlineExceeded> {
-        let cancel = deadline.map(Cancel::new);
-        let cancel = cancel.as_ref();
-        let lits = plan.distinct_literals();
-        let outer = self.threads.min(lits.len()).max(1);
-        let inner = self
-            .inner_threads
-            .unwrap_or_else(|| (self.threads / outer).max(1));
-
-        let plan_span = tracer.span("plan", parent);
-        plan_span.attr("clauses", plan.clauses.len());
+        opts: &EvalOptions<'_>,
+    ) -> Result<PlanEvalResult, EvalError> {
+        let (lits, clauses) = plan.indexed_clauses();
+        let run = Run::new(opts, cost, self.inner_threads(lits.len()));
+        let plan_span = opts.tracer.span("plan", opts.parent);
+        plan_span.attr("clauses", clauses.len());
         plan_span.attr("literals", lits.len());
-        let plan_id = plan_span.id();
-
-        let slots: Vec<Mutex<Option<EvalResult>>> = lits.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            for _ in 0..outer {
-                let (next, slots, lits) = (&next, &slots, &lits);
-                scope.spawn(move || loop {
-                    let li = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(lit) = lits.get(li) else { break };
-                    if cancel.is_some_and(Cancel::expired) {
-                        break;
-                    }
-                    let index = table
-                        .index_at(lit.attr)
-                        .expect("plan literal within schema");
-                    let delta = deltas.and_then(|d| d.get(lit.attr).copied().flatten());
-                    let span = if tracer.is_enabled() {
-                        Some(tracer.span(&format!("literal {li}"), plan_id))
-                    } else {
-                        None
-                    };
-                    let span_id = span.as_ref().and_then(|s| s.id());
-                    let mut result = evaluate_one(
-                        index,
-                        delta,
-                        &lit.query,
-                        pool,
-                        inner,
-                        self.domain,
-                        cost,
-                        tracer,
-                        span_id,
-                        cancel,
-                    );
-                    if lit.complement {
-                        result.bitmap.not_assign();
-                    }
-                    if let Some(span) = &span {
-                        span.attr("scans", result.scans);
-                        span.attr("pages", result.io.pages_read);
-                    }
-                    *slots[li].lock().expect("literal slot") = Some(result);
-                });
-            }
-        });
-
-        if cancel.is_some_and(Cancel::expired) {
-            return Err(DeadlineExceeded);
-        }
-        let results: Vec<EvalResult> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("literal slot")
-                    .expect("every literal evaluated")
+        let items: Vec<Item<'_>> = lits
+            .iter()
+            .map(|lit| {
+                let index = table
+                    .index_at(lit.attr)
+                    .expect("plan literal within schema");
+                (
+                    index,
+                    &lit.query,
+                    opts.delta.get(lit.attr).copied().flatten(),
+                )
             })
             .collect();
+        let slots = self.evaluate_all(&items, pool, &run, "literal", plan_span.id());
 
         let mut out = PlanEvalResult {
             bitmap: Bitvec::zeros(0),
@@ -364,154 +594,62 @@ impl ParallelExecutor {
             io: IoStats::new(),
             seconds: 0.0,
             decompressions: 0,
+            nodes_raw: 0,
+            nodes_compressed: 0,
             literals: lits.len(),
         };
-        for (lit, r) in lits.iter().zip(&results) {
+        for (&(index, ..), r) in items.iter().zip(&slots) {
+            let Some(r) = r else { continue };
+            index.store().charge(r.io);
             out.scans += r.scans;
             out.io += r.io;
             out.seconds += r.total_seconds();
             out.decompressions += r.decompressions;
-            if let Some(index) = table.index_at(lit.attr) {
-                index.store().charge(r.io);
-            }
+            out.nodes_raw += r.nodes_raw;
+            out.nodes_compressed += r.nodes_compressed;
         }
-        let total_rows = results.first().map_or_else(
-            || {
-                table.rows()
-                    + deltas
-                        .into_iter()
-                        .flatten()
-                        .flatten()
-                        .next()
-                        .map_or(0, |d| d.rows())
-            },
-            |r| r.bitmap.len(),
-        );
-        let lookup = |lit: &PlanLiteral| -> &Bitvec {
-            &results[lits
-                .iter()
-                .position(|l| l == lit)
-                .expect("literal evaluated")]
-            .bitmap
-        };
-        let mut acc: Option<Bitvec> = None;
-        for clause in &plan.clauses {
-            let folded = match clause.split_first() {
-                None => Bitvec::ones_vec(total_rows),
-                Some((first, rest)) => {
-                    let mut b = lookup(first).clone();
-                    for lit in rest {
-                        b.and_assign(lookup(lit));
-                    }
-                    b
-                }
-            };
-            match &mut acc {
-                None => acc = Some(folded),
-                Some(a) => a.or_assign(&folded),
-            }
-        }
-        out.bitmap = acc.unwrap_or_else(|| Bitvec::zeros(total_rows));
-        Ok(out)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn execute_inner(
-        &self,
-        index: &BitmapIndex,
-        delta: Option<&DeltaIndex>,
-        queries: &[Query],
-        pool: &ShardedBufferPool,
-        cost: &CostModel,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-        deadline: Option<Instant>,
-    ) -> Result<BatchResult, DeadlineExceeded> {
-        let started = Instant::now();
-        let cancel = deadline.map(Cancel::new);
-        let cancel = cancel.as_ref();
-        let outer = self.threads.min(queries.len()).max(1);
-        let inner = self
-            .inner_threads
-            .unwrap_or_else(|| (self.threads / outer).max(1));
-
-        let batch_span = tracer.span("batch", parent);
-        batch_span.attr("queries", queries.len());
-        batch_span.attr("threads", self.threads);
-        let batch_id = batch_span.id();
-
-        let slots: Vec<Mutex<Option<EvalResult>>> =
-            queries.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            for _ in 0..outer {
-                let (next, slots) = (&next, &slots);
-                scope.spawn(move || loop {
-                    let qi = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(q) = queries.get(qi) else { break };
-                    if cancel.is_some_and(Cancel::expired) {
-                        break;
-                    }
-                    let q_span = if tracer.is_enabled() {
-                        Some(tracer.span(&format!("query {qi}"), batch_id))
-                    } else {
-                        None
-                    };
-                    let q_id = q_span.as_ref().and_then(|s| s.id());
-                    let result = evaluate_one(
-                        index,
-                        delta,
-                        q,
-                        pool,
-                        inner,
-                        self.domain,
-                        cost,
-                        tracer,
-                        q_id,
-                        cancel,
-                    );
-                    if let Some(span) = &q_span {
-                        span.attr("scans", result.scans);
-                        span.attr("pages", result.io.pages_read);
-                    }
-                    *slots[qi].lock().expect("result slot") = Some(result);
-                });
-            }
-        });
-
-        if cancel.is_some_and(Cancel::expired) {
-            return Err(DeadlineExceeded);
-        }
-        let results: Vec<EvalResult> = slots
+        run.check(out.io)?;
+        let bitmaps: Vec<Bitvec> = slots
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot")
-                    .expect("every query evaluated")
+            .zip(&lits)
+            .map(|(slot, lit)| {
+                let mut bitmap = slot.expect("every literal evaluated").bitmap;
+                if lit.complement {
+                    bitmap.not_assign();
+                }
+                bitmap
             })
             .collect();
-
-        let mut io = IoStats::new();
-        let mut io_seconds = 0.0;
-        let mut cpu_seconds = 0.0;
-        for r in &results {
-            io += r.io;
-            io_seconds += r.io_seconds;
-            cpu_seconds += r.cpu_seconds;
-        }
-        index.store().charge(io);
-
-        Ok(BatchResult {
-            results,
-            io,
-            io_seconds,
-            cpu_seconds,
-            wall_seconds: started.elapsed().as_secs_f64(),
-            threads: self.threads,
-        })
+        // Constant plans never touch an index; their length is the base
+        // table plus whatever any delta appended.
+        let rows = bitmaps.first().map_or_else(
+            || table.rows() + opts.delta.iter().flatten().next().map_or(0, |d| d.rows()),
+            Bitvec::len,
+        );
+        out.bitmap = clauses
+            .iter()
+            .map(|clause| match clause.split_first() {
+                None => Bitvec::ones_vec(rows),
+                Some((&first, rest)) => {
+                    let mut acc = bitmaps[first].clone();
+                    for &lit in rest {
+                        acc.and_assign(&bitmaps[lit]);
+                    }
+                    acc
+                }
+            })
+            .reduce(|mut acc, clause| {
+                acc.or_assign(&clause);
+                acc
+            })
+            .unwrap_or_else(|| Bitvec::zeros(rows));
+        Ok(out)
     }
 }
+
+/// One work item of a batch or plan: the index a query runs against, the
+/// query, and the index's ingest delta.
+type Item<'a> = (&'a BitmapIndex, &'a Query, Option<&'a DeltaIndex>);
 
 /// The outcome of one parallel batch.
 #[derive(Debug, Clone)]
@@ -545,98 +683,6 @@ impl BatchResult {
     }
 }
 
-/// Evaluates one query: rewrite, DAG fold (parallel if `inner > 1`), and
-/// the existence-bitmap intersection — mirroring
-/// [`BitmapIndex::evaluate_detailed`] with
-/// [`EvalStrategy::ComponentWise`]-equivalent scan accounting.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_one(
-    index: &BitmapIndex,
-    delta: Option<&DeltaIndex>,
-    q: &Query,
-    pool: &ShardedBufferPool,
-    inner: usize,
-    domain: EvalDomain,
-    cost: &CostModel,
-    tracer: &Tracer,
-    parent: Option<SpanId>,
-    cancel: Option<&Cancel>,
-) -> EvalResult {
-    let started = Instant::now();
-    let constituents = index.rewrite_constituents_traced(q, tracer, parent);
-    let merged = Expr::or(constituents);
-    let mut distinct = merged.scan_count();
-
-    let lookup = |r: crate::BitmapRef| index.handle(r.component, r.slot);
-    let build_span = tracer.span("build", parent);
-    let dag = Dag::build(&merged);
-    build_span.attr("nodes", dag.ops.len());
-    build_span.finish();
-
-    let fold_span = tracer.span("fold", parent);
-    let fold_id = fold_span.id();
-    let fold = fold_dag(
-        &dag,
-        index.rows(),
-        &lookup,
-        index,
-        pool,
-        inner,
-        domain,
-        tracer,
-        fold_id,
-        cancel,
-    );
-    let (mut bitmap, peak_resident, mut scans, mut io, mut decompressions) = (
-        fold.bitmap,
-        fold.peak_resident,
-        fold.scans,
-        fold.io,
-        fold.decompressions,
-    );
-    fold_span.attr("workers", inner);
-    fold_span.attr("decompressions", decompressions);
-    fold_span.finish();
-
-    if let Some(eb) = index.existence_handle() {
-        if !cancel.is_some_and(Cancel::expired) {
-            let span = tracer.span("existence", parent);
-            let mut ctx = ReadContext::new();
-            let existence = index.store().read_shared(eb, pool, &mut ctx);
-            bitmap.and_assign(&existence);
-            span.finish();
-            scans += 1;
-            distinct += 1;
-            decompressions += usize::from(eb.codec() != CodecKind::Raw);
-            io += ctx.take_stats();
-        }
-    }
-
-    let mut result = EvalResult {
-        bitmap,
-        scans,
-        distinct_bitmaps: distinct,
-        io,
-        io_seconds: cost.io_seconds(&io),
-        cpu_seconds: cost.cpu_seconds(started.elapsed().as_secs_f64()),
-        decompressions,
-        peak_resident,
-        nodes_raw: fold.nodes_raw,
-        nodes_compressed: fold.nodes_compressed,
-        delta_scans: 0,
-        delta_rows: 0,
-    };
-    if let Some(delta) = delta {
-        if !cancel.is_some_and(Cancel::expired) {
-            let span = tracer.span("delta", parent);
-            delta.overlay(q, &mut result);
-            span.attr("delta_rows", result.delta_rows);
-            span.finish();
-        }
-    }
-    result
-}
-
 /// A ready-queue entry: the node index plus its enqueue time when
 /// tracing is on (`None` when off, so the untraced hot path never calls
 /// `Instant::now`). The stamp becomes the node span's `wait_ns` — time
@@ -646,7 +692,10 @@ type ReadyEntry = (usize, Option<Instant>);
 /// Shared state of one DAG fold: a dependency-counting scheduler.
 /// A node becomes ready when all its children are computed; workers drain
 /// the ready queue until every node has run.
-struct FoldState {
+struct FoldState<'d> {
+    dag: &'d Dag,
+    /// Consumers of each node (the child links inverted).
+    parents: Vec<Vec<usize>>,
     /// Ready-node queue plus count of nodes completed so far.
     ready: Mutex<(VecDeque<ReadyEntry>, usize)>,
     /// Wakes idle workers when nodes become ready or the fold finishes.
@@ -671,45 +720,31 @@ struct FoldState {
     peak: AtomicUsize,
 }
 
-/// Everything one DAG fold produced.
-struct FoldOutcome {
-    bitmap: Bitvec,
-    peak_resident: usize,
-    scans: usize,
-    io: IoStats,
-    decompressions: usize,
-    nodes_raw: usize,
-    nodes_compressed: usize,
-}
-
-/// Folds the DAG bottom-up with `workers` threads (the §6.3 evaluator's
-/// independent-subtree parallelism). Runs inline when `workers == 1`.
-#[allow(clippy::too_many_arguments)]
-fn fold_dag(
-    dag: &Dag,
-    rows: usize,
-    lookup: &(dyn Fn(crate::BitmapRef) -> BitmapHandle + Sync),
-    index: &BitmapIndex,
-    pool: &ShardedBufferPool,
-    workers: usize,
-    domain: EvalDomain,
-    tracer: &Tracer,
-    parent: Option<SpanId>,
-    cancel: Option<&Cancel>,
-) -> FoldOutcome {
+/// Folds the DAG bottom-up with `run.workers` threads (the §6.3
+/// evaluator's independent-subtree parallelism); the calling thread is
+/// worker 0, so one worker runs inline. Leaves start ready in component
+/// order and the queue is FIFO, so a one-worker fold reads every leaf —
+/// in the order §6.3's component-wise fetch does — before its first op.
+fn fold_dag(dag: &Dag, source: &Source<'_>, run: &Run<'_>, parent: Option<SpanId>) -> Folded {
     let n = dag.ops.len();
-    let parents: Vec<Vec<usize>> = {
-        let mut parents = vec![Vec::new(); n];
-        for (i, op) in dag.ops.iter().enumerate() {
-            for c in op.children() {
-                parents[c].push(i);
-            }
+    let mut parents = vec![Vec::new(); n];
+    for (i, op) in dag.ops.iter().enumerate() {
+        for &c in op.children() {
+            parents[c].push(i);
         }
-        parents
-    };
-
+    }
+    let mut initial: Vec<usize> = (0..n)
+        .filter(|&i| dag.ops[i].children().is_empty())
+        .collect();
+    initial.sort_by_key(|&i| match dag.ops[i] {
+        NodeOp::Leaf(r) => Some(r),
+        _ => None,
+    });
+    let stamp = run.tracer.is_enabled().then(Instant::now);
     let state = FoldState {
-        ready: Mutex::new((VecDeque::new(), 0)),
+        dag,
+        parents,
+        ready: Mutex::new((initial.into_iter().map(|i| (i, stamp)).collect(), 0)),
         wake: Condvar::new(),
         values: (0..n).map(|_| Mutex::new(None)).collect(),
         pending: dag
@@ -725,66 +760,47 @@ fn fold_dag(
         resident: AtomicUsize::new(0),
         peak: AtomicUsize::new(0),
     };
-    let enqueue_stamp = || tracer.is_enabled().then(Instant::now);
-    {
-        let mut ready = state.ready.lock().expect("ready queue");
-        for (i, op) in dag.ops.iter().enumerate() {
-            if op.children().is_empty() {
-                ready.0.push_back((i, enqueue_stamp()));
-            }
-        }
-    }
 
     let io = Mutex::new(IoStats::new());
     std::thread::scope(|scope| {
-        let run = || {
+        let work = || {
             let mut ctx = ReadContext::new();
-            worker_loop(
-                dag, &parents, &state, rows, lookup, index, pool, &mut ctx, n, domain, tracer,
-                parent, cancel,
-            );
+            worker_loop(&state, source, run, parent, &mut ctx);
             *io.lock().expect("io totals") += ctx.take_stats();
         };
-        for _ in 1..workers {
-            scope.spawn(run);
+        for _ in 1..run.workers {
+            scope.spawn(work);
         }
-        run(); // the calling thread is worker 0
+        work();
     });
 
-    let root_val = state.values[dag.root]
+    let root = state.values[dag.root]
         .lock()
         .expect("root value")
         .take()
         .expect("root computed");
-    let mut root_dec = 0usize;
-    let result = root_val.into_raw(&mut root_dec);
-    FoldOutcome {
-        bitmap: result,
+    let mut decompressions = state.decompressions.load(Ordering::Relaxed);
+    let bitmap = root.into_raw(&mut decompressions);
+    Folded {
+        bitmap,
         peak_resident: state.peak.load(Ordering::Relaxed),
         scans: state.scans.load(Ordering::Relaxed),
         io: io.into_inner().expect("io totals"),
-        decompressions: state.decompressions.load(Ordering::Relaxed) + root_dec,
+        decompressions,
         nodes_raw: state.nodes_raw.load(Ordering::Relaxed),
         nodes_compressed: state.nodes_compressed.load(Ordering::Relaxed),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
-    dag: &Dag,
-    parents: &[Vec<usize>],
-    state: &FoldState,
-    rows: usize,
-    lookup: &(dyn Fn(crate::BitmapRef) -> BitmapHandle + Sync),
-    index: &BitmapIndex,
-    pool: &ShardedBufferPool,
-    ctx: &mut ReadContext,
-    total: usize,
-    domain: EvalDomain,
-    tracer: &Tracer,
+    state: &FoldState<'_>,
+    source: &Source<'_>,
+    run: &Run<'_>,
     parent: Option<SpanId>,
-    cancel: Option<&Cancel>,
+    ctx: &mut ReadContext,
 ) {
+    let (dag, tracer, model) = (state.dag, run.tracer, source.model);
+    let total = dag.ops.len();
     loop {
         // Take a ready node, or sleep until one appears / the fold ends.
         let (node, enqueued) = {
@@ -802,84 +818,63 @@ fn worker_loop(
 
         // Span covering this node's run time, annotated with how long it
         // sat in the ready queue before a worker picked it up.
+        let op = &dag.ops[node];
         let node_span = enqueued.map(|t| {
-            let kind = match &dag.ops[node] {
-                NodeOp::Const(_) => "const",
-                NodeOp::Leaf(_) => "read",
-                NodeOp::Not(_) => "not",
-                NodeOp::And(_) => "and",
-                NodeOp::Or(_) => "or",
-                NodeOp::Xor(..) => "xor",
-            };
-            let span = tracer.span(&format!("node {node} {kind}"), parent);
+            let span = tracer.span(&format!("node {node} {}", op.kind()), parent);
             span.attr("wait_ns", t.elapsed().as_nanos());
             span
         });
+        // Model-predicted cost of this node's work (traced folds only).
+        let mut predicted_ns = 0.0f64;
 
         let mut dec = 0usize;
-        let value = if cancel.is_some_and(Cancel::expired) {
-            // Deadline passed: complete the node without touching disk,
-            // children, or kernels so the fold drains immediately. The
-            // placeholder value is never handed out — the executor maps
-            // the whole batch to `DeadlineExceeded`.
+        let value = if run.stopped() {
+            // Deadline passed or a read failed: complete the node without
+            // touching disk, children, or kernels so the fold drains
+            // immediately. The placeholder value is never handed out —
+            // the caller maps the whole run to its `EvalError`.
             NodeVal::Raw(Bitvec::zeros(0))
         } else {
-            match &dag.ops[node] {
-                NodeOp::Const(true) => NodeVal::Raw(Bitvec::ones_vec(rows)),
-                NodeOp::Const(false) => NodeVal::Raw(Bitvec::zeros(rows)),
+            match op {
+                NodeOp::Const(true) => NodeVal::Raw(Bitvec::ones_vec(source.rows)),
+                NodeOp::Const(false) => NodeVal::Raw(Bitvec::zeros(source.rows)),
                 NodeOp::Leaf(r) => {
                     state.scans.fetch_add(1, Ordering::Relaxed);
-                    let handle = lookup(*r);
-                    let stored = index.store().stored_size(handle);
-                    if reads_compressed(domain, handle, stored, index.domain_cost_model()) {
-                        let c = index
-                            .store()
-                            .read_compressed_shared(handle, pool, ctx)
-                            .unwrap_or_else(|e| {
-                                panic!("corrupt bitmap on an unguarded shared read path: {e}")
-                            });
-                        NodeVal::packed(c)
-                    } else {
-                        dec += usize::from(handle.codec() != CodecKind::Raw);
-                        NodeVal::Raw(index.store().read_shared(handle, pool, ctx))
-                    }
+                    source
+                        .read(*r, run.domain, ctx, &mut dec)
+                        .unwrap_or_else(|failure| {
+                            run.fail(failure);
+                            NodeVal::Raw(Bitvec::zeros(0))
+                        })
                 }
                 op => {
                     // Fold children, locking one value at a time. Children are
                     // all computed (dependency counts reached zero) and cannot
                     // be freed before this node — their consumer — runs.
                     let children = op.children();
-                    let child = |c: usize| -> NodeVal {
-                        state.values[c]
-                            .lock()
-                            .expect("child value")
-                            .clone()
-                            .expect("child computed")
+                    let mut acc = state.values[children[0]]
+                        .lock()
+                        .expect("child value")
+                        .clone()
+                        .expect("child computed");
+                    let bit_op = match op {
+                        NodeOp::And(_) => BitOp::And,
+                        NodeOp::Or(_) => BitOp::Or,
+                        _ => BitOp::Xor,
                     };
-                    let mut acc = child(children[0]);
-                    match op {
-                        NodeOp::Not(_) => {
-                            acc = acc.not(domain, index.domain_cost_model(), &mut dec);
+                    if let NodeOp::Not(_) = op {
+                        if node_span.is_some() {
+                            predicted_ns = acc.predicted_ns(None, model);
                         }
-                        NodeOp::And(_) | NodeOp::Or(_) | NodeOp::Xor(..) => {
-                            let bit_op = match op {
-                                NodeOp::And(_) => BitOp::And,
-                                NodeOp::Or(_) => BitOp::Or,
-                                _ => BitOp::Xor,
-                            };
-                            for &c in &children[1..] {
-                                let guard = state.values[c].lock().expect("child value");
-                                let rhs = guard.as_ref().expect("child computed");
-                                acc = acc.combine(
-                                    rhs,
-                                    bit_op,
-                                    domain,
-                                    index.domain_cost_model(),
-                                    &mut dec,
-                                );
-                            }
+                        acc = acc.not(run.domain, model, &mut dec);
+                    }
+                    for &c in &children[1..] {
+                        let guard = state.values[c].lock().expect("child value");
+                        let rhs = guard.as_ref().expect("child computed");
+                        if node_span.is_some() {
+                            predicted_ns += acc.predicted_ns(Some(rhs), model);
                         }
-                        NodeOp::Const(_) | NodeOp::Leaf(_) => unreachable!("handled above"),
+                        acc = acc.combine(rhs, bit_op, run.domain, model, &mut dec);
                     }
                     acc
                 }
@@ -896,6 +891,7 @@ fn worker_loop(
 
         if let Some(span) = &node_span {
             span.attr("domain", value.domain_name());
+            span.attr("predicted_ns", predicted_ns.round() as u64);
         }
         drop(node_span);
         *state.values[node].lock().expect("node value") = Some(value);
@@ -903,7 +899,7 @@ fn worker_loop(
         state.peak.fetch_max(live, Ordering::Relaxed);
 
         // Free children whose last consumer just ran.
-        for c in dag.ops[node].children() {
+        for &c in op.children() {
             if state.refs[c].fetch_sub(1, Ordering::AcqRel) == 1
                 && state.values[c]
                     .lock()
@@ -916,24 +912,18 @@ fn worker_loop(
         }
 
         // Mark complete; enqueue parents that just became ready.
-        let mut newly_ready: Vec<usize> = Vec::new();
-        for &p in &parents[node] {
+        let stamp = tracer.is_enabled().then(Instant::now);
+        let mut ready = state.ready.lock().expect("ready queue");
+        ready.1 += 1;
+        for &p in &state.parents[node] {
             if state.pending[p].fetch_sub(1, Ordering::AcqRel) == 1 {
-                newly_ready.push(p);
-            }
-        }
-        {
-            let stamp = tracer.is_enabled().then(Instant::now);
-            let mut ready = state.ready.lock().expect("ready queue");
-            ready.1 += 1;
-            for p in newly_ready {
                 ready.0.push_back((p, stamp));
             }
-            if ready.1 == total {
-                state.wake.notify_all();
-            } else {
-                state.wake.notify_one();
-            }
+        }
+        if ready.1 == total {
+            state.wake.notify_all();
+        } else {
+            state.wake.notify_one();
         }
     }
 }
@@ -959,6 +949,30 @@ mod tests {
             Query::range(10, 40).not(),
             Query::membership((0..50).step_by(3).collect::<Vec<u64>>()),
         ]
+    }
+
+    /// Runs `exec` over `queries` with default options.
+    fn run(
+        exec: ParallelExecutor,
+        index: &BitmapIndex,
+        queries: &[Query],
+        pool: &ShardedBufferPool,
+    ) -> BatchResult {
+        exec.execute(
+            index,
+            queries,
+            pool,
+            &CostModel::default(),
+            &EvalOptions::default(),
+        )
+        .unwrap()
+    }
+
+    fn in_domain(domain: EvalDomain) -> EvalOptions<'static> {
+        EvalOptions {
+            domain,
+            ..EvalOptions::default()
+        }
     }
 
     /// Sequential ground truth for a query, plus its scan count.
@@ -1003,18 +1017,24 @@ mod tests {
         .unwrap();
         let plan = Planner::new(&schema).plan(&q).unwrap();
         let naive = table.evaluate(&q);
-        let sequential = table.execute_plan(&plan, &CostModel::default());
+        let execute = |threads: usize| {
+            let pool = ShardedBufferPool::new(4096, 8);
+            ParallelExecutor::new(threads)
+                .execute_plan(
+                    &table,
+                    &plan,
+                    &pool,
+                    &CostModel::default(),
+                    &EvalOptions::default(),
+                )
+                .unwrap()
+        };
+        let sequential = execute(1);
         assert_eq!(sequential.bitmap, naive);
         // COUNT pushdown agrees with materialized positions.
         assert_eq!(sequential.count(), naive.to_positions().len() as u64);
-        for threads in [1usize, 2, 8] {
-            let pool = ShardedBufferPool::new(4096, 8);
-            let parallel = ParallelExecutor::new(threads).execute_plan(
-                &table,
-                &plan,
-                &pool,
-                &CostModel::default(),
-            );
+        for threads in [2usize, 8] {
+            let parallel = execute(threads);
             assert_eq!(parallel.bitmap, naive, "t={threads}");
             assert_eq!(parallel.literals, sequential.literals);
             assert_eq!(parallel.scans, sequential.scans, "t={threads}");
@@ -1031,12 +1051,7 @@ mod tests {
 
             for threads in [1usize, 2, 8] {
                 let pool = ShardedBufferPool::new(4096, 8);
-                let batch = ParallelExecutor::new(threads).execute(
-                    &index,
-                    &queries,
-                    &pool,
-                    &CostModel::default(),
-                );
+                let batch = run(ParallelExecutor::new(threads), &index, &queries, &pool);
                 assert_eq!(batch.results.len(), queries.len());
                 for (i, (got, want)) in batch.results.iter().zip(&expected).enumerate() {
                     assert_eq!(got.bitmap, want.bitmap, "{codec} t={threads} q{i}");
@@ -1052,12 +1067,8 @@ mod tests {
         let mut index = test_index(CodecKind::Raw);
         let queries = test_queries();
         let pool = ShardedBufferPool::new(4096, 8);
-        let batch = ParallelExecutor::new(4).with_inner_threads(4).execute(
-            &index,
-            &queries,
-            &pool,
-            &CostModel::default(),
-        );
+        let exec = ParallelExecutor::new(4).with_inner_threads(4);
+        let batch = run(exec, &index, &queries, &pool);
         for (i, q) in queries.iter().enumerate() {
             let want = sequential(&mut index, q);
             assert_eq!(batch.results[i].bitmap, want.bitmap, "q{i}");
@@ -1067,22 +1078,24 @@ mod tests {
 
     #[test]
     fn eval_domains_agree_and_compressed_decodes_less() {
-        use bix_compress::CodecKind;
         for codec in [CodecKind::Bbc, CodecKind::Wah, CodecKind::Ewah] {
             let index = test_index(codec);
             let queries = test_queries();
-            let pool = ShardedBufferPool::new(4096, 8);
-            let raw = ParallelExecutor::new(4)
-                .with_domain(EvalDomain::Raw)
-                .execute(&index, &queries, &pool, &CostModel::default());
-            for domain in [EvalDomain::Auto, EvalDomain::Compressed] {
+            let execute = |domain| {
                 let pool = ShardedBufferPool::new(4096, 8);
-                let got = ParallelExecutor::new(4).with_domain(domain).execute(
-                    &index,
-                    &queries,
-                    &pool,
-                    &CostModel::default(),
-                );
+                ParallelExecutor::new(4)
+                    .execute(
+                        &index,
+                        &queries,
+                        &pool,
+                        &CostModel::default(),
+                        &in_domain(domain),
+                    )
+                    .unwrap()
+            };
+            let raw = execute(EvalDomain::Raw);
+            for domain in [EvalDomain::Auto, EvalDomain::Compressed] {
+                let got = execute(domain);
                 for (i, (g, w)) in got.results.iter().zip(&raw.results).enumerate() {
                     assert_eq!(g.bitmap, w.bitmap, "{codec} {domain:?} q{i}");
                     assert_eq!(g.scans, w.scans, "{codec} {domain:?} q{i}");
@@ -1096,10 +1109,7 @@ mod tests {
             }
             // Keeping every stream compressed decodes strictly less over
             // the batch: multi-leaf queries fold to one decode at the root.
-            let pool = ShardedBufferPool::new(4096, 8);
-            let packed = ParallelExecutor::new(4)
-                .with_domain(EvalDomain::Compressed)
-                .execute(&index, &queries, &pool, &CostModel::default());
+            let packed = execute(EvalDomain::Compressed);
             let dec_packed: usize = packed.results.iter().map(|r| r.decompressions).sum();
             let dec_raw: usize = raw.results.iter().map(|r| r.decompressions).sum();
             assert!(
@@ -1114,8 +1124,7 @@ mod tests {
         let index = test_index(CodecKind::Raw);
         let before = index.store().stats();
         let pool = ShardedBufferPool::new(4096, 4);
-        let batch =
-            ParallelExecutor::new(4).execute(&index, &test_queries(), &pool, &CostModel::default());
+        let batch = run(ParallelExecutor::new(4), &index, &test_queries(), &pool);
         let after = index.store().stats().since(&before);
         assert_eq!(after, batch.io, "merged batch I/O lands in global stats");
         assert!(batch.io.pages_read > 0);
@@ -1128,8 +1137,8 @@ mod tests {
         let pool = ShardedBufferPool::new(4096, 4);
         let exec = ParallelExecutor::new(4);
         let queries = test_queries();
-        let cold = exec.execute(&index, &queries, &pool, &CostModel::default());
-        let warm = exec.execute(&index, &queries, &pool, &CostModel::default());
+        let cold = run(exec, &index, &queries, &pool);
+        let warm = run(exec, &index, &queries, &pool);
         assert_eq!(warm.total_scans(), cold.total_scans());
         assert!(warm.io.pages_read < cold.io.pages_read);
         assert!(warm.io.pool_hits > cold.io.pool_hits);
@@ -1139,7 +1148,7 @@ mod tests {
     fn empty_batch_is_fine() {
         let index = test_index(CodecKind::Raw);
         let pool = ShardedBufferPool::new(64, 2);
-        let batch = ParallelExecutor::new(4).execute(&index, &[], &pool, &CostModel::default());
+        let batch = run(ParallelExecutor::new(4), &index, &[], &pool);
         assert!(batch.results.is_empty());
         assert_eq!(batch.total_scans(), 0);
     }
@@ -1154,17 +1163,18 @@ mod tests {
     fn expired_deadline_yields_typed_error() {
         let index = test_index(CodecKind::Raw);
         let pool = ShardedBufferPool::new(4096, 4);
-        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        let got = ParallelExecutor::new(4)
-            .with_inner_threads(2)
-            .execute_deadline(
-                &index,
-                &test_queries(),
-                &pool,
-                &CostModel::default(),
-                Some(past),
-            );
-        assert_eq!(got.unwrap_err(), DeadlineExceeded);
+        let past = Instant::now() - std::time::Duration::from_millis(1);
+        let got = ParallelExecutor::new(4).with_inner_threads(2).execute(
+            &index,
+            &test_queries(),
+            &pool,
+            &CostModel::default(),
+            &EvalOptions {
+                deadline: Some(past),
+                ..EvalOptions::default()
+            },
+        );
+        assert_eq!(got.unwrap_err().failure, EvalFailure::DeadlineExceeded);
     }
 
     #[test]
@@ -1172,12 +1182,20 @@ mod tests {
         let index = test_index(CodecKind::Raw);
         let queries = test_queries();
         let pool = ShardedBufferPool::new(4096, 4);
-        let plain =
-            ParallelExecutor::new(4).execute(&index, &queries, &pool, &CostModel::default());
+        let plain = run(ParallelExecutor::new(4), &index, &queries, &pool);
         let pool = ShardedBufferPool::new(4096, 4);
-        let far = std::time::Instant::now() + std::time::Duration::from_secs(600);
+        let far = Instant::now() + std::time::Duration::from_secs(600);
         let timed = ParallelExecutor::new(4)
-            .execute_deadline(&index, &queries, &pool, &CostModel::default(), Some(far))
+            .execute(
+                &index,
+                &queries,
+                &pool,
+                &CostModel::default(),
+                &EvalOptions {
+                    deadline: Some(far),
+                    ..EvalOptions::default()
+                },
+            )
             .expect("generous deadline cannot expire");
         for (g, w) in timed.results.iter().zip(&plain.results) {
             assert_eq!(g.bitmap, w.bitmap);
@@ -1190,12 +1208,8 @@ mod tests {
         // Raw store: every folded node materialises as a raw bitvec.
         let index = test_index(CodecKind::Raw);
         let pool = ShardedBufferPool::new(4096, 4);
-        let batch = ParallelExecutor::new(2).with_inner_threads(2).execute(
-            &index,
-            &test_queries(),
-            &pool,
-            &CostModel::default(),
-        );
+        let exec = ParallelExecutor::new(2).with_inner_threads(2);
+        let batch = run(exec, &index, &test_queries(), &pool);
         for r in &batch.results {
             assert!(r.nodes_raw > 0);
             assert_eq!(r.nodes_compressed, 0);
@@ -1204,8 +1218,14 @@ mod tests {
         let index = test_index(CodecKind::Bbc);
         let pool = ShardedBufferPool::new(4096, 4);
         let batch = ParallelExecutor::new(2)
-            .with_domain(EvalDomain::Compressed)
-            .execute(&index, &test_queries(), &pool, &CostModel::default());
+            .execute(
+                &index,
+                &test_queries(),
+                &pool,
+                &CostModel::default(),
+                &in_domain(EvalDomain::Compressed),
+            )
+            .unwrap();
         assert!(batch.results.iter().any(|r| r.nodes_compressed > 0));
     }
 }

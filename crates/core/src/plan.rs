@@ -32,11 +32,11 @@
 //!    product expands, so a hostile deep-Not/wide-Or expression returns
 //!    [`PlanError::ClauseCapExceeded`] instead of exhausting memory.
 //!
-//! Execution lives in [`crate::IndexedTable::execute_plan`] and
-//! [`crate::ParallelExecutor::execute_plan`]: each distinct literal is
-//! evaluated once through its attribute's index (in the compressed
-//! domain where the per-index [`crate::DomainCostModel`] prefers it),
-//! and clause folding runs word-wise over the decoded results.
+//! Execution lives in [`crate::ParallelExecutor::execute_plan`]: each
+//! distinct literal is evaluated once through its attribute's index (in
+//! the compressed domain where the per-index [`crate::DomainCostModel`]
+//! prefers it), and clause folding runs word-wise over the decoded
+//! results.
 
 use crate::multi::TableQuery;
 use crate::Query;
@@ -1284,20 +1284,29 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// The distinct literals across all clauses, each paired with the
-    /// clause positions referencing it — the unit of execution (every
-    /// distinct literal is evaluated exactly once however many clauses
-    /// share it).
+    /// The distinct literals across all clauses, in first-use order — the
+    /// unit of execution (every distinct literal is evaluated exactly once
+    /// however many clauses share it).
     pub fn distinct_literals(&self) -> Vec<PlanLiteral> {
-        let mut out: Vec<PlanLiteral> = Vec::new();
-        for clause in &self.clauses {
-            for lit in clause {
-                if !out.contains(lit) {
-                    out.push(lit.clone());
-                }
-            }
-        }
-        out
+        self.indexed_clauses().0
+    }
+
+    /// [`Plan::distinct_literals`] plus every clause as positions into
+    /// that list, so executors address literal results by index.
+    pub fn indexed_clauses(&self) -> (Vec<PlanLiteral>, Vec<Vec<usize>>) {
+        let mut literals: Vec<PlanLiteral> = Vec::new();
+        let mut position = |lit: &PlanLiteral| {
+            literals.iter().position(|l| l == lit).unwrap_or_else(|| {
+                literals.push(lit.clone());
+                literals.len() - 1
+            })
+        };
+        let clauses = self
+            .clauses
+            .iter()
+            .map(|clause| clause.iter().map(&mut position).collect())
+            .collect();
+        (literals, clauses)
     }
 
     /// True when the plan is the constant-false selection.

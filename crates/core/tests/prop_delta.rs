@@ -5,8 +5,8 @@
 //! Zipf batches, merge points, encodings, and codecs.
 
 use bix_core::{
-    BitmapIndex, CodecKind, CostModel, DeltaIndex, EncodingScheme, IndexConfig, ParallelExecutor,
-    Query, ShardedBufferPool,
+    BitmapIndex, BufferPool, CodecKind, CostModel, DeltaIndex, EncodingScheme, EvalOptions,
+    EvalStrategy, IndexConfig, ParallelExecutor, Query, ShardedBufferPool,
 };
 use bix_workload::DatasetSpec;
 use proptest::prelude::*;
@@ -137,7 +137,16 @@ proptest! {
             // Sequential overlay path.
             for (i, q) in s.queries.iter().enumerate() {
                 prop_assert_eq!(
-                    main.evaluate_with_delta(q, &delta).to_positions(),
+                    main.evaluate_with(
+                        q,
+                        &mut BufferPool::new(4096),
+                        EvalStrategy::ComponentWise,
+                        &cost,
+                        &EvalOptions { delta: &[Some(&delta)], ..EvalOptions::default() },
+                    )
+                    .expect("no deadline, no corruption")
+                    .bitmap
+                    .to_positions(),
                     rebuilt.evaluate(q).to_positions(),
                     "query {} after batch of {} (merge={})",
                     i, batch_rows, merge_after
@@ -146,15 +155,12 @@ proptest! {
 
             // Parallel executor with the delta threaded through.
             let batch_result = executor
-                .execute_full_delta(
+                .execute(
                     &main,
-                    Some(&delta),
                     &s.queries,
                     &pool,
                     &cost,
-                    &bix_core::Tracer::disabled(),
-                    None,
-                    None,
+                    &EvalOptions { delta: &[Some(&delta)], ..EvalOptions::default() },
                 )
                 .expect("no deadline set");
             prop_assert_eq!(batch_result.results.len(), s.queries.len());
@@ -200,15 +206,12 @@ proptest! {
         let pool = ShardedBufferPool::new(1024, s.threads.max(2));
         let cost = CostModel::default();
         let batch = executor
-            .execute_full_delta(
+            .execute(
                 &main,
-                Some(&delta),
                 &s.queries,
                 &pool,
                 &cost,
-                &bix_core::Tracer::disabled(),
-                None,
-                None,
+                &EvalOptions { delta: &[Some(&delta)], ..EvalOptions::default() },
             )
             .expect("no deadline set");
         for got in &batch.results {

@@ -4,8 +4,8 @@
 //! on Zipf-distributed data, for any thread configuration.
 
 use bix_core::{
-    BitmapIndex, BufferPool, CodecKind, CostModel, EncodingScheme, EvalStrategy, IndexConfig,
-    IoMetrics, IoStats, MetricsRegistry, ParallelExecutor, Query, ShardedBufferPool,
+    BitmapIndex, BufferPool, CodecKind, CostModel, EncodingScheme, EvalOptions, EvalStrategy,
+    IndexConfig, IoMetrics, IoStats, MetricsRegistry, ParallelExecutor, Query, ShardedBufferPool,
 };
 use bix_workload::DatasetSpec;
 use proptest::prelude::*;
@@ -105,7 +105,8 @@ proptest! {
         let pool = ShardedBufferPool::new(1024, s.threads.max(2));
         let batch = ParallelExecutor::new(s.threads)
             .with_inner_threads(s.inner_threads)
-            .execute(&index, &s.queries, &pool, &cost);
+            .execute(&index, &s.queries, &pool, &cost, &EvalOptions::default())
+            .expect("no deadline, no corruption");
 
         prop_assert_eq!(batch.results.len(), s.queries.len());
         for (i, (got, want)) in batch.results.iter().zip(&sequential).enumerate() {
@@ -159,7 +160,8 @@ proptest! {
         let pool = ShardedBufferPool::new(1024, s.threads.max(2));
         let batch = ParallelExecutor::new(s.threads)
             .with_inner_threads(s.inner_threads)
-            .execute(&index, &s.queries, &pool, &cost);
+            .execute(&index, &s.queries, &pool, &cost, &EvalOptions::default())
+            .expect("no deadline, no corruption");
 
         let mut summed = IoStats::new();
         for r in &batch.results {

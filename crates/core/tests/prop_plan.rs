@@ -6,8 +6,8 @@
 //! delta-overlay serving path, across encoding schemes and codecs.
 
 use bix_core::{
-    CodecKind, CostModel, DeltaIndex, EncodingScheme, IndexConfig, IndexedTable, ParallelExecutor,
-    PlanError, Planner, Query, ShardedBufferPool, TableQuery, Tracer,
+    CodecKind, CostModel, DeltaIndex, EncodingScheme, EvalOptions, IndexConfig, IndexedTable,
+    ParallelExecutor, PlanError, Planner, Query, ShardedBufferPool, TableQuery,
 };
 use bix_workload::DatasetSpec;
 use proptest::prelude::*;
@@ -175,7 +175,10 @@ proptest! {
         let naive = table.evaluate(&query);
         let cost = CostModel::default();
 
-        let sequential = table.execute_plan(&plan, &cost);
+        let pool = ShardedBufferPool::new(4096, 2);
+        let sequential = ParallelExecutor::new(1)
+            .execute_plan(&table, &plan, &pool, &cost, &EvalOptions::default())
+            .expect("no deadline, no corruption");
         prop_assert_eq!(
             sequential.bitmap.to_positions(),
             naive.to_positions(),
@@ -191,7 +194,9 @@ proptest! {
 
         let pool = ShardedBufferPool::new(4096, 2);
         let executor = ParallelExecutor::new(s.threads);
-        let parallel = executor.execute_plan(&table, &plan, &pool, &cost);
+        let parallel = executor
+            .execute_plan(&table, &plan, &pool, &cost, &EvalOptions::default())
+            .expect("no deadline, no corruption");
         prop_assert_eq!(
             parallel.bitmap.to_positions(),
             naive.to_positions(),
@@ -237,7 +242,14 @@ proptest! {
         let refs: Vec<Option<&DeltaIndex>> = deltas.iter().map(Some).collect();
 
         let cost = CostModel::default();
-        let sequential = table.execute_plan_delta(&plan, &refs, &cost);
+        let pool = ShardedBufferPool::new(4096, 2);
+        let opts = EvalOptions {
+            delta: &refs,
+            ..EvalOptions::default()
+        };
+        let sequential = ParallelExecutor::new(1)
+            .execute_plan(&table, &plan, &pool, &cost, &opts)
+            .expect("no deadline, no corruption");
         prop_assert_eq!(
             sequential.bitmap.to_positions(),
             naive.to_positions(),
@@ -248,16 +260,7 @@ proptest! {
         let pool = ShardedBufferPool::new(4096, 2);
         let executor = ParallelExecutor::new(s.threads);
         let parallel = executor
-            .execute_plan_full(
-                &table,
-                Some(&refs),
-                &plan,
-                &pool,
-                &cost,
-                &Tracer::disabled(),
-                None,
-                None,
-            )
+            .execute_plan(&table, &plan, &pool, &cost, &opts)
             .expect("no deadline set");
         prop_assert_eq!(
             parallel.bitmap.to_positions(),

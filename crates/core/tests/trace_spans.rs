@@ -4,8 +4,8 @@
 //! untraced ones.
 
 use bix_core::{
-    BitmapIndex, BufferPool, CostModel, EncodingScheme, EvalStrategy, IndexConfig, MetricsRegistry,
-    ParallelExecutor, Query, ShardedBufferPool, SpanRecord, Tracer,
+    BitmapIndex, BufferPool, CostModel, EncodingScheme, EvalOptions, EvalStrategy, IndexConfig,
+    MetricsRegistry, ParallelExecutor, Query, ShardedBufferPool, SpanRecord, Tracer,
 };
 
 fn test_index() -> BitmapIndex {
@@ -53,14 +53,19 @@ fn sequential_trace_has_nested_phases() {
 
     let root = tracer.span("query", None);
     let root_id = root.id();
-    let traced = index.evaluate_detailed_traced(
-        &q,
-        &mut pool,
-        EvalStrategy::ComponentWise,
-        &CostModel::default(),
-        &tracer,
-        root_id,
-    );
+    let traced = index
+        .evaluate_with(
+            &q,
+            &mut pool,
+            EvalStrategy::ComponentWise,
+            &CostModel::default(),
+            &EvalOptions {
+                tracer: &tracer,
+                parent: root_id,
+                ..EvalOptions::default()
+            },
+        )
+        .unwrap();
     root.finish();
 
     let untraced = index.evaluate(&q);
@@ -77,9 +82,9 @@ fn sequential_trace_has_nested_phases() {
         "decompose",
         "constituent",
         "eval",
-        "fetch",
-        "read",
+        "build",
         "fold",
+        "node",
     ] {
         assert!(
             phases.contains(expected),
@@ -123,14 +128,17 @@ fn parallel_trace_covers_every_query_and_node_waits() {
     let tracer = Tracer::new();
     let batch = ParallelExecutor::new(2)
         .with_inner_threads(2)
-        .execute_traced(
+        .execute(
             &index,
             &queries,
             &pool,
             &CostModel::default(),
-            &tracer,
-            None,
-        );
+            &EvalOptions {
+                tracer: &tracer,
+                ..EvalOptions::default()
+            },
+        )
+        .unwrap();
     assert_eq!(batch.results.len(), queries.len());
 
     let records = tracer.records();
@@ -149,14 +157,18 @@ fn parallel_trace_covers_every_query_and_node_waits() {
 
     // Tracing off: identical results, no records.
     let off = Tracer::disabled();
-    let plain = ParallelExecutor::new(2).execute_traced(
-        &index,
-        &queries,
-        &pool,
-        &CostModel::default(),
-        &off,
-        None,
-    );
+    let plain = ParallelExecutor::new(2)
+        .execute(
+            &index,
+            &queries,
+            &pool,
+            &CostModel::default(),
+            &EvalOptions {
+                tracer: &off,
+                ..EvalOptions::default()
+            },
+        )
+        .unwrap();
     for (a, b) in plain.results.iter().zip(&batch.results) {
         assert_eq!(a.bitmap, b.bitmap);
     }
@@ -168,22 +180,26 @@ fn observe_trace_aggregates_phase_histograms() {
     let mut index = test_index();
     let tracer = Tracer::new();
     let mut pool = BufferPool::new(4096);
-    index.evaluate_detailed_traced(
-        &Query::range(5, 30),
-        &mut pool,
-        EvalStrategy::ComponentWise,
-        &CostModel::default(),
-        &tracer,
-        None,
-    );
+    index
+        .evaluate_with(
+            &Query::range(5, 30),
+            &mut pool,
+            EvalStrategy::ComponentWise,
+            &CostModel::default(),
+            &EvalOptions {
+                tracer: &tracer,
+                ..EvalOptions::default()
+            },
+        )
+        .unwrap();
     let registry = MetricsRegistry::new();
     registry.observe_trace(&tracer);
     let snapshot = registry.snapshot();
     let names: Vec<&str> = snapshot.entries.iter().map(|e| e.name.as_str()).collect();
     for metric in [
         "bix_phase_eval_nanos",
-        "bix_phase_fetch_nanos",
-        "bix_phase_read_nanos",
+        "bix_phase_fold_nanos",
+        "bix_phase_node_nanos",
     ] {
         assert!(names.contains(&metric), "missing {metric} in {names:?}");
     }

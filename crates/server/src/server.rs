@@ -41,9 +41,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bix_core::{
-    AppendError, BitmapIndex, Catalog, CostModel, DeadlineExceeded, DeltaIndex, EvalDomain,
-    IndexedTable, IoMetrics, MetricsRegistry, ParallelExecutor, Planner, Query, ShardedBufferPool,
-    TableSchema,
+    AppendError, BitmapIndex, Catalog, CostModel, DeltaIndex, EvalDomain, EvalError, EvalFailure,
+    EvalMetrics, EvalOptions, IndexedTable, IoMetrics, MetricsRegistry, ParallelExecutor, Planner,
+    Query, ShardedBufferPool, TableSchema,
 };
 use bix_telemetry::{
     unix_ms_now, Counter, Gauge, Histogram, SlowLog, SlowQuery, SpanId, TraceContext, Tracer,
@@ -618,6 +618,54 @@ fn send(stream: &mut TcpStream, shared: &Shared, request_id: u64, response: Resp
     }
 }
 
+/// A request's deadline budget in ms — its own, or the server default
+/// when it sent 0 (0: none) — and its evaluation options.
+fn request_opts(
+    domain: EvalDomain,
+    deadline_ms: u32,
+    default_ms: u64,
+    meta: &RequestMeta,
+) -> (u64, EvalOptions<'_>) {
+    let ms = if deadline_ms > 0 {
+        u64::from(deadline_ms)
+    } else {
+        default_ms
+    };
+    let opts = EvalOptions {
+        domain,
+        tracer: &meta.tracer,
+        parent: meta.span,
+        deadline: (ms > 0).then(|| Instant::now() + Duration::from_millis(ms)),
+        ..EvalOptions::default()
+    };
+    (ms, opts)
+}
+
+/// The typed reply to a failed evaluation: `DeadlineExceeded`, or
+/// `Internal` naming the corrupt bitmap. The abandoned work's I/O is still
+/// recorded, so a corrupt read shows in `bix_io_checksum_failures_total`.
+fn eval_failed(
+    registry: &MetricsRegistry,
+    deadline_exceeded: &Counter,
+    err: EvalError,
+    deadline_ms: u64,
+) -> Response {
+    IoMetrics::register(registry).record(&err.io);
+    match err.failure {
+        EvalFailure::DeadlineExceeded => {
+            deadline_exceeded.inc();
+            Response::Error {
+                code: ErrorCode::DeadlineExceeded,
+                message: format!("deadline of {deadline_ms}ms exceeded"),
+            }
+        }
+        EvalFailure::Corrupt { .. } => Response::Error {
+            code: ErrorCode::Internal,
+            message: err.to_string(),
+        },
+    }
+}
+
 /// The immutable serving snapshot: an index plus the buffer pool built
 /// for it. Swapped wholesale on reload so pages cached for the old
 /// index can never be served against the new one's file ids.
@@ -633,9 +681,7 @@ struct IndexMetrics {
     deadline_exceeded: Arc<Counter>,
     bad_queries: Arc<Counter>,
     reloads: Arc<Counter>,
-    eval_decompressions: Arc<Counter>,
-    eval_nodes_raw: Arc<Counter>,
-    eval_nodes_compressed: Arc<Counter>,
+    eval: EvalMetrics,
     ingest_rows: Arc<Counter>,
     ingest_rejected: Arc<Counter>,
     merges: Arc<Counter>,
@@ -660,18 +706,7 @@ impl IndexMetrics {
                 "Predicates rejected by the parser",
             ),
             reloads: c("bix_server_reloads_total", "Successful hot index reloads"),
-            eval_decompressions: c(
-                "bix_eval_decompressions_total",
-                "Compressed bitmaps materialised during evaluation",
-            ),
-            eval_nodes_raw: c(
-                "bix_eval_nodes_raw_total",
-                "DAG nodes folded in the raw (decoded) domain",
-            ),
-            eval_nodes_compressed: c(
-                "bix_eval_nodes_compressed_total",
-                "DAG nodes folded in the compressed domain",
-            ),
+            eval: EvalMetrics::register(registry),
             ingest_rows: c("bix_ingest_rows_total", "Rows absorbed into the delta"),
             ingest_rejected: c(
                 "bix_ingest_rejected_total",
@@ -804,33 +839,21 @@ impl IndexHandler {
                 }
             }
         }
-        let effective_ms = if deadline_ms > 0 {
-            u64::from(deadline_ms)
-        } else {
-            self.default_deadline_ms
+        let (ms, opts) = request_opts(domain, deadline_ms, self.default_deadline_ms, meta);
+        let opts = EvalOptions {
+            delta: &[Some(&*delta)],
+            ..opts
         };
-        let deadline =
-            (effective_ms > 0).then(|| Instant::now() + Duration::from_millis(effective_ms));
-        let executor = ParallelExecutor::new(self.request_threads.max(1)).with_domain(domain);
-        let batch = match executor.execute_full_delta(
-            &serving.index,
-            Some(&delta),
-            &queries,
-            &serving.pool,
-            &CostModel::default(),
-            &meta.tracer,
-            meta.span,
-            deadline,
-        ) {
-            Ok(batch) => batch,
-            Err(DeadlineExceeded) => {
-                self.metrics.deadline_exceeded.inc();
-                return Err(Response::Error {
-                    code: ErrorCode::DeadlineExceeded,
-                    message: format!("deadline of {effective_ms}ms exceeded"),
-                });
-            }
-        };
+        let executor = ParallelExecutor::new(self.request_threads.max(1));
+        let batch = executor
+            .execute(
+                &serving.index,
+                &queries,
+                &serving.pool,
+                &CostModel::default(),
+                &opts,
+            )
+            .map_err(|e| eval_failed(&self.registry, &self.metrics.deadline_exceeded, e, ms))?;
         IoMetrics::register(&self.registry).record(&batch.io);
         self.metrics.queries.add(queries.len() as u64);
         let total_scans: u64 = batch.results.iter().map(|r| r.scans as u64).sum();
@@ -861,13 +884,11 @@ impl IndexHandler {
         }
         let mut replies = Vec::with_capacity(batch.results.len());
         for result in &batch.results {
-            self.metrics
-                .eval_decompressions
-                .add(result.decompressions as u64);
-            self.metrics.eval_nodes_raw.add(result.nodes_raw as u64);
-            self.metrics
-                .eval_nodes_compressed
-                .add(result.nodes_compressed as u64);
+            self.metrics.eval.record(
+                result.decompressions,
+                result.nodes_raw,
+                result.nodes_compressed,
+            );
             let rows: Vec<u64> = result
                 .bitmap
                 .to_positions()
@@ -1156,7 +1177,7 @@ struct CatalogMetrics {
     deadline_exceeded: Arc<Counter>,
     bad_queries: Arc<Counter>,
     reloads: Arc<Counter>,
-    eval_decompressions: Arc<Counter>,
+    eval: EvalMetrics,
 }
 
 impl CatalogMetrics {
@@ -1178,10 +1199,7 @@ impl CatalogMetrics {
                 "Expressions rejected by the parser or planner",
             ),
             reloads: c("bix_server_reloads_total", "Successful hot catalog reloads"),
-            eval_decompressions: c(
-                "bix_eval_decompressions_total",
-                "Compressed bitmaps materialised during evaluation",
-            ),
+            eval: EvalMetrics::register(registry),
         }
     }
 }
@@ -1285,38 +1303,24 @@ impl CatalogHandler {
                 });
             }
         };
-        let effective_ms = if deadline_ms > 0 {
-            u64::from(deadline_ms)
-        } else {
-            self.default_deadline_ms
-        };
-        let deadline =
-            (effective_ms > 0).then(|| Instant::now() + Duration::from_millis(effective_ms));
-        let executor = ParallelExecutor::new(self.request_threads.max(1)).with_domain(domain);
-        let result = match executor.execute_plan_full(
-            &serving.table,
-            None,
-            &plan,
-            &serving.pool,
-            &CostModel::default(),
-            &meta.tracer,
-            meta.span,
-            deadline,
-        ) {
-            Ok(result) => result,
-            Err(DeadlineExceeded) => {
-                self.metrics.deadline_exceeded.inc();
-                return Err(Response::Error {
-                    code: ErrorCode::DeadlineExceeded,
-                    message: format!("deadline of {effective_ms}ms exceeded"),
-                });
-            }
-        };
+        let (ms, opts) = request_opts(domain, deadline_ms, self.default_deadline_ms, meta);
+        let executor = ParallelExecutor::new(self.request_threads.max(1));
+        let result = executor
+            .execute_plan(
+                &serving.table,
+                &plan,
+                &serving.pool,
+                &CostModel::default(),
+                &opts,
+            )
+            .map_err(|e| eval_failed(&self.registry, &self.metrics.deadline_exceeded, e, ms))?;
         IoMetrics::register(&self.registry).record(&result.io);
         self.metrics.queries.inc();
-        self.metrics
-            .eval_decompressions
-            .add(result.decompressions as u64);
+        self.metrics.eval.record(
+            result.decompressions,
+            result.nodes_raw,
+            result.nodes_compressed,
+        );
         self.slow
             .observe(eval_started.elapsed().as_nanos() as u64, || SlowQuery {
                 predicate: text.to_string(),
@@ -1487,7 +1491,8 @@ mod tests {
             (
                 "store",
                 &store,
-                IndexConfig::one_component(20, EncodingScheme::Interval),
+                IndexConfig::one_component(20, EncodingScheme::Interval)
+                    .with_codec(bix_core::CodecKind::Ewah),
             ),
             (
                 "discount",
@@ -1499,9 +1504,17 @@ mod tests {
 
         // Local oracle, computed before the table moves into the server.
         let text = "region in {0, 1} and (discount >= 7 or not store = 12)";
-        let mut oracle_table = Catalog::build(rows, &columns).into_table();
+        let oracle_table = Catalog::build(rows, &columns).into_table();
         let plan = Planner::plan_text(&oracle_table.schema(), text).unwrap();
-        let oracle = oracle_table.execute_plan(&plan, &CostModel::default());
+        let oracle = ParallelExecutor::new(1)
+            .execute_plan(
+                &oracle_table,
+                &plan,
+                &ShardedBufferPool::new(1024, 2),
+                &CostModel::default(),
+                &EvalOptions::default(),
+            )
+            .unwrap();
         let want: Vec<u64> = oracle
             .bitmap
             .to_positions()
@@ -1523,6 +1536,23 @@ mod tests {
         // COUNT pushdown returns the same cardinality without rows.
         let count = client.table_count(text, EvalDomain::Auto, 0).unwrap();
         assert_eq!(count.count, want.len() as u64);
+
+        // The DAG node mix is exported as on an index server: raw nodes
+        // from the raw-coded attributes, compressed ones from the EWAH
+        // attribute folded in the compressed domain.
+        let reply = client.table_query(text, EvalDomain::Compressed, 0).unwrap();
+        assert_eq!(reply.rows, want, "compressed-domain rows");
+        let stats = client.stats(StatsFormat::Prometheus).unwrap();
+        for name in [
+            "bix_eval_nodes_raw_total",
+            "bix_eval_nodes_compressed_total",
+        ] {
+            let value: f64 = stats
+                .lines()
+                .find_map(|line| line.strip_prefix(name)?.trim().parse().ok())
+                .unwrap_or_else(|| panic!("{name} missing:\n{stats}"));
+            assert!(value > 0.0, "{name} = {value}");
+        }
 
         // A fresh catalog server stamps epoch 1.
         assert_eq!(client.last_epoch(), 1);

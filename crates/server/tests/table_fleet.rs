@@ -8,7 +8,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bix_core::{Catalog, CostModel, EncodingScheme, EvalDomain, IndexConfig, Planner};
+use bix_core::{
+    Catalog, CostModel, EncodingScheme, EvalDomain, EvalOptions, IndexConfig, ParallelExecutor,
+    Planner, ShardedBufferPool,
+};
 use bix_server::{
     Client, ClientError, ErrorCode, RetryPolicy, Router, RouterConfig, Server, ServerConfig,
     SupervisorConfig,
@@ -51,9 +54,17 @@ fn build_catalog(lo: usize, hi: usize) -> Catalog {
 
 /// Monolith oracle: global row positions matching `text`.
 fn oracle_rows(text: &str) -> Vec<u64> {
-    let mut table = build_catalog(0, ROWS).into_table();
+    let table = build_catalog(0, ROWS).into_table();
     let plan = Planner::plan_text(&table.schema(), text).expect("oracle plan");
-    let result = table.execute_plan(&plan, &CostModel::default());
+    let result = ParallelExecutor::new(1)
+        .execute_plan(
+            &table,
+            &plan,
+            &ShardedBufferPool::new(1024, 2),
+            &CostModel::default(),
+            &EvalOptions::default(),
+        )
+        .expect("oracle evaluates");
     result
         .bitmap
         .to_positions()

@@ -75,6 +75,13 @@ impl ReadContext {
     pub fn take_stats(&mut self) -> IoStats {
         std::mem::take(&mut self.stats)
     }
+
+    /// Adds counters measured elsewhere — reads through an exclusive
+    /// [`crate::BitmapStore`] that already charged the global counters
+    /// — so one context can total a mixed evaluation.
+    pub fn charge(&mut self, io: IoStats) {
+        self.stats += io;
+    }
 }
 
 /// An in-memory simulation of an on-disk file store.

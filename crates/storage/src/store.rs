@@ -111,6 +111,26 @@ impl std::fmt::Display for ReadError {
 
 impl std::error::Error for ReadError {}
 
+/// Finishes a CRC-clean read by decoding the stream.
+fn decoded(handle: BitmapHandle) -> impl FnOnce(Vec<u8>) -> Result<Bitvec, DecodeError> {
+    move |bytes| handle.codec.codec().try_decompress(&bytes, handle.len_bits)
+}
+
+/// Finishes a CRC-clean read by validating the stream without decoding
+/// it, so later kernel ops and the final decode cannot fail.
+fn validated(
+    handle: BitmapHandle,
+) -> impl FnOnce(Vec<u8>) -> Result<CompressedBitmap, DecodeError> {
+    move |bytes| {
+        handle.codec.codec().validate(&bytes, handle.len_bits)?;
+        Ok(CompressedBitmap::from_parts(
+            handle.codec,
+            handle.len_bits,
+            bytes,
+        ))
+    }
+}
+
 /// Stores bitmaps as files on the simulated disk and reads them back
 /// through a buffer pool, decompressing as needed.
 ///
@@ -195,20 +215,11 @@ impl BitmapStore {
         pool: &mut BufferPool,
     ) -> Result<Bitvec, ReadError> {
         let bytes = self.fetch_bytes(handle, pool);
-        if let Err(c) = self.verify_bytes(handle.file, &bytes) {
+        let read = self.checked(handle, bytes, decoded(handle));
+        if read.is_err() {
             self.charge_integrity_failure();
-            return Err(ReadError::Checksum(c));
         }
-        match handle.codec.codec().try_decompress(&bytes, handle.len_bits) {
-            Ok(bv) => Ok(bv),
-            Err(error) => {
-                self.charge_integrity_failure();
-                Err(ReadError::Undecodable {
-                    file: handle.file,
-                    error,
-                })
-            }
-        }
+        read
     }
 
     /// Reads a bitmap's compressed stream — CRC-verified and structurally
@@ -221,22 +232,11 @@ impl BitmapStore {
         pool: &mut BufferPool,
     ) -> Result<CompressedBitmap, ReadError> {
         let bytes = self.fetch_bytes(handle, pool);
-        if let Err(c) = self.verify_bytes(handle.file, &bytes) {
+        let read = self.checked(handle, bytes, validated(handle));
+        if read.is_err() {
             self.charge_integrity_failure();
-            return Err(ReadError::Checksum(c));
         }
-        if let Err(error) = handle.codec.codec().validate(&bytes, handle.len_bits) {
-            self.charge_integrity_failure();
-            return Err(ReadError::Undecodable {
-                file: handle.file,
-                error,
-            });
-        }
-        Ok(CompressedBitmap::from_parts(
-            handle.codec,
-            handle.len_bits,
-            bytes,
-        ))
+        read
     }
 
     fn fetch_bytes(&mut self, handle: BitmapHandle, pool: &mut BufferPool) -> Vec<u8> {
@@ -248,20 +248,32 @@ impl BitmapStore {
         bytes
     }
 
-    /// Compares `bytes` against the file's recorded CRC. Pure: charging
-    /// the failure to the right counter set (global vs per-thread
-    /// [`ReadContext`]) is the caller's job.
-    fn verify_bytes(&self, file: FileId, bytes: &[u8]) -> Result<(), CorruptBitmap> {
-        let expected = *self.checks.get(&file).expect("bitmap has no recorded crc");
-        let actual = crc32(bytes);
+    /// The integrity check behind every read path: the file's recorded
+    /// CRC-32, then `finish` — a full decode or a structural validation.
+    /// Pure: charging a failure to the right counter set (global vs
+    /// per-thread [`ReadContext`]) is the caller's job.
+    fn checked<T>(
+        &self,
+        handle: BitmapHandle,
+        bytes: Vec<u8>,
+        finish: impl FnOnce(Vec<u8>) -> Result<T, DecodeError>,
+    ) -> Result<T, ReadError> {
+        let expected = *self
+            .checks
+            .get(&handle.file)
+            .expect("bitmap has no recorded crc");
+        let actual = crc32(&bytes);
         if actual != expected {
-            return Err(CorruptBitmap {
-                file,
+            return Err(ReadError::Checksum(CorruptBitmap {
+                file: handle.file,
                 expected,
                 actual,
-            });
+            }));
         }
-        Ok(())
+        finish(bytes).map_err(|error| ReadError::Undecodable {
+            file: handle.file,
+            error,
+        })
     }
 
     fn charge_integrity_failure(&self) {
@@ -278,36 +290,24 @@ impl BitmapStore {
     /// global counter invariant survives corruption on the shared path;
     /// decompression runs on the calling thread. Merge the context back
     /// with [`BitmapStore::charge`] when the parallel region ends so
-    /// [`BitmapStore::stats`] stays the one total.
-    ///
-    /// # Panics
-    ///
-    /// Panics on checksum mismatch or an undecodable stream, like
-    /// [`BitmapStore::read`].
+    /// [`BitmapStore::stats`] stays the one total. Integrity failures are
+    /// reported like [`BitmapStore::read_verified`], never panicked.
     pub fn read_shared(
         &self,
         handle: BitmapHandle,
         pool: &ShardedBufferPool,
         ctx: &mut ReadContext,
-    ) -> Bitvec {
+    ) -> Result<Bitvec, ReadError> {
         let bytes = self.fetch_bytes_shared(handle, pool, ctx);
-        if let Err(c) = self.verify_bytes(handle.file, &bytes) {
-            ctx.stats.checksum_failures += 1;
-            panic!("corrupt bitmap on an unguarded shared read path: {c}");
-        }
-        match handle.codec.codec().try_decompress(&bytes, handle.len_bits) {
-            Ok(bv) => bv,
-            Err(error) => {
-                ctx.stats.checksum_failures += 1;
-                panic!("corrupt bitmap on an unguarded shared read path: {error}");
-            }
-        }
+        let read = self.checked(handle, bytes, decoded(handle));
+        ctx.stats.checksum_failures += usize::from(read.is_err());
+        read
     }
 
     /// Shared-path twin of [`BitmapStore::read_compressed`]: CRC-verified,
     /// structurally validated, not decoded. Integrity failures are charged
-    /// to `ctx` and reported, not panicked, so the batch executor can fall
-    /// back or fail the query cleanly.
+    /// to `ctx` and reported, not panicked, so the batch executor can fail
+    /// the query cleanly.
     pub fn read_compressed_shared(
         &self,
         handle: BitmapHandle,
@@ -315,22 +315,9 @@ impl BitmapStore {
         ctx: &mut ReadContext,
     ) -> Result<CompressedBitmap, ReadError> {
         let bytes = self.fetch_bytes_shared(handle, pool, ctx);
-        if let Err(c) = self.verify_bytes(handle.file, &bytes) {
-            ctx.stats.checksum_failures += 1;
-            return Err(ReadError::Checksum(c));
-        }
-        if let Err(error) = handle.codec.codec().validate(&bytes, handle.len_bits) {
-            ctx.stats.checksum_failures += 1;
-            return Err(ReadError::Undecodable {
-                file: handle.file,
-                error,
-            });
-        }
-        Ok(CompressedBitmap::from_parts(
-            handle.codec,
-            handle.len_bits,
-            bytes,
-        ))
+        let read = self.checked(handle, bytes, validated(handle));
+        ctx.stats.checksum_failures += usize::from(read.is_err());
+        read
     }
 
     fn fetch_bytes_shared(
@@ -656,10 +643,14 @@ mod tests {
             let h = store.put("b", codec, &bv);
             let pool = ShardedBufferPool::new(16, 4);
             let mut ctx = ReadContext::new();
-            assert_eq!(store.read_shared(h, &pool, &mut ctx), bv, "codec {codec}");
+            assert_eq!(
+                store.read_shared(h, &pool, &mut ctx).unwrap(),
+                bv,
+                "codec {codec}"
+            );
             assert!(ctx.stats().pages_read > 0);
             // Second read comes from the striped cache.
-            store.read_shared(h, &pool, &mut ctx);
+            store.read_shared(h, &pool, &mut ctx).unwrap();
             store.charge(ctx.take_stats());
             let total = store.stats();
             assert!(total.pool_hits > 0, "codec {codec}");

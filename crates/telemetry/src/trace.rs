@@ -83,7 +83,7 @@ impl Tracer {
     }
 
     /// A disabled tracer: records nothing, allocates nothing.
-    pub fn disabled() -> Tracer {
+    pub const fn disabled() -> Tracer {
         Tracer { inner: None }
     }
 

@@ -141,7 +141,7 @@ fn bench_compress_baseline_is_valid_and_complete() {
         .iter()
         .filter_map(|p| p.get("phase").and_then(Json::as_str))
         .collect();
-    for expected in ["eval", "fetch", "fold", "node", "read"] {
+    for expected in ["eval", "build", "fold", "node", "rewrite"] {
         assert!(
             phase_names.contains(&expected),
             "traced_phases missing {expected}: {phase_names:?}"

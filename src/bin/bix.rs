@@ -80,8 +80,9 @@ use bix_telemetry::{json, TraceContext};
 use chan_bitmap_index::analysis::{advise, Workload};
 use chan_bitmap_index::core::{
     BitmapIndex, BitmapRef, BufferPool, Catalog, CodecKind, CostModel, EncodingScheme, EvalDomain,
-    EvalResult, EvalStrategy, IndexConfig, IoMetrics, MetricsRegistry, ParallelExecutor, Planner,
-    Query, RewriteAction, ShardedBufferPool, TableQuery, Tracer, EXISTENCE_REF,
+    EvalMetrics, EvalOptions, EvalResult, EvalStrategy, IndexConfig, IoMetrics, IoStats,
+    MetricsRegistry, ParallelExecutor, Planner, Query, RewriteAction, ShardedBufferPool,
+    TableQuery, Tracer, EXISTENCE_REF,
 };
 use chan_bitmap_index::server::{
     Client, ClientError, ErrorCode as WireErrorCode, RetryPolicy, Router, RouterConfig, Server,
@@ -195,29 +196,27 @@ fn register_index_gauges(registry: &MetricsRegistry, index: &BitmapIndex) {
     );
 }
 
-/// Registers the evaluation-mix counters — decompressions plus DAG
-/// nodes folded per domain — charged from a set of query results.
-fn register_eval_counters<'a>(
-    registry: &MetricsRegistry,
-    results: impl IntoIterator<Item = &'a EvalResult>,
-) {
-    let decompressions = registry.counter(
-        "bix_eval_decompressions_total",
-        "Compressed bitmaps materialised during evaluation",
-    );
-    let nodes_raw = registry.counter(
-        "bix_eval_nodes_raw_total",
-        "DAG nodes folded in the raw (decoded) domain",
-    );
-    let nodes_compressed = registry.counter(
-        "bix_eval_nodes_compressed_total",
-        "DAG nodes folded in the compressed domain",
-    );
+/// Writes a query run's `--metrics-out` snapshot: index gauges, the
+/// query count, I/O, the evaluation mix, and per-phase span histograms.
+fn write_query_metrics(
+    path: &str,
+    index: &BitmapIndex,
+    results: &[EvalResult],
+    io: &IoStats,
+    tracer: &Tracer,
+) -> Result<(), String> {
+    let registry = MetricsRegistry::new();
+    register_index_gauges(&registry, index);
+    registry
+        .counter("bix_queries_total", "Queries executed")
+        .add(results.len() as u64);
+    IoMetrics::register(&registry).record(io);
+    let eval = EvalMetrics::register(&registry);
     for r in results {
-        decompressions.add(r.decompressions as u64);
-        nodes_raw.add(r.nodes_raw as u64);
-        nodes_compressed.add(r.nodes_compressed as u64);
+        eval.record(r.decompressions, r.nodes_raw, r.nodes_compressed);
     }
+    registry.observe_trace(tracer);
+    write_metrics(path, &registry)
 }
 
 /// Writes the registry's JSON snapshot to `path` (for `--metrics-out`).
@@ -473,8 +472,13 @@ fn cmd_query_catalog(path: &str, args: &[String]) -> Result<(), String> {
     let plan = Planner::plan_text(&schema, text).map_err(|e| e.to_string())?;
 
     let pool = ShardedBufferPool::new(pool_pages, threads.max(2));
-    let executor = ParallelExecutor::new(threads).with_domain(domain);
-    let result = executor.execute_plan(&table, &plan, &pool, &CostModel::default());
+    let opts = EvalOptions {
+        domain,
+        ..EvalOptions::default()
+    };
+    let result = ParallelExecutor::new(threads)
+        .execute_plan(&table, &plan, &pool, &CostModel::default(), &opts)
+        .map_err(|e| e.to_string())?;
 
     if has_flag(args, "--count") {
         println!("{}", result.count());
@@ -594,15 +598,15 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let mut pool = BufferPool::new(index.config().disk.pages_for_bytes(64 << 20));
     let root = tracer.span(&format!("query {predicate}"), None);
     let root_id = root.id();
-    let result = index.evaluate_detailed_with_domain(
-        &query,
-        &mut pool,
-        EvalStrategy::ComponentWise,
+    let opts = EvalOptions {
         domain,
-        &cost,
-        &tracer,
-        root_id,
-    );
+        tracer: &tracer,
+        parent: root_id,
+        ..EvalOptions::default()
+    };
+    let result = index
+        .evaluate_with(&query, &mut pool, EvalStrategy::ComponentWise, &cost, &opts)
+        .map_err(|e| e.to_string())?;
     root.attr("rows", result.bitmap.count_ones());
     root.finish();
 
@@ -611,15 +615,8 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     }
     emit_trace(args, &tracer)?;
     if let Some(metrics_out) = flag_value(args, "--metrics-out") {
-        let registry = MetricsRegistry::new();
-        register_index_gauges(&registry, &index);
-        registry
-            .counter("bix_queries_total", "Queries executed")
-            .inc();
-        IoMetrics::register(&registry).record(&result.io);
-        register_eval_counters(&registry, std::iter::once(&result));
-        registry.observe_trace(&tracer);
-        write_metrics(&metrics_out, &registry)?;
+        let results = std::slice::from_ref(&result);
+        write_query_metrics(&metrics_out, &index, results, &result.io, &tracer)?;
     }
     eprintln!(
         "{} rows matched ({} bitmap scans, {} decompressions, {:.4}s simulated I/O)",
@@ -672,31 +669,22 @@ fn cmd_query_batch(path: &str, batch_file: &str, args: &[String]) -> Result<(), 
 
     let predicates: Vec<Query> = queries.iter().map(|(_, q)| q.clone()).collect();
     let pool = ShardedBufferPool::new(pool_pages, threads.max(2));
-    let executor = ParallelExecutor::new(threads).with_domain(parse_eval_domain(args)?);
     let tracer = if wants_trace(args) {
         Tracer::new()
     } else {
         Tracer::disabled()
     };
-    let batch = executor.execute_traced(
-        &index,
-        &predicates,
-        &pool,
-        &CostModel::default(),
-        &tracer,
-        None,
-    );
+    let opts = EvalOptions {
+        domain: parse_eval_domain(args)?,
+        tracer: &tracer,
+        ..EvalOptions::default()
+    };
+    let batch = ParallelExecutor::new(threads)
+        .execute(&index, &predicates, &pool, &CostModel::default(), &opts)
+        .map_err(|e| e.to_string())?;
     emit_trace(args, &tracer)?;
     if let Some(metrics_out) = flag_value(args, "--metrics-out") {
-        let registry = MetricsRegistry::new();
-        register_index_gauges(&registry, &index);
-        registry
-            .counter("bix_queries_total", "Queries executed")
-            .add(batch.results.len() as u64);
-        IoMetrics::register(&registry).record(&batch.io);
-        register_eval_counters(&registry, &batch.results);
-        registry.observe_trace(&tracer);
-        write_metrics(&metrics_out, &registry)?;
+        write_query_metrics(&metrics_out, &index, &batch.results, &batch.io, &tracer)?;
     }
 
     for ((text, _), result) in queries.iter().zip(&batch.results) {
@@ -750,7 +738,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             name
         }
     };
-    let constituents = index.rewrite_constituents(&query);
+    let constituents = index.rewrite_constituents(&query, &Tracer::disabled(), None);
     if constituents.len() > 1 {
         for (i, c) in constituents.iter().enumerate() {
             let p = index.predict_cost(c, &cost);
@@ -778,15 +766,14 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     let domain = parse_eval_domain(args)?;
     let tracer = Tracer::new();
     let mut pool = BufferPool::new(4096);
-    let result = index.evaluate_detailed_with_domain(
-        &query,
-        &mut pool,
-        EvalStrategy::ComponentWise,
+    let opts = EvalOptions {
         domain,
-        &cost,
-        &tracer,
-        None,
-    );
+        tracer: &tracer,
+        ..EvalOptions::default()
+    };
+    let result = index
+        .evaluate_with(&query, &mut pool, EvalStrategy::ComponentWise, &cost, &opts)
+        .map_err(|e| e.to_string())?;
     println!(
         "-- {} fold: {} raw node(s), {} compressed node(s), {} decompression(s)",
         domain.name(),
@@ -828,7 +815,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     IoMetrics::register(&registry).record(&index.io_stats());
     // Expose the eval-mix counters (zeroed: no queries have run in this
     // process) so scrapers see a stable schema from every entry point.
-    register_eval_counters(&registry, std::iter::empty());
+    EvalMetrics::register(&registry);
     let snapshot = registry.snapshot();
     if has_flag(args, "--json") {
         print!("{}", snapshot.to_json());
@@ -2022,7 +2009,7 @@ mod tests {
         assert!(total.bytes > 0);
         assert!(total.seconds > 0.0);
         let per: Vec<_> = index
-            .rewrite_constituents(&q)
+            .rewrite_constituents(&q, &Tracer::disabled(), None)
             .iter()
             .map(|c| index.predict_cost(c, &cost))
             .collect();
