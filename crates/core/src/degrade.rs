@@ -213,7 +213,7 @@ impl BitmapIndex {
                 self.quarantine(bitmap);
                 Err(bitmap)
             }
-            Err(e) => unreachable!("no deadline was set: {e}"),
+            Err(e) => unreachable!("no deadline or delta was set: {e}"),
         }
     }
 

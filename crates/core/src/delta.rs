@@ -31,7 +31,7 @@
 //! through the journaled [`BitmapIndex::try_append`] protocol before
 //! the client retries.
 
-use crate::{AppendError, BitmapIndex, EvalResult, Expr, IndexConfig};
+use crate::{AppendError, BitmapIndex, EvalFailure, EvalResult, Expr, IndexConfig};
 use bix_bitvec::Bitvec;
 
 /// Gauges describing the current delta memtable (for `bix stats` and
@@ -223,27 +223,26 @@ impl DeltaIndex {
     /// rows to `delta_rows`; the store-side counters are untouched (delta
     /// reads never perform I/O).
     ///
-    /// # Panics
-    ///
-    /// Panics if `result.bitmap` does not cover exactly
+    /// Fails with [`EvalFailure::SnapshotMismatch`], leaving `result`
+    /// untouched, if `result.bitmap` does not cover exactly
     /// [`DeltaIndex::base_rows`] rows — the result was computed against
     /// a different main-index snapshot than this delta extends (a torn
     /// main/delta pairing, which must never reach a client).
-    pub fn overlay(&self, merged: &Expr, result: &mut EvalResult) {
-        assert_eq!(
-            result.bitmap.len(),
-            self.base_rows,
-            "main/delta snapshot mismatch: result covers {} rows, delta extends {}",
-            result.bitmap.len(),
-            self.base_rows
-        );
+    pub fn overlay(&self, merged: &Expr, result: &mut EvalResult) -> Result<(), EvalFailure> {
+        if result.bitmap.len() != self.base_rows {
+            return Err(EvalFailure::SnapshotMismatch {
+                result_rows: result.bitmap.len(),
+                delta_base_rows: self.base_rows,
+            });
+        }
         if self.rows == 0 {
-            return;
+            return Ok(());
         }
         let tail = merged.evaluate(self.rows, &mut |r| self.tail(r.component, r.slot));
         result.bitmap.extend_from(&tail);
         result.delta_scans += merged.scan_count();
         result.delta_rows += self.rows;
+        Ok(())
     }
 
     /// Drops the first `merged` buffered values — they are now in the
@@ -412,14 +411,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "snapshot mismatch")]
-    fn overlay_panics_on_torn_main_delta_pairing() {
+    fn overlay_rejects_a_torn_main_delta_pairing_typed() {
         let cfg = config(EncodingScheme::Equality);
         let mut main = BitmapIndex::build(&[1, 2, 3], &cfg);
         // Delta claims to extend a 5-row main; main has 3 rows.
         let mut delta = DeltaIndex::new(&cfg, 5, 1 << 20);
         delta.absorb(&[4]).expect("fits");
-        let _ = with_delta(&mut main, &Query::equality(1), &delta);
+        let opts = EvalOptions {
+            delta: &[Some(&delta)],
+            ..EvalOptions::default()
+        };
+        let err = main
+            .evaluate_with(
+                &Query::equality(1),
+                &mut BufferPool::new(4096),
+                EvalStrategy::ComponentWise,
+                &CostModel::default(),
+                &opts,
+            )
+            .unwrap_err();
+        assert_eq!(
+            err.failure,
+            EvalFailure::SnapshotMismatch {
+                result_rows: 3,
+                delta_base_rows: 5,
+            }
+        );
+        assert!(err.to_string().contains("snapshot mismatch"), "{err}");
     }
 
     #[test]

@@ -102,6 +102,14 @@ pub enum EvalFailure {
         /// What the read reported (boxed to keep results small).
         error: Box<ReadError>,
     },
+    /// The ingest delta extends a different main-index snapshot than the
+    /// one the query was folded over (a torn main/delta pairing).
+    SnapshotMismatch {
+        /// Rows the folded main-index result covers.
+        result_rows: usize,
+        /// Rows of main index the delta says it extends.
+        delta_base_rows: usize,
+    },
 }
 
 /// A failed evaluation. Partial results are discarded: a query is either
@@ -123,6 +131,14 @@ impl std::fmt::Display for EvalError {
                 write!(f, "deadline exceeded before the evaluation completed")
             }
             EvalFailure::Corrupt { name, error, .. } => write!(f, "bitmap {name}: {error}"),
+            EvalFailure::SnapshotMismatch {
+                result_rows,
+                delta_base_rows,
+            } => write!(
+                f,
+                "main/delta snapshot mismatch: result covers {result_rows} rows, \
+                 delta extends {delta_base_rows}"
+            ),
         }
     }
 }
@@ -367,7 +383,9 @@ fn evaluate_expr(
     if let Some(delta) = delta {
         if !run.stopped() {
             let span = tracer.span("delta", eval_id);
-            delta.overlay(&merged, &mut result);
+            if let Err(failure) = delta.overlay(&merged, &mut result) {
+                run.fail(failure);
+            }
             span.attr("delta_rows", result.delta_rows);
         }
     }

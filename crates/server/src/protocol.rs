@@ -508,6 +508,17 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
+    /// `n` consecutive little-endian u64s, taken as one slice. Callers
+    /// bound `n` by [`Reader::remaining`] first, so the allocation never
+    /// exceeds what the frame holds.
+    fn u64s(&mut self, n: usize) -> Result<Vec<u64>, WireError> {
+        let bytes = self.bytes(n.checked_mul(8).ok_or(WireError::Truncated)?)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect())
+    }
+
     fn rest_utf8(&mut self) -> Result<String, WireError> {
         let s = self.bytes(self.remaining())?;
         String::from_utf8(s.to_vec()).map_err(|_| WireError::BadUtf8)
@@ -537,6 +548,7 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 fn encode_rows(out: &mut Vec<u8>, r: &RowsReply) {
+    out.reserve(24 + 8 * r.rows.len());
     put_u64(out, r.scans);
     put_u64(out, r.decompressions);
     put_u64(out, r.rows.len() as u64);
@@ -554,14 +566,10 @@ fn decode_rows(r: &mut Reader<'_>) -> Result<RowsReply, WireError> {
     if count > (r.remaining() / 8) as u64 {
         return Err(WireError::Malformed("row count exceeds payload"));
     }
-    let mut rows = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        rows.push(r.u64()?);
-    }
     Ok(RowsReply {
         scans,
         decompressions,
-        rows,
+        rows: r.u64s(count as usize)?,
     })
 }
 
@@ -748,11 +756,9 @@ impl Message {
                 if count as usize > r.remaining() / 8 {
                     return Err(WireError::Malformed("ingest count exceeds payload"));
                 }
-                let mut values = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    values.push(r.u64()?);
-                }
-                Message::Request(Request::Ingest { values })
+                Message::Request(Request::Ingest {
+                    values: r.u64s(count as usize)?,
+                })
             }
             KIND_TABLE_QUERY => {
                 let domain = domain_from_u8(r.u8()?)?;
@@ -842,22 +848,11 @@ impl Message {
     }
 }
 
-/// Streaming CRC-32 over a sequence of slices (extension + payload on
-/// v2 frames) without concatenating them.
-fn crc32_over(parts: &[&[u8]]) -> u32 {
-    let mut h = bix_storage::Crc32::new();
-    for part in parts {
-        h.update(part);
-    }
-    h.finalize()
-}
-
-/// Serialises the v2 extension (length byte + body): the 11-byte
-/// routing layout, or the 36-byte trace-carrying layout when the frame
-/// has a trace context or ships spans.
-fn encode_extension(frame: &Frame) -> Vec<u8> {
+/// Appends the v2 extension (length byte + body): the 11-byte routing
+/// layout, or the 36-byte trace-carrying layout when the frame has a
+/// trace context or ships spans.
+fn encode_extension(ext: &mut Vec<u8>, frame: &Frame) {
     let traced = frame.trace_extended();
-    let mut ext = Vec::with_capacity(1 + EXT_LEN_TRACE as usize);
     ext.push(if traced { EXT_LEN_TRACE } else { EXT_LEN });
     ext.push(frame.flags);
     ext.extend_from_slice(&frame.shard_id.to_le_bytes());
@@ -874,7 +869,6 @@ fn encode_extension(frame: &Frame) -> Vec<u8> {
         }
         ext.push(trace_flags);
     }
-    ext
 }
 
 /// Decodes a v2 extension body (its length byte already validated as
@@ -975,40 +969,53 @@ fn decode_spans(payload: &[u8]) -> Result<(Vec<SpanRecord>, &[u8]), WireError> {
 }
 
 /// Encodes a frame into a fresh byte buffer (header [+ extension] +
-/// payload + CRC). Frames with zero routing metadata encode as v1.
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut payload = Vec::new();
-    if !frame.spans.is_empty() {
-        encode_spans(&mut payload, &frame.spans);
-    }
-    frame.msg.encode_payload(&mut payload);
-    assert!(
-        payload.len() <= MAX_PAYLOAD as usize,
-        "frame payload exceeds wire cap"
-    );
+/// payload + CRC) in one pass: the payload is written in place after
+/// the header, its length patched in, and one CRC taken over everything
+/// after the base header. Frames with zero routing metadata encode as
+/// v1. A payload larger than [`MAX_PAYLOAD`] is a typed
+/// [`WireError::Oversize`], never a frame the peer would refuse.
+pub fn try_encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
     let extended = frame.extended();
-    let ext = encode_extension(frame);
-    let mut out = Vec::with_capacity(HEADER_LEN + ext.len() + payload.len() + 4);
+    let mut out = Vec::with_capacity(HEADER_LEN + 1 + EXT_LEN_TRACE as usize + 64);
     out.extend_from_slice(&MAGIC);
     out.push(if extended { VERSION_EXT } else { VERSION });
     out.push(frame.msg.kind());
     put_u64(&mut out, frame.request_id);
-    put_u32(&mut out, payload.len() as u32);
-    let crc = if extended {
-        out.extend_from_slice(&ext);
-        crc32_over(&[&ext, &payload])
-    } else {
-        crc32(&payload)
-    };
-    out.extend_from_slice(&payload);
+    put_u32(&mut out, 0); // payload length, patched below
+    if extended {
+        encode_extension(&mut out, frame);
+    }
+    let payload_at = out.len();
+    if !frame.spans.is_empty() {
+        encode_spans(&mut out, &frame.spans);
+    }
+    frame.msg.encode_payload(&mut out);
+    let payload_len = u32::try_from(out.len() - payload_at).unwrap_or(u32::MAX);
+    if payload_len > MAX_PAYLOAD {
+        return Err(WireError::Oversize(payload_len));
+    }
+    out[12..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+    // v1: the payload; v2: extension + payload.
+    let crc = crc32(&out[HEADER_LEN..]);
     put_u32(&mut out, crc);
-    out
+    Ok(out)
 }
 
-/// Decodes one frame from the front of `buf`, returning it with the
-/// number of bytes consumed. Fails with [`WireError::Truncated`] if the
-/// buffer ends early; never panics on any input.
-pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
+/// [`try_encode_frame`] for frames known to fit the wire cap.
+///
+/// # Panics
+///
+/// If the payload exceeds [`MAX_PAYLOAD`]. Serving paths go through
+/// [`write_frame`], which returns the typed error instead.
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    try_encode_frame(frame).expect("frame payload exceeds wire cap")
+}
+
+/// Validates a frame's base header and, on v2 frames, its extension
+/// length byte, returning `(payload offset, total frame length)`. Fails
+/// with [`WireError::Truncated`] when `buf` stops before the extension
+/// length byte a v2 header promises; nothing is allocated.
+fn frame_extent(buf: &[u8]) -> Result<(usize, usize), WireError> {
     if buf.len() < HEADER_LEN {
         return Err(WireError::Truncated);
     }
@@ -1019,8 +1026,6 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
     if version != VERSION && version != VERSION_EXT {
         return Err(WireError::BadVersion(version));
     }
-    let kind = buf[3];
-    let request_id = u64::from_le_bytes(buf[4..12].try_into().unwrap());
     let payload_len = u32::from_le_bytes(buf[12..16].try_into().unwrap());
     if payload_len > MAX_PAYLOAD {
         return Err(WireError::Oversize(payload_len));
@@ -1037,39 +1042,42 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
         0
     };
     let payload_at = HEADER_LEN + ext_bytes;
-    let total = payload_at + payload_len as usize + 4;
+    Ok((payload_at, payload_at + payload_len as usize + 4))
+}
+
+/// Decodes one frame from the front of `buf`, returning it with the
+/// number of bytes consumed. Fails with [`WireError::Truncated`] if the
+/// buffer ends early; never panics on any input.
+pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
+    let (payload_at, total) = frame_extent(buf)?;
     if buf.len() < total {
         return Err(WireError::Truncated);
     }
-    let payload = &buf[payload_at..payload_at + payload_len as usize];
+    // v1: the payload; v2: extension + payload.
     let crc = u32::from_le_bytes(buf[total - 4..total].try_into().unwrap());
-    let want = if version == VERSION_EXT {
-        crc32_over(&[&buf[HEADER_LEN..payload_at], payload])
-    } else {
-        crc32(payload)
-    };
-    if crc != want {
+    if crc != crc32(&buf[HEADER_LEN..total - 4]) {
         return Err(WireError::CrcMismatch);
     }
+    let request_id = u64::from_le_bytes(buf[4..12].try_into().unwrap());
     let mut frame = Frame::new(request_id, Message::Request(Request::Ping));
-    let has_spans = if version == VERSION_EXT {
-        apply_extension(&mut frame, &buf[HEADER_LEN + 1..payload_at])
-    } else {
-        false
-    };
+    let has_spans =
+        payload_at > HEADER_LEN && apply_extension(&mut frame, &buf[HEADER_LEN + 1..payload_at]);
+    let payload = &buf[payload_at..total - 4];
     let (spans, body) = if has_spans {
         decode_spans(payload)?
     } else {
         (Vec::new(), payload)
     };
     frame.spans = spans;
-    frame.msg = Message::decode_payload(kind, body)?;
+    frame.msg = Message::decode_payload(buf[3], body)?;
     Ok((frame, total))
 }
 
-/// Writes one frame to a transport, returning the bytes written.
+/// Writes one frame to a transport, returning the bytes written. A
+/// frame over the wire cap is [`WireError::Oversize`] and writes
+/// nothing.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, WireError> {
-    let bytes = encode_frame(frame);
+    let bytes = try_encode_frame(frame)?;
     w.write_all(&bytes)?;
     w.flush()?;
     Ok(bytes.len())
@@ -1077,64 +1085,26 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, WireError
 
 /// Reads one frame from a transport, returning it with the bytes read.
 ///
-/// Header fields are validated before the payload allocation, so a
-/// hostile peer cannot force an oversized buffer; a CRC mismatch or
-/// grammar violation surfaces as a typed [`WireError`].
+/// Header fields are validated before the frame buffer is allocated,
+/// so a hostile peer cannot force an oversized buffer; the rest of the
+/// frame is read into that one buffer and handed to [`decode_frame`],
+/// so a CRC mismatch or grammar violation surfaces as the same typed
+/// [`WireError`].
 pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    if header[0..2] != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    let version = header[2];
-    if version != VERSION && version != VERSION_EXT {
-        return Err(WireError::BadVersion(version));
-    }
-    let kind = header[3];
-    let request_id = u64::from_le_bytes(header[4..12].try_into().unwrap());
-    let payload_len = u32::from_le_bytes(header[12..16].try_into().unwrap());
-    if payload_len > MAX_PAYLOAD {
-        return Err(WireError::Oversize(payload_len));
-    }
-    let mut ext = [0u8; 1 + EXT_LEN_TRACE as usize];
-    let ext_bytes = if version == VERSION_EXT {
-        r.read_exact(&mut ext[..1])?;
-        if ext[0] != EXT_LEN && ext[0] != EXT_LEN_TRACE {
-            return Err(WireError::BadExtension(ext[0]));
+    let mut head = [0u8; HEADER_LEN + 1];
+    r.read_exact(&mut head[..HEADER_LEN])?;
+    let (have, total) = match frame_extent(&head[..HEADER_LEN]) {
+        // A v2 header: its extension length byte decides the layout.
+        Err(WireError::Truncated) => {
+            r.read_exact(&mut head[HEADER_LEN..])?;
+            (HEADER_LEN + 1, frame_extent(&head)?.1)
         }
-        let n = 1 + ext[0] as usize;
-        r.read_exact(&mut ext[1..n])?;
-        n
-    } else {
-        0
+        extent => (HEADER_LEN, extent?.1),
     };
-    let mut payload = vec![0u8; payload_len as usize];
-    r.read_exact(&mut payload)?;
-    let mut trailer = [0u8; 4];
-    r.read_exact(&mut trailer)?;
-    let want = if version == VERSION_EXT {
-        crc32_over(&[&ext[..ext_bytes], &payload])
-    } else {
-        crc32(&payload)
-    };
-    if u32::from_le_bytes(trailer) != want {
-        return Err(WireError::CrcMismatch);
-    }
-    let total = HEADER_LEN + ext_bytes + payload_len as usize + 4;
-    let mut frame = Frame::new(request_id, Message::Request(Request::Ping));
-    let has_spans = if version == VERSION_EXT {
-        apply_extension(&mut frame, &ext[1..ext_bytes])
-    } else {
-        false
-    };
-    let (spans, body) = if has_spans {
-        decode_spans(&payload)?
-    } else {
-        (Vec::new(), payload.as_slice())
-    };
-    frame.spans = spans;
-    frame.msg = Message::decode_payload(kind, body)?;
-    Ok((frame, total))
+    let mut buf = vec![0u8; total];
+    buf[..have].copy_from_slice(&head[..have]);
+    r.read_exact(&mut buf[have..])?;
+    decode_frame(&buf)
 }
 
 #[cfg(test)]

@@ -125,10 +125,16 @@ pub struct ShardReply {
 /// property-testable without sockets.
 pub fn merge_replies(n_predicates: usize, shards: &[ShardReply]) -> Vec<RowsReply> {
     let mut merged: Vec<RowsReply> = (0..n_predicates)
-        .map(|_| RowsReply {
+        .map(|q| RowsReply {
             scans: 0,
             decompressions: 0,
-            rows: Vec::new(),
+            rows: Vec::with_capacity(
+                shards
+                    .iter()
+                    .filter_map(|shard| shard.replies.get(q))
+                    .map(|reply| reply.rows.len())
+                    .sum(),
+            ),
         })
         .collect();
     for shard in shards {

@@ -51,7 +51,7 @@ use bix_telemetry::{
 
 use crate::protocol::{
     read_frame, write_frame, ErrorCode, Frame, Message, Request, Response, RowsReply, StatsFormat,
-    FLAG_ALLOW_DEGRADED,
+    WireError, FLAG_ALLOW_DEGRADED,
 };
 
 /// Tunables for [`Server::start`] / [`Server::serve`].
@@ -450,9 +450,7 @@ fn refuse(mut stream: TcpStream, shared: &Shared, code: ErrorCode, message: &str
             }),
         ),
     );
-    if let Ok(n) = write_frame(&mut stream, &reply) {
-        shared.metrics.bytes_out.add(n as u64);
-    }
+    write_reply(&mut stream, shared, &reply);
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
@@ -529,7 +527,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, queue_wait: Duration
         let started = Instant::now();
         let (frame, n_in) = match read_frame(&mut stream) {
             Ok(ok) => ok,
-            Err(crate::protocol::WireError::Io(_)) | Err(crate::protocol::WireError::Truncated) => {
+            Err(WireError::Io(_)) | Err(WireError::Truncated) => {
                 // Peer vanished or stalled mid-frame; nothing to say.
                 shared.metrics.bad_frames.inc();
                 return;
@@ -596,9 +594,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, queue_wait: Duration
             reply_frame.trace = frame.trace;
             reply_frame.spans = tracer.records();
         }
-        if let Ok(n) = write_frame(&mut stream, &reply_frame) {
-            shared.metrics.bytes_out.add(n as u64);
-        }
+        write_reply(&mut stream, shared, &reply_frame);
         shared
             .metrics
             .request_nanos
@@ -613,9 +609,39 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, queue_wait: Duration
 /// Best-effort reply on an established connection.
 fn send(stream: &mut TcpStream, shared: &Shared, request_id: u64, response: Response) {
     let frame = stamp(shared, Frame::new(request_id, Message::Response(response)));
-    if let Ok(n) = write_frame(stream, &frame) {
+    write_reply(stream, shared, &frame);
+}
+
+/// Best-effort write of one reply frame. A reply over the wire cap (a
+/// router's merged rows, or spans on top of a reply that just fitted)
+/// is answered with a typed `Internal` error in its place, so the
+/// caller hears why and the worker lives on.
+fn write_reply(stream: &mut TcpStream, shared: &Shared, frame: &Frame) {
+    let written = match write_frame(stream, frame) {
+        Err(WireError::Oversize(bytes)) => {
+            let refusal = Response::Error {
+                code: ErrorCode::Internal,
+                message: format!("reply of {bytes} bytes exceeds the frame cap"),
+            };
+            let refusal = stamp(
+                shared,
+                Frame::new(frame.request_id, Message::Response(refusal)),
+            );
+            write_frame(stream, &refusal)
+        }
+        written => written,
+    };
+    if let Ok(n) = written {
         shared.metrics.bytes_out.add(n as u64);
     }
+}
+
+/// A reply's row ids: one allocation of exactly `count` ids, filled
+/// straight from the bitmap's set-bit walk.
+fn row_ids(count: usize, ones: impl Iterator<Item = usize>) -> Vec<u64> {
+    let mut rows = Vec::with_capacity(count);
+    rows.extend(ones.map(|p| p as u64));
+    rows
 }
 
 /// A request's deadline budget in ms — its own, or the server default
@@ -642,8 +668,9 @@ fn request_opts(
 }
 
 /// The typed reply to a failed evaluation: `DeadlineExceeded`, or
-/// `Internal` naming the corrupt bitmap. The abandoned work's I/O is still
-/// recorded, so a corrupt read shows in `bix_io_checksum_failures_total`.
+/// `Internal` naming the corrupt bitmap or the torn main/delta pairing.
+/// The abandoned work's I/O is still recorded, so a corrupt read shows in
+/// `bix_io_checksum_failures_total`.
 fn eval_failed(
     registry: &MetricsRegistry,
     deadline_exceeded: &Counter,
@@ -659,7 +686,7 @@ fn eval_failed(
                 message: format!("deadline of {deadline_ms}ms exceeded"),
             }
         }
-        EvalFailure::Corrupt { .. } => Response::Error {
+        EvalFailure::Corrupt { .. } | EvalFailure::SnapshotMismatch { .. } => Response::Error {
             code: ErrorCode::Internal,
             message: err.to_string(),
         },
@@ -889,12 +916,7 @@ impl IndexHandler {
                 result.nodes_raw,
                 result.nodes_compressed,
             );
-            let rows: Vec<u64> = result
-                .bitmap
-                .to_positions()
-                .iter()
-                .map(|&p| p as u64)
-                .collect();
+            let rows = row_ids(result.bitmap.count_ones(), result.bitmap.ones());
             self.metrics.rows_returned.add(rows.len() as u64);
             replies.push(RowsReply {
                 scans: result.scans as u64,
@@ -1405,12 +1427,7 @@ impl ServeHandler for CatalogHandler {
                             ),
                         };
                     }
-                    let rows: Vec<u64> = result
-                        .bitmap
-                        .to_positions()
-                        .iter()
-                        .map(|&p| p as u64)
-                        .collect();
+                    let rows = row_ids(result.bitmap.count_ones(), result.bitmap.ones());
                     self.metrics.rows_returned.add(rows.len() as u64);
                     Response::Rows(RowsReply {
                         scans: result.scans as u64,
@@ -1598,6 +1615,10 @@ mod tests {
             match request {
                 Request::Ping => Response::Pong,
                 Request::Shutdown => Response::Ok,
+                // One byte more than a frame may carry.
+                Request::SlowLog => Response::Stats {
+                    text: "x".repeat(crate::protocol::MAX_PAYLOAD as usize + 1),
+                },
                 _ => Response::Error {
                     code: ErrorCode::Internal,
                     message: format!("echo handler, allow_degraded={}", meta.allow_degraded),
@@ -1641,6 +1662,39 @@ mod tests {
             }
             other => panic!("want the echo error, got {other:?}"),
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversize_reply_is_a_typed_error_and_the_worker_lives() {
+        let handler = Arc::new(EchoHandler {
+            registry: MetricsRegistry::new(),
+        });
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::serve(handler, "127.0.0.1:0", config).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        write_frame(
+            &mut stream,
+            &Frame::new(7, Message::Request(Request::SlowLog)),
+        )
+        .unwrap();
+        let (reply, _) = read_frame(&mut stream).unwrap();
+        assert_eq!(reply.request_id, 7);
+        assert_eq!(reply.epoch, 42, "the refusal is stamped like any reply");
+        match reply.msg {
+            Message::Response(Response::Error { code, message }) => {
+                assert_eq!(code, ErrorCode::Internal);
+                assert!(message.contains("exceeds the frame cap"), "{message}");
+            }
+            other => panic!("want a typed Internal error, got {other:?}"),
+        }
+        // The only worker survived and still serves this connection.
+        write_frame(&mut stream, &Frame::new(8, Message::Request(Request::Ping))).unwrap();
+        let (reply, _) = read_frame(&mut stream).unwrap();
+        assert_eq!(reply.msg, Message::Response(Response::Pong));
         server.shutdown();
     }
 }
