@@ -222,6 +222,23 @@ impl Catalog {
         Catalog::load_inner(path.as_ref(), false)
     }
 
+    /// Opens either on-disk format, told apart by its magic: a `.bixcat`
+    /// manifest loads as [`Catalog::load`] does, and a single `BIXIDX2`
+    /// index file becomes a one-attribute catalog whose attribute is
+    /// [`crate::VALUE_ATTR`].
+    pub fn open(path: impl AsRef<Path>) -> Result<Catalog, CatalogError> {
+        let path = path.as_ref();
+        let mut magic = Vec::with_capacity(MAGIC.len());
+        std::fs::File::open(path)?
+            .take(MAGIC.len() as u64)
+            .read_to_end(&mut magic)?;
+        if magic == MAGIC {
+            Catalog::load(path)
+        } else {
+            Ok(Catalog::from_table(BitmapIndex::load(path)?.into()))
+        }
+    }
+
     /// Like [`Catalog::load`] but attribute indexes load through
     /// [`BitmapIndex::load_tolerant`], quarantining corrupt bitmaps
     /// instead of failing (the manifest itself must still be intact).
@@ -449,6 +466,29 @@ mod tests {
             )
             .unwrap();
         assert_eq!(planned.bitmap.to_positions(), want.to_positions());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_reads_either_format() {
+        let dir = temp_dir("open");
+        let path = dir.join("star.bixcat");
+        let mut cat = build_catalog();
+        cat.save(&path).unwrap();
+        let opened = Catalog::open(&path).unwrap();
+        assert_eq!(opened.table().schema().len(), 3);
+        assert_eq!(opened.files(), cat.files());
+
+        // A bare index file opens as the one-attribute table `value`.
+        let index_path = dir.join(&cat.files()[0]);
+        let opened = Catalog::open(&index_path).unwrap();
+        assert_eq!(opened.table().attribute_names(), vec![crate::VALUE_ATTR]);
+        assert_eq!(opened.table().rows(), 200);
+        assert!(opened.table().single_index().is_some());
+
+        // Neither format: the index loader's typed error.
+        std::fs::write(dir.join("junk"), b"BIX").unwrap();
+        assert!(Catalog::open(dir.join("junk")).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

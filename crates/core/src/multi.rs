@@ -188,6 +188,11 @@ impl PlanEvalResult {
     }
 }
 
+/// The attribute name a bare [`BitmapIndex`] is known by once it becomes
+/// a one-attribute table (`From<BitmapIndex> for IndexedTable`): table
+/// queries against a single-index server say `value = 3`.
+pub const VALUE_ATTR: &str = "value";
+
 /// A set of bitmap indexes over the attributes of one relation.
 pub struct IndexedTable {
     rows: usize,
@@ -323,6 +328,15 @@ impl IndexedTable {
         self.attrs.get(position).map(|(_, i)| i)
     }
 
+    /// The index of a one-attribute table (`None` when the table has
+    /// several attributes or none).
+    pub fn single_index(&self) -> Option<&BitmapIndex> {
+        match self.attrs.as_slice() {
+            [(_, index)] => Some(index),
+            _ => None,
+        }
+    }
+
     /// Iterates over every attribute's index mutably (verify/repair).
     pub fn indexes_mut(&mut self) -> impl Iterator<Item = (&str, &mut BitmapIndex)> {
         self.attrs.iter_mut().map(|(n, i)| (n.as_str(), i))
@@ -395,6 +409,17 @@ impl IndexedTable {
             io: IoStats::new(),
             seconds: 0.0,
         })
+    }
+}
+
+impl From<BitmapIndex> for IndexedTable {
+    /// A bare index as a one-attribute table whose attribute is
+    /// [`VALUE_ATTR`].
+    fn from(index: BitmapIndex) -> IndexedTable {
+        IndexedTable {
+            rows: index.rows(),
+            attrs: vec![(VALUE_ATTR.to_string(), index)],
+        }
     }
 }
 

@@ -555,8 +555,8 @@ impl<S: Read + Write + Send> Client<S> {
         self.roundtrip_outcome(req)
     }
 
-    /// Evaluates one multi-attribute table expression against a catalog
-    /// server (or a router fronting catalog shards). A `Degraded` reply
+    /// Evaluates one multi-attribute table expression against a server
+    /// (or a router fronting shards). A `Degraded` reply
     /// is *not* accepted here — use [`Client::table_query_outcome`] to
     /// opt into partial results.
     pub fn table_query(

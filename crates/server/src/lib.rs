@@ -53,5 +53,5 @@ pub use protocol::{
     MAX_SPANS, MAX_SPAN_ATTRS, TRACE_FLAG_SAMPLED, TRACE_FLAG_SPANS, VERSION, VERSION_EXT,
 };
 pub use router::{merge_replies, Router, RouterConfig, ShardReply};
-pub use server::{CatalogHandler, IndexHandler, RequestMeta, ServeHandler, Server, ServerConfig};
+pub use server::{IndexHandler, RequestMeta, ServeHandler, Server, ServerConfig};
 pub use supervisor::{ShardState, Supervisor, SupervisorConfig};

@@ -233,11 +233,10 @@ pub enum Request {
         /// Attribute values in row order; each becomes one new row.
         values: Vec<u64>,
     },
-    /// Evaluate one multi-attribute boolean expression against a served
-    /// catalog. Only catalog servers answer it; index servers reply
-    /// with a typed [`ErrorCode::BadQuery`]. The frame kind is new in
-    /// this revision, so peers that never send it interoperate with v1
-    /// byte streams unchanged.
+    /// Evaluate one multi-attribute boolean expression against the
+    /// served table (a single index is the one-attribute table
+    /// `value`). The frame kind is new in this revision, so peers that
+    /// never send it interoperate with v1 byte streams unchanged.
     TableQuery {
         /// Evaluation domain to use.
         domain: EvalDomain,
@@ -248,7 +247,7 @@ pub enum Request {
         /// ships the matching row ids.
         count_only: bool,
         /// Expression text, `TableQuery::parse` grammar over the
-        /// catalog's attribute names.
+        /// table's attribute names.
         text: String,
     },
 }

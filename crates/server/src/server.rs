@@ -8,24 +8,31 @@
 //! or are turned away with a typed `Overloaded` error frame — a full
 //! server never leaves a client hanging on a silent socket. `workers`
 //! threads pop connections and serve frames until the peer goes idle
-//! past the read budget, disconnects, or the server drains.
+//! past the read budget, disconnects, or the server drains. A handler
+//! that panics costs its request a typed `Internal` reply (counted in
+//! `bix_server_panics_total`), never the worker.
 //!
 //! The loop itself is application-agnostic: everything after frame
 //! decode is delegated to a [`ServeHandler`]. Two handlers live in this
-//! crate — [`IndexHandler`] (single-index query serving, below) and the
-//! scatter-gather [`Router`](crate::Router) — so admission control,
-//! deadline plumbing, frame hardening, and drain semantics are written
-//! once and shared by every network-facing role.
+//! crate — [`IndexHandler`] (data serving, below) and the scatter-gather
+//! [`Router`](crate::Router) — so admission control, deadline plumbing,
+//! frame hardening, and drain semantics are written once and shared by
+//! every network-facing role.
+//!
+//! [`IndexHandler`] serves an [`IndexedTable`], a multi-attribute catalog
+//! or a single index as a one-attribute table; which requests it takes
+//! depends only on that shape (see its docs).
 //!
 //! Every reply frame is stamped with the server's shard id and the
-//! handler's current epoch (its index reload generation), which is how
-//! a router detects replies computed against a stale index mid-stream.
+//! handler's current epoch (its reload and merge generation), which is
+//! how a router detects replies computed against a stale table
+//! mid-stream.
 //!
 //! Queries execute on the crate-standard [`ParallelExecutor`] against a
 //! shared [`ShardedBufferPool`], under the per-request deadline (or the
-//! server default). A hot `Reload` request loads and `verify()`s a new
-//! index off the request thread, then atomically swaps the serving
-//! snapshot and bumps the epoch — in-flight requests keep the old index
+//! server default). A hot `Reload` request opens and `verify()`s new
+//! data off the request thread, then atomically swaps the serving
+//! snapshot and bumps the epoch — in-flight requests keep the old table
 //! and pool until they finish; new requests see the new one.
 //!
 //! Shutdown sets a stop flag, wakes the accept thread with a loopback
@@ -35,15 +42,16 @@
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bix_core::{
-    AppendError, BitmapIndex, Catalog, CostModel, DeltaIndex, EvalDomain, EvalError, EvalFailure,
-    EvalMetrics, EvalOptions, IndexedTable, IoMetrics, MetricsRegistry, ParallelExecutor, Planner,
-    Query, ShardedBufferPool, TableSchema,
+    AppendError, BitmapIndex, Catalog, CostModel, DeltaIndex, DeltaStats, EvalDomain, EvalError,
+    EvalFailure, EvalMetrics, EvalOptions, IndexedTable, IoMetrics, MetricsRegistry,
+    ParallelExecutor, Planner, Query, ShardedBufferPool, TableSchema,
 };
 use bix_telemetry::{
     unix_ms_now, Counter, Gauge, Histogram, SlowLog, SlowQuery, SpanId, TraceContext, Tracer,
@@ -180,6 +188,7 @@ struct TransportMetrics {
     requests: Arc<Counter>,
     rejected: Arc<Counter>,
     bad_frames: Arc<Counter>,
+    panics: Arc<Counter>,
     bytes_in: Arc<Counter>,
     bytes_out: Arc<Counter>,
     connections: Arc<Counter>,
@@ -201,6 +210,10 @@ impl TransportMetrics {
             bad_frames: c(
                 "bix_server_bad_frames_total",
                 "Frames that failed wire-protocol validation",
+            ),
+            panics: c(
+                "bix_server_panics_total",
+                "Requests whose handler panicked (answered Internal)",
             ),
             bytes_in: c("bix_server_bytes_in_total", "Wire bytes received"),
             bytes_out: c("bix_server_bytes_out_total", "Wire bytes sent"),
@@ -247,25 +260,36 @@ impl Shared {
     }
 }
 
-/// Publishes the index-shape gauges (same names the CLI uses) so a
-/// remote `Stats` scrape describes the index being served.
-fn set_index_gauges(registry: &MetricsRegistry, index: &BitmapIndex) {
+/// Publishes the table-shape gauges (the names the CLI uses) so a remote
+/// `Stats` scrape describes what is served; a router learns any shard's
+/// row count from `bix_index_rows`. The cardinality gauge is the single
+/// attribute's `C`, and 0 on a wider table.
+fn set_table_gauges(registry: &MetricsRegistry, table: &IndexedTable) {
     let set = |name: &str, help: &str, v: f64| registry.gauge(name, help).set(v);
-    set("bix_index_rows", "Indexed records", index.rows() as f64);
+    let attrs = table.schema().len();
+    set("bix_index_rows", "Indexed records", table.rows() as f64);
+    set(
+        "bix_catalog_attrs",
+        "Attributes in the served catalog",
+        attrs as f64,
+    );
     set(
         "bix_index_cardinality",
         "Attribute cardinality C",
-        index.config().cardinality as f64,
+        table.single_index().map_or(0, |ix| ix.config().cardinality) as f64,
     );
     set(
         "bix_index_bitmaps",
         "Stored bitmaps",
-        index.num_bitmaps() as f64,
+        (0..attrs)
+            .filter_map(|i| table.index_at(i))
+            .map(BitmapIndex::num_bitmaps)
+            .sum::<usize>() as f64,
     );
     set(
         "bix_index_stored_bytes",
         "On-disk index size (compressed)",
-        index.space_bytes() as f64,
+        table.space_bytes() as f64,
     );
 }
 
@@ -279,14 +303,35 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// starts serving `index` on a pool of worker threads, plus a
-    /// background merge thread draining the ingest delta into the index.
+    /// starts serving `index` as the one-attribute table
+    /// [`bix_core::VALUE_ATTR`] on a pool of worker threads.
     pub fn start(
         index: BitmapIndex,
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> io::Result<Server> {
-        let handler = Arc::new(IndexHandler::new(index, &config));
+        Server::start_table(index.into(), addr, config)
+    }
+
+    /// Binds `addr` and starts serving a multi-attribute catalog through
+    /// the same handler as [`Server::start`].
+    pub fn start_catalog(
+        catalog: Catalog,
+        addr: impl ToSocketAddrs,
+        config: ServerConfig,
+    ) -> io::Result<Server> {
+        Server::start_table(catalog.into_table(), addr, config)
+    }
+
+    /// Serves `table` through an [`IndexHandler`], plus a background
+    /// merge thread draining the ingest delta into the index (idle while
+    /// the table has several attributes).
+    fn start_table(
+        table: IndexedTable,
+        addr: impl ToSocketAddrs,
+        config: ServerConfig,
+    ) -> io::Result<Server> {
+        let handler = Arc::new(IndexHandler::new(table, &config));
         let merge_handler = Arc::clone(&handler);
         let mut server = Server::serve(handler, addr, config)?;
         server.handles.push(
@@ -295,19 +340,6 @@ impl Server {
                 .spawn(move || merge_handler.merge_loop())?,
         );
         Ok(server)
-    }
-
-    /// Binds `addr` and starts serving a multi-attribute catalog:
-    /// [`Request::TableQuery`] frames are planned and executed across
-    /// the catalog's per-attribute indexes; single-index requests get
-    /// typed refusals.
-    pub fn start_catalog(
-        catalog: Catalog,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-    ) -> io::Result<Server> {
-        let handler = Arc::new(CatalogHandler::new(catalog, &config));
-        Server::serve(handler, addr, config)
     }
 
     /// Binds `addr` and serves an arbitrary [`ServeHandler`] behind the
@@ -585,7 +617,22 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, queue_wait: Duration
             }
         };
         let is_shutdown = matches!(request, Request::Shutdown);
-        let reply = shared.handler.handle(request, &meta);
+        // A panicking handler must not take its worker down with it:
+        // nothing respawns workers, so answer `Internal` and go on.
+        let handled =
+            panic::catch_unwind(AssertUnwindSafe(|| shared.handler.handle(request, &meta)));
+        let reply = handled.unwrap_or_else(|payload| {
+            shared.metrics.panics.inc();
+            let what = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("no message");
+            Response::Error {
+                code: ErrorCode::Internal,
+                message: format!("request handler panicked: {what}"),
+            }
+        });
         serve_span.finish();
         let mut reply_frame = stamp(shared, Frame::new(request_id, Message::Response(reply)));
         if tracer.is_enabled() {
@@ -636,79 +683,62 @@ fn write_reply(stream: &mut TcpStream, shared: &Shared, frame: &Frame) {
     }
 }
 
-/// A reply's row ids: one allocation of exactly `count` ids, filled
-/// straight from the bitmap's set-bit walk.
-fn row_ids(count: usize, ones: impl Iterator<Item = usize>) -> Vec<u64> {
-    let mut rows = Vec::with_capacity(count);
-    rows.extend(ones.map(|p| p as u64));
-    rows
-}
-
-/// A request's deadline budget in ms — its own, or the server default
-/// when it sent 0 (0: none) — and its evaluation options.
-fn request_opts(
-    domain: EvalDomain,
-    deadline_ms: u32,
-    default_ms: u64,
-    meta: &RequestMeta,
-) -> (u64, EvalOptions<'_>) {
-    let ms = if deadline_ms > 0 {
-        u64::from(deadline_ms)
-    } else {
-        default_ms
-    };
-    let opts = EvalOptions {
-        domain,
-        tracer: &meta.tracer,
-        parent: meta.span,
-        deadline: (ms > 0).then(|| Instant::now() + Duration::from_millis(ms)),
-        ..EvalOptions::default()
-    };
-    (ms, opts)
-}
-
-/// The typed reply to a failed evaluation: `DeadlineExceeded`, or
-/// `Internal` naming the corrupt bitmap or the torn main/delta pairing.
-/// The abandoned work's I/O is still recorded, so a corrupt read shows in
-/// `bix_io_checksum_failures_total`.
-fn eval_failed(
-    registry: &MetricsRegistry,
-    deadline_exceeded: &Counter,
-    err: EvalError,
-    deadline_ms: u64,
-) -> Response {
-    IoMetrics::register(registry).record(&err.io);
-    match err.failure {
-        EvalFailure::DeadlineExceeded => {
-            deadline_exceeded.inc();
-            Response::Error {
-                code: ErrorCode::DeadlineExceeded,
-                message: format!("deadline of {deadline_ms}ms exceeded"),
-            }
-        }
-        EvalFailure::Corrupt { .. } | EvalFailure::SnapshotMismatch { .. } => Response::Error {
-            code: ErrorCode::Internal,
-            message: err.to_string(),
-        },
+/// The typed refusal of a request the served table's shape cannot take.
+fn bad_query(message: String) -> Response {
+    Response::Error {
+        code: ErrorCode::BadQuery,
+        message,
     }
 }
 
-/// The immutable serving snapshot: an index plus the buffer pool built
-/// for it. Swapped wholesale on reload so pages cached for the old
-/// index can never be served against the new one's file ids.
+/// The immutable serving snapshot: the table, its resolved schema, and
+/// the buffer pool every attribute index shares. Swapped wholesale on
+/// reload and merge so pages cached for an old index can never be
+/// served against a new one's file ids.
 struct Serving {
-    index: BitmapIndex,
+    table: IndexedTable,
+    schema: TableSchema,
     pool: ShardedBufferPool,
 }
 
-/// Index-serving metrics, separate from the transport's.
+impl Serving {
+    /// A snapshot of `table` with a fresh, empty buffer pool.
+    fn new(table: IndexedTable, config: &ServerConfig) -> Arc<Serving> {
+        Arc::new(Serving {
+            schema: table.schema(),
+            table,
+            pool: ShardedBufferPool::new(config.pool_pages, config.workers.max(2)),
+        })
+    }
+}
+
+/// What a request asks the table to select, and the reply it wants.
+#[derive(Clone, Copy)]
+enum Selection<'r> {
+    /// A `Query` (answered `Rows`) or a `Batch` (answered `BatchRows`).
+    Predicates { texts: &'r [String], batch: bool },
+    /// A `TableQuery`: `Rows`, or a `Count` when `count_only`.
+    Expression { text: &'r str, count_only: bool },
+}
+
+/// The ingest delta a table gets: one when it has a single attribute.
+fn delta_for(table: &IndexedTable, budget_bytes: usize) -> Option<DeltaIndex> {
+    table
+        .single_index()
+        .map(|index| DeltaIndex::for_index(index, budget_bytes))
+}
+
+/// Serving metrics, separate from the transport's. Every handle is
+/// registered once, so the request path never touches the registry.
 struct IndexMetrics {
     queries: Arc<Counter>,
+    counts: Arc<Counter>,
     rows_returned: Arc<Counter>,
     deadline_exceeded: Arc<Counter>,
     bad_queries: Arc<Counter>,
     reloads: Arc<Counter>,
     eval: EvalMetrics,
+    io: IoMetrics,
     ingest_rows: Arc<Counter>,
     ingest_rejected: Arc<Counter>,
     merges: Arc<Counter>,
@@ -722,7 +752,14 @@ impl IndexMetrics {
     fn new(registry: &MetricsRegistry) -> IndexMetrics {
         let c = |name: &str, help: &str| registry.counter(name, help);
         IndexMetrics {
-            queries: c("bix_server_queries_total", "Predicates evaluated"),
+            queries: c(
+                "bix_server_queries_total",
+                "Predicates and table queries evaluated",
+            ),
+            counts: c(
+                "bix_server_counts_total",
+                "Table queries answered by COUNT pushdown (no rows shipped)",
+            ),
             rows_returned: c("bix_server_rows_returned_total", "Row ids sent to clients"),
             deadline_exceeded: c(
                 "bix_server_deadline_exceeded_total",
@@ -730,10 +767,11 @@ impl IndexMetrics {
             ),
             bad_queries: c(
                 "bix_server_bad_queries_total",
-                "Predicates rejected by the parser",
+                "Predicates and expressions rejected by the parser or planner",
             ),
-            reloads: c("bix_server_reloads_total", "Successful hot index reloads"),
+            reloads: c("bix_server_reloads_total", "Successful hot reloads"),
             eval: EvalMetrics::register(registry),
+            io: IoMetrics::register(registry),
             ingest_rows: c("bix_ingest_rows_total", "Rows absorbed into the delta"),
             ingest_rejected: c(
                 "bix_ingest_rejected_total",
@@ -760,9 +798,19 @@ impl IndexMetrics {
     }
 }
 
-/// [`ServeHandler`] for a single bitmap index: parse, evaluate under
-/// deadline, streaming ingest into an in-memory delta, hot reload with
-/// verification, metrics exposition.
+/// [`ServeHandler`] for an [`IndexedTable`]: a bare index is served as
+/// the one-attribute table [`bix_core::VALUE_ATTR`]. Parse, evaluate
+/// under deadline, streaming ingest into an in-memory delta, hot reload
+/// with verification, metrics exposition.
+///
+/// What a request may do depends on the table's shape:
+/// - `Query`/`Batch` predicates name no attribute, so they need a
+///   one-attribute table; on a wider table they are a typed `BadQuery`.
+/// - `TableQuery` (rows or COUNT) runs on any table. On a one-attribute
+///   table it sees the ingest delta, so unmerged rows are visible.
+/// - `Ingest` frames carry one column, so they need a one-attribute
+///   table too; the delta exists only then.
+/// - `Reload` takes either file format, and the shape may change.
 ///
 /// Lock order (deadlock- and torn-snapshot-freedom): the `delta`
 /// [`RwLock`] is always acquired **before** the `serving` mutex. A
@@ -770,25 +818,21 @@ impl IndexMetrics {
 /// delta)` pair it snapshots is the pair the merge thread swaps
 /// atomically under the delta *write* lock — a reader can never see a
 /// merged index paired with an unpruned delta (the overlay's
-/// `base_rows` assertion would catch it) or vice versa.
+/// `base_rows` check would catch it) or vice versa.
 pub struct IndexHandler {
     serving: Mutex<Arc<Serving>>,
-    /// In-memory ingest delta extending the serving index. Guarded by
-    /// an [`RwLock`] so concurrent queries share it while ingest and
-    /// the merge swap take it exclusively.
-    delta: RwLock<DeltaIndex>,
+    /// In-memory ingest delta extending a one-attribute table (`None`
+    /// for wider tables). Guarded by an [`RwLock`] so concurrent queries
+    /// share it while ingest and the merge swap take it exclusively.
+    delta: RwLock<Option<DeltaIndex>>,
     registry: MetricsRegistry,
     metrics: IndexMetrics,
-    /// Index generation: starts at 1, bumped by every successful
+    /// Table generation: starts at 1, bumped by every successful
     /// reload and every completed merge. Stamped on reply frames by
     /// the serving loop.
     epoch: AtomicU64,
-    request_threads: usize,
-    default_deadline_ms: u64,
-    pool_pages: usize,
-    pool_shards: usize,
-    delta_budget_bytes: usize,
-    merge_threshold_bytes: usize,
+    /// Evaluation, pool and ingest tunables.
+    config: ServerConfig,
     /// Merge wake-up: set under the mutex and notified when the delta
     /// crosses the merge threshold (or fills outright).
     merge_pending: Mutex<bool>,
@@ -799,26 +843,20 @@ pub struct IndexHandler {
 }
 
 impl IndexHandler {
-    /// Wraps `index` for serving under `config`'s evaluation tunables.
-    pub fn new(index: BitmapIndex, config: &ServerConfig) -> IndexHandler {
+    /// Wraps `table` (or a bare index) for serving under `config`'s
+    /// evaluation tunables.
+    pub fn new(table: impl Into<IndexedTable>, config: &ServerConfig) -> IndexHandler {
+        let table = table.into();
         let registry = MetricsRegistry::new();
         let metrics = IndexMetrics::new(&registry);
-        set_index_gauges(&registry, &index);
-        let pool_shards = config.workers.max(2);
-        let pool = ShardedBufferPool::new(config.pool_pages, pool_shards);
-        let delta = DeltaIndex::for_index(&index, config.delta_budget_bytes);
+        set_table_gauges(&registry, &table);
         IndexHandler {
-            serving: Mutex::new(Arc::new(Serving { index, pool })),
-            delta: RwLock::new(delta),
+            delta: RwLock::new(delta_for(&table, config.delta_budget_bytes)),
+            serving: Mutex::new(Serving::new(table, config)),
             registry,
             metrics,
             epoch: AtomicU64::new(1),
-            request_threads: config.request_threads,
-            default_deadline_ms: config.default_deadline_ms,
-            pool_pages: config.pool_pages,
-            pool_shards,
-            delta_budget_bytes: config.delta_budget_bytes,
-            merge_threshold_bytes: config.merge_threshold_bytes,
+            config: config.clone(),
             merge_pending: Mutex::new(false),
             merge_cv: Condvar::new(),
             merge_stop: AtomicBool::new(false),
@@ -829,123 +867,203 @@ impl IndexHandler {
         }
     }
 
-    /// The handler's slow-query log (testing and CLI hook).
-    pub fn slow_log(&self) -> &SlowLog {
-        &self.slow
-    }
-
-    /// Parses and evaluates a batch under the request deadline, charging
-    /// all eval-side metrics. Errors come back as ready-to-send responses.
-    /// Sampled requests (`meta.tracer` enabled) record the full
-    /// rewrite → decompose → eval span tree under `meta.span`; queries
-    /// over the slow threshold enter the slow-query log either way.
-    fn evaluate(
-        &self,
-        domain: EvalDomain,
-        deadline_ms: u32,
-        predicates: &[String],
-        meta: &RequestMeta,
-    ) -> Result<Vec<RowsReply>, Response> {
-        let eval_started = Instant::now();
-        // Delta read lock first, then the serving snapshot: the merge
-        // swaps both under the delta write lock, so this pair is
-        // consistent for the whole evaluation (see the struct docs).
+    /// The `(delta, serving)` pair a request evaluates against. The
+    /// delta read lock comes first and stays held by the caller: the
+    /// merge swaps both under the delta write lock, so the pair is
+    /// consistent for the whole evaluation (see the struct docs).
+    fn snapshot(&self) -> (RwLockReadGuard<'_, Option<DeltaIndex>>, Arc<Serving>) {
         let delta = self.delta.read().unwrap();
         let serving = Arc::clone(&self.serving.lock().unwrap());
-        let cardinality = serving.index.config().cardinality;
-        let mut queries = Vec::with_capacity(predicates.len());
-        for text in predicates {
-            match Query::parse(text, cardinality) {
-                Ok(q) => queries.push(q),
-                Err(e) => {
-                    self.metrics.bad_queries.inc();
-                    return Err(Response::Error {
-                        code: ErrorCode::BadQuery,
-                        message: e.to_string(),
-                    });
+        (delta, serving)
+    }
+
+    /// The typed reply to a failed evaluation: `DeadlineExceeded`, or
+    /// `Internal` naming the corrupt bitmap or the torn main/delta
+    /// pairing. The abandoned work's I/O is still recorded, so a corrupt
+    /// read shows in `bix_io_checksum_failures_total`.
+    fn eval_failed(&self, err: EvalError, deadline_ms: u64) -> Response {
+        self.metrics.io.record(&err.io);
+        match err.failure {
+            EvalFailure::DeadlineExceeded => {
+                self.metrics.deadline_exceeded.inc();
+                Response::Error {
+                    code: ErrorCode::DeadlineExceeded,
+                    message: format!("deadline of {deadline_ms}ms exceeded"),
                 }
             }
+            EvalFailure::Corrupt { .. } | EvalFailure::SnapshotMismatch { .. } => Response::Error {
+                code: ErrorCode::Internal,
+                message: err.to_string(),
+            },
         }
-        let (ms, opts) = request_opts(domain, deadline_ms, self.default_deadline_ms, meta);
-        let opts = EvalOptions {
-            delta: &[Some(&*delta)],
-            ..opts
+    }
+
+    /// Charges a parse or plan failure and answers it `BadQuery`.
+    fn parse_failed(&self, err: impl ToString) -> Response {
+        self.metrics.bad_queries.inc();
+        bad_query(err.to_string())
+    }
+
+    /// Evaluates `selection` against the current snapshot under the
+    /// request deadline, charging every eval-side metric, and builds its
+    /// reply. Predicates run through [`ParallelExecutor::execute`] on the
+    /// table's only index; an expression is planned and run through
+    /// [`ParallelExecutor::execute_plan`]. On a one-attribute table both
+    /// see the ingest delta. Errors come back as ready-to-send responses.
+    /// Sampled requests (`meta.tracer` enabled) record their span tree
+    /// under `meta.span`; requests over the slow threshold enter the
+    /// slow-query log either way.
+    fn evaluate(
+        &self,
+        selection: Selection<'_>,
+        domain: EvalDomain,
+        deadline_ms: u32,
+        meta: &RequestMeta,
+    ) -> Result<Response, Response> {
+        let started = Instant::now();
+        let (delta, serving) = self.snapshot();
+        let deltas = [delta.as_ref()];
+        // The request's own deadline, or the server default when it sent
+        // 0 (0: none).
+        let ms = match deadline_ms {
+            0 => self.config.default_deadline_ms,
+            ms => u64::from(ms),
         };
-        let executor = ParallelExecutor::new(self.request_threads.max(1));
-        let batch = executor
-            .execute(
-                &serving.index,
-                &queries,
-                &serving.pool,
-                &CostModel::default(),
-                &opts,
-            )
-            .map_err(|e| eval_failed(&self.registry, &self.metrics.deadline_exceeded, e, ms))?;
-        IoMetrics::register(&self.registry).record(&batch.io);
-        self.metrics.queries.add(queries.len() as u64);
-        let total_scans: u64 = batch.results.iter().map(|r| r.scans as u64).sum();
+        let opts = EvalOptions {
+            domain,
+            tracer: &meta.tracer,
+            parent: meta.span,
+            deadline: (ms > 0).then(|| Instant::now() + Duration::from_millis(ms)),
+            delta: &deltas,
+        };
+        let executor = ParallelExecutor::new(self.config.request_threads.max(1));
+        let cost = CostModel::default();
+        let (io, results) = match selection {
+            Selection::Predicates { texts, .. } => {
+                let Some(index) = serving.table.single_index() else {
+                    return Err(bad_query(format!(
+                        "this server serves a table of {} attributes; a single-index predicate \
+                         names none of them — send a table query instead",
+                        serving.schema.len()
+                    )));
+                };
+                let cardinality = index.config().cardinality;
+                let queries = texts
+                    .iter()
+                    .map(|text| Query::parse(text, cardinality))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(|e| self.parse_failed(e))?;
+                let batch = executor
+                    .execute(index, &queries, &serving.pool, &cost, &opts)
+                    .map_err(|e| self.eval_failed(e, ms))?;
+                let results = batch.results.into_iter().map(|r| {
+                    self.metrics
+                        .eval
+                        .record(r.decompressions, r.nodes_raw, r.nodes_compressed);
+                    (r.bitmap, r.scans, r.decompressions)
+                });
+                (batch.io, results.collect::<Vec<_>>())
+            }
+            Selection::Expression { text, .. } => {
+                let plan =
+                    Planner::plan_text(&serving.schema, text).map_err(|e| self.parse_failed(e))?;
+                let r = executor
+                    .execute_plan(&serving.table, &plan, &serving.pool, &cost, &opts)
+                    .map_err(|e| self.eval_failed(e, ms))?;
+                self.metrics
+                    .eval
+                    .record(r.decompressions, r.nodes_raw, r.nodes_compressed);
+                (r.io, vec![(r.bitmap, r.scans, r.decompressions)])
+            }
+        };
+        drop(delta);
+        self.metrics.io.record(&io);
+        self.metrics.queries.add(results.len() as u64);
         self.slow
-            .observe(eval_started.elapsed().as_nanos() as u64, || SlowQuery {
-                predicate: summarize_predicates(predicates),
-                duration_ns: eval_started.elapsed().as_nanos() as u64,
+            .observe(started.elapsed().as_nanos() as u64, || SlowQuery {
+                predicate: match selection {
+                    Selection::Predicates { texts, .. } => summarize_predicates(texts),
+                    Selection::Expression { text, .. } => text.to_string(),
+                },
+                duration_ns: started.elapsed().as_nanos() as u64,
                 trace_id: meta.trace.trace_id,
-                scans: total_scans,
+                scans: results.iter().map(|r| r.1 as u64).sum(),
                 unix_ms: unix_ms_now(),
             });
+        if let Selection::Expression {
+            count_only: true, ..
+        } = selection
+        {
+            // COUNT pushdown: a popcount over the folded bitmap; row ids
+            // are never materialised or shipped.
+            self.metrics.counts.inc();
+            let (bitmap, scans, decompressions) = &results[0];
+            return Ok(Response::Count {
+                count: bitmap.count_ones() as u64,
+                scans: *scans as u64,
+                decompressions: *decompressions as u64,
+            });
+        }
         // Bound the reply frame before building it: every row id costs 8
-        // payload bytes and each per-query header 24, and a frame larger
-        // than MAX_PAYLOAD must surface as a typed error, not a panic.
-        let reply_bytes: u64 = batch
-            .results
+        // payload bytes, each reply header 24 and the frame 8, and a frame
+        // larger than MAX_PAYLOAD must surface as a typed error, not a panic.
+        let reply_bytes: u64 = results
             .iter()
-            .map(|r| 24 + 8 * r.bitmap.count_ones() as u64)
+            .map(|(bitmap, ..)| 24 + 8 * bitmap.count_ones() as u64)
             .sum::<u64>()
             + 8;
         if reply_bytes > u64::from(crate::protocol::MAX_PAYLOAD) {
             return Err(Response::Error {
                 code: ErrorCode::Internal,
                 message: format!(
-                    "reply of {reply_bytes} bytes exceeds the frame cap; narrow the queries or split the batch"
+                    "reply of {reply_bytes} bytes exceeds the frame cap; narrow the query, \
+                     split the batch or ask for a count"
                 ),
             });
         }
-        let mut replies = Vec::with_capacity(batch.results.len());
-        for result in &batch.results {
-            self.metrics.eval.record(
-                result.decompressions,
-                result.nodes_raw,
-                result.nodes_compressed,
-            );
-            let rows = row_ids(result.bitmap.count_ones(), result.bitmap.ones());
-            self.metrics.rows_returned.add(rows.len() as u64);
-            replies.push(RowsReply {
-                scans: result.scans as u64,
-                decompressions: result.decompressions as u64,
-                rows,
-            });
-        }
-        Ok(replies)
+        let mut replies: Vec<RowsReply> = results
+            .into_iter()
+            .map(|(bitmap, scans, decompressions)| {
+                // One allocation of exactly the reply's ids.
+                let mut rows = Vec::with_capacity(bitmap.count_ones());
+                rows.extend(bitmap.ones().map(|p| p as u64));
+                self.metrics.rows_returned.add(rows.len() as u64);
+                RowsReply {
+                    scans: scans as u64,
+                    decompressions: decompressions as u64,
+                    rows,
+                }
+            })
+            .collect();
+        Ok(match selection {
+            Selection::Predicates { batch: true, .. } => Response::BatchRows(replies),
+            _ => Response::Rows(replies.pop().expect("one selection, one reply")),
+        })
     }
 
-    /// Loads, verifies, and atomically swaps in a new index, bumping
-    /// the epoch so routers re-learn this shard's shape. The fresh
-    /// buffer pool guarantees no page cached for the old index's file
-    /// ids is ever returned for the new one. The ingest delta extended
-    /// the *old* index, so a reload resets it: rows not yet merged are
-    /// dropped with the dataset they belonged to.
+    /// Publishes `table`'s shape and makes it the serving snapshot, with
+    /// a fresh buffer pool so no page cached for the old snapshot's file
+    /// ids is ever returned for the new one. Callers hold the delta
+    /// write lock.
+    fn install(&self, table: IndexedTable) {
+        set_table_gauges(&self.registry, &table);
+        *self.serving.lock().unwrap() = Serving::new(table, &self.config);
+    }
+
+    /// Opens (either file format), verifies, and atomically swaps in a
+    /// new table, bumping the epoch so routers re-learn this shard's
+    /// shape. The ingest delta extended the *old* table, so a reload
+    /// resets it: rows not yet merged are dropped with the dataset they
+    /// belonged to.
     fn reload(&self, path: &str) -> Result<(), String> {
-        let mut index = BitmapIndex::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-        let report = index.verify();
-        if !report.is_clean() {
-            return Err(format!(
-                "refusing reload: index at {path} failed verification"
-            ));
+        let mut catalog = Catalog::open(path).map_err(|e| format!("cannot load {path}: {e}"))?;
+        if catalog.verify().iter().any(|(_, r)| !r.is_clean()) {
+            return Err(format!("refusing reload: {path} failed verification"));
         }
-        let pool = ShardedBufferPool::new(self.pool_pages, self.pool_shards);
-        set_index_gauges(&self.registry, &index);
+        let table = catalog.into_table();
         let mut delta = self.delta.write().unwrap();
-        *delta = DeltaIndex::for_index(&index, self.delta_budget_bytes);
-        *self.serving.lock().unwrap() = Arc::new(Serving { index, pool });
+        *delta = delta_for(&table, self.config.delta_budget_bytes);
+        self.install(table);
         self.epoch.fetch_add(1, Ordering::AcqRel);
         self.metrics.reloads.inc();
         self.metrics.delta_rows.set(0.0);
@@ -960,54 +1078,56 @@ impl IndexHandler {
     /// reply was lost must never be blindly retried: ingest is not
     /// idempotent).
     fn ingest(&self, values: &[u64]) -> Response {
-        let mut delta = self.delta.write().unwrap();
-        match delta.absorb(values) {
-            Ok(appended) => {
-                let stats = delta.stats();
-                drop(delta);
-                self.metrics.ingest_rows.add(appended as u64);
-                self.metrics.delta_rows.set(stats.rows as f64);
-                self.metrics.delta_bytes.set(stats.bytes as f64);
-                // Queryable rows = main + delta; routers size row
-                // offsets from this gauge.
-                self.metrics
-                    .index_rows
-                    .set((stats.base_rows + stats.rows) as f64);
-                if stats.bytes >= self.merge_threshold_bytes {
-                    self.kick_merge();
-                }
-                Response::Ingested {
-                    appended: appended as u64,
-                    delta_rows: stats.rows as u64,
-                    total_rows: (stats.base_rows + stats.rows) as u64,
-                }
-            }
-            Err(e @ AppendError::OutOfDomain { .. }) => {
-                drop(delta);
-                self.metrics.ingest_rejected.inc();
-                Response::Error {
-                    code: ErrorCode::BadQuery,
-                    message: e.to_string(),
-                }
-            }
-            Err(e @ AppendError::MemtableFull { .. }) => {
-                drop(delta);
-                self.metrics.ingest_rejected.inc();
-                self.kick_merge();
-                Response::Error {
-                    code: ErrorCode::Overloaded,
-                    message: e.to_string(),
-                }
-            }
+        let mut guard = self.delta.write().unwrap();
+        let Some(delta) = guard.as_mut() else {
+            return bad_query(
+                "this server serves a table of several attributes; an ingest frame carries \
+                 one column"
+                    .into(),
+            );
+        };
+        let absorbed = delta
+            .absorb(values)
+            .map(|appended| (appended, delta.stats()));
+        drop(guard);
+        let (appended, stats) = match absorbed {
+            Ok(ok) => ok,
             Err(e) => {
-                drop(delta);
                 self.metrics.ingest_rejected.inc();
-                Response::Error {
-                    code: ErrorCode::Internal,
+                let code = match e {
+                    AppendError::OutOfDomain { .. } => ErrorCode::BadQuery,
+                    AppendError::MemtableFull { .. } => {
+                        self.kick_merge();
+                        ErrorCode::Overloaded
+                    }
+                    _ => ErrorCode::Internal,
+                };
+                return Response::Error {
+                    code,
                     message: e.to_string(),
-                }
+                };
             }
+        };
+        self.metrics.ingest_rows.add(appended as u64);
+        self.publish_delta(&stats);
+        if stats.bytes >= self.config.merge_threshold_bytes {
+            self.kick_merge();
         }
+        Response::Ingested {
+            appended: appended as u64,
+            delta_rows: stats.rows as u64,
+            total_rows: (stats.base_rows + stats.rows) as u64,
+        }
+    }
+
+    /// Publishes the delta's shape. `bix_index_rows` counts queryable
+    /// rows, main + delta: routers size row offsets from it.
+    fn publish_delta(&self, stats: &DeltaStats) {
+        self.metrics.delta_rows.set(stats.rows as f64);
+        self.metrics.delta_bytes.set(stats.bytes as f64);
+        self.metrics
+            .index_rows
+            .set((stats.base_rows + stats.rows) as f64);
     }
 
     /// Wakes the merge thread.
@@ -1018,9 +1138,10 @@ impl IndexHandler {
 
     /// The background merge thread: waits for a kick (or polls the
     /// threshold) and compacts the delta into the main index until the
-    /// server drains. Rows still buffered at shutdown are in-memory
-    /// only and are dropped — durability is the merge's product, not
-    /// the delta's promise.
+    /// server drains. It stays idle while a wider table (no delta) is
+    /// served. Rows still buffered at shutdown are in-memory only and
+    /// are dropped — durability is the merge's product, not the delta's
+    /// promise.
     fn merge_loop(&self) {
         while !self.merge_stop.load(Ordering::Acquire) {
             let kicked = {
@@ -1036,8 +1157,12 @@ impl IndexHandler {
             if self.merge_stop.load(Ordering::Acquire) {
                 break;
             }
-            let over_threshold =
-                { self.delta.read().unwrap().bytes_used() >= self.merge_threshold_bytes };
+            let over_threshold = self
+                .delta
+                .read()
+                .unwrap()
+                .as_ref()
+                .is_some_and(|d| d.bytes_used() >= self.config.merge_threshold_bytes);
             if kicked || over_threshold {
                 self.merge_once();
             }
@@ -1056,57 +1181,49 @@ impl IndexHandler {
     pub fn merge_once(&self) -> usize {
         let epoch_at = self.epoch.load(Ordering::Acquire);
         let (values, serving) = {
-            let delta = self.delta.read().unwrap();
-            if delta.is_empty() {
-                return 0;
+            let (delta, serving) = self.snapshot();
+            match delta.as_ref() {
+                Some(delta) if !delta.is_empty() => (delta.values().to_vec(), serving),
+                _ => return 0,
             }
-            (
-                delta.values().to_vec(),
-                Arc::clone(&self.serving.lock().unwrap()),
-            )
         };
+        let index = serving
+            .table
+            .single_index()
+            .expect("a delta only extends a one-attribute table");
         // Clone the index by round-tripping the persistence format —
         // the only supported way to copy an index, and it keeps the
         // maintenance work entirely off the serving snapshot.
-        let mut buf = Vec::new();
-        if serving.index.save_to(&mut buf).is_err() {
+        let merged = (|| {
+            let mut buf = Vec::new();
+            index.save_to(&mut buf).ok()?;
+            let mut merged = BitmapIndex::load_from(&buf[..]).ok()?;
+            merged.try_append(&values).ok()?;
+            Some(merged)
+        })();
+        let Some(merged) = merged else {
             self.metrics.merge_failures.inc();
             return 0;
-        }
-        let mut merged = match BitmapIndex::load_from(&buf[..]) {
-            Ok(ix) => ix,
-            Err(_) => {
-                self.metrics.merge_failures.inc();
-                return 0;
-            }
         };
-        if merged.try_append(&values).is_err() {
-            self.metrics.merge_failures.inc();
-            return 0;
-        }
-        let pool = ShardedBufferPool::new(self.pool_pages, self.pool_shards);
-        let mut delta = self.delta.write().unwrap();
+        let mut table = IndexedTable::new(merged.rows());
+        table.add_index(&serving.schema.attr(0).name, merged);
+        let mut guard = self.delta.write().unwrap();
         if self.epoch.load(Ordering::Acquire) != epoch_at {
-            // A reload replaced the index while we merged; our merged
+            // A reload replaced the table while we merged; our merged
             // copy extends a dead snapshot. Abandon it.
             self.metrics.merge_failures.inc();
             return 0;
         }
-        set_index_gauges(&self.registry, &merged);
-        *self.serving.lock().unwrap() = Arc::new(Serving {
-            index: merged,
-            pool,
-        });
+        self.install(table);
+        let delta = guard
+            .as_mut()
+            .expect("the epoch is unchanged, so the delta still exists");
         delta.prune_merged(values.len());
         let stats = delta.stats();
-        drop(delta);
+        drop(guard);
         self.epoch.fetch_add(1, Ordering::AcqRel);
         self.metrics.merges.inc();
-        self.metrics.delta_rows.set(stats.rows as f64);
-        self.metrics.delta_bytes.set(stats.bytes as f64);
-        self.metrics
-            .index_rows
-            .set((stats.base_rows + stats.rows) as f64);
+        self.publish_delta(&stats);
         values.len()
     }
 }
@@ -1139,18 +1256,39 @@ impl ServeHandler for IndexHandler {
                 domain,
                 deadline_ms,
                 predicate,
-            } => match self.evaluate(domain, deadline_ms, &[predicate], meta) {
-                Ok(mut rows) => Response::Rows(rows.pop().expect("one query in, one reply out")),
-                Err(resp) => resp,
-            },
+            } => {
+                let selection = Selection::Predicates {
+                    texts: &[predicate],
+                    batch: false,
+                };
+                self.evaluate(selection, domain, deadline_ms, meta)
+                    .unwrap_or_else(|resp| resp)
+            }
             Request::Batch {
                 domain,
                 deadline_ms,
                 predicates,
-            } => match self.evaluate(domain, deadline_ms, &predicates, meta) {
-                Ok(rows) => Response::BatchRows(rows),
-                Err(resp) => resp,
-            },
+            } => {
+                let selection = Selection::Predicates {
+                    texts: &predicates,
+                    batch: true,
+                };
+                self.evaluate(selection, domain, deadline_ms, meta)
+                    .unwrap_or_else(|resp| resp)
+            }
+            Request::TableQuery {
+                domain,
+                deadline_ms,
+                count_only,
+                text,
+            } => {
+                let selection = Selection::Expression {
+                    text: &text,
+                    count_only,
+                };
+                self.evaluate(selection, domain, deadline_ms, meta)
+                    .unwrap_or_else(|resp| resp)
+            }
             Request::Reload { path } => match self.reload(&path) {
                 Ok(()) => Response::Ok,
                 Err(message) => Response::Error {
@@ -1159,12 +1297,6 @@ impl ServeHandler for IndexHandler {
                 },
             },
             Request::Ingest { values } => self.ingest(&values),
-            Request::TableQuery { .. } => Response::Error {
-                code: ErrorCode::BadQuery,
-                message: "this server serves a single index; table queries need a catalog \
-                          (`bix serve <table.bixcat>`)"
-                    .into(),
-            },
         }
     }
 
@@ -1179,289 +1311,6 @@ impl ServeHandler for IndexHandler {
     fn on_drain(&self) {
         self.merge_stop.store(true, Ordering::Release);
         self.merge_cv.notify_all();
-    }
-}
-
-/// The immutable catalog serving snapshot: the table, its resolved
-/// schema, and the buffer pool every attribute index shares. Swapped
-/// wholesale on reload, same discipline as [`Serving`].
-struct CatalogServing {
-    table: IndexedTable,
-    schema: TableSchema,
-    pool: ShardedBufferPool,
-}
-
-/// Catalog-serving metrics, separate from the transport's.
-struct CatalogMetrics {
-    queries: Arc<Counter>,
-    counts: Arc<Counter>,
-    rows_returned: Arc<Counter>,
-    deadline_exceeded: Arc<Counter>,
-    bad_queries: Arc<Counter>,
-    reloads: Arc<Counter>,
-    eval: EvalMetrics,
-}
-
-impl CatalogMetrics {
-    fn new(registry: &MetricsRegistry) -> CatalogMetrics {
-        let c = |name: &str, help: &str| registry.counter(name, help);
-        CatalogMetrics {
-            queries: c("bix_server_queries_total", "Table queries evaluated"),
-            counts: c(
-                "bix_server_counts_total",
-                "Table queries answered by COUNT pushdown (no rows shipped)",
-            ),
-            rows_returned: c("bix_server_rows_returned_total", "Row ids sent to clients"),
-            deadline_exceeded: c(
-                "bix_server_deadline_exceeded_total",
-                "Requests that ran past their deadline",
-            ),
-            bad_queries: c(
-                "bix_server_bad_queries_total",
-                "Expressions rejected by the parser or planner",
-            ),
-            reloads: c("bix_server_reloads_total", "Successful hot catalog reloads"),
-            eval: EvalMetrics::register(registry),
-        }
-    }
-}
-
-/// Publishes the catalog-shape gauges. `bix_index_rows` is the same
-/// gauge name an index shard publishes, so a router learns a catalog
-/// shard's row count through the exact same stats scrape.
-fn set_catalog_gauges(registry: &MetricsRegistry, table: &IndexedTable) {
-    let set = |name: &str, help: &str, v: f64| registry.gauge(name, help).set(v);
-    set("bix_index_rows", "Indexed records", table.rows() as f64);
-    set(
-        "bix_catalog_attrs",
-        "Attributes in the served catalog",
-        table.schema().len() as f64,
-    );
-    set(
-        "bix_index_stored_bytes",
-        "On-disk catalog size (compressed)",
-        table.space_bytes() as f64,
-    );
-}
-
-/// [`ServeHandler`] for a multi-attribute catalog: parse the boolean
-/// expression against the catalog's schema, plan it (rewrite + DNF),
-/// execute across the per-attribute indexes under the request deadline,
-/// and reply with rows or — for count-only requests — a popcount that
-/// never materialises row ids.
-///
-/// Single-index requests (`Query`, `Batch`, `Ingest`) are refused with
-/// typed errors: predicates have no attribute name to resolve against a
-/// catalog, and this keeps the two serving roles honest on the wire.
-pub struct CatalogHandler {
-    serving: Mutex<Arc<CatalogServing>>,
-    registry: MetricsRegistry,
-    metrics: CatalogMetrics,
-    /// Catalog generation: starts at 1, bumped by every successful
-    /// reload. Stamped on reply frames by the serving loop.
-    epoch: AtomicU64,
-    request_threads: usize,
-    default_deadline_ms: u64,
-    pool_pages: usize,
-    pool_shards: usize,
-    /// Bounded slow-query reservoir, served by [`Request::SlowLog`].
-    slow: SlowLog,
-}
-
-impl CatalogHandler {
-    /// Wraps `catalog` for serving under `config`'s evaluation tunables.
-    pub fn new(catalog: Catalog, config: &ServerConfig) -> CatalogHandler {
-        let registry = MetricsRegistry::new();
-        let metrics = CatalogMetrics::new(&registry);
-        let table = catalog.into_table();
-        set_catalog_gauges(&registry, &table);
-        let pool_shards = config.workers.max(2);
-        let pool = ShardedBufferPool::new(config.pool_pages, pool_shards);
-        let schema = table.schema();
-        CatalogHandler {
-            serving: Mutex::new(Arc::new(CatalogServing {
-                table,
-                schema,
-                pool,
-            })),
-            registry,
-            metrics,
-            epoch: AtomicU64::new(1),
-            request_threads: config.request_threads,
-            default_deadline_ms: config.default_deadline_ms,
-            pool_pages: config.pool_pages,
-            pool_shards,
-            slow: SlowLog::new(
-                config.slow_log_capacity,
-                config.slow_threshold_ms.saturating_mul(1_000_000),
-            ),
-        }
-    }
-
-    /// The handler's slow-query log (testing and CLI hook).
-    pub fn slow_log(&self) -> &SlowLog {
-        &self.slow
-    }
-
-    /// Plans and executes one expression under the request deadline,
-    /// charging eval-side metrics. Errors come back as ready-to-send
-    /// responses.
-    fn evaluate(
-        &self,
-        domain: EvalDomain,
-        deadline_ms: u32,
-        text: &str,
-        meta: &RequestMeta,
-    ) -> Result<bix_core::PlanEvalResult, Response> {
-        let eval_started = Instant::now();
-        let serving = Arc::clone(&self.serving.lock().unwrap());
-        let plan = match Planner::plan_text(&serving.schema, text) {
-            Ok(plan) => plan,
-            Err(e) => {
-                self.metrics.bad_queries.inc();
-                return Err(Response::Error {
-                    code: ErrorCode::BadQuery,
-                    message: e.to_string(),
-                });
-            }
-        };
-        let (ms, opts) = request_opts(domain, deadline_ms, self.default_deadline_ms, meta);
-        let executor = ParallelExecutor::new(self.request_threads.max(1));
-        let result = executor
-            .execute_plan(
-                &serving.table,
-                &plan,
-                &serving.pool,
-                &CostModel::default(),
-                &opts,
-            )
-            .map_err(|e| eval_failed(&self.registry, &self.metrics.deadline_exceeded, e, ms))?;
-        IoMetrics::register(&self.registry).record(&result.io);
-        self.metrics.queries.inc();
-        self.metrics.eval.record(
-            result.decompressions,
-            result.nodes_raw,
-            result.nodes_compressed,
-        );
-        self.slow
-            .observe(eval_started.elapsed().as_nanos() as u64, || SlowQuery {
-                predicate: text.to_string(),
-                duration_ns: eval_started.elapsed().as_nanos() as u64,
-                trace_id: meta.trace.trace_id,
-                scans: result.scans as u64,
-                unix_ms: unix_ms_now(),
-            });
-        Ok(result)
-    }
-
-    /// Loads, verifies, and atomically swaps in a new catalog, bumping
-    /// the epoch so routers re-learn this shard's shape.
-    fn reload(&self, path: &str) -> Result<(), String> {
-        let mut catalog =
-            Catalog::load(path).map_err(|e| format!("cannot load catalog {path}: {e}"))?;
-        if catalog
-            .verify()
-            .iter()
-            .any(|(_, report)| !report.is_clean())
-        {
-            return Err(format!(
-                "refusing reload: catalog at {path} failed verification"
-            ));
-        }
-        let table = catalog.into_table();
-        let pool = ShardedBufferPool::new(self.pool_pages, self.pool_shards);
-        set_catalog_gauges(&self.registry, &table);
-        let schema = table.schema();
-        *self.serving.lock().unwrap() = Arc::new(CatalogServing {
-            table,
-            schema,
-            pool,
-        });
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        self.metrics.reloads.inc();
-        Ok(())
-    }
-}
-
-impl ServeHandler for CatalogHandler {
-    fn handle(&self, request: Request, meta: &RequestMeta) -> Response {
-        match request {
-            Request::Ping => Response::Pong,
-            Request::Shutdown => Response::Ok,
-            Request::Stats(format) => Response::Stats {
-                text: match format {
-                    StatsFormat::Prometheus => self.registry.snapshot().to_prometheus(),
-                    StatsFormat::Json => self.registry.snapshot().to_json(),
-                },
-            },
-            Request::SlowLog => Response::Stats {
-                text: self.slow.to_json(),
-            },
-            Request::TableQuery {
-                domain,
-                deadline_ms,
-                count_only,
-                text,
-            } => match self.evaluate(domain, deadline_ms, &text, meta) {
-                Err(resp) => resp,
-                Ok(result) if count_only => {
-                    // COUNT pushdown: a popcount over the folded bitmap;
-                    // row ids are never materialised or shipped.
-                    self.metrics.counts.inc();
-                    Response::Count {
-                        count: result.count(),
-                        scans: result.scans as u64,
-                        decompressions: result.decompressions as u64,
-                    }
-                }
-                Ok(result) => {
-                    // Bound the reply frame before building it (same
-                    // discipline as the index handler's batch path).
-                    let reply_bytes = 32 + 8 * result.bitmap.count_ones() as u64;
-                    if reply_bytes > u64::from(crate::protocol::MAX_PAYLOAD) {
-                        return Response::Error {
-                            code: ErrorCode::Internal,
-                            message: format!(
-                                "reply of {reply_bytes} bytes exceeds the frame cap; narrow the \
-                                 query or use a count"
-                            ),
-                        };
-                    }
-                    let rows = row_ids(result.bitmap.count_ones(), result.bitmap.ones());
-                    self.metrics.rows_returned.add(rows.len() as u64);
-                    Response::Rows(RowsReply {
-                        scans: result.scans as u64,
-                        decompressions: result.decompressions as u64,
-                        rows,
-                    })
-                }
-            },
-            Request::Reload { path } => match self.reload(&path) {
-                Ok(()) => Response::Ok,
-                Err(message) => Response::Error {
-                    code: ErrorCode::Internal,
-                    message,
-                },
-            },
-            Request::Query { .. } | Request::Batch { .. } => Response::Error {
-                code: ErrorCode::BadQuery,
-                message: "this server serves a catalog; single-index predicates have no \
-                          attribute name — send a table query instead"
-                    .into(),
-            },
-            Request::Ingest { .. } => Response::Error {
-                code: ErrorCode::BadQuery,
-                message: "catalog serving does not accept ingest".into(),
-            },
-        }
-    }
-
-    fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
     }
 }
 
@@ -1589,7 +1438,7 @@ mod tests {
     }
 
     #[test]
-    fn index_server_refuses_table_queries_typed() {
+    fn index_server_answers_table_queries_like_predicates() {
         let column: Vec<u64> = (0..500u64).map(|i| i % 8).collect();
         let index = BitmapIndex::build(
             &column,
@@ -1597,11 +1446,153 @@ mod tests {
         );
         let server = Server::start(index, "127.0.0.1:0", ServerConfig::default()).unwrap();
         let mut client = crate::Client::connect(server.addr()).unwrap();
+        let want = client.query("3..5", EvalDomain::Auto, 0).unwrap().rows;
+        let oracle: Vec<u64> = (0..500u64).filter(|i| (3..=5).contains(&(i % 8))).collect();
+        assert_eq!(want, oracle);
+        let text = "value in {3, 4, 5}";
+        let reply = client.table_query(text, EvalDomain::Auto, 0).unwrap();
+        assert_eq!(reply.rows, want);
+        let count = client.table_count(text, EvalDomain::Auto, 0).unwrap();
+        assert_eq!(count.count, want.len() as u64);
+        // The attribute has one name; others are planner errors.
         let err = client
             .table_query("region = 1", EvalDomain::Auto, 0)
             .unwrap_err();
         assert!(err.is_code(ErrorCode::BadQuery), "{err:?}");
         server.shutdown();
+    }
+
+    /// Rows a handler returns for a predicate and for the same
+    /// selection as a table query and a COUNT, which must agree.
+    fn answers(handler: &IndexHandler, predicate: &str, text: &str) -> Vec<u64> {
+        let meta = RequestMeta::default();
+        let rows = |request| match handler.handle(request, &meta) {
+            Response::Rows(reply) => reply.rows,
+            other => panic!("want rows, got {other:?}"),
+        };
+        let want = rows(Request::Query {
+            domain: EvalDomain::Auto,
+            deadline_ms: 0,
+            predicate: predicate.into(),
+        });
+        let table = |count_only| Request::TableQuery {
+            domain: EvalDomain::Auto,
+            deadline_ms: 0,
+            count_only,
+            text: text.into(),
+        };
+        assert_eq!(rows(table(false)), want, "{text} vs {predicate}");
+        match handler.handle(table(true), &meta) {
+            Response::Count { count, .. } => assert_eq!(count, want.len() as u64),
+            other => panic!("want a count, got {other:?}"),
+        }
+        want
+    }
+
+    #[test]
+    fn table_queries_see_ingested_rows_before_and_after_the_merge() {
+        let column: Vec<u64> = (0..1_000u64).map(|i| (i * 7) % 20).collect();
+        let index = BitmapIndex::build(
+            &column,
+            &IndexConfig::one_component(20, EncodingScheme::Interval),
+        );
+        let handler = IndexHandler::new(index, &ServerConfig::default());
+        let (predicate, text) = ("4..9", "value >= 4 and value <= 9");
+        let oracle = |column: &[u64]| -> Vec<u64> {
+            (0..column.len() as u64)
+                .filter(|&i| (4..=9).contains(&column[i as usize]))
+                .collect()
+        };
+        let mut all = column.clone();
+        assert_eq!(answers(&handler, predicate, text), oracle(&all));
+
+        let batch: Vec<u64> = (0..300u64).map(|i| (i * 3) % 20).collect();
+        let meta = RequestMeta::default();
+        match handler.handle(
+            Request::Ingest {
+                values: batch.clone(),
+            },
+            &meta,
+        ) {
+            Response::Ingested { appended, .. } => assert_eq!(appended, 300),
+            other => panic!("ingest refused: {other:?}"),
+        }
+        all.extend(&batch);
+        assert_eq!(answers(&handler, predicate, text), oracle(&all));
+
+        assert_eq!(handler.merge_once(), 300);
+        assert_eq!(answers(&handler, predicate, text), oracle(&all));
+    }
+
+    #[test]
+    fn reload_switches_between_an_index_and_a_catalog() {
+        use bix_core::Catalog;
+
+        let dir = std::env::temp_dir().join(format!("bix-reload-shape-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let rows = 600usize;
+        let region: Vec<u64> = (0..rows as u64).map(|i| i % 4).collect();
+        let store: Vec<u64> = (0..rows as u64).map(|i| (i * 7) % 20).collect();
+        let mut catalog = Catalog::build(
+            rows,
+            &[
+                (
+                    "region",
+                    &region,
+                    IndexConfig::one_component(4, EncodingScheme::Equality),
+                ),
+                (
+                    "store",
+                    &store,
+                    IndexConfig::one_component(20, EncodingScheme::Interval),
+                ),
+            ],
+        );
+        let cat_path = dir.join("star.bixcat");
+        catalog.save(&cat_path).unwrap();
+        let bix_path = dir.join("region.bix");
+        BitmapIndex::build(
+            &region,
+            &IndexConfig::one_component(4, EncodingScheme::Equality),
+        )
+        .save(&bix_path)
+        .unwrap();
+
+        let index = BitmapIndex::build(
+            &store,
+            &IndexConfig::one_component(20, EncodingScheme::Interval),
+        );
+        let server = Server::start(index, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut client = crate::Client::connect(server.addr()).unwrap();
+        client.ping().unwrap();
+        assert_eq!(client.last_epoch(), 1);
+
+        client.reload(cat_path.to_str().unwrap()).unwrap();
+        assert_eq!(client.last_epoch(), 2, "reload must bump the epoch");
+        let text = "region = 1 and store < 10";
+        let want: Vec<u64> = (0..rows as u64)
+            .filter(|&i| region[i as usize] == 1 && store[i as usize] < 10)
+            .collect();
+        let reply = client.table_query(text, EvalDomain::Auto, 0).unwrap();
+        assert_eq!(reply.rows, want);
+        let err = client.query("=1", EvalDomain::Auto, 0).unwrap_err();
+        assert!(err.is_code(ErrorCode::BadQuery), "{err:?}");
+        let err = client.ingest(&[1, 2]).unwrap_err();
+        assert!(err.is_code(ErrorCode::BadQuery), "{err:?}");
+
+        client.reload(bix_path.to_str().unwrap()).unwrap();
+        assert_eq!(client.last_epoch(), 3);
+        let ack = client.ingest(&[1, 2, 3]).unwrap();
+        assert_eq!(ack.total_rows, rows as u64 + 3);
+        let reply = client
+            .table_query("value = 1", EvalDomain::Auto, 0)
+            .unwrap();
+        let mut want: Vec<u64> = (0..rows as u64).filter(|&i| i % 4 == 1).collect();
+        want.push(rows as u64);
+        assert_eq!(reply.rows, want, "the ingested 1 is visible");
+
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A trivial handler proving the serving loop is application-
@@ -1619,6 +1610,7 @@ mod tests {
                 Request::SlowLog => Response::Stats {
                     text: "x".repeat(crate::protocol::MAX_PAYLOAD as usize + 1),
                 },
+                Request::Reload { path } => panic!("echo handler cannot reload {path}"),
                 _ => Response::Error {
                     code: ErrorCode::Internal,
                     message: format!("echo handler, allow_degraded={}", meta.allow_degraded),
@@ -1693,6 +1685,37 @@ mod tests {
         }
         // The only worker survived and still serves this connection.
         write_frame(&mut stream, &Frame::new(8, Message::Request(Request::Ping))).unwrap();
+        let (reply, _) = read_frame(&mut stream).unwrap();
+        assert_eq!(reply.msg, Message::Response(Response::Pong));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_handler_is_answered_internal_and_the_worker_lives() {
+        let handler = Arc::new(EchoHandler {
+            registry: MetricsRegistry::new(),
+        });
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::serve(Arc::clone(&handler) as _, "127.0.0.1:0", config).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let reload = Request::Reload { path: "x".into() };
+        write_frame(&mut stream, &Frame::new(3, Message::Request(reload))).unwrap();
+        let (reply, _) = read_frame(&mut stream).unwrap();
+        assert_eq!(reply.request_id, 3);
+        match reply.msg {
+            Message::Response(Response::Error { code, message }) => {
+                assert_eq!(code, ErrorCode::Internal);
+                assert!(message.contains("cannot reload x"), "{message}");
+            }
+            other => panic!("want a typed Internal error, got {other:?}"),
+        }
+        let panics = handler.registry.counter("bix_server_panics_total", "");
+        assert_eq!(panics.get(), 1);
+        // The only worker survived and still serves this connection.
+        write_frame(&mut stream, &Frame::new(4, Message::Request(Request::Ping))).unwrap();
         let (reply, _) = read_frame(&mut stream).unwrap();
         assert_eq!(reply.msg, Message::Response(Response::Pong));
         server.shutdown();

@@ -51,12 +51,12 @@
 //!             # query  <predicate> [--eval-domain ...] [--deadline-ms MS]
 //!             #        [--trace] [--trace-out spans.jsonl]  # distributed trace
 //!             # table  "<expr>" [--count] [--eval-domain ...] [--deadline-ms MS]
-//!             #        # multi-attribute query against a catalog server or a
-//!             #        # router over catalog shards; --count sums shard popcounts
+//!             #        # multi-attribute query against a server (an index's
+//!             #        # attribute is `value`) or a router; --count sums popcounts
 //!             # batch  <file>      [--eval-domain ...] [--deadline-ms MS]
 //!             # stats  [--json]
 //!             # slowlog            # slow-query log (router: whole fleet)
-//!             # reload <server-side index path>
+//!             # reload <server-side .bix or .bixcat path>
 //!             # common: [--retries N] [--allow-degraded]
 //!             # exit codes: 0 ok, 2 usage/connect, 3 overloaded,
 //!             #             4 deadline, 5 degraded, 6 unavailable,
@@ -1105,27 +1105,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         )? << 20,
         ..defaults
     };
-    // A `.bixcat` path serves the whole catalog: multi-attribute table
-    // queries instead of single-index predicates.
-    if path.ends_with(".bixcat") {
-        let mut catalog = Catalog::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-        if catalog.verify().iter().any(|(_, r)| !r.is_clean()) {
-            return Err(format!("{path}: catalog failed verification; not serving"));
-        }
-        let server = Server::start_catalog(catalog, addr.as_str(), config)
-            .map_err(|e| format!("cannot bind {addr}: {e}"))?;
-        println!("serving catalog {path} on {}", server.addr());
-        server.join();
-        eprintln!("server stopped");
-        return Ok(());
+    // Either file format: a `.bixcat` catalog, or one index served as
+    // the one-attribute table `value`. Never serve data that fails
+    // verification; a reload request applies the same gate.
+    let mut catalog = Catalog::open(path).map_err(|e| format!("cannot load {path}: {e}"))?;
+    if catalog.verify().iter().any(|(_, r)| !r.is_clean()) {
+        return Err(format!("{path}: failed verification; not serving"));
     }
-    let mut index = BitmapIndex::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-    // Never serve an index that fails verification; a reload request
-    // applies the same gate.
-    if !index.verify().is_clean() {
-        return Err(format!("{path}: index failed verification; not serving"));
-    }
-    let server = Server::start(index, addr.as_str(), config)
+    let server = Server::start_catalog(catalog, addr.as_str(), config)
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     println!("serving {path} on {}", server.addr());
     server.join();
@@ -1473,14 +1460,14 @@ subcommands:\n\
   ping                     round-trip liveness check\n\
   query <predicate>        evaluate one predicate, print matching rows\n\
   table <expr> [--count]   evaluate a boolean multi-attribute expression\n\
-                           against a catalog server (or a router over\n\
-                           catalog shards); --count sums shard popcounts\n\
+                           (an index server's attribute is `value`, or a\n\
+                           router over shards); --count sums shard popcounts\n\
                            without materialising rows, and never degrades\n\
   batch <file>             evaluate predicates from <file> (one per line, # comments)\n\
   stats [--json]           fetch live metrics (Prometheus text by default)\n\
   slowlog                  fetch the slow-query log (JSON; a router\n\
                            aggregates its own log plus every shard's)\n\
-  reload <path>            hot-swap the server's index from a server-side path\n\
+  reload <path>            hot-swap the server's data from a server-side .bix/.bixcat\n\
   shutdown                 ask the server to drain and stop\n\
   help                     print this text\n\
 \n\
