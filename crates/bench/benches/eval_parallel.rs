@@ -16,7 +16,7 @@
 use bix_bench::results;
 use bix_core::{
     BitmapIndex, BufferPool, CodecKind, CostModel, EncodingScheme, EvalOptions, EvalStrategy,
-    IndexConfig, ParallelExecutor, Query, ShardedBufferPool,
+    IndexConfig, IndexedTable, ParallelExecutor, Plan, Query, ShardedBufferPool, VALUE_ATTR,
 };
 use bix_workload::{DatasetSpec, QuerySetSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -28,7 +28,7 @@ const C: u64 = 200;
 const QUERIES: usize = 64;
 const POOL_PAGES: usize = 8192;
 
-fn setup() -> (BitmapIndex, Vec<Query>) {
+fn setup() -> (IndexedTable, Vec<Query>) {
     let data = DatasetSpec {
         rows: ROWS,
         cardinality: C,
@@ -37,7 +37,7 @@ fn setup() -> (BitmapIndex, Vec<Query>) {
     }
     .generate();
     let config = IndexConfig::one_component(C, EncodingScheme::Interval).with_codec(CodecKind::Bbc);
-    let index = BitmapIndex::build(&data.values, &config);
+    let index = IndexedTable::from(BitmapIndex::build(&data.values, &config));
     let queries: Vec<Query> = QuerySetSpec { n_int: 4, n_equ: 2 }
         .generate(C, QUERIES, 7)
         .into_iter()
@@ -46,7 +46,8 @@ fn setup() -> (BitmapIndex, Vec<Query>) {
     (index, queries)
 }
 
-fn run_sequential(index: &mut BitmapIndex, queries: &[Query]) -> usize {
+fn run_sequential(table: &mut IndexedTable, queries: &[Query]) -> usize {
+    let index = table.index_mut(VALUE_ATTR).expect("one attribute");
     let mut pool = BufferPool::new(POOL_PAGES);
     let cost = CostModel::default();
     let mut scans = 0usize;
@@ -58,12 +59,12 @@ fn run_sequential(index: &mut BitmapIndex, queries: &[Query]) -> usize {
     scans
 }
 
-fn run_parallel(index: &BitmapIndex, queries: &[Query], threads: usize) -> usize {
+fn run_parallel(table: &IndexedTable, plans: &[Plan], threads: usize) -> usize {
     let pool = ShardedBufferPool::new(POOL_PAGES, threads.max(2));
     ParallelExecutor::new(threads)
         .execute(
-            index,
-            queries,
+            table,
+            plans,
             &pool,
             &CostModel::default(),
             &EvalOptions::default(),
@@ -94,12 +95,13 @@ fn median_seconds(reps: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
-fn verify_agreement(index: &mut BitmapIndex, queries: &[Query]) {
+fn verify_agreement(table: &mut IndexedTable, queries: &[Query], plans: &[Plan]) {
     let cost = CostModel::default();
     let pool = ShardedBufferPool::new(POOL_PAGES, 4);
     let batch = ParallelExecutor::new(4)
-        .execute(index, queries, &pool, &cost, &EvalOptions::default())
+        .execute(table, plans, &pool, &cost, &EvalOptions::default())
         .expect("no deadline, no corruption");
+    let index = table.index_mut(VALUE_ATTR).expect("one attribute");
     let mut seq_pool = BufferPool::new(POOL_PAGES);
     for (i, q) in queries.iter().enumerate() {
         let want = index.evaluate_detailed(q, &mut seq_pool, EvalStrategy::ComponentWise, &cost);
@@ -108,17 +110,17 @@ fn verify_agreement(index: &mut BitmapIndex, queries: &[Query]) {
     }
 }
 
-fn write_results_json(index: &mut BitmapIndex, queries: &[Query]) {
+fn write_results_json(table: &mut IndexedTable, queries: &[Query], plans: &[Plan]) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let reps = 5;
     let seq = median_seconds(reps, || {
-        black_box(run_sequential(index, queries));
+        black_box(run_sequential(table, queries));
     });
     let mut lines = Vec::new();
     for t in thread_counts() {
-        let shared: &BitmapIndex = index;
+        let shared: &IndexedTable = table;
         let par = median_seconds(reps, || {
-            black_box(run_parallel(shared, queries, t));
+            black_box(run_parallel(shared, plans, t));
         });
         let speedup = seq / par;
         eprintln!(
@@ -136,7 +138,7 @@ fn write_results_json(index: &mut BitmapIndex, queries: &[Query]) {
     // (query span per batch entry, expression build, DAG fold, per-node
     // run + queue-wait), keyed by span phase.
     let traced = {
-        let shared: &BitmapIndex = index;
+        let shared: &IndexedTable = table;
         let pool = ShardedBufferPool::new(POOL_PAGES, 4);
         results::trace_run(|tracer| {
             let opts = EvalOptions {
@@ -145,7 +147,7 @@ fn write_results_json(index: &mut BitmapIndex, queries: &[Query]) {
             };
             black_box(ParallelExecutor::new(4).execute(
                 shared,
-                queries,
+                plans,
                 &pool,
                 &CostModel::default(),
                 &opts,
@@ -165,7 +167,8 @@ fn write_results_json(index: &mut BitmapIndex, queries: &[Query]) {
 
 fn bench_parallel(c: &mut Criterion) {
     let (mut index, queries) = setup();
-    verify_agreement(&mut index, &queries);
+    let plans: Vec<Plan> = queries.iter().cloned().map(Plan::from).collect();
+    verify_agreement(&mut index, &queries, &plans);
 
     let mut group = c.benchmark_group("eval_parallel");
     group.throughput(Throughput::Elements(QUERIES as u64));
@@ -173,14 +176,14 @@ fn bench_parallel(c: &mut Criterion) {
         b.iter(|| black_box(run_sequential(&mut index, &queries)))
     });
     for t in thread_counts() {
-        let shared: &BitmapIndex = &index;
+        let shared: &IndexedTable = &index;
         group.bench_function(BenchmarkId::new("parallel", t), |b| {
-            b.iter(|| black_box(run_parallel(shared, &queries, t)))
+            b.iter(|| black_box(run_parallel(shared, &plans, t)))
         });
     }
     group.finish();
 
-    write_results_json(&mut index, &queries);
+    write_results_json(&mut index, &queries, &plans);
 }
 
 criterion_group!(benches, bench_parallel);

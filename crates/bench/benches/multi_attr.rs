@@ -77,11 +77,14 @@ fn bench_multi_attr(c: &mut Criterion) {
     // The one-thread executor over a cold pool per execution, like the
     // naive tree's fresh per-attribute pools.
     let opts = EvalOptions::default();
+    let plans = [plan];
     let execute_sequential = |table: &IndexedTable| {
         let pool = ShardedBufferPool::new(8192, 2);
         ParallelExecutor::new(1)
-            .execute_plan(table, &plan, &pool, &cost, &opts)
+            .execute(table, &plans, &pool, &cost, &opts)
             .expect("no deadline, no corruption")
+            .results
+            .remove(0)
     };
     let sequential = execute_sequential(&table);
     assert_eq!(
@@ -93,8 +96,10 @@ fn bench_multi_attr(c: &mut Criterion) {
     let executor = ParallelExecutor::new(4);
     let execute_parallel = |table: &IndexedTable| {
         executor
-            .execute_plan(table, &plan, &pool, &cost, &opts)
+            .execute(table, &plans, &pool, &cost, &opts)
             .expect("no deadline, no corruption")
+            .results
+            .remove(0)
     };
     let parallel = execute_parallel(&table);
     assert_eq!(

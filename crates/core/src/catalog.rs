@@ -457,15 +457,18 @@ mod tests {
         let plan = Planner::new(&loaded.table().schema()).plan(&q).unwrap();
         let pool = crate::ShardedBufferPool::new(1024, 2);
         let planned = crate::ParallelExecutor::new(1)
-            .execute_plan(
+            .execute(
                 loaded.table(),
-                &plan,
+                &[plan],
                 &pool,
                 &crate::CostModel::default(),
                 &crate::EvalOptions::default(),
             )
             .unwrap();
-        assert_eq!(planned.bitmap.to_positions(), want.to_positions());
+        assert_eq!(
+            planned.results[0].bitmap.to_positions(),
+            want.to_positions()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

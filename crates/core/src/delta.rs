@@ -17,12 +17,13 @@
 //! independently on each bit position, so folding the same expression
 //! over the main bitmaps and over the delta tails, then concatenating
 //! the two results, is bit-identical to rebuilding the index from the
-//! concatenated column. [`DeltaIndex::overlay`] — run by the one
-//! evaluator for every query whose [`crate::EvalOptions`] carries a
-//! delta — appends the delta's answer to an [`EvalResult`] produced by
-//! the main index and splits
-//! the counters (`delta_scans` / `delta_rows`) so the cost accounting
-//! stays honest about which rows never touched the store.
+//! concatenated column. The one evaluator does exactly that for
+//! every plan whose [`crate::EvalOptions`] carries a delta: it folds the
+//! plan's DAG over the main indexes, folds the same DAG over the tails
+//! ([`DeltaIndex::tail`]), appends the second answer to the first and
+//! splits the counters (`delta_scans` / `delta_rows` of
+//! [`crate::EvalResult`]) so the cost accounting stays honest about
+//! which rows never touched the store.
 //!
 //! The memtable is bounded: [`DeltaIndex::absorb`] rejects a batch that
 //! would exceed the byte budget with [`AppendError::MemtableFull`] —
@@ -31,7 +32,7 @@
 //! through the journaled [`BitmapIndex::try_append`] protocol before
 //! the client retries.
 
-use crate::{AppendError, BitmapIndex, EvalFailure, EvalResult, Expr, IndexConfig};
+use crate::{AppendError, BitmapIndex, IndexConfig};
 use bix_bitvec::Bitvec;
 
 /// Gauges describing the current delta memtable (for `bix stats` and
@@ -215,36 +216,6 @@ impl DeltaIndex {
         Bitvec::from_words(self.rows, self.tails[component][slot].clone())
     }
 
-    /// Appends the delta's answer to a main-index [`EvalResult`], making
-    /// it the `main ∪ delta` answer. `merged` is the query's rewritten
-    /// expression: the delta shares the main index's [`IndexConfig`], so
-    /// the same expression folded over the tails answers the delta rows.
-    /// Splits the counters: tails folded go to `delta_scans`, appended
-    /// rows to `delta_rows`; the store-side counters are untouched (delta
-    /// reads never perform I/O).
-    ///
-    /// Fails with [`EvalFailure::SnapshotMismatch`], leaving `result`
-    /// untouched, if `result.bitmap` does not cover exactly
-    /// [`DeltaIndex::base_rows`] rows — the result was computed against
-    /// a different main-index snapshot than this delta extends (a torn
-    /// main/delta pairing, which must never reach a client).
-    pub fn overlay(&self, merged: &Expr, result: &mut EvalResult) -> Result<(), EvalFailure> {
-        if result.bitmap.len() != self.base_rows {
-            return Err(EvalFailure::SnapshotMismatch {
-                result_rows: result.bitmap.len(),
-                delta_base_rows: self.base_rows,
-            });
-        }
-        if self.rows == 0 {
-            return Ok(());
-        }
-        let tail = merged.evaluate(self.rows, &mut |r| self.tail(r.component, r.slot));
-        result.bitmap.extend_from(&tail);
-        result.delta_scans += merged.scan_count();
-        result.delta_rows += self.rows;
-        Ok(())
-    }
-
     /// Drops the first `merged` buffered values — they are now in the
     /// main index — and advances `base_rows` past them. The surviving
     /// suffix (rows absorbed while the merge ran) is re-packed into
@@ -275,7 +246,7 @@ impl DeltaIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CodecKind, EncodingScheme, EvalOptions, EvalStrategy, Query};
+    use crate::{CodecKind, EncodingScheme, EvalFailure, EvalOptions, EvalStrategy, Query};
     use bix_bitvec::Bitvec;
     use bix_storage::{BufferPool, CostModel};
 

@@ -16,11 +16,12 @@
 //!   with the streaming component-wise pass, as the Fig. 8/9 ablation.
 
 use crate::parallel::{Folded, Run, Source};
-use crate::{BitmapRef, Expr};
+use crate::{BitmapRef, Expr, EXISTENCE_REF};
 use bix_bitvec::Bitvec;
 use bix_compress::{BitOp, CodecKind, CompressedBitmap};
 use bix_storage::{BitmapHandle, IoStats, ReadContext};
 use bix_telemetry::{Counter, MetricsRegistry, SpanId};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -698,6 +699,12 @@ impl EvalResult {
     pub fn total_seconds(&self) -> f64 {
         self.io_seconds + self.cpu_seconds
     }
+
+    /// COUNT pushdown: the number of matching records by popcount,
+    /// without materializing row positions.
+    pub fn count(&self) -> u64 {
+        self.bitmap.count_ones() as u64
+    }
 }
 
 /// The evaluation-mix counters every entry point exports — compressed
@@ -739,12 +746,14 @@ impl EvalMetrics {
 
 /// One operation of the hash-consed expression DAG (children are node
 /// indexes, always smaller than the node's own index).
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub(crate) enum NodeOp {
     /// All-ones (`true`) or all-zeros (`false`).
     Const(bool),
-    /// A stored bitmap.
-    Leaf(BitmapRef),
+    /// A stored bitmap of the attribute at a schema position
+    /// ([`crate::EXISTENCE_REF`] for its existence bitmap). Two
+    /// attributes with the same configuration never share a leaf.
+    Leaf(usize, BitmapRef),
     /// Complement of one node.
     Not(usize),
     /// Conjunction of two or more nodes.
@@ -759,7 +768,7 @@ impl NodeOp {
     /// Child node indexes of this operation.
     pub(crate) fn children(&self) -> &[usize] {
         match self {
-            NodeOp::Const(_) | NodeOp::Leaf(_) => &[],
+            NodeOp::Const(_) | NodeOp::Leaf(..) => &[],
             NodeOp::Not(c) => std::slice::from_ref(c),
             NodeOp::And(cs) | NodeOp::Or(cs) => cs,
             NodeOp::Xor(ab) => ab,
@@ -770,7 +779,7 @@ impl NodeOp {
     pub(crate) fn kind(&self) -> &'static str {
         match self {
             NodeOp::Const(_) => "const",
-            NodeOp::Leaf(_) => "read",
+            NodeOp::Leaf(..) => "read",
             NodeOp::Not(_) => "not",
             NodeOp::And(_) => "and",
             NodeOp::Or(_) => "or",
@@ -779,17 +788,23 @@ impl NodeOp {
     }
 }
 
-/// The hash-consed form of a merged query expression, shared by the
-/// streaming ablation below and the one DAG fold (`crate::parallel`).
-/// Nodes are unique (identical subexpressions intern to one node, so each
-/// distinct bitmap has exactly one `Leaf`) and stored in topological
+/// A hash-consed bitmap-expression DAG: one query's merged expression,
+/// or a whole multi-attribute plan. Nodes are unique (identical
+/// subexpressions intern to one node, so each distinct bitmap of each
+/// attribute has exactly one `Leaf`) and stored in topological
 /// postorder: every child index precedes its parents.
 pub(crate) struct Dag {
     /// The operations, child-before-parent.
     pub(crate) ops: Vec<NodeOp>,
-    /// Component phase of each node (0 = constants; leaves run in phase
-    /// `component + 1`; interior nodes in their deepest child's phase).
-    pub(crate) phase_of: Vec<usize>,
+    /// The attribute whose cost model prices each node: a leaf's own,
+    /// an interior node's first child's.
+    pub(crate) attr: Vec<usize>,
+    /// Nodes whose value is decoded as soon as it is computed: each
+    /// literal's expression root, so a literal's answer leaves its
+    /// attribute's fold raw and the plan-level AND/OR/NOT over literal
+    /// answers run word-wise (the [`DomainCostModel`] prices one
+    /// attribute's fold, not the operators between attributes).
+    pub(crate) decode: Vec<bool>,
     /// Consumer counts per node, including one final consumer on `root` —
     /// a value may be freed when its count drains to zero.
     pub(crate) refs: Vec<usize>,
@@ -797,81 +812,213 @@ pub(crate) struct Dag {
     pub(crate) root: usize,
 }
 
-impl Dag {
-    /// Hash-conses `merged` into unique nodes in topological order.
-    pub(crate) fn build(merged: &Expr) -> Dag {
-        use std::collections::HashMap;
+/// Interns nodes into a [`Dag`] (the node pool plus its hash-consing
+/// map, keyed by the operation over already-interned children).
+#[derive(Default)]
+pub(crate) struct DagBuilder {
+    ops: Vec<NodeOp>,
+    attr: Vec<usize>,
+    decode: Vec<bool>,
+    index_of: HashMap<NodeOp, usize>,
+}
 
-        let mut index_of: HashMap<&Expr, usize> = HashMap::new();
-        let mut ops: Vec<NodeOp> = Vec::new();
-        let mut phase_of: Vec<usize> = Vec::new();
-
-        fn intern<'e>(
-            e: &'e Expr,
-            index_of: &mut std::collections::HashMap<&'e Expr, usize>,
-            ops: &mut Vec<NodeOp>,
-            phase_of: &mut Vec<usize>,
-        ) -> usize {
-            if let Some(&i) = index_of.get(e) {
-                return i;
-            }
-            let (op, phase) = match e {
-                Expr::True => (NodeOp::Const(true), 0),
-                Expr::False => (NodeOp::Const(false), 0),
-                Expr::Leaf(r) => (NodeOp::Leaf(*r), r.component + 1),
-                Expr::Not(inner) => {
-                    let c = intern(inner, index_of, ops, phase_of);
-                    (NodeOp::Not(c), phase_of[c])
-                }
-                Expr::And(children) | Expr::Or(children) => {
-                    let cs: Vec<usize> = children
-                        .iter()
-                        .map(|c| intern(c, index_of, ops, phase_of))
-                        .collect();
-                    let phase = cs.iter().map(|&c| phase_of[c]).max().unwrap_or(0);
-                    let op = match e {
-                        Expr::And(_) => NodeOp::And(cs),
-                        _ => NodeOp::Or(cs),
-                    };
-                    (op, phase)
-                }
-                Expr::Xor(a, b) => {
-                    let ca = intern(a, index_of, ops, phase_of);
-                    let cb = intern(b, index_of, ops, phase_of);
-                    (NodeOp::Xor([ca, cb]), phase_of[ca].max(phase_of[cb]))
-                }
-            };
-            ops.push(op);
-            phase_of.push(phase);
-            let i = ops.len() - 1;
-            index_of.insert(e, i);
-            i
+impl DagBuilder {
+    fn intern(&mut self, op: NodeOp, attr: usize) -> usize {
+        if let Some(&i) = self.index_of.get(&op) {
+            return i;
         }
-        let root = intern(merged, &mut index_of, &mut ops, &mut phase_of);
+        self.ops.push(op.clone());
+        self.attr.push(attr);
+        self.decode.push(false);
+        self.index_of.insert(op, self.ops.len() - 1);
+        self.ops.len() - 1
+    }
 
-        // Reference counts (how many consumers each node has).
-        let mut refs = vec![0usize; ops.len()];
-        for op in &ops {
+    /// Interns attribute `attr`'s rewritten expression `e`.
+    pub(crate) fn expr(&mut self, attr: usize, e: &Expr) -> usize {
+        let op = match e {
+            Expr::True => NodeOp::Const(true),
+            Expr::False => NodeOp::Const(false),
+            Expr::Leaf(r) => NodeOp::Leaf(attr, *r),
+            Expr::Not(inner) => NodeOp::Not(self.expr(attr, inner)),
+            Expr::And(cs) => NodeOp::And(cs.iter().map(|c| self.expr(attr, c)).collect()),
+            Expr::Or(cs) => NodeOp::Or(cs.iter().map(|c| self.expr(attr, c)).collect()),
+            Expr::Xor(a, b) => NodeOp::Xor([self.expr(attr, a), self.expr(attr, b)]),
+        };
+        self.intern(op, attr)
+    }
+
+    /// Interns one plan literal: attribute `attr`'s rewritten
+    /// expression (decoded once folded, see [`Dag::decode`]), ANDed with
+    /// the attribute's existence bitmap when it is `nullable` (NULL rows
+    /// never match), complemented row-wise when `complement` is set.
+    pub(crate) fn literal(
+        &mut self,
+        attr: usize,
+        e: &Expr,
+        nullable: bool,
+        complement: bool,
+    ) -> usize {
+        let mut node = self.expr(attr, e);
+        self.decode[node] = true;
+        if nullable {
+            let existence = self.intern(NodeOp::Leaf(attr, EXISTENCE_REF), attr);
+            node = self.and([node, existence]);
+        }
+        if complement {
+            node = self.intern(NodeOp::Not(node), attr);
+        }
+        node
+    }
+
+    /// Interns the conjunction of `children` (`true` when empty).
+    pub(crate) fn and(&mut self, children: impl IntoIterator<Item = usize>) -> usize {
+        self.nary(children, true)
+    }
+
+    /// Interns the disjunction of `children` (`false` when empty).
+    pub(crate) fn or(&mut self, children: impl IntoIterator<Item = usize>) -> usize {
+        self.nary(children, false)
+    }
+
+    fn nary(&mut self, children: impl IntoIterator<Item = usize>, is_and: bool) -> usize {
+        let mut cs: Vec<usize> = Vec::new();
+        for c in children {
+            if !cs.contains(&c) {
+                cs.push(c);
+            }
+        }
+        match cs.as_slice() {
+            [] => self.intern(NodeOp::Const(is_and), 0),
+            [one] => *one,
+            _ => {
+                let attr = self.attr[cs[0]];
+                let op = if is_and {
+                    NodeOp::And(cs)
+                } else {
+                    NodeOp::Or(cs)
+                };
+                self.intern(op, attr)
+            }
+        }
+    }
+
+    /// The DAG rooted at `root`.
+    pub(crate) fn finish(self, root: usize) -> Dag {
+        let mut refs = vec![0usize; self.ops.len()];
+        for op in &self.ops {
             for &c in op.children() {
                 refs[c] += 1;
             }
         }
         refs[root] += 1; // the final consumer
-
         Dag {
-            ops,
-            phase_of,
+            ops: self.ops,
+            attr: self.attr,
+            decode: self.decode,
             refs,
             root,
         }
     }
 }
 
+impl Dag {
+    /// Hash-conses one attribute's merged query expression.
+    pub(crate) fn build(merged: &Expr) -> Dag {
+        let mut builder = DagBuilder::default();
+        let root = builder.expr(0, merged);
+        builder.finish(root)
+    }
+
+    /// The stored bitmaps the DAG reads, one per distinct leaf.
+    pub(crate) fn leaves(&self) -> impl Iterator<Item = (usize, BitmapRef)> + '_ {
+        self.ops.iter().filter_map(|op| match op {
+            NodeOp::Leaf(attr, r) => Some((*attr, *r)),
+            _ => None,
+        })
+    }
+
+    /// Folds the DAG word-wise on the calling thread over `rows`-bit
+    /// bitmaps from `fetch`, as the §6.3 streaming component-wise pass:
+    /// nodes run in component phases (a node runs in the phase of its
+    /// highest-component leaf), leaves load only during their
+    /// component's phase, and every value — leaf or intermediate — is
+    /// freed as soon as its last consumer has run. Returns
+    /// `(result, peak_resident)`. The ingest-delta overlay folds a DAG
+    /// over the deltas' tails this way, too.
+    pub(crate) fn fold_words(
+        &self,
+        rows: usize,
+        fetch: &mut dyn FnMut(usize, BitmapRef) -> Bitvec,
+    ) -> (Bitvec, usize) {
+        let ops = &self.ops;
+        let mut phase_of: Vec<usize> = Vec::with_capacity(ops.len());
+        for op in ops {
+            let phase = match op {
+                NodeOp::Leaf(_, r) => r.component.saturating_add(1),
+                op => op
+                    .children()
+                    .iter()
+                    .map(|&c| phase_of[c])
+                    .max()
+                    .unwrap_or(0),
+            };
+            phase_of.push(phase);
+        }
+        // Nodes are already topologically ordered (postorder), so a
+        // stable sort by phase preserves child-before-parent within each
+        // phase.
+        let mut order: Vec<usize> = (0..ops.len()).collect();
+        order.sort_by_key(|&i| phase_of[i]);
+
+        let mut refs = self.refs.clone();
+        let mut results: Vec<Option<Bitvec>> = vec![None; ops.len()];
+        let mut resident = 0usize;
+        let mut peak = 0usize;
+        for &i in &order {
+            let child = |c: usize| results[c].as_ref().expect("child computed");
+            let value = match &ops[i] {
+                NodeOp::Const(true) => Bitvec::ones_vec(rows),
+                NodeOp::Const(false) => Bitvec::zeros(rows),
+                NodeOp::Leaf(attr, r) => fetch(*attr, *r),
+                NodeOp::Not(c) => child(*c).not(),
+                op => {
+                    let children = op.children();
+                    let mut acc = child(children[0]).clone();
+                    for &c in &children[1..] {
+                        match op {
+                            NodeOp::And(_) => acc.and_assign(child(c)),
+                            NodeOp::Or(_) => acc.or_assign(child(c)),
+                            _ => acc.xor_assign(child(c)),
+                        }
+                    }
+                    acc
+                }
+            };
+            results[i] = Some(value);
+            resident += 1;
+            peak = peak.max(resident);
+            // Release children whose last consumer just ran.
+            for &c in ops[i].children() {
+                refs[c] -= 1;
+                if refs[c] == 0 && results[c].is_some() {
+                    results[c] = None;
+                    resident -= 1;
+                }
+            }
+        }
+        let result = results[self.root].take().expect("root computed");
+        (result, peak)
+    }
+}
+
 /// The paper's Fig. 8/9 ablation strategies — everything except
-/// [`EvalStrategy::ComponentWise`], which is the one DAG fold. They fold
-/// decoded bitmaps only, reading through the same fallible leaf reader
-/// as the fold: a failed read stops `run`, later reads are skipped, and
-/// the (then discarded) result is a placeholder.
+/// [`EvalStrategy::ComponentWise`], which is the one DAG fold — over one
+/// index's constituents, then the existence-bitmap intersection when the
+/// index is nullable. They fold decoded bitmaps only, reading through
+/// the same fallible leaf reader as the fold: a failed read stops `run`,
+/// later reads are skipped, and the (then discarded) result is a
+/// placeholder.
 pub(crate) fn evaluate_ablation(
     strategy: EvalStrategy,
     constituents: &[Expr],
@@ -895,11 +1042,11 @@ pub(crate) fn evaluate_ablation(
             }
         }
     };
-    let (bitmap, peak_resident) = match strategy {
+    let (mut bitmap, peak_resident) = match strategy {
         EvalStrategy::ComponentStreaming => {
             let span = run.tracer.span("stream", parent);
             let merged = Expr::or(constituents.iter().cloned());
-            let (bitmap, peak) = evaluate_streaming(&merged, source.rows, &mut fetch);
+            let (bitmap, peak) = Dag::build(&merged).fold_words(source.rows, &mut |_, r| fetch(r));
             span.attr("peak_resident", peak);
             (bitmap, peak)
         }
@@ -922,6 +1069,13 @@ pub(crate) fn evaluate_ablation(
             (acc, 0)
         }
     };
+    // Nullable columns: NULL rows never match, even through
+    // complemented expressions.
+    if source.existence.is_some() {
+        let span = run.tracer.span("existence", parent);
+        bitmap.and_assign(&fetch(EXISTENCE_REF));
+        span.finish();
+    }
     Folded {
         bitmap,
         peak_resident,
@@ -931,71 +1085,6 @@ pub(crate) fn evaluate_ablation(
         nodes_raw: 0,
         nodes_compressed: 0,
     }
-}
-
-/// The §6.3 streaming component-wise pass: a dataflow schedule over the
-/// expression DAG. Unique subexpressions are computed in component phases
-/// (a node runs in the phase of its highest-component leaf), leaf bitmaps
-/// are loaded only during their component's phase, and every value —
-/// leaf or intermediate — is freed as soon as its last consumer has run.
-/// Returns `(result, peak_resident)`.
-fn evaluate_streaming(
-    merged: &Expr,
-    rows: usize,
-    fetch: &mut dyn FnMut(BitmapRef) -> Bitvec,
-) -> (Bitvec, usize) {
-    let Dag {
-        ops,
-        phase_of,
-        mut refs,
-        root,
-    } = Dag::build(merged);
-
-    // Phase-ordered execution. Nodes are already topologically ordered
-    // within `ops` (postorder), so a stable sort by phase preserves
-    // child-before-parent within each phase.
-    let mut order: Vec<usize> = (0..ops.len()).collect();
-    order.sort_by_key(|&i| phase_of[i]);
-
-    let mut results: Vec<Option<Bitvec>> = vec![None; ops.len()];
-    let mut resident = 0usize;
-    let mut peak = 0usize;
-
-    for &i in &order {
-        let child = |c: usize| results[c].as_ref().expect("child computed");
-        let value = match &ops[i] {
-            NodeOp::Const(true) => Bitvec::ones_vec(rows),
-            NodeOp::Const(false) => Bitvec::zeros(rows),
-            NodeOp::Leaf(r) => fetch(*r),
-            NodeOp::Not(c) => child(*c).not(),
-            op => {
-                let children = op.children();
-                let mut acc = child(children[0]).clone();
-                for &c in &children[1..] {
-                    match op {
-                        NodeOp::And(_) => acc.and_assign(child(c)),
-                        NodeOp::Or(_) => acc.or_assign(child(c)),
-                        _ => acc.xor_assign(child(c)),
-                    }
-                }
-                acc
-            }
-        };
-        results[i] = Some(value);
-        resident += 1;
-        peak = peak.max(resident);
-        // Release children whose last consumer just ran.
-        for &c in ops[i].children() {
-            refs[c] -= 1;
-            if refs[c] == 0 && results[c].is_some() {
-                results[c] = None;
-                resident -= 1;
-            }
-        }
-    }
-
-    let result = results[root].take().expect("root computed");
-    (result, peak)
 }
 
 #[cfg(test)]

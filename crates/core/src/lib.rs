@@ -67,7 +67,7 @@ pub use eval::{DomainCostModel, DomainCosts, EvalDomain, EvalMetrics, EvalResult
 pub use expr::{BitmapRef, Expr};
 pub use index::{BitmapIndex, CostPrediction, IndexConfig};
 pub use journal::{AppendError, RecoveryAction, RecoveryReport};
-pub use multi::{IndexedTable, PlanEvalResult, TableEvalResult, TableQuery, VALUE_ATTR};
+pub use multi::{IndexedTable, TableQuery, VALUE_ATTR};
 pub use parallel::{BatchResult, EvalError, EvalFailure, EvalOptions, ParallelExecutor};
 pub use plan::{
     AttrSchema, Plan, PlanError, PlanLiteral, PlanTextError, Planner, RewriteAction,

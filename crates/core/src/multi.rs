@@ -33,7 +33,7 @@
 //! ```
 
 use crate::plan::{display_query, AttrSchema, TableSchema};
-use crate::{BitmapIndex, BufferPool, CostModel, EvalStrategy, IndexConfig, IoStats, Query};
+use crate::{BitmapIndex, BufferPool, CostModel, EvalStrategy, IndexConfig, Query};
 use bix_bitvec::Bitvec;
 use std::fmt;
 
@@ -99,8 +99,8 @@ impl TableQuery {
 }
 
 impl fmt::Display for TableQuery {
-    /// Renders the query in the grammar [`TableQuery::parse`] accepts
-    /// (modulo `!`-spelled inner negations on a leaf query).
+    /// Renders the query in the grammar [`TableQuery::parse`] accepts;
+    /// parsing the text back gives an equivalent query.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fn needs_parens(q: &TableQuery) -> bool {
             matches!(q, TableQuery::And(_) | TableQuery::Or(_))
@@ -113,9 +113,7 @@ impl fmt::Display for TableQuery {
             }
         }
         match self {
-            TableQuery::Attr { name, query } => {
-                write!(f, "{name} {}", display_query(query))
-            }
+            TableQuery::Attr { name, query } => f.write_str(&display_query(name, query)),
             TableQuery::Not(inner) => {
                 write!(f, "not ")?;
                 child(inner, f)
@@ -139,52 +137,6 @@ impl fmt::Display for TableQuery {
                 Ok(())
             }
         }
-    }
-}
-
-/// Aggregated cost of a multi-attribute evaluation.
-#[derive(Debug, Clone)]
-pub struct TableEvalResult {
-    /// The matching records.
-    pub bitmap: Bitvec,
-    /// Bitmap scans summed over all touched indexes.
-    pub scans: usize,
-    /// Disk activity summed over all touched indexes.
-    pub io: IoStats,
-    /// Simulated I/O + scaled CPU seconds, summed.
-    pub seconds: f64,
-}
-
-/// Aggregated cost of executing a rewritten [`crate::Plan`] through
-/// [`crate::ParallelExecutor::execute_plan`].
-#[derive(Debug, Clone)]
-pub struct PlanEvalResult {
-    /// The matching records (base rows, then any delta rows).
-    pub bitmap: Bitvec,
-    /// Bitmap scans summed over all evaluated literals.
-    pub scans: usize,
-    /// Disk activity summed over all evaluated literals.
-    pub io: IoStats,
-    /// Simulated I/O + scaled CPU seconds, summed.
-    pub seconds: f64,
-    /// Compressed-bitmap decodes summed over all evaluated literals.
-    pub decompressions: usize,
-    /// DAG-fold nodes, summed over all evaluated literals, whose value
-    /// ended up as a decoded bitmap.
-    pub nodes_raw: usize,
-    /// DAG-fold nodes, summed over all evaluated literals, whose value
-    /// stayed a compressed stream.
-    pub nodes_compressed: usize,
-    /// Distinct literals evaluated (shared literals run once however
-    /// many clauses reference them).
-    pub literals: usize,
-}
-
-impl PlanEvalResult {
-    /// COUNT pushdown: the number of matching records by popcount,
-    /// without materializing row positions.
-    pub fn count(&self) -> u64 {
-        self.bitmap.count_ones() as u64
     }
 }
 
@@ -215,19 +167,7 @@ impl IndexedTable {
     /// Panics if the column length differs from the table's row count or
     /// the name is already taken.
     pub fn add_attribute(&mut self, name: &str, column: &[u64], config: IndexConfig) {
-        assert_eq!(
-            column.len(),
-            self.rows,
-            "column for {name} has {} rows, table has {}",
-            column.len(),
-            self.rows
-        );
-        assert!(
-            self.attrs.iter().all(|(n, _)| n != name),
-            "attribute {name} already indexed"
-        );
-        let index = BitmapIndex::build(column, &config);
-        self.attrs.push((name.to_string(), index));
+        self.add_index(name, BitmapIndex::build(column, &config));
     }
 
     /// Builds and registers an index over a nullable attribute column
@@ -243,19 +183,7 @@ impl IndexedTable {
         column: &[Option<u64>],
         config: IndexConfig,
     ) {
-        assert_eq!(
-            column.len(),
-            self.rows,
-            "column for {name} has {} rows, table has {}",
-            column.len(),
-            self.rows
-        );
-        assert!(
-            self.attrs.iter().all(|(n, _)| n != name),
-            "attribute {name} already indexed"
-        );
-        let index = BitmapIndex::build_nullable(column, &config);
-        self.attrs.push((name.to_string(), index));
+        self.add_index(name, BitmapIndex::build_nullable(column, &config));
     }
 
     /// Registers an already-built index (the catalog load path).
@@ -267,10 +195,10 @@ impl IndexedTable {
     pub fn add_index(&mut self, name: &str, index: BitmapIndex) {
         assert_eq!(
             index.rows(),
-            self.rows,
+            self.rows(),
             "index for {name} has {} rows, table has {}",
             index.rows(),
-            self.rows
+            self.rows()
         );
         assert!(
             self.attrs.iter().all(|(n, _)| n != name),
@@ -279,9 +207,13 @@ impl IndexedTable {
         self.attrs.push((name.to_string(), index));
     }
 
-    /// Number of records.
+    /// Number of records: the indexes' (appends through
+    /// [`IndexedTable::index_mut`] grow it), or the constructor's count
+    /// while the table has none.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.attrs
+            .first()
+            .map_or(self.rows, |(_, index)| index.rows())
     }
 
     /// The table's schema: every attribute's name, cardinality, and
@@ -342,73 +274,44 @@ impl IndexedTable {
         self.attrs.iter_mut().map(|(n, i)| (n.as_str(), i))
     }
 
-    /// Evaluates a multi-attribute query with a generous fresh pool per
-    /// attribute and default costs, returning the matching records.
-    pub fn evaluate(&mut self, q: &TableQuery) -> Bitvec {
-        self.evaluate_detailed(q, &CostModel::default()).bitmap
-    }
-
-    /// Evaluates with full cost accounting. Each attribute index gets its
-    /// own buffer pool (indexes live on separate simulated disks).
+    /// Evaluates a multi-attribute query naively, along its tree: each
+    /// attribute's selection through its own index with a generous fresh
+    /// pool, the results combined word-wise — the planner-independent
+    /// reference planned execution ([`crate::ParallelExecutor::execute`])
+    /// is checked and timed against.
     ///
     /// # Panics
     ///
     /// Panics if the query names an attribute that was never registered.
-    pub fn evaluate_detailed(&mut self, q: &TableQuery, cost: &CostModel) -> TableEvalResult {
-        let rows = self.rows;
-        match q {
+    pub fn evaluate(&mut self, q: &TableQuery) -> Bitvec {
+        let (children, fold): (&[TableQuery], fn(&mut Bitvec, &Bitvec)) = match q {
             TableQuery::Attr { name, query } => {
                 let index = self
                     .index_mut(name)
                     .unwrap_or_else(|| panic!("no index on attribute {name}"));
                 let mut pool = BufferPool::new(index.config().disk.pages_for_bytes(11 << 20));
-                index.reset_stats();
-                let r =
-                    index.evaluate_detailed(query, &mut pool, EvalStrategy::ComponentWise, cost);
-                let seconds = r.total_seconds();
-                TableEvalResult {
-                    bitmap: r.bitmap,
-                    scans: r.scans,
-                    io: r.io,
-                    seconds,
-                }
+                let cost = CostModel::default();
+                return index
+                    .evaluate_detailed(query, &mut pool, EvalStrategy::ComponentWise, &cost)
+                    .bitmap;
             }
-            TableQuery::And(children) => self.combine(children, cost, Bitvec::and_assign, rows),
-            TableQuery::Or(children) => self.combine(children, cost, Bitvec::or_assign, rows),
             TableQuery::Not(inner) => {
-                let mut r = self.evaluate_detailed(inner, cost);
-                r.bitmap.not_assign();
-                r
+                let mut bitmap = self.evaluate(inner);
+                bitmap.not_assign();
+                return bitmap;
             }
-        }
-    }
-
-    fn combine(
-        &mut self,
-        children: &[TableQuery],
-        cost: &CostModel,
-        mut fold: impl FnMut(&mut Bitvec, &Bitvec),
-        rows: usize,
-    ) -> TableEvalResult {
-        let mut acc: Option<TableEvalResult> = None;
+            TableQuery::And(children) => (children, Bitvec::and_assign),
+            TableQuery::Or(children) => (children, Bitvec::or_assign),
+        };
+        let mut acc: Option<Bitvec> = None;
         for child in children {
-            let r = self.evaluate_detailed(child, cost);
+            let bitmap = self.evaluate(child);
             match &mut acc {
-                None => acc = Some(r),
-                Some(a) => {
-                    fold(&mut a.bitmap, &r.bitmap);
-                    a.scans += r.scans;
-                    a.io += r.io;
-                    a.seconds += r.seconds;
-                }
+                None => acc = Some(bitmap),
+                Some(acc) => fold(acc, &bitmap),
             }
         }
-        acc.unwrap_or(TableEvalResult {
-            bitmap: Bitvec::zeros(rows),
-            scans: 0,
-            io: IoStats::new(),
-            seconds: 0.0,
-        })
+        acc.unwrap_or_else(|| Bitvec::zeros(self.rows()))
     }
 }
 
@@ -467,19 +370,29 @@ mod tests {
 
     #[test]
     fn costs_aggregate_across_attributes() {
-        let (mut table, _, _) = sample_table();
-        let disc_only = table.evaluate_detailed(
-            &TableQuery::attr("discount", Query::range(2, 7)),
-            &CostModel::default(),
-        );
-        let both = table.evaluate_detailed(
-            &TableQuery::attr("discount", Query::range(2, 7))
+        let (table, _, _) = sample_table();
+        let cost = |q: TableQuery| {
+            let plan = crate::Planner::new(&table.schema()).plan(&q).unwrap();
+            crate::ParallelExecutor::new(1)
+                .execute(
+                    &table,
+                    &[plan],
+                    &crate::ShardedBufferPool::new(64, 2),
+                    &CostModel::default(),
+                    &crate::EvalOptions::default(),
+                )
+                .unwrap()
+                .results
+                .remove(0)
+        };
+        let disc_only = cost(TableQuery::attr("discount", Query::range(2, 7)));
+        let both = cost(
+            TableQuery::attr("discount", Query::range(2, 7))
                 .and(TableQuery::attr("region", Query::equality(1))),
-            &CostModel::default(),
         );
         assert!(both.scans > disc_only.scans);
         assert!(both.io.pages_read > disc_only.io.pages_read);
-        assert!(both.seconds > disc_only.seconds);
+        assert!(both.total_seconds() > disc_only.total_seconds());
     }
 
     #[test]

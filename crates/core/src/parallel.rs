@@ -1,19 +1,26 @@
 //! The one evaluator: per-call options, the fallible leaf reader, the
-//! dependency-counting DAG fold, and the batch and plan executors.
+//! plan compiler, the dependency-counting DAG fold, and the executor.
 //!
-//! Every query — a served batch, a multi-attribute plan, an in-process
-//! [`BitmapIndex::evaluate_with`], the checked quarantine-and-retry path —
-//! runs the same per-query pass: the §6.3 component-wise fold over the
-//! hash-consed bitmap-expression DAG, then the existence-bitmap
-//! intersection, then the ingest-delta overlay. The fold reads leaves
-//! through one fallible reader ([`Source`]) with two stores behind it:
+//! Every read request — a served predicate or batch, a multi-attribute
+//! table query or COUNT, an in-process [`BitmapIndex::evaluate_with`],
+//! the checked quarantine-and-retry path — runs the same pass. A
+//! [`Plan`] (a predicate is the one-literal plan on schema position 0,
+//! `Plan::from(query)`) compiles into one hash-consed DAG: an OR over
+//! clauses of ANDs over literals, each literal its attribute's §6.1
+//! rewritten expression, ANDed with the attribute's existence bitmap when
+//! it is nullable and complemented when the literal says so. Leaves are
+//! keyed by (schema position, component, slot), so a bitmap several
+//! literals share is read once and two attributes never alias. The §6.3
+//! component-wise fold then folds that DAG once, and the ingest deltas'
+//! answer is the same DAG folded over their in-memory tails. The fold
+//! reads leaves through one fallible reader ([`Source`], one per
+//! attribute) with two stores behind it:
 //!
 //! * **shared** — [`BitmapStore::read_shared`] (`&self`) through the
-//!   lock-striped [`ShardedBufferPool`]. Every thread carries its own
+//!   lock-striped [`ShardedBufferPool`]. Every worker carries its own
 //!   [`ReadContext`] (disk head + I/O counters, one simulated disk arm per
-//!   thread), merged into the batch totals — and charged back to the
-//!   store's global counters — when the batch completes. Served batches
-//!   and plans read this way.
+//!   thread), merged into the batch totals; each read is also charged to
+//!   its store's global counters. Served requests read this way.
 //! * **exclusive** — `&mut BitmapStore` through an LRU [`BufferPool`]: the
 //!   store's own disk head, fault plan and counters, exactly the I/O the
 //!   paper's experiments measure. In-process calls read this way, with the
@@ -23,18 +30,19 @@
 //! remaining DAG nodes drain without work and the call returns a typed
 //! [`EvalError`]. Partial answers are never handed out.
 //!
-//! Batches parallelize across queries (a fixed worker pool drains the
-//! batch) and within a query (ready DAG nodes fold concurrently).
-//! Hash-consing makes each distinct bitmap exactly one DAG leaf, so scan
-//! counts do not depend on the thread count; seek counts do, because
-//! heads are per thread.
+//! [`ParallelExecutor::execute`] parallelizes across plans (a fixed
+//! worker pool drains the batch) and within a plan (ready DAG nodes fold
+//! concurrently). Hash-consing makes each distinct bitmap exactly one DAG
+//! leaf, so scan counts do not depend on the thread count; seek counts
+//! do, because heads are per thread.
 
-use crate::eval::{evaluate_ablation, reads_compressed, Dag, NodeOp, NodeVal};
-use crate::multi::PlanEvalResult;
+use crate::eval::{evaluate_ablation, reads_compressed, Dag, DagBuilder, NodeOp, NodeVal};
 use crate::plan::Plan;
+#[cfg(doc)]
+use crate::BitmapIndex;
 use crate::{
-    BitmapIndex, BitmapRef, DeltaIndex, DomainCostModel, EvalDomain, EvalResult, EvalStrategy,
-    Expr, IndexedTable, Query, EXISTENCE_REF,
+    BitmapRef, DeltaIndex, DomainCostModel, EvalDomain, EvalResult, EvalStrategy, Expr,
+    IndexedTable, EXISTENCE_REF,
 };
 use bix_bitvec::Bitvec;
 use bix_compress::{BitOp, CodecKind};
@@ -52,10 +60,10 @@ use std::time::Instant;
 /// call records nothing and allocates nothing for spans.
 static UNTRACED: Tracer = Tracer::disabled();
 
-/// Per-call options taken by every evaluation entry point
-/// ([`BitmapIndex::evaluate_with`], [`ParallelExecutor::execute`],
-/// [`ParallelExecutor::execute_plan`]). The default is the plain call:
-/// [`EvalDomain::Auto`], untraced, no deadline, no delta.
+/// Per-call options taken by both evaluation entry points
+/// ([`BitmapIndex::evaluate_with`], [`ParallelExecutor::execute`]). The
+/// default is the plain call: [`EvalDomain::Auto`], untraced, no
+/// deadline, no delta.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalOptions<'a> {
     /// Representation the DAG fold works over.
@@ -64,15 +72,15 @@ pub struct EvalOptions<'a> {
     pub tracer: &'a Tracer,
     /// Span the call's spans hang under (`None` for roots).
     pub parent: Option<SpanId>,
-    /// Wall-clock deadline, checked between queries, literals and DAG
+    /// Wall-clock deadline, checked between plans and between DAG
     /// nodes. Once it passes, remaining work is skipped and the call
     /// returns [`EvalFailure::DeadlineExceeded`].
     pub deadline: Option<Instant>,
     /// In-memory ingest deltas by schema position (a single index is
-    /// position 0). A result over an attribute with a delta is the main
-    /// index's answer with the delta's tail appended
-    /// ([`DeltaIndex::overlay`]), bit-identical to a rebuild over the
-    /// concatenated column.
+    /// position 0); every attribute a plan reads must carry one when any
+    /// does. A result is the main indexes' answer with the deltas'
+    /// answer appended — the same DAG folded over their tails —
+    /// bit-identical to a rebuild over the concatenated columns.
     pub delta: &'a [Option<&'a DeltaIndex>],
 }
 
@@ -91,7 +99,7 @@ impl Default for EvalOptions<'_> {
 /// Why an evaluation produced no answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EvalFailure {
-    /// The deadline passed before every query or literal finished.
+    /// The deadline passed before every plan finished.
     DeadlineExceeded,
     /// A stored bitmap failed checksum verification or did not decode.
     Corrupt {
@@ -145,7 +153,7 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// One call's shared state: what every query evaluates under, and its
+/// One call's shared state: what every plan evaluates under, and its
 /// cancellation — the optional deadline, the first failed read, and a
 /// sticky cancel flag, so that once any worker observes expiry or a
 /// failure, every other worker short-circuits without re-reading the
@@ -155,7 +163,7 @@ pub(crate) struct Run<'a> {
     pub(crate) domain: EvalDomain,
     pub(crate) tracer: &'a Tracer,
     cost: &'a CostModel,
-    /// Threads folding each query's DAG.
+    /// Threads folding each plan's DAG.
     workers: usize,
     deadline: Option<Instant>,
     cancelled: AtomicBool,
@@ -176,7 +184,7 @@ impl<'a> Run<'a> {
     }
 
     /// True once the deadline has passed or a read failed. Checked
-    /// between queries and between DAG nodes — the enforcement points —
+    /// between plans and between DAG nodes — the enforcement points —
     /// so a single node's work is the cancellation latency bound.
     pub(crate) fn stopped(&self) -> bool {
         if self.cancelled.load(Ordering::Relaxed) {
@@ -189,7 +197,7 @@ impl<'a> Run<'a> {
         false
     }
 
-    /// Records a failed read (the first one wins) and cancels the run.
+    /// Records a failure (the first one wins) and cancels the run.
     pub(crate) fn fail(&self, failure: EvalFailure) {
         self.failure
             .lock()
@@ -246,9 +254,10 @@ impl Source<'_> {
     }
 
     /// Reads leaf `r` — as a compressed stream when `domain` and the cost
-    /// model say so — charging its I/O to `ctx` and counting a decode
-    /// when a compressed stream arrives decoded. A failed read names the
-    /// bitmap.
+    /// model say so; the existence bitmap always decoded — charging its
+    /// I/O to `ctx` (and a shared read to the store's counters too) and
+    /// counting a decode when a compressed stream arrives decoded. A
+    /// failed read names the bitmap.
     pub(crate) fn read(
         &self,
         r: BitmapRef,
@@ -257,15 +266,24 @@ impl Source<'_> {
         decompressions: &mut usize,
     ) -> Result<NodeVal, EvalFailure> {
         let handle = self.handle(r);
+        let domain = if r == EXISTENCE_REF {
+            EvalDomain::Raw
+        } else {
+            domain
+        };
         let read = match &self.store {
             Store::Shared(store, pool) => {
-                if reads_compressed(domain, handle, store.stored_size(handle), self.model) {
-                    store
-                        .read_compressed_shared(handle, pool, ctx)
-                        .map(NodeVal::packed)
-                } else {
-                    store.read_shared(handle, pool, ctx).map(NodeVal::Raw)
-                }
+                let before = ctx.stats();
+                let read =
+                    if reads_compressed(domain, handle, store.stored_size(handle), self.model) {
+                        store
+                            .read_compressed_shared(handle, pool, ctx)
+                            .map(NodeVal::packed)
+                    } else {
+                        store.read_shared(handle, pool, ctx).map(NodeVal::Raw)
+                    };
+                store.charge(ctx.stats().since(&before));
+                read
             }
             Store::Exclusive(exclusive) => {
                 let mut guard = exclusive.lock().expect("exclusive store");
@@ -305,8 +323,7 @@ impl Source<'_> {
     }
 }
 
-/// What one strategy's pass over a query produced, before the
-/// existence intersection and the delta overlay.
+/// What one strategy's pass over a DAG produced, before the delta fold.
 pub(crate) struct Folded {
     pub(crate) bitmap: Bitvec,
     pub(crate) peak_resident: usize,
@@ -317,59 +334,83 @@ pub(crate) struct Folded {
     pub(crate) nodes_compressed: usize,
 }
 
-/// Evaluates one query's rewritten constituents: the DAG fold (or, for
-/// in-process callers, an ablation strategy), then the existence-bitmap
-/// intersection, then the delta overlay, under an `eval` span. After a
-/// failed read or an expired deadline the result is a placeholder; the
-/// caller turns the stopped run into its [`EvalError`].
-fn evaluate_expr(
-    source: &Source<'_>,
-    constituents: &[Expr],
-    strategy: EvalStrategy,
+/// Interns a DAG under a `build` span: `intern` adds the nodes and
+/// returns the root.
+fn build(
+    tracer: &Tracer,
+    parent: Option<SpanId>,
+    intern: impl FnOnce(&mut DagBuilder) -> usize,
+) -> Dag {
+    let span = tracer.span("build", parent);
+    let mut builder = DagBuilder::default();
+    let root = intern(&mut builder);
+    let dag = builder.finish(root);
+    span.attr("nodes", dag.ops.len());
+    dag
+}
+
+/// Compiles `plan` into one hash-consed DAG over `table`: an OR over
+/// clauses of ANDs over literals (see [`DagBuilder::literal`]). Each
+/// distinct literal is rewritten once through its attribute's index,
+/// under `parent`.
+fn compile(table: &IndexedTable, plan: &Plan, tracer: &Tracer, parent: Option<SpanId>) -> Dag {
+    let index = |attr| table.index_at(attr).expect("plan literal within schema");
+    let literals = plan.distinct_literals();
+    let exprs: Vec<Expr> = literals
+        .iter()
+        .map(|lit| Expr::or(index(lit.attr).rewrite_constituents(&lit.query, tracer, parent)))
+        .collect();
+    build(tracer, parent, |dag| {
+        let nodes: Vec<usize> = literals
+            .iter()
+            .zip(&exprs)
+            .map(|(lit, e)| dag.literal(lit.attr, e, index(lit.attr).is_nullable(), lit.complement))
+            .collect();
+        let node = |lit| nodes[literals.iter().position(|l| l == lit).expect("distinct")];
+        let clauses: Vec<usize> = plan
+            .clauses
+            .iter()
+            .map(|clause| dag.and(clause.iter().map(node)))
+            .collect();
+        dag.or(clauses)
+    })
+}
+
+/// Evaluates one compiled DAG over `sources` (by schema position, every
+/// one `rows` long) under an `eval` span: the DAG fold — or, for
+/// in-process callers, an ablation strategy over the one index's
+/// constituents — then the delta fold. After a failed read or an
+/// expired deadline the result is a placeholder; the caller turns the
+/// stopped run into its [`EvalError`].
+fn evaluate_dag(
+    dag: &Dag,
+    sources: &[Source<'_>],
+    rows: usize,
+    ablation: Option<(EvalStrategy, &[Expr])>,
     run: &Run<'_>,
     parent: Option<SpanId>,
-    delta: Option<&DeltaIndex>,
+    deltas: &[Option<&DeltaIndex>],
 ) -> EvalResult {
     let started = Instant::now();
     let tracer = run.tracer;
     let eval_span = tracer.span("eval", parent);
     let eval_id = eval_span.id();
-    let merged = Expr::or(constituents.iter().cloned());
-    let mut folded = if strategy == EvalStrategy::ComponentWise {
-        let build_span = tracer.span("build", eval_id);
-        let dag = Dag::build(&merged);
-        build_span.attr("nodes", dag.ops.len());
-        build_span.finish();
-        let fold_span = tracer.span("fold", eval_id);
-        let folded = fold_dag(&dag, source, run, fold_span.id());
-        fold_span.attr("workers", run.workers);
-        fold_span.attr("decompressions", folded.decompressions);
-        folded
-    } else {
-        evaluate_ablation(strategy, constituents, source, run, eval_id)
-    };
-
-    // Nullable columns: intersect with the existence bitmap so that NULL
-    // rows never match, even through complemented expressions.
-    let mut distinct = merged.scan_count();
-    if source.existence.is_some() && !run.stopped() {
-        let span = tracer.span("existence", eval_id);
-        let mut ctx = ReadContext::new();
-        let dec = &mut folded.decompressions;
-        match source.read(EXISTENCE_REF, EvalDomain::Raw, &mut ctx, dec) {
-            Ok(existence) => folded.bitmap.and_assign(&existence.into_raw(dec)),
-            Err(failure) => run.fail(failure),
+    let folded = match ablation {
+        None => {
+            let fold_span = tracer.span("fold", eval_id);
+            let folded = fold_dag(dag, sources, rows, run, fold_span.id());
+            fold_span.attr("workers", run.workers);
+            fold_span.attr("decompressions", folded.decompressions);
+            folded
         }
-        span.finish();
-        folded.scans += 1;
-        distinct += 1;
-        folded.io += ctx.take_stats();
-    }
-
+        Some((strategy, constituents)) => {
+            evaluate_ablation(strategy, constituents, &sources[0], run, eval_id)
+        }
+    };
     let mut result = EvalResult {
         bitmap: folded.bitmap,
         scans: folded.scans,
-        distinct_bitmaps: distinct,
+        distinct_bitmaps: dag.leaves().count(),
         io: folded.io,
         io_seconds: run.cost.io_seconds(&folded.io),
         cpu_seconds: run.cost.cpu_seconds(started.elapsed().as_secs_f64()),
@@ -380,14 +421,12 @@ fn evaluate_expr(
         delta_scans: 0,
         delta_rows: 0,
     };
-    if let Some(delta) = delta {
-        if !run.stopped() {
-            let span = tracer.span("delta", eval_id);
-            if let Err(failure) = delta.overlay(&merged, &mut result) {
-                run.fail(failure);
-            }
-            span.attr("delta_rows", result.delta_rows);
+    if deltas.iter().any(Option::is_some) && !run.stopped() {
+        let span = tracer.span("delta", eval_id);
+        if let Err(failure) = overlay(dag, deltas, &mut result) {
+            run.fail(failure);
         }
+        span.attr("delta_rows", result.delta_rows);
     }
     eval_span.attr("scans", result.scans);
     eval_span.attr("distinct", result.distinct_bitmaps);
@@ -396,10 +435,54 @@ fn evaluate_expr(
     result
 }
 
+/// Appends the deltas' answer to a main-index `result`, making it the
+/// `main ∪ delta` answer: every bitmap operator acts on each row
+/// independently, so the same DAG folded word-wise over the deltas'
+/// in-memory tails answers the appended rows (an existence leaf is all
+/// ones there: ingested rows are never NULL). Tails folded count as
+/// `delta_scans`, appended rows as `delta_rows`; the store-side counters
+/// are untouched (delta reads never perform I/O).
+///
+/// Fails with [`EvalFailure::SnapshotMismatch`], leaving `result`
+/// untouched, when a delta extends a main index of a different length
+/// than the one folded — a torn main/delta pairing, which must never
+/// reach a client.
+fn overlay(
+    dag: &Dag,
+    deltas: &[Option<&DeltaIndex>],
+    result: &mut EvalResult,
+) -> Result<(), EvalFailure> {
+    let result_rows = result.bitmap.len();
+    let mut present = deltas.iter().flatten();
+    if let Some(torn) = present.clone().find(|d| d.base_rows() != result_rows) {
+        return Err(EvalFailure::SnapshotMismatch {
+            result_rows,
+            delta_base_rows: torn.base_rows(),
+        });
+    }
+    let rows = present.next().map_or(0, |d| d.rows());
+    if rows == 0 {
+        return Ok(());
+    }
+    let (tail, _) = dag.fold_words(rows, &mut |attr, r| {
+        if r == EXISTENCE_REF {
+            return Bitvec::ones_vec(rows);
+        }
+        deltas[attr]
+            .expect("every attribute the plan reads carries a delta")
+            .tail(r.component, r.slot)
+    });
+    result.bitmap.extend_from(&tail);
+    result.delta_scans += dag.leaves().filter(|&(_, r)| r != EXISTENCE_REF).count();
+    result.delta_rows += rows;
+    Ok(())
+}
+
 /// Evaluates `constituents` over an exclusively borrowed index on the
 /// calling thread — the in-process entry behind
-/// [`BitmapIndex::evaluate_with`] and the checked path. `opts.delta[0]`
-/// is the index's delta.
+/// [`BitmapIndex::evaluate_with`] and the checked path: the one-literal
+/// plan DAG over `source`, folded (or run through an ablation
+/// `strategy`). `opts.delta[0]` is the index's delta.
 pub(crate) fn evaluate_exclusive(
     source: &Source<'_>,
     constituents: &[Expr],
@@ -408,14 +491,20 @@ pub(crate) fn evaluate_exclusive(
     opts: &EvalOptions<'_>,
 ) -> Result<EvalResult, EvalError> {
     let run = Run::new(opts, cost, 1);
-    let delta = opts.delta.first().copied().flatten();
-    let result = evaluate_expr(source, constituents, strategy, &run, opts.parent, delta);
+    let merged = Expr::or(constituents.iter().cloned());
+    let nullable = source.existence.is_some();
+    let dag = build(opts.tracer, opts.parent, |dag| {
+        dag.literal(0, &merged, nullable, false)
+    });
+    let ablation = (strategy != EvalStrategy::ComponentWise).then_some((strategy, constituents));
+    let sources = std::slice::from_ref(source);
+    let rows = source.rows;
+    let result = evaluate_dag(&dag, sources, rows, ablation, &run, opts.parent, opts.delta);
     run.check(result.io)?;
     Ok(result)
 }
 
-/// Executes batches of selection queries and multi-attribute plans
-/// concurrently over shared indexes.
+/// Executes batches of plans concurrently over a shared table.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelExecutor {
     threads: usize,
@@ -436,12 +525,12 @@ impl ParallelExecutor {
         }
     }
 
-    /// Overrides how many threads fold each individual query's DAG.
+    /// Overrides how many threads fold each individual plan's DAG.
     ///
-    /// By default the budget is spent across queries first (one thread per
-    /// query while the batch is wide), and only batches narrower than the
-    /// thread count get within-query workers. Forcing `n > 1` exercises
-    /// within-query folding regardless of batch width.
+    /// By default the budget is spent across plans first (one thread per
+    /// plan while the batch is wide), and only batches narrower than the
+    /// thread count get within-plan workers. Forcing `n > 1` exercises
+    /// within-plan folding regardless of batch width.
     ///
     /// # Panics
     ///
@@ -452,30 +541,56 @@ impl ParallelExecutor {
         self
     }
 
-    /// The total thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
+    /// Threads folding each DAG when `n` plans share the budget: it is
+    /// spent across plans first, and only calls narrower than the thread
+    /// count get within-plan workers.
+    fn inner_threads(&self, n: usize) -> usize {
+        let outer = self.threads.min(n).max(1);
+        self.inner_threads
+            .unwrap_or_else(|| (self.threads / outer).max(1))
     }
 
-    /// Evaluates `items` on the executor's workers — the calling thread
-    /// is worker 0 — each under a `{kind} {i}` span below `parent`, until
-    /// `run` stops. Results come back in input order; `None` marks an
-    /// item no worker started.
-    fn evaluate_all(
+    /// Evaluates every plan in `plans` against `table`, fanning out over
+    /// the executor's threads — the calling thread is worker 0 — with one
+    /// [`EvalResult`] per plan, in input order. A predicate on a
+    /// one-attribute table is `Plan::from(query)`. Each plan compiles
+    /// into one hash-consed DAG folded once, so a bitmap its literals
+    /// share is read once. I/O is charged per thread and merged; every
+    /// read is also charged to its index store's global counters — on
+    /// failure too — so sequential-style accounting keeps working.
+    /// `opts.delta` is indexed by schema position.
+    ///
+    /// A traced call records a `batch` span with one `query {i}` child
+    /// per plan (opened on whichever worker picks the plan up) and,
+    /// inside each, a `rewrite` per distinct literal, `build`, and `eval`
+    /// → `fold` with per-DAG-node spans carrying queue-wait time and the
+    /// cost model's predicted nanoseconds (plus `delta` with deltas).
+    pub fn execute(
         &self,
-        items: &[Item<'_>],
+        table: &IndexedTable,
+        plans: &[Plan],
         pool: &ShardedBufferPool,
-        run: &Run<'_>,
-        kind: &str,
-        parent: Option<SpanId>,
-    ) -> Vec<Option<EvalResult>> {
-        let tracer = run.tracer;
+        cost: &CostModel,
+        opts: &EvalOptions<'_>,
+    ) -> Result<BatchResult, EvalError> {
+        let started = Instant::now();
+        let run = Run::new(opts, cost, self.inner_threads(plans.len()));
+        let tracer = opts.tracer;
+        let batch_span = tracer.span("batch", opts.parent);
+        batch_span.attr("queries", plans.len());
+        batch_span.attr("threads", self.threads);
+        let batch_id = batch_span.id();
+        let sources: Vec<Source<'_>> = (0..)
+            .map_while(|attr| table.index_at(attr))
+            .map(|index| index.shared_source(pool))
+            .collect();
+
         let slots: Vec<Mutex<Option<EvalResult>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
+            plans.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let drain = || loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&(index, q, delta)) = items.get(i) else {
+            let Some(plan) = plans.get(i) else {
                 break;
             };
             if run.stopped() {
@@ -483,18 +598,10 @@ impl ParallelExecutor {
             }
             let span = tracer
                 .is_enabled()
-                .then(|| tracer.span(&format!("{kind} {i}"), parent));
+                .then(|| tracer.span(&format!("query {i}"), batch_id));
             let id = span.as_ref().and_then(SpanGuard::id);
-            let constituents = index.rewrite_constituents(q, tracer, id);
-            let source = index.shared_source(pool);
-            let result = evaluate_expr(
-                &source,
-                &constituents,
-                EvalStrategy::ComponentWise,
-                run,
-                id,
-                delta,
-            );
+            let dag = compile(table, plan, tracer, id);
+            let result = evaluate_dag(&dag, &sources, table.rows(), None, &run, id, opts.delta);
             if let Some(span) = &span {
                 span.attr("scans", result.scans);
                 span.attr("pages", result.io.pages_read);
@@ -502,63 +609,24 @@ impl ParallelExecutor {
             *slots[i].lock().expect("result slot") = Some(result);
         };
         std::thread::scope(|scope| {
-            for _ in 1..self.threads.min(items.len()) {
+            for _ in 1..self.threads.min(plans.len()) {
                 scope.spawn(drain);
             }
             drain();
         });
-        slots
+
+        let slots: Vec<Option<EvalResult>> = slots
             .into_iter()
             .map(|slot| slot.into_inner().expect("result slot"))
-            .collect()
-    }
-
-    /// Threads folding each DAG when `n` work items share the budget:
-    /// it is spent across items first, and only calls narrower than the
-    /// thread count get within-item workers.
-    fn inner_threads(&self, n: usize) -> usize {
-        let outer = self.threads.min(n).max(1);
-        self.inner_threads
-            .unwrap_or_else(|| (self.threads / outer).max(1))
-    }
-
-    /// Evaluates every query in `queries`, fanning out over the executor's
-    /// threads; results arrive in input order. I/O is charged per thread
-    /// and merged; the merged counters are also added to the index
-    /// store's global statistics — on failure too — so sequential-style
-    /// accounting keeps working. `opts.delta[0]` is the index's delta.
-    ///
-    /// A traced call records a `batch` span with one `query` child per
-    /// entry (opened on whichever worker picks the query up) and, inside
-    /// each, the `rewrite` / `eval` → `build` / `fold` phases with
-    /// per-DAG-node spans carrying queue-wait time and the cost model's
-    /// predicted nanoseconds.
-    pub fn execute(
-        &self,
-        index: &BitmapIndex,
-        queries: &[Query],
-        pool: &ShardedBufferPool,
-        cost: &CostModel,
-        opts: &EvalOptions<'_>,
-    ) -> Result<BatchResult, EvalError> {
-        let started = Instant::now();
-        let run = Run::new(opts, cost, self.inner_threads(queries.len()));
-        let batch_span = opts.tracer.span("batch", opts.parent);
-        batch_span.attr("queries", queries.len());
-        batch_span.attr("threads", self.threads);
-        let delta = opts.delta.first().copied().flatten();
-        let items: Vec<Item<'_>> = queries.iter().map(|q| (index, q, delta)).collect();
-        let slots = self.evaluate_all(&items, pool, &run, "query", batch_span.id());
-
+            .collect();
         let io = slots
             .iter()
             .flatten()
             .fold(IoStats::new(), |io, r| io + r.io);
-        index.store().charge(io);
         run.check(io)?;
         let results: Vec<EvalResult> = slots
             .into_iter()
-            .map(|slot| slot.expect("every query evaluated"))
+            .map(|slot| slot.expect("every plan evaluated"))
             .collect();
         Ok(BatchResult {
             io,
@@ -569,117 +637,19 @@ impl ParallelExecutor {
             results,
         })
     }
-
-    /// Executes a multi-attribute [`Plan`] against an [`IndexedTable`]:
-    /// every distinct literal is one work item folded through its
-    /// attribute's index, drained by the executor's worker pool; the
-    /// clause AND/OR fold runs word-wise on the calling thread once all
-    /// literals land. `opts.delta` is indexed by schema position; when
-    /// present, every attribute the plan touches must carry a delta with
-    /// the same appended row count. Traced calls record a `plan` span
-    /// with one `literal` child per distinct literal.
-    pub fn execute_plan(
-        &self,
-        table: &IndexedTable,
-        plan: &Plan,
-        pool: &ShardedBufferPool,
-        cost: &CostModel,
-        opts: &EvalOptions<'_>,
-    ) -> Result<PlanEvalResult, EvalError> {
-        let (lits, clauses) = plan.indexed_clauses();
-        let run = Run::new(opts, cost, self.inner_threads(lits.len()));
-        let plan_span = opts.tracer.span("plan", opts.parent);
-        plan_span.attr("clauses", clauses.len());
-        plan_span.attr("literals", lits.len());
-        let items: Vec<Item<'_>> = lits
-            .iter()
-            .map(|lit| {
-                let index = table
-                    .index_at(lit.attr)
-                    .expect("plan literal within schema");
-                (
-                    index,
-                    &lit.query,
-                    opts.delta.get(lit.attr).copied().flatten(),
-                )
-            })
-            .collect();
-        let slots = self.evaluate_all(&items, pool, &run, "literal", plan_span.id());
-
-        let mut out = PlanEvalResult {
-            bitmap: Bitvec::zeros(0),
-            scans: 0,
-            io: IoStats::new(),
-            seconds: 0.0,
-            decompressions: 0,
-            nodes_raw: 0,
-            nodes_compressed: 0,
-            literals: lits.len(),
-        };
-        for (&(index, ..), r) in items.iter().zip(&slots) {
-            let Some(r) = r else { continue };
-            index.store().charge(r.io);
-            out.scans += r.scans;
-            out.io += r.io;
-            out.seconds += r.total_seconds();
-            out.decompressions += r.decompressions;
-            out.nodes_raw += r.nodes_raw;
-            out.nodes_compressed += r.nodes_compressed;
-        }
-        run.check(out.io)?;
-        let bitmaps: Vec<Bitvec> = slots
-            .into_iter()
-            .zip(&lits)
-            .map(|(slot, lit)| {
-                let mut bitmap = slot.expect("every literal evaluated").bitmap;
-                if lit.complement {
-                    bitmap.not_assign();
-                }
-                bitmap
-            })
-            .collect();
-        // Constant plans never touch an index; their length is the base
-        // table plus whatever any delta appended.
-        let rows = bitmaps.first().map_or_else(
-            || table.rows() + opts.delta.iter().flatten().next().map_or(0, |d| d.rows()),
-            Bitvec::len,
-        );
-        out.bitmap = clauses
-            .iter()
-            .map(|clause| match clause.split_first() {
-                None => Bitvec::ones_vec(rows),
-                Some((&first, rest)) => {
-                    let mut acc = bitmaps[first].clone();
-                    for &lit in rest {
-                        acc.and_assign(&bitmaps[lit]);
-                    }
-                    acc
-                }
-            })
-            .reduce(|mut acc, clause| {
-                acc.or_assign(&clause);
-                acc
-            })
-            .unwrap_or_else(|| Bitvec::zeros(rows));
-        Ok(out)
-    }
 }
-
-/// One work item of a batch or plan: the index a query runs against, the
-/// query, and the index's ingest delta.
-type Item<'a> = (&'a BitmapIndex, &'a Query, Option<&'a DeltaIndex>);
 
 /// The outcome of one parallel batch.
 #[derive(Debug, Clone)]
 pub struct BatchResult {
-    /// Per-query outcomes, in input order.
+    /// Per-plan outcomes, in input order.
     pub results: Vec<EvalResult>,
     /// Merged disk activity across all worker threads.
     pub io: IoStats,
-    /// Simulated disk time summed over queries (the batch's aggregate
+    /// Simulated disk time summed over plans (the batch's aggregate
     /// cost-model I/O, as if each per-thread disk arm ran serially).
     pub io_seconds: f64,
-    /// Measured CPU time summed over queries.
+    /// Measured CPU time summed over plans.
     pub cpu_seconds: f64,
     /// Real elapsed time for the whole batch.
     pub wall_seconds: f64,
@@ -691,13 +661,6 @@ impl BatchResult {
     /// Total bitmap scans across the batch.
     pub fn total_scans(&self) -> usize {
         self.results.iter().map(|r| r.scans).sum()
-    }
-
-    /// Total distinct bitmaps referenced across the batch (per query;
-    /// bitmaps shared between queries count once per query, as in
-    /// sequential accounting).
-    pub fn total_distinct(&self) -> usize {
-        self.results.iter().map(|r| r.distinct_bitmaps).sum()
     }
 }
 
@@ -740,10 +703,19 @@ struct FoldState<'d> {
 
 /// Folds the DAG bottom-up with `run.workers` threads (the §6.3
 /// evaluator's independent-subtree parallelism); the calling thread is
-/// worker 0, so one worker runs inline. Leaves start ready in component
-/// order and the queue is FIFO, so a one-worker fold reads every leaf —
-/// in the order §6.3's component-wise fetch does — before its first op.
-fn fold_dag(dag: &Dag, source: &Source<'_>, run: &Run<'_>, parent: Option<SpanId>) -> Folded {
+/// worker 0, so one worker runs inline. Leaf `(attr, r)` reads through
+/// `sources[attr]`; an op is priced by its node's attribute's cost
+/// model; constants are `rows` long. Leaves start ready in (attribute,
+/// component) order and the queue is FIFO, so a one-worker fold reads
+/// every leaf — in the order §6.3's component-wise fetch does — before
+/// its first op.
+fn fold_dag(
+    dag: &Dag,
+    sources: &[Source<'_>],
+    rows: usize,
+    run: &Run<'_>,
+    parent: Option<SpanId>,
+) -> Folded {
     let n = dag.ops.len();
     let mut parents = vec![Vec::new(); n];
     for (i, op) in dag.ops.iter().enumerate() {
@@ -755,7 +727,7 @@ fn fold_dag(dag: &Dag, source: &Source<'_>, run: &Run<'_>, parent: Option<SpanId
         .filter(|&i| dag.ops[i].children().is_empty())
         .collect();
     initial.sort_by_key(|&i| match dag.ops[i] {
-        NodeOp::Leaf(r) => Some(r),
+        NodeOp::Leaf(attr, r) => Some((attr, r)),
         _ => None,
     });
     let stamp = run.tracer.is_enabled().then(Instant::now);
@@ -783,7 +755,7 @@ fn fold_dag(dag: &Dag, source: &Source<'_>, run: &Run<'_>, parent: Option<SpanId
     std::thread::scope(|scope| {
         let work = || {
             let mut ctx = ReadContext::new();
-            worker_loop(&state, source, run, parent, &mut ctx);
+            worker_loop(&state, sources, rows, run, parent, &mut ctx);
             *io.lock().expect("io totals") += ctx.take_stats();
         };
         for _ in 1..run.workers {
@@ -812,12 +784,13 @@ fn fold_dag(dag: &Dag, source: &Source<'_>, run: &Run<'_>, parent: Option<SpanId
 
 fn worker_loop(
     state: &FoldState<'_>,
-    source: &Source<'_>,
+    sources: &[Source<'_>],
+    rows: usize,
     run: &Run<'_>,
     parent: Option<SpanId>,
     ctx: &mut ReadContext,
 ) {
-    let (dag, tracer, model) = (state.dag, run.tracer, source.model);
+    let (dag, tracer) = (state.dag, run.tracer);
     let total = dag.ops.len();
     loop {
         // Take a ready node, or sleep until one appears / the fold ends.
@@ -854,11 +827,11 @@ fn worker_loop(
             NodeVal::Raw(Bitvec::zeros(0))
         } else {
             match op {
-                NodeOp::Const(true) => NodeVal::Raw(Bitvec::ones_vec(source.rows)),
-                NodeOp::Const(false) => NodeVal::Raw(Bitvec::zeros(source.rows)),
-                NodeOp::Leaf(r) => {
+                NodeOp::Const(true) => NodeVal::Raw(Bitvec::ones_vec(rows)),
+                NodeOp::Const(false) => NodeVal::Raw(Bitvec::zeros(rows)),
+                NodeOp::Leaf(attr, r) => {
                     state.scans.fetch_add(1, Ordering::Relaxed);
-                    source
+                    sources[*attr]
                         .read(*r, run.domain, ctx, &mut dec)
                         .unwrap_or_else(|failure| {
                             run.fail(failure);
@@ -869,6 +842,7 @@ fn worker_loop(
                     // Fold children, locking one value at a time. Children are
                     // all computed (dependency counts reached zero) and cannot
                     // be freed before this node — their consumer — runs.
+                    let model = sources[dag.attr[node]].model;
                     let children = op.children();
                     let mut acc = state.values[children[0]]
                         .lock()
@@ -898,18 +872,22 @@ fn worker_loop(
                 }
             }
         };
-        if dec > 0 {
-            state.decompressions.fetch_add(dec, Ordering::Relaxed);
-        }
         match &value {
             NodeVal::Raw(_) => &state.nodes_raw,
             NodeVal::Packed(..) => &state.nodes_compressed,
         }
         .fetch_add(1, Ordering::Relaxed);
-
         if let Some(span) = &node_span {
             span.attr("domain", value.domain_name());
             span.attr("predicted_ns", predicted_ns.round() as u64);
+        }
+        let value = if dag.decode[node] {
+            NodeVal::Raw(value.into_raw(&mut dec))
+        } else {
+            value
+        };
+        if dec > 0 {
+            state.decompressions.fetch_add(dec, Ordering::Relaxed);
         }
         drop(node_span);
         *state.values[node].lock().expect("node value") = Some(value);
@@ -949,13 +927,16 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BufferPool, EncodingScheme, IndexConfig};
+    use crate::{
+        BitmapIndex, BufferPool, EncodingScheme, IndexConfig, Planner, Query, TableQuery,
+        VALUE_ATTR,
+    };
     use bix_compress::CodecKind;
 
-    fn test_index(codec: CodecKind) -> BitmapIndex {
+    fn test_index(codec: CodecKind) -> IndexedTable {
         let column: Vec<u64> = (0..30_000u64).map(|i| (i * 37 + i / 13) % 50).collect();
         let config = IndexConfig::one_component(50, EncodingScheme::Interval).with_codec(codec);
-        BitmapIndex::build(&column, &config)
+        BitmapIndex::build(&column, &config).into()
     }
 
     fn test_queries() -> Vec<Query> {
@@ -969,16 +950,20 @@ mod tests {
         ]
     }
 
+    fn plans(queries: &[Query]) -> Vec<Plan> {
+        queries.iter().cloned().map(Plan::from).collect()
+    }
+
     /// Runs `exec` over `queries` with default options.
     fn run(
         exec: ParallelExecutor,
-        index: &BitmapIndex,
+        table: &IndexedTable,
         queries: &[Query],
         pool: &ShardedBufferPool,
     ) -> BatchResult {
         exec.execute(
-            index,
-            queries,
+            table,
+            &plans(queries),
             pool,
             &CostModel::default(),
             &EvalOptions::default(),
@@ -994,8 +979,9 @@ mod tests {
     }
 
     /// Sequential ground truth for a query, plus its scan count.
-    fn sequential(index: &mut BitmapIndex, q: &Query) -> EvalResult {
+    fn sequential(table: &mut IndexedTable, q: &Query) -> EvalResult {
         let mut pool = BufferPool::new(4096);
+        let index = table.index_mut(VALUE_ATTR).expect("one-attribute table");
         index.evaluate_detailed(
             q,
             &mut pool,
@@ -1004,9 +990,24 @@ mod tests {
         )
     }
 
+    /// The one-plan call: `plan`'s result over `table` on `threads`.
+    fn execute_one(table: &IndexedTable, plan: &Plan, threads: usize) -> EvalResult {
+        let pool = ShardedBufferPool::new(4096, 8);
+        ParallelExecutor::new(threads)
+            .execute(
+                table,
+                std::slice::from_ref(plan),
+                &pool,
+                &CostModel::default(),
+                &EvalOptions::default(),
+            )
+            .unwrap()
+            .results
+            .remove(0)
+    }
+
     #[test]
     fn plan_execution_matches_sequential_and_naive() {
-        use crate::{Planner, TableQuery};
         let rows = 4000usize;
         let region: Vec<u64> = (0..rows).map(|i| (i * 7 % 8) as u64).collect();
         let store: Vec<u64> = (0..rows).map(|i| (i * 13 % 48) as u64).collect();
@@ -1035,41 +1036,92 @@ mod tests {
         .unwrap();
         let plan = Planner::new(&schema).plan(&q).unwrap();
         let naive = table.evaluate(&q);
-        let execute = |threads: usize| {
-            let pool = ShardedBufferPool::new(4096, 8);
-            ParallelExecutor::new(threads)
-                .execute_plan(
-                    &table,
-                    &plan,
-                    &pool,
-                    &CostModel::default(),
-                    &EvalOptions::default(),
-                )
-                .unwrap()
-        };
-        let sequential = execute(1);
+        let sequential = execute_one(&table, &plan, 1);
         assert_eq!(sequential.bitmap, naive);
         // COUNT pushdown agrees with materialized positions.
         assert_eq!(sequential.count(), naive.to_positions().len() as u64);
         for threads in [2usize, 8] {
-            let parallel = execute(threads);
+            let parallel = execute_one(&table, &plan, threads);
             assert_eq!(parallel.bitmap, naive, "t={threads}");
-            assert_eq!(parallel.literals, sequential.literals);
+            assert_eq!(parallel.distinct_bitmaps, sequential.distinct_bitmaps);
             assert_eq!(parallel.scans, sequential.scans, "t={threads}");
         }
+    }
+
+    /// Leaves are keyed by attribute: two attributes with one
+    /// configuration share every (component, slot) but no bitmap.
+    #[test]
+    fn same_config_attributes_never_alias_leaves() {
+        let rows = 3000usize;
+        let a: Vec<u64> = (0..rows).map(|i| (i * 7 % 10) as u64).collect();
+        let b: Vec<u64> = (0..rows).map(|i| (i * 3 / 7 % 10) as u64).collect();
+        let config = IndexConfig::one_component(10, EncodingScheme::Equality);
+        let mut table = IndexedTable::new(rows);
+        table.add_attribute("a", &a, config.clone());
+        table.add_attribute("b", &b, config);
+        let schema = table.schema();
+        let q = TableQuery::parse("a = 1 and b = 1", &schema).unwrap();
+        let plan = Planner::new(&schema).plan(&q).unwrap();
+        let naive = table.evaluate(&q);
+        assert!(naive.count_ones() > 0, "query must match rows");
+        let got = execute_one(&table, &plan, 1);
+        assert_eq!(got.bitmap, naive);
+        assert_eq!(got.scans, 2, "E^1 of each attribute");
+    }
+
+    /// A bitmap several literals share is one leaf, read once: `a = 2`
+    /// sits in both clauses' literals, and the plan scans each distinct
+    /// bitmap across the plan once.
+    #[test]
+    fn a_leaf_shared_by_literals_is_read_once() {
+        let rows = 3000usize;
+        let a: Vec<u64> = (0..rows).map(|i| (i * 7 % 10) as u64).collect();
+        let b: Vec<u64> = (0..rows).map(|i| (i * 3 / 7 % 4) as u64).collect();
+        let mut table = IndexedTable::new(rows);
+        table.add_attribute(
+            "a",
+            &a,
+            IndexConfig::one_component(10, EncodingScheme::Equality),
+        );
+        table.add_attribute(
+            "b",
+            &b,
+            IndexConfig::one_component(4, EncodingScheme::Equality),
+        );
+        let schema = table.schema();
+        let q = TableQuery::parse("a in {1, 2} or (a in {2, 3} and b = 0)", &schema).unwrap();
+        let plan = Planner::new(&schema).plan(&q).unwrap();
+        let distinct: std::collections::BTreeSet<(usize, BitmapRef)> = plan
+            .distinct_literals()
+            .iter()
+            .flat_map(|lit| {
+                let index = table.index_at(lit.attr).unwrap();
+                index
+                    .rewrite(&lit.query)
+                    .leaves()
+                    .into_iter()
+                    .map(|r| (lit.attr, r))
+            })
+            .collect();
+        // E^1, E^2, E^3 of `a` and E^0 of `b`.
+        assert_eq!(distinct.len(), 4, "{plan:?}");
+        let got = execute_one(&table, &plan, 1);
+        assert_eq!(got.bitmap, table.evaluate(&q));
+        assert_eq!(got.scans, distinct.len());
+        assert_eq!(got.distinct_bitmaps, distinct.len());
     }
 
     #[test]
     fn batch_matches_sequential_bit_for_bit() {
         for codec in [CodecKind::Raw, CodecKind::Bbc] {
-            let mut index = test_index(codec);
+            let mut table = test_index(codec);
             let queries = test_queries();
             let expected: Vec<EvalResult> =
-                queries.iter().map(|q| sequential(&mut index, q)).collect();
+                queries.iter().map(|q| sequential(&mut table, q)).collect();
 
             for threads in [1usize, 2, 8] {
                 let pool = ShardedBufferPool::new(4096, 8);
-                let batch = run(ParallelExecutor::new(threads), &index, &queries, &pool);
+                let batch = run(ParallelExecutor::new(threads), &table, &queries, &pool);
                 assert_eq!(batch.results.len(), queries.len());
                 for (i, (got, want)) in batch.results.iter().zip(&expected).enumerate() {
                     assert_eq!(got.bitmap, want.bitmap, "{codec} t={threads} q{i}");
@@ -1082,13 +1134,13 @@ mod tests {
 
     #[test]
     fn within_query_folding_matches_sequential() {
-        let mut index = test_index(CodecKind::Raw);
+        let mut table = test_index(CodecKind::Raw);
         let queries = test_queries();
         let pool = ShardedBufferPool::new(4096, 8);
         let exec = ParallelExecutor::new(4).with_inner_threads(4);
-        let batch = run(exec, &index, &queries, &pool);
+        let batch = run(exec, &table, &queries, &pool);
         for (i, q) in queries.iter().enumerate() {
-            let want = sequential(&mut index, q);
+            let want = sequential(&mut table, q);
             assert_eq!(batch.results[i].bitmap, want.bitmap, "q{i}");
             assert_eq!(batch.results[i].scans, want.scans, "q{i}");
         }
@@ -1097,13 +1149,13 @@ mod tests {
     #[test]
     fn eval_domains_agree_and_compressed_decodes_less() {
         for codec in [CodecKind::Bbc, CodecKind::Wah, CodecKind::Ewah] {
-            let index = test_index(codec);
-            let queries = test_queries();
+            let table = test_index(codec);
+            let queries = plans(&test_queries());
             let execute = |domain| {
                 let pool = ShardedBufferPool::new(4096, 8);
                 ParallelExecutor::new(4)
                     .execute(
-                        &index,
+                        &table,
                         &queries,
                         &pool,
                         &CostModel::default(),
@@ -1139,10 +1191,11 @@ mod tests {
 
     #[test]
     fn batch_io_is_charged_to_store_totals() {
-        let index = test_index(CodecKind::Raw);
+        let table = test_index(CodecKind::Raw);
+        let index = table.single_index().unwrap();
         let before = index.store().stats();
         let pool = ShardedBufferPool::new(4096, 4);
-        let batch = run(ParallelExecutor::new(4), &index, &test_queries(), &pool);
+        let batch = run(ParallelExecutor::new(4), &table, &test_queries(), &pool);
         let after = index.store().stats().since(&before);
         assert_eq!(after, batch.io, "merged batch I/O lands in global stats");
         assert!(batch.io.pages_read > 0);
@@ -1151,12 +1204,12 @@ mod tests {
 
     #[test]
     fn warm_striped_pool_turns_rereads_into_hits() {
-        let index = test_index(CodecKind::Raw);
+        let table = test_index(CodecKind::Raw);
         let pool = ShardedBufferPool::new(4096, 4);
         let exec = ParallelExecutor::new(4);
         let queries = test_queries();
-        let cold = run(exec, &index, &queries, &pool);
-        let warm = run(exec, &index, &queries, &pool);
+        let cold = run(exec, &table, &queries, &pool);
+        let warm = run(exec, &table, &queries, &pool);
         assert_eq!(warm.total_scans(), cold.total_scans());
         assert!(warm.io.pages_read < cold.io.pages_read);
         assert!(warm.io.pool_hits > cold.io.pool_hits);
@@ -1164,9 +1217,9 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let index = test_index(CodecKind::Raw);
+        let table = test_index(CodecKind::Raw);
         let pool = ShardedBufferPool::new(64, 2);
-        let batch = run(ParallelExecutor::new(4), &index, &[], &pool);
+        let batch = run(ParallelExecutor::new(4), &table, &[], &pool);
         assert!(batch.results.is_empty());
         assert_eq!(batch.total_scans(), 0);
     }
@@ -1179,12 +1232,12 @@ mod tests {
 
     #[test]
     fn expired_deadline_yields_typed_error() {
-        let index = test_index(CodecKind::Raw);
+        let table = test_index(CodecKind::Raw);
         let pool = ShardedBufferPool::new(4096, 4);
         let past = Instant::now() - std::time::Duration::from_millis(1);
         let got = ParallelExecutor::new(4).with_inner_threads(2).execute(
-            &index,
-            &test_queries(),
+            &table,
+            &plans(&test_queries()),
             &pool,
             &CostModel::default(),
             &EvalOptions {
@@ -1197,16 +1250,16 @@ mod tests {
 
     #[test]
     fn generous_deadline_matches_undeadlined_run() {
-        let index = test_index(CodecKind::Raw);
+        let table = test_index(CodecKind::Raw);
         let queries = test_queries();
         let pool = ShardedBufferPool::new(4096, 4);
-        let plain = run(ParallelExecutor::new(4), &index, &queries, &pool);
+        let plain = run(ParallelExecutor::new(4), &table, &queries, &pool);
         let pool = ShardedBufferPool::new(4096, 4);
         let far = Instant::now() + std::time::Duration::from_secs(600);
         let timed = ParallelExecutor::new(4)
             .execute(
-                &index,
-                &queries,
+                &table,
+                &plans(&queries),
                 &pool,
                 &CostModel::default(),
                 &EvalOptions {
@@ -1224,21 +1277,21 @@ mod tests {
     #[test]
     fn node_mix_counters_cover_the_fold() {
         // Raw store: every folded node materialises as a raw bitvec.
-        let index = test_index(CodecKind::Raw);
+        let table = test_index(CodecKind::Raw);
         let pool = ShardedBufferPool::new(4096, 4);
         let exec = ParallelExecutor::new(2).with_inner_threads(2);
-        let batch = run(exec, &index, &test_queries(), &pool);
+        let batch = run(exec, &table, &test_queries(), &pool);
         for r in &batch.results {
             assert!(r.nodes_raw > 0);
             assert_eq!(r.nodes_compressed, 0);
         }
         // Compressed-domain BBC: leaves stay packed through the fold.
-        let index = test_index(CodecKind::Bbc);
+        let table = test_index(CodecKind::Bbc);
         let pool = ShardedBufferPool::new(4096, 4);
         let batch = ParallelExecutor::new(2)
             .execute(
-                &index,
-                &test_queries(),
+                &table,
+                &plans(&test_queries()),
                 &pool,
                 &CostModel::default(),
                 &in_domain(EvalDomain::Compressed),

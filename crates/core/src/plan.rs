@@ -32,11 +32,12 @@
 //!    product expands, so a hostile deep-Not/wide-Or expression returns
 //!    [`PlanError::ClauseCapExceeded`] instead of exhausting memory.
 //!
-//! Execution lives in [`crate::ParallelExecutor::execute_plan`]: each
-//! distinct literal is evaluated once through its attribute's index (in
-//! the compressed domain where the per-index [`crate::DomainCostModel`]
-//! prefers it), and clause folding runs word-wise over the decoded
-//! results.
+//! Execution lives in [`crate::ParallelExecutor::execute`]: a plan
+//! compiles into one hash-consed bitmap-expression DAG — an OR over the
+//! clauses of ANDs over the literals, each literal its attribute's
+//! rewritten expression — folded once, so every distinct bitmap is read
+//! once however many literals share it. A single-attribute predicate is
+//! the one-literal plan `Plan::from(query)`.
 
 use crate::multi::TableQuery;
 use crate::Query;
@@ -1283,30 +1284,32 @@ pub struct Plan {
     pub actions: Vec<RewriteAction>,
 }
 
-impl Plan {
-    /// The distinct literals across all clauses, in first-use order — the
-    /// unit of execution (every distinct literal is evaluated exactly once
-    /// however many clauses share it).
-    pub fn distinct_literals(&self) -> Vec<PlanLiteral> {
-        self.indexed_clauses().0
+impl From<Query> for Plan {
+    /// A single-attribute predicate as the one-literal plan on schema
+    /// position 0 — how a one-attribute table answers `Query` requests.
+    fn from(query: Query) -> Plan {
+        Plan {
+            clauses: vec![vec![PlanLiteral {
+                attr: 0,
+                query,
+                complement: false,
+            }]],
+            actions: Vec::new(),
+        }
     }
+}
 
-    /// [`Plan::distinct_literals`] plus every clause as positions into
-    /// that list, so executors address literal results by index.
-    pub fn indexed_clauses(&self) -> (Vec<PlanLiteral>, Vec<Vec<usize>>) {
+impl Plan {
+    /// The distinct literals across all clauses, in first-use order —
+    /// each is rewritten once however many clauses share it.
+    pub fn distinct_literals(&self) -> Vec<PlanLiteral> {
         let mut literals: Vec<PlanLiteral> = Vec::new();
-        let mut position = |lit: &PlanLiteral| {
-            literals.iter().position(|l| l == lit).unwrap_or_else(|| {
+        for lit in self.clauses.iter().flatten() {
+            if !literals.contains(lit) {
                 literals.push(lit.clone());
-                literals.len() - 1
-            })
-        };
-        let clauses = self
-            .clauses
-            .iter()
-            .map(|clause| clause.iter().map(&mut position).collect())
-            .collect();
-        (literals, clauses)
+            }
+        }
+        literals
     }
 
     /// True when the plan is the constant-false selection.
@@ -1333,8 +1336,7 @@ impl Plan {
                 clause
                     .iter()
                     .map(|lit| {
-                        let name = &schema.attr(lit.attr).name;
-                        let body = format!("{name} {}", display_query(&lit.query));
+                        let body = display_query(&schema.attr(lit.attr).name, &lit.query);
                         if lit.complement {
                             format!("not ({body})")
                         } else {
@@ -1351,25 +1353,19 @@ impl Plan {
     }
 }
 
-/// Renders a [`Query`] in the table-query grammar's spelling.
-pub(crate) fn display_query(q: &Query) -> String {
+/// Renders `name`'s predicate `q` in the [`TableQuery::parse`] grammar:
+/// `name = v`, `name <= hi`, `(name >= lo and name <= hi)`,
+/// `name in {a, b}`, `not (…)`.
+pub(crate) fn display_query(name: &str, q: &Query) -> String {
     match q {
-        Query::Interval { lo, hi } if lo == hi => format!("= {lo}"),
-        Query::Interval { lo: 0, hi } => format!("<= {hi}"),
-        Query::Interval { lo, hi } => format!("in {{{lo}..{hi}}}"),
+        Query::Interval { lo, hi } if lo == hi => format!("{name} = {lo}"),
+        Query::Interval { lo: 0, hi } => format!("{name} <= {hi}"),
+        Query::Interval { lo, hi } => format!("({name} >= {lo} and {name} <= {hi})"),
         Query::Membership(values) => {
-            let mut body = values
-                .iter()
-                .take(8)
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ");
-            if values.len() > 8 {
-                body.push_str(&format!(", … {} values", values.len()));
-            }
-            format!("in {{{body}}}")
+            let values: Vec<String> = values.iter().map(u64::to_string).collect();
+            format!("{name} in {{{}}}", values.join(", "))
         }
-        Query::Not(inner) => format!("!{}", display_query(inner)),
+        Query::Not(inner) => format!("not ({})", display_query(name, inner)),
     }
 }
 

@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 
 use bix_core::{
     BitmapIndex, BitmapRef, BufferPool, CodecKind, CostModel, EncodingScheme, EvalDomain,
-    EvalFailure, EvalOptions, EvalStrategy, IndexConfig, IndexedTable, ParallelExecutor, Planner,
-    Query, ShardedBufferPool,
+    EvalFailure, EvalOptions, EvalStrategy, IndexConfig, IndexedTable, ParallelExecutor, Plan,
+    Planner, Query, ShardedBufferPool,
 };
 
 fn test_index() -> BitmapIndex {
@@ -18,12 +18,12 @@ fn test_index() -> BitmapIndex {
     BitmapIndex::build(&column, &config)
 }
 
-fn queries() -> Vec<Query> {
+fn queries() -> Vec<Plan> {
     vec![
-        Query::equality(7),
-        Query::range(3, 20),
-        Query::membership(vec![0, 4, 8, 12, 16, 49]),
-        Query::range(10, 40).not(),
+        Query::equality(7).into(),
+        Query::range(3, 20).into(),
+        Query::membership(vec![0, 4, 8, 12, 16, 49]).into(),
+        Query::range(10, 40).not().into(),
     ]
 }
 
@@ -51,7 +51,13 @@ fn expired_deadline_fails_a_plan_typed() {
     };
     for threads in [1usize, 4] {
         let err = ParallelExecutor::new(threads)
-            .execute_plan(&table, &plan, &pool, &CostModel::default(), &opts)
+            .execute(
+                &table,
+                std::slice::from_ref(&plan),
+                &pool,
+                &CostModel::default(),
+                &opts,
+            )
             .unwrap_err();
         assert_eq!(err.failure, EvalFailure::DeadlineExceeded, "t={threads}");
     }
@@ -62,6 +68,8 @@ fn corrupt_read_fails_a_batch_typed_without_hanging() {
     for domain in [EvalDomain::Raw, EvalDomain::Compressed] {
         let mut index = test_index();
         assert!(index.corrupt_bitmap(0, 3, 2, 0x40));
+        let table = IndexedTable::from(index);
+        let index = table.single_index().unwrap();
         let pool = ShardedBufferPool::new(4096, 4);
         let before = index.io_stats();
         let opts = EvalOptions {
@@ -70,7 +78,7 @@ fn corrupt_read_fails_a_batch_typed_without_hanging() {
         };
         let exec = ParallelExecutor::new(2).with_inner_threads(2);
         let err = exec
-            .execute(&index, &queries(), &pool, &CostModel::default(), &opts)
+            .execute(&table, &queries(), &pool, &CostModel::default(), &opts)
             .unwrap_err();
         match &err.failure {
             EvalFailure::Corrupt { bitmap, name, .. } => {
@@ -89,8 +97,8 @@ fn corrupt_read_fails_a_batch_typed_without_hanging() {
         // A batch that never reads the bad bitmap still answers.
         let ok = exec
             .execute(
-                &index,
-                &[Query::equality(40)],
+                &table,
+                &[Query::equality(40).into()],
                 &pool,
                 &CostModel::default(),
                 &opts,

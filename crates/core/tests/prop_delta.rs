@@ -6,7 +6,8 @@
 
 use bix_core::{
     BitmapIndex, BufferPool, CodecKind, CostModel, DeltaIndex, EncodingScheme, EvalOptions,
-    EvalStrategy, IndexConfig, ParallelExecutor, Query, ShardedBufferPool,
+    EvalStrategy, IndexConfig, IndexedTable, ParallelExecutor, Plan, Query, ShardedBufferPool,
+    VALUE_ATTR,
 };
 use bix_workload::DatasetSpec;
 use proptest::prelude::*;
@@ -105,8 +106,9 @@ proptest! {
 
         let config =
             IndexConfig::one_component(s.cardinality, s.scheme).with_codec(s.codec);
-        let mut main = BitmapIndex::build(&base.values, &config);
-        let mut delta = DeltaIndex::for_index(&main, usize::MAX);
+        let mut table = IndexedTable::from(BitmapIndex::build(&base.values, &config));
+        let plans: Vec<Plan> = s.queries.iter().cloned().map(Plan::from).collect();
+        let mut delta = DeltaIndex::for_index(table.single_index().unwrap(), usize::MAX);
         let mut all: Vec<u64> = base.values.clone();
 
         let cost = CostModel::default();
@@ -125,6 +127,7 @@ proptest! {
                 // rows into main through the journaled append protocol,
                 // then drop them from the delta.
                 let buffered = delta.values().to_vec();
+                let main = table.index_mut(VALUE_ATTR).unwrap();
                 main.try_append(&buffered).expect("merge append");
                 delta.prune_merged(buffered.len());
                 prop_assert!(delta.is_empty());
@@ -137,7 +140,7 @@ proptest! {
             // Sequential overlay path.
             for (i, q) in s.queries.iter().enumerate() {
                 prop_assert_eq!(
-                    main.evaluate_with(
+                    table.index_mut(VALUE_ATTR).unwrap().evaluate_with(
                         q,
                         &mut BufferPool::new(4096),
                         EvalStrategy::ComponentWise,
@@ -156,8 +159,8 @@ proptest! {
             // Parallel executor with the delta threaded through.
             let batch_result = executor
                 .execute(
-                    &main,
-                    &s.queries,
+                    &table,
+                    &plans,
                     &pool,
                     &cost,
                     &EvalOptions { delta: &[Some(&delta)], ..EvalOptions::default() },
@@ -190,8 +193,9 @@ proptest! {
         .generate();
         let config =
             IndexConfig::one_component(s.cardinality, s.scheme).with_codec(s.codec);
-        let main = BitmapIndex::build(&base.values, &config);
-        let mut delta = DeltaIndex::for_index(&main, usize::MAX);
+        let table = IndexedTable::from(BitmapIndex::build(&base.values, &config));
+        let plans: Vec<Plan> = s.queries.iter().cloned().map(Plan::from).collect();
+        let mut delta = DeltaIndex::for_index(table.single_index().unwrap(), usize::MAX);
         let n_tail: usize = s.batches.first().map(|(n, _)| *n).unwrap_or(1);
         let tail = DatasetSpec {
             rows: n_tail,
@@ -207,15 +211,15 @@ proptest! {
         let cost = CostModel::default();
         let batch = executor
             .execute(
-                &main,
-                &s.queries,
+                &table,
+                &plans,
                 &pool,
                 &cost,
                 &EvalOptions { delta: &[Some(&delta)], ..EvalOptions::default() },
             )
             .expect("no deadline set");
         for got in &batch.results {
-            prop_assert_eq!(got.bitmap.len(), main.rows() + delta.rows());
+            prop_assert_eq!(got.bitmap.len(), table.rows() + delta.rows());
             prop_assert_eq!(got.delta_rows, delta.rows());
             prop_assert!(got.scans >= got.delta_scans, "delta scans are a subset");
         }

@@ -1,11 +1,13 @@
 //! Property tests: the parallel batch executor is observationally
 //! equivalent to sequential component-wise evaluation — bit-identical
 //! result bitmaps and identical scan counts — over random query batches
-//! on Zipf-distributed data, for any thread configuration.
+//! on Zipf-distributed data, nullable or not, with or without an ingest
+//! delta, for any thread configuration.
 
 use bix_core::{
-    BitmapIndex, BufferPool, CodecKind, CostModel, EncodingScheme, EvalOptions, EvalStrategy,
-    IndexConfig, IoMetrics, IoStats, MetricsRegistry, ParallelExecutor, Query, ShardedBufferPool,
+    BitmapIndex, BufferPool, CodecKind, CostModel, DeltaIndex, EncodingScheme, EvalOptions,
+    EvalStrategy, IndexConfig, IndexedTable, IoMetrics, IoStats, MetricsRegistry, ParallelExecutor,
+    Plan, Query, ShardedBufferPool,
 };
 use bix_workload::DatasetSpec;
 use proptest::prelude::*;
@@ -21,6 +23,10 @@ struct Scenario {
     queries: Vec<Query>,
     threads: usize,
     inner_threads: usize,
+    /// Every `null_every`-th row is NULL (0: the column is not nullable).
+    null_every: usize,
+    /// Rows peeled off the end of the column into an ingest delta.
+    delta_rows: usize,
 }
 
 fn arb_query(c: u64) -> impl Strategy<Value = Query> {
@@ -55,10 +61,23 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
             ]),
             prop::collection::vec(arb_query(c), 1..12),
             1usize..=6,
-            1usize..=4,
+            (
+                1usize..=4,
+                prop::sample::select(vec![0usize, 3, 7]),
+                0usize..64,
+            ),
         )
             .prop_map(
-                move |(rows, zipf_z, seed, scheme, codec, queries, threads, inner_threads)| {
+                move |(
+                    rows,
+                    zipf_z,
+                    seed,
+                    scheme,
+                    codec,
+                    queries,
+                    threads,
+                    (inner_threads, null_every, delta_rows),
+                )| {
                     Scenario {
                         cardinality: c,
                         rows,
@@ -69,10 +88,43 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                         queries,
                         threads,
                         inner_threads,
+                        null_every,
+                        delta_rows,
                     }
                 },
             )
     })
+}
+
+/// The scenario's index over its first `rows - delta_rows` rows
+/// (nullable when `null_every > 0`) and the ingest delta holding the
+/// rest (`None` when `delta_rows` is 0).
+fn build(s: &Scenario) -> (BitmapIndex, Option<DeltaIndex>) {
+    let data = DatasetSpec {
+        rows: s.rows,
+        cardinality: s.cardinality,
+        zipf_z: s.zipf_z,
+        seed: s.seed,
+    }
+    .generate();
+    let config = IndexConfig::one_component(s.cardinality, s.scheme).with_codec(s.codec);
+    let (main, tail) = data.values.split_at(s.rows - s.delta_rows);
+    let index = if s.null_every == 0 {
+        BitmapIndex::build(main, &config)
+    } else {
+        let column: Vec<Option<u64>> = main
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (i % s.null_every != 0).then_some(v))
+            .collect();
+        BitmapIndex::build_nullable(&column, &config)
+    };
+    let delta = (s.delta_rows > 0).then(|| {
+        let mut delta = DeltaIndex::for_index(&index, usize::MAX);
+        delta.absorb(tail).expect("in-domain tail");
+        delta
+    });
+    (index, delta)
 }
 
 proptest! {
@@ -80,16 +132,9 @@ proptest! {
 
     #[test]
     fn parallel_batch_equals_sequential_component_wise(s in arb_scenario()) {
-        let data = DatasetSpec {
-            rows: s.rows,
-            cardinality: s.cardinality,
-            zipf_z: s.zipf_z,
-            seed: s.seed,
-        }
-        .generate();
-        let config =
-            IndexConfig::one_component(s.cardinality, s.scheme).with_codec(s.codec);
-        let mut index = BitmapIndex::build(&data.values, &config);
+        let (mut index, delta) = build(&s);
+        let deltas = [delta.as_ref()];
+        let opts = EvalOptions { delta: &deltas, ..EvalOptions::default() };
         let cost = CostModel::default();
 
         // Sequential ground truth: one query at a time, component-wise.
@@ -98,14 +143,18 @@ proptest! {
             .queries
             .iter()
             .map(|q| {
-                index.evaluate_detailed(q, &mut seq_pool, EvalStrategy::ComponentWise, &cost)
+                index
+                    .evaluate_with(q, &mut seq_pool, EvalStrategy::ComponentWise, &cost, &opts)
+                    .expect("no deadline, no corruption")
             })
             .collect();
 
+        let table = IndexedTable::from(index);
+        let plans: Vec<Plan> = s.queries.iter().cloned().map(Plan::from).collect();
         let pool = ShardedBufferPool::new(1024, s.threads.max(2));
         let batch = ParallelExecutor::new(s.threads)
             .with_inner_threads(s.inner_threads)
-            .execute(&index, &s.queries, &pool, &cost, &EvalOptions::default())
+            .execute(&table, &plans, &pool, &cost, &opts)
             .expect("no deadline, no corruption");
 
         prop_assert_eq!(batch.results.len(), s.queries.len());
@@ -129,6 +178,8 @@ proptest! {
                 got.nodes_compressed, want.nodes_compressed,
                 "query {} nodes_compressed", i
             );
+            prop_assert_eq!(got.delta_scans, want.delta_scans, "query {} delta_scans", i);
+            prop_assert_eq!(got.delta_rows, want.delta_rows, "query {} delta_rows", i);
         }
         let seq_total: usize = sequential.iter().map(|r| r.scans).sum();
         prop_assert_eq!(batch.total_scans(), seq_total, "aggregate scan count");
@@ -141,16 +192,12 @@ proptest! {
     /// back the same numbers.
     #[test]
     fn per_query_io_deltas_sum_to_global_counters(s in arb_scenario()) {
-        let data = DatasetSpec {
-            rows: s.rows,
-            cardinality: s.cardinality,
-            zipf_z: s.zipf_z,
-            seed: s.seed,
-        }
-        .generate();
-        let config =
-            IndexConfig::one_component(s.cardinality, s.scheme).with_codec(s.codec);
-        let index = BitmapIndex::build(&data.values, &config);
+        let (index, delta) = build(&s);
+        let deltas = [delta.as_ref()];
+        let opts = EvalOptions { delta: &deltas, ..EvalOptions::default() };
+        let table = IndexedTable::from(index);
+        let index = table.single_index().expect("one attribute");
+        let plans: Vec<Plan> = s.queries.iter().cloned().map(Plan::from).collect();
         let cost = CostModel::default();
 
         let registry = MetricsRegistry::new();
@@ -160,7 +207,7 @@ proptest! {
         let pool = ShardedBufferPool::new(1024, s.threads.max(2));
         let batch = ParallelExecutor::new(s.threads)
             .with_inner_threads(s.inner_threads)
-            .execute(&index, &s.queries, &pool, &cost, &EvalOptions::default())
+            .execute(&table, &plans, &pool, &cost, &opts)
             .expect("no deadline, no corruption");
 
         let mut summed = IoStats::new();

@@ -175,10 +175,13 @@ proptest! {
         let naive = table.evaluate(&query);
         let cost = CostModel::default();
 
+        let plans = [plan];
         let pool = ShardedBufferPool::new(4096, 2);
         let sequential = ParallelExecutor::new(1)
-            .execute_plan(&table, &plan, &pool, &cost, &EvalOptions::default())
-            .expect("no deadline, no corruption");
+            .execute(&table, &plans, &pool, &cost, &EvalOptions::default())
+            .expect("no deadline, no corruption")
+            .results
+            .remove(0);
         prop_assert_eq!(
             sequential.bitmap.to_positions(),
             naive.to_positions(),
@@ -195,8 +198,10 @@ proptest! {
         let pool = ShardedBufferPool::new(4096, 2);
         let executor = ParallelExecutor::new(s.threads);
         let parallel = executor
-            .execute_plan(&table, &plan, &pool, &cost, &EvalOptions::default())
-            .expect("no deadline, no corruption");
+            .execute(&table, &plans, &pool, &cost, &EvalOptions::default())
+            .expect("no deadline, no corruption")
+            .results
+            .remove(0);
         prop_assert_eq!(
             parallel.bitmap.to_positions(),
             naive.to_positions(),
@@ -247,9 +252,12 @@ proptest! {
             delta: &refs,
             ..EvalOptions::default()
         };
+        let plans = [plan];
         let sequential = ParallelExecutor::new(1)
-            .execute_plan(&table, &plan, &pool, &cost, &opts)
-            .expect("no deadline, no corruption");
+            .execute(&table, &plans, &pool, &cost, &opts)
+            .expect("no deadline, no corruption")
+            .results
+            .remove(0);
         prop_assert_eq!(
             sequential.bitmap.to_positions(),
             naive.to_positions(),
@@ -260,8 +268,10 @@ proptest! {
         let pool = ShardedBufferPool::new(4096, 2);
         let executor = ParallelExecutor::new(s.threads);
         let parallel = executor
-            .execute_plan(&table, &plan, &pool, &cost, &opts)
-            .expect("no deadline set");
+            .execute(&table, &plans, &pool, &cost, &opts)
+            .expect("no deadline set")
+            .results
+            .remove(0);
         prop_assert_eq!(
             parallel.bitmap.to_positions(),
             naive.to_positions(),
@@ -269,5 +279,24 @@ proptest! {
             query
         );
         prop_assert_eq!(parallel.count(), naive.count_ones() as u64);
+    }
+
+    /// A table query's text is in the grammar it parses: parsing
+    /// `q.to_string()` back gives a query that selects exactly `q`'s rows.
+    #[test]
+    fn rendered_queries_parse_back_to_the_same_selection(s in arb_scenario()) {
+        let mut state = s.query_seed;
+        let query = gen_query(&mut state, 3);
+        let cols = columns(&s);
+        let mut table = build_table(&s, &cols, s.rows);
+        let text = query.to_string();
+        let reparsed = TableQuery::parse(&text, &table.schema())
+            .unwrap_or_else(|e| panic!("{text:?} does not parse back: {e}"));
+        prop_assert_eq!(
+            table.evaluate(&reparsed).to_positions(),
+            table.evaluate(&query).to_positions(),
+            "{} selects different rows once re-parsed",
+            text
+        );
     }
 }

@@ -5,7 +5,8 @@
 
 use bix_core::{
     BitmapIndex, BufferPool, CostModel, EncodingScheme, EvalOptions, EvalStrategy, IndexConfig,
-    MetricsRegistry, ParallelExecutor, Query, ShardedBufferPool, SpanRecord, Tracer,
+    IndexedTable, MetricsRegistry, ParallelExecutor, Plan, Query, ShardedBufferPool, SpanRecord,
+    Tracer,
 };
 
 fn test_index() -> BitmapIndex {
@@ -118,12 +119,12 @@ fn sequential_trace_has_nested_phases() {
 
 #[test]
 fn parallel_trace_covers_every_query_and_node_waits() {
-    let index = test_index();
+    let index = IndexedTable::from(test_index());
     let pool = ShardedBufferPool::new(4096, 4);
-    let queries = vec![
-        Query::equality(7),
-        Query::range(3, 20),
-        Query::membership(vec![0, 4, 8, 12]),
+    let queries: Vec<Plan> = vec![
+        Query::equality(7).into(),
+        Query::range(3, 20).into(),
+        Query::membership(vec![0, 4, 8, 12]).into(),
     ];
     let tracer = Tracer::new();
     let batch = ParallelExecutor::new(2)

@@ -51,10 +51,11 @@ use std::time::{Duration, Instant};
 use bix_core::{
     AppendError, BitmapIndex, Catalog, CostModel, DeltaIndex, DeltaStats, EvalDomain, EvalError,
     EvalFailure, EvalMetrics, EvalOptions, IndexedTable, IoMetrics, MetricsRegistry,
-    ParallelExecutor, Planner, Query, ShardedBufferPool, TableSchema,
+    ParallelExecutor, Plan, Planner, Query, ShardedBufferPool, TableSchema,
 };
 use bix_telemetry::{
-    unix_ms_now, Counter, Gauge, Histogram, SlowLog, SlowQuery, SpanId, TraceContext, Tracer,
+    unix_ms_now, Counter, Gauge, Histogram, SlowLog, SlowQuery, SpanGuard, SpanId, TraceContext,
+    Tracer,
 };
 
 use crate::protocol::{
@@ -906,13 +907,15 @@ impl IndexHandler {
 
     /// Evaluates `selection` against the current snapshot under the
     /// request deadline, charging every eval-side metric, and builds its
-    /// reply. Predicates run through [`ParallelExecutor::execute`] on the
-    /// table's only index; an expression is planned and run through
-    /// [`ParallelExecutor::execute_plan`]. On a one-attribute table both
-    /// see the ingest delta. Errors come back as ready-to-send responses.
-    /// Sampled requests (`meta.tracer` enabled) record their span tree
-    /// under `meta.span`; requests over the slow threshold enter the
-    /// slow-query log either way.
+    /// reply. Each predicate becomes the one-literal plan on the table's
+    /// only attribute (typed `BadQuery` on a wider table), an expression
+    /// its planned DNF, and the plans go through one
+    /// [`ParallelExecutor::execute`] call, which sees the ingest delta on
+    /// a one-attribute table. Errors come back as ready-to-send
+    /// responses. Sampled requests (`meta.tracer` enabled) record their
+    /// span tree under `meta.span` — a table query under a `plan` span
+    /// carrying its distinct `literals` and `clauses`; requests over the
+    /// slow threshold enter the slow-query log either way.
     fn evaluate(
         &self,
         selection: Selection<'_>,
@@ -923,22 +926,7 @@ impl IndexHandler {
         let started = Instant::now();
         let (delta, serving) = self.snapshot();
         let deltas = [delta.as_ref()];
-        // The request's own deadline, or the server default when it sent
-        // 0 (0: none).
-        let ms = match deadline_ms {
-            0 => self.config.default_deadline_ms,
-            ms => u64::from(ms),
-        };
-        let opts = EvalOptions {
-            domain,
-            tracer: &meta.tracer,
-            parent: meta.span,
-            deadline: (ms > 0).then(|| Instant::now() + Duration::from_millis(ms)),
-            delta: &deltas,
-        };
-        let executor = ParallelExecutor::new(self.config.request_threads.max(1));
-        let cost = CostModel::default();
-        let (io, results) = match selection {
+        let (plans, plan_span) = match selection {
             Selection::Predicates { texts, .. } => {
                 let Some(index) = serving.table.single_index() else {
                     return Err(bad_query(format!(
@@ -948,37 +936,54 @@ impl IndexHandler {
                     )));
                 };
                 let cardinality = index.config().cardinality;
-                let queries = texts
+                let plans = texts
                     .iter()
-                    .map(|text| Query::parse(text, cardinality))
+                    .map(|text| Query::parse(text, cardinality).map(Plan::from))
                     .collect::<Result<Vec<_>, _>>()
                     .map_err(|e| self.parse_failed(e))?;
-                let batch = executor
-                    .execute(index, &queries, &serving.pool, &cost, &opts)
-                    .map_err(|e| self.eval_failed(e, ms))?;
-                let results = batch.results.into_iter().map(|r| {
-                    self.metrics
-                        .eval
-                        .record(r.decompressions, r.nodes_raw, r.nodes_compressed);
-                    (r.bitmap, r.scans, r.decompressions)
-                });
-                (batch.io, results.collect::<Vec<_>>())
+                (plans, None)
             }
             Selection::Expression { text, .. } => {
+                let span = meta.tracer.span("plan", meta.span);
                 let plan =
                     Planner::plan_text(&serving.schema, text).map_err(|e| self.parse_failed(e))?;
-                let r = executor
-                    .execute_plan(&serving.table, &plan, &serving.pool, &cost, &opts)
-                    .map_err(|e| self.eval_failed(e, ms))?;
-                self.metrics
-                    .eval
-                    .record(r.decompressions, r.nodes_raw, r.nodes_compressed);
-                (r.io, vec![(r.bitmap, r.scans, r.decompressions)])
+                if meta.tracer.is_enabled() {
+                    span.attr("literals", plan.distinct_literals().len());
+                    span.attr("clauses", plan.clauses.len());
+                }
+                (vec![plan], Some(span))
             }
         };
-        drop(delta);
-        self.metrics.io.record(&io);
-        self.metrics.queries.add(results.len() as u64);
+        // The request's own deadline, or the server default when it sent
+        // 0 (0: none).
+        let ms = match deadline_ms {
+            0 => self.config.default_deadline_ms,
+            ms => u64::from(ms),
+        };
+        let opts = EvalOptions {
+            domain,
+            tracer: &meta.tracer,
+            parent: plan_span.as_ref().map_or(meta.span, SpanGuard::id),
+            deadline: (ms > 0).then(|| Instant::now() + Duration::from_millis(ms)),
+            delta: &deltas,
+        };
+        let batch = ParallelExecutor::new(self.config.request_threads.max(1))
+            .execute(
+                &serving.table,
+                &plans,
+                &serving.pool,
+                &CostModel::default(),
+                &opts,
+            )
+            .map_err(|e| self.eval_failed(e, ms))?;
+        drop((plan_span, delta));
+        for r in &batch.results {
+            self.metrics
+                .eval
+                .record(r.decompressions, r.nodes_raw, r.nodes_compressed);
+        }
+        self.metrics.io.record(&batch.io);
+        self.metrics.queries.add(batch.results.len() as u64);
         self.slow
             .observe(started.elapsed().as_nanos() as u64, || SlowQuery {
                 predicate: match selection {
@@ -987,7 +992,7 @@ impl IndexHandler {
                 },
                 duration_ns: started.elapsed().as_nanos() as u64,
                 trace_id: meta.trace.trace_id,
-                scans: results.iter().map(|r| r.1 as u64).sum(),
+                scans: batch.total_scans() as u64,
                 unix_ms: unix_ms_now(),
             });
         if let Selection::Expression {
@@ -997,19 +1002,20 @@ impl IndexHandler {
             // COUNT pushdown: a popcount over the folded bitmap; row ids
             // are never materialised or shipped.
             self.metrics.counts.inc();
-            let (bitmap, scans, decompressions) = &results[0];
+            let r = &batch.results[0];
             return Ok(Response::Count {
-                count: bitmap.count_ones() as u64,
-                scans: *scans as u64,
-                decompressions: *decompressions as u64,
+                count: r.count(),
+                scans: r.scans as u64,
+                decompressions: r.decompressions as u64,
             });
         }
         // Bound the reply frame before building it: every row id costs 8
         // payload bytes, each reply header 24 and the frame 8, and a frame
         // larger than MAX_PAYLOAD must surface as a typed error, not a panic.
-        let reply_bytes: u64 = results
+        let reply_bytes: u64 = batch
+            .results
             .iter()
-            .map(|(bitmap, ..)| 24 + 8 * bitmap.count_ones() as u64)
+            .map(|r| 24 + 8 * r.count())
             .sum::<u64>()
             + 8;
         if reply_bytes > u64::from(crate::protocol::MAX_PAYLOAD) {
@@ -1021,16 +1027,17 @@ impl IndexHandler {
                 ),
             });
         }
-        let mut replies: Vec<RowsReply> = results
+        let mut replies: Vec<RowsReply> = batch
+            .results
             .into_iter()
-            .map(|(bitmap, scans, decompressions)| {
+            .map(|r| {
                 // One allocation of exactly the reply's ids.
-                let mut rows = Vec::with_capacity(bitmap.count_ones());
-                rows.extend(bitmap.ones().map(|p| p as u64));
+                let mut rows = Vec::with_capacity(r.bitmap.count_ones());
+                rows.extend(r.bitmap.ones().map(|p| p as u64));
                 self.metrics.rows_returned.add(rows.len() as u64);
                 RowsReply {
-                    scans: scans as u64,
-                    decompressions: decompressions as u64,
+                    scans: r.scans as u64,
+                    decompressions: r.decompressions as u64,
                     rows,
                 }
             })
@@ -1373,15 +1380,15 @@ mod tests {
         let oracle_table = Catalog::build(rows, &columns).into_table();
         let plan = Planner::plan_text(&oracle_table.schema(), text).unwrap();
         let oracle = ParallelExecutor::new(1)
-            .execute_plan(
+            .execute(
                 &oracle_table,
-                &plan,
+                &[plan],
                 &ShardedBufferPool::new(1024, 2),
                 &CostModel::default(),
                 &EvalOptions::default(),
             )
             .unwrap();
-        let want: Vec<u64> = oracle
+        let want: Vec<u64> = oracle.results[0]
             .bitmap
             .to_positions()
             .iter()

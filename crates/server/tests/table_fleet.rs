@@ -57,15 +57,15 @@ fn oracle_rows(text: &str) -> Vec<u64> {
     let table = build_catalog(0, ROWS).into_table();
     let plan = Planner::plan_text(&table.schema(), text).expect("oracle plan");
     let result = ParallelExecutor::new(1)
-        .execute_plan(
+        .execute(
             &table,
-            &plan,
+            &[plan],
             &ShardedBufferPool::new(1024, 2),
             &CostModel::default(),
             &EvalOptions::default(),
         )
         .expect("oracle evaluates");
-    result
+    result.results[0]
         .bitmap
         .to_positions()
         .iter()

@@ -6,14 +6,15 @@
 //! indexes combined with cheap bitwise operations. This example generates
 //! a synthetic sales fact table (with a region→store correlation), indexes
 //! four attributes with encodings matched to their expected predicates via
-//! the advisor's logic, and runs a multi-attribute report query through
-//! [`IndexedTable`], comparing encoding choices on space and simulated
-//! processing time.
+//! the advisor's logic, and runs a multi-attribute report query — planned
+//! and folded as one DAG by the executor — over an [`IndexedTable`],
+//! comparing encoding choices on space and simulated processing time.
 //!
 //! Run with: `cargo run --release --example data_warehouse`
 
 use chan_bitmap_index::core::{
-    CostModel, EncodingScheme, IndexConfig, IndexedTable, Query, TableQuery,
+    CostModel, DiskConfig, EncodingScheme, EvalOptions, IndexConfig, IndexedTable,
+    ParallelExecutor, Planner, Query, ShardedBufferPool, TableQuery,
 };
 use chan_bitmap_index::workload::StarSchemaSpec;
 
@@ -70,16 +71,24 @@ fn main() {
     );
     let cost = CostModel::default();
     for scheme in EncodingScheme::ALL {
-        let mut table = build_table(&facts, scheme);
-        let r = table.evaluate_detailed(&report, &cost);
+        let table = build_table(&facts, scheme);
+        let plan = Planner::new(&table.schema())
+            .plan(&report)
+            .expect("the report plans");
+        let pool = ShardedBufferPool::new(DiskConfig::default().pages_for_bytes(11 << 20), 2);
+        let r = ParallelExecutor::new(1)
+            .execute(&table, &[plan], &pool, &cost, &EvalOptions::default())
+            .expect("no deadline, no corruption")
+            .results
+            .remove(0);
         println!(
             "{:<8} {:>14} {:>8} {:>10} {:>12.2}   ({} matching rows)",
             scheme.symbol(),
             table.space_bytes(),
             r.scans,
             r.io.pages_read,
-            r.seconds * 1e3,
-            r.bitmap.count_ones(),
+            r.total_seconds() * 1e3,
+            r.count(),
         );
     }
 

@@ -80,9 +80,9 @@ use bix_telemetry::{json, TraceContext};
 use chan_bitmap_index::analysis::{advise, Workload};
 use chan_bitmap_index::core::{
     BitmapIndex, BitmapRef, BufferPool, Catalog, CodecKind, CostModel, EncodingScheme, EvalDomain,
-    EvalMetrics, EvalOptions, EvalResult, EvalStrategy, IndexConfig, IoMetrics, IoStats,
-    MetricsRegistry, ParallelExecutor, Planner, Query, RewriteAction, ShardedBufferPool,
-    TableQuery, Tracer, EXISTENCE_REF,
+    EvalMetrics, EvalOptions, EvalResult, EvalStrategy, IndexConfig, IndexedTable, IoMetrics,
+    IoStats, MetricsRegistry, ParallelExecutor, Plan, Planner, Query, RewriteAction,
+    ShardedBufferPool, TableQuery, Tracer, EXISTENCE_REF,
 };
 use chan_bitmap_index::server::{
     Client, ClientError, ErrorCode as WireErrorCode, RetryPolicy, Router, RouterConfig, Server,
@@ -477,8 +477,10 @@ fn cmd_query_catalog(path: &str, args: &[String]) -> Result<(), String> {
         ..EvalOptions::default()
     };
     let result = ParallelExecutor::new(threads)
-        .execute_plan(&table, &plan, &pool, &CostModel::default(), &opts)
-        .map_err(|e| e.to_string())?;
+        .execute(&table, &[plan], &pool, &CostModel::default(), &opts)
+        .map_err(|e| e.to_string())?
+        .results
+        .remove(0);
 
     if has_flag(args, "--count") {
         println!("{}", result.count());
@@ -488,7 +490,7 @@ fn cmd_query_catalog(path: &str, args: &[String]) -> Result<(), String> {
             result.count(),
             result.scans,
             result.decompressions,
-            result.seconds,
+            result.total_seconds(),
         );
     } else {
         for row in result.bitmap.ones() {
@@ -496,10 +498,10 @@ fn cmd_query_catalog(path: &str, args: &[String]) -> Result<(), String> {
         }
         eprintln!(
             "{} rows matched ({} bitmap scans, {} decompressions, {:.4}s simulated I/O)",
-            result.bitmap.count_ones(),
+            result.count(),
             result.scans,
             result.decompressions,
-            result.seconds,
+            result.total_seconds(),
         );
     }
     if let Some(metrics_out) = flag_value(args, "--metrics-out") {
@@ -633,27 +635,19 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 /// the lock-striped buffer pool. Prints one `line: count` summary per
 /// query and merged I/O totals on stderr.
 fn cmd_query_batch(path: &str, batch_file: &str, args: &[String]) -> Result<(), String> {
-    let threads: usize = match flag_value(args, "--parallel") {
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or("--parallel must be a positive number")?,
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
-    let pool_pages: usize = match flag_value(args, "--pool-pages") {
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or("--pool-pages must be a positive number")?,
-        None => 8192,
-    };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = numeric_flag(args, "--parallel", cores)?;
+    let pool_pages = numeric_flag(args, "--pool-pages", 8192)?;
 
-    let index = BitmapIndex::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
+    let table = IndexedTable::from(
+        BitmapIndex::load(path).map_err(|e| format!("cannot load {path}: {e}"))?,
+    );
+    let index = table
+        .single_index()
+        .expect("an index is a one-attribute table");
     let contents = std::fs::read_to_string(batch_file)
         .map_err(|e| format!("cannot read {batch_file}: {e}"))?;
-    let mut queries = Vec::new();
+    let (mut texts, mut plans) = (Vec::new(), Vec::new());
     for (line_no, line) in contents.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -661,13 +655,13 @@ fn cmd_query_batch(path: &str, batch_file: &str, args: &[String]) -> Result<(), 
         }
         let q = parse_predicate(line, index.config().cardinality)
             .map_err(|e| format!("{batch_file}:{}: {e}", line_no + 1))?;
-        queries.push((line.to_owned(), q));
+        texts.push(line);
+        plans.push(Plan::from(q));
     }
-    if queries.is_empty() {
+    if plans.is_empty() {
         return Err(format!("{batch_file} contains no predicates"));
     }
 
-    let predicates: Vec<Query> = queries.iter().map(|(_, q)| q.clone()).collect();
     let pool = ShardedBufferPool::new(pool_pages, threads.max(2));
     let tracer = if wants_trace(args) {
         Tracer::new()
@@ -680,14 +674,14 @@ fn cmd_query_batch(path: &str, batch_file: &str, args: &[String]) -> Result<(), 
         ..EvalOptions::default()
     };
     let batch = ParallelExecutor::new(threads)
-        .execute(&index, &predicates, &pool, &CostModel::default(), &opts)
+        .execute(&table, &plans, &pool, &CostModel::default(), &opts)
         .map_err(|e| e.to_string())?;
     emit_trace(args, &tracer)?;
     if let Some(metrics_out) = flag_value(args, "--metrics-out") {
-        write_query_metrics(&metrics_out, &index, &batch.results, &batch.io, &tracer)?;
+        write_query_metrics(&metrics_out, index, &batch.results, &batch.io, &tracer)?;
     }
 
-    for ((text, _), result) in queries.iter().zip(&batch.results) {
+    for (text, result) in texts.iter().zip(&batch.results) {
         println!(
             "{text}\t{} rows\t{} scans",
             result.bitmap.count_ones(),
