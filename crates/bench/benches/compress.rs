@@ -105,10 +105,63 @@ fn bench_compressed_domain_ops(c: &mut Criterion) {
     group.finish();
 }
 
+/// One warm-pool read of a half-dense 500k-row BBC bitmap (62.5 KB, the
+/// size of a `select_hot` interval bitmap) and its parts: CRC, BBC decode
+/// and byte image (page fetch is the remainder); the encode side's byte
+/// image; and the CRC of a 677 KB reply payload.
+fn bench_warm_read(c: &mut Criterion) {
+    use bix_compress::CodecKind;
+    use bix_storage::{crc32, BitmapStore, DiskConfig, ReadContext, ShardedBufferPool};
+    let len = 500_000;
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let positions: Vec<usize> = (0..len)
+        .filter(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x & 1 == 1
+        })
+        .collect();
+    let bv = Bitvec::from_positions(len, &positions);
+    let mut store = BitmapStore::new(DiskConfig::default());
+    let handle = store.put("b", CodecKind::Bbc, &bv);
+    let pool = ShardedBufferPool::new(64, 2);
+    let mut ctx = ReadContext::new();
+    let stored = store.contents(handle).to_vec();
+    let image = bv.to_bytes();
+    let reply: Vec<u8> = (0..677_000u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+        .collect();
+
+    let mut group = c.benchmark_group("warm_read");
+    group.throughput(Throughput::Bytes(image.len() as u64));
+    group.bench_function("read_shared", |bench| {
+        bench.iter(|| black_box(store.read_shared(black_box(handle), &pool, &mut ctx)))
+    });
+    group.bench_function("crc32", |bench| {
+        bench.iter(|| black_box(crc32(black_box(&stored))))
+    });
+    group.bench_function("bbc_decode", |bench| {
+        bench.iter(|| black_box(Bbc::try_decompress_bytes(black_box(&stored), image.len())))
+    });
+    group.bench_function("from_bytes", |bench| {
+        bench.iter(|| black_box(Bitvec::from_bytes(len, black_box(&image))))
+    });
+    group.bench_function("to_bytes", |bench| {
+        bench.iter(|| black_box(black_box(&bv).to_bytes()))
+    });
+    group.throughput(Throughput::Bytes(reply.len() as u64));
+    group.bench_function("crc32_reply", |bench| {
+        bench.iter(|| black_box(crc32(black_box(&reply))))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_compress,
     bench_decompress,
-    bench_compressed_domain_ops
+    bench_compressed_domain_ops,
+    bench_warm_read
 );
 criterion_main!(benches);

@@ -81,7 +81,9 @@ impl Bitvec {
     }
 
     /// Reconstructs a bit vector from the little-endian byte serialization
-    /// produced by [`Bitvec::to_bytes`].
+    /// produced by [`Bitvec::to_bytes`]. Only the first `ceil(len / 8)`
+    /// bytes are read, a little-endian word (eight bytes) at a time with
+    /// one zero-padded tail word; every BBC and raw decode ends here.
     ///
     /// # Panics
     ///
@@ -94,9 +96,18 @@ impl Bitvec {
             bytes.len(),
             len
         );
-        let mut words = vec![0u64; words_for(len)];
-        for (i, &b) in bytes[..bytes_for(len)].iter().enumerate() {
-            words[i / 8] |= u64::from(b) << ((i % 8) * 8);
+        let mut chunks = bytes[..bytes_for(len)].chunks_exact(8);
+        let mut words = Vec::with_capacity(words_for(len));
+        words.extend(
+            chunks
+                .by_ref()
+                .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes"))),
+        );
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            words.push(u64::from_le_bytes(last));
         }
         let bv = Bitvec { words, len };
         debug_assert!(bv.tail_is_clean(), "serialized bitmap has stray tail bits");
@@ -104,18 +115,13 @@ impl Bitvec {
     }
 
     /// Serializes to a little-endian byte stream of exactly
-    /// `ceil(len / 8)` bytes.
+    /// `ceil(len / 8)` bytes, a word at a time.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let nbytes = bytes_for(self.len);
-        let mut out = Vec::with_capacity(nbytes);
-        'outer: for w in &self.words {
-            for shift in 0..8 {
-                if out.len() == nbytes {
-                    break 'outer;
-                }
-                out.push((w >> (shift * 8)) as u8);
-            }
+        let mut out = vec![0u8; self.words.len() * 8];
+        for (bytes, w) in out.chunks_exact_mut(8).zip(&self.words) {
+            bytes.copy_from_slice(&w.to_le_bytes());
         }
+        out.truncate(bytes_for(self.len));
         out
     }
 
@@ -422,6 +428,54 @@ mod tests {
             assert_eq!(bytes.len(), bytes_for(len));
             let back = Bitvec::from_bytes(len, &bytes);
             assert_eq!(back, bv, "len={len}");
+        }
+    }
+
+    /// The byte image one bit at a time: bit `i` is bit `i % 8` of byte
+    /// `i / 8`.
+    fn reference_from_bytes(len: usize, bytes: &[u8]) -> Bitvec {
+        let mut bv = Bitvec::zeros(len);
+        for i in 0..len {
+            bv.set(i, (bytes[i / 8] >> (i % 8)) & 1 == 1);
+        }
+        bv
+    }
+
+    fn reference_to_bytes(bv: &Bitvec) -> Vec<u8> {
+        let mut out = vec![0u8; bytes_for(bv.len())];
+        for i in bv.ones() {
+            out[i / 8] |= 1 << (i % 8);
+        }
+        out
+    }
+
+    #[test]
+    fn byte_images_match_a_bytewise_reference_at_every_length() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let noise: Vec<u8> = (0..bytes_for(257) + 16)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for len in 0..=257 {
+            let n = bytes_for(len);
+            // Noise, with the bits past `len` in the last byte cleared.
+            let mut bytes = noise[..n].to_vec();
+            if len % 8 != 0 {
+                bytes[n - 1] &= (1u8 << (len % 8)) - 1;
+            }
+            let expect = reference_from_bytes(len, &bytes);
+            assert_eq!(Bitvec::from_bytes(len, &bytes), expect, "len={len}");
+            assert_eq!(expect.to_bytes(), reference_to_bytes(&expect), "len={len}");
+            assert_eq!(expect.to_bytes().len(), n, "len={len}");
+
+            // Bytes past `bytes_for(len)` are never read.
+            let mut longer = bytes.clone();
+            longer.extend_from_slice(&noise[n..n + 16]);
+            assert_eq!(Bitvec::from_bytes(len, &longer), expect, "len={len}");
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::{DiskSim, FileId, ReadContext};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Key of one cached page: the owning disk's process-unique id, the
 /// file, and the page number. The disk id matters because one pool may
@@ -19,14 +19,22 @@ struct Shard {
 }
 
 impl Shard {
-    fn get(&mut self, disk: &DiskSim, key: PageKey, ctx: &mut ReadContext) -> Vec<u8> {
+    fn read_into(
+        &mut self,
+        disk: &DiskSim,
+        key: PageKey,
+        ctx: &mut ReadContext,
+        out: &mut Vec<u8>,
+    ) {
         self.clock += 1;
         if let Some(entry) = self.pages.get_mut(&key) {
             ctx.stats.pool_hits += 1;
             entry.1 = self.clock;
-            return entry.0.clone();
+            out.extend_from_slice(&entry.0);
+            return;
         }
-        let contents = disk.read_page_shared(key.1, key.2, ctx).to_vec();
+        let contents = disk.read_page_shared(key.1, key.2, ctx);
+        out.extend_from_slice(contents);
         if self.pages.len() >= self.capacity_pages {
             let victim = self
                 .pages
@@ -36,8 +44,7 @@ impl Shard {
                 .expect("shard is non-empty when full");
             self.pages.remove(&victim);
         }
-        self.pages.insert(key, (contents.clone(), self.clock));
-        contents
+        self.pages.insert(key, (contents.to_vec(), self.clock));
     }
 }
 
@@ -49,6 +56,11 @@ impl Shard {
 /// stripe. Each shard runs the same LRU policy as the single-threaded
 /// [`crate::BufferPool`]; total capacity is divided evenly across shards
 /// (so per-stripe LRU is approximate global LRU, the standard trade-off).
+///
+/// A stripe holds only copies of immutable disk pages and their LRU
+/// stamps, and a read that panics (an out-of-range page) does so before
+/// it changes either, so the pool recovers poisoned stripe locks instead
+/// of failing every later caller of that stripe.
 pub struct ShardedBufferPool {
     shards: Vec<Mutex<Shard>>,
 }
@@ -85,50 +97,60 @@ impl ShardedBufferPool {
 
     /// Total pool capacity in pages (after the per-shard split).
     pub fn capacity(&self) -> usize {
-        self.shards.len() * self.shards[0].lock().expect("shard lock").capacity_pages
+        self.shards.len() * self.stripe(0).capacity_pages
     }
 
     /// Number of resident pages across all shards.
     pub fn resident(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock").pages.len())
+        (0..self.shards.len())
+            .map(|i| self.stripe(i).pages.len())
             .sum()
     }
 
-    /// Fetches a page through the pool, reading from `disk` on a miss and
-    /// evicting within the page's shard if that stripe is full. Hits and
-    /// misses are charged to the caller's [`ReadContext`].
+    /// Fetches a page through the pool and appends it to `out`, reading
+    /// from `disk` on a miss and evicting within the page's shard if that
+    /// stripe is full. Hits and misses are charged to the caller's
+    /// [`ReadContext`].
     ///
-    /// Returns an owned copy of the page: the cached bytes live behind the
-    /// shard lock, which is released before returning.
-    pub fn get(
+    /// The page is copied once, straight from the cache (or the disk)
+    /// into `out`, under the stripe lock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page_no` is out of range for `file` (see
+    /// [`DiskSim::read_page_shared`]); the stripe stays usable.
+    pub fn read_into(
         &self,
         disk: &DiskSim,
         file: FileId,
         page_no: usize,
         ctx: &mut ReadContext,
-    ) -> Vec<u8> {
+        out: &mut Vec<u8>,
+    ) {
         let key = (disk.sim_id(), file, page_no);
-        let shard = &self.shards[self.shard_of(key)];
-        shard.lock().expect("shard lock").get(disk, key, ctx)
+        self.stripe(self.shard_of(key))
+            .read_into(disk, key, ctx, out);
     }
 
     /// Drops every cached page.
     pub fn flush(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("shard lock").pages.clear();
+        for i in 0..self.shards.len() {
+            self.stripe(i).pages.clear();
         }
     }
 
     /// True if the page is resident (test/diagnostic helper).
     pub fn contains(&self, disk: &DiskSim, file: FileId, page_no: usize) -> bool {
         let key = (disk.sim_id(), file, page_no);
-        self.shards[self.shard_of(key)]
+        self.stripe(self.shard_of(key)).pages.contains_key(&key)
+    }
+
+    /// Locks stripe `i`, recovering the guard if an earlier holder
+    /// panicked (see the type's docs for why a stripe stays consistent).
+    fn stripe(&self, i: usize) -> MutexGuard<'_, Shard> {
+        self.shards[i]
             .lock()
-            .expect("shard lock")
-            .pages
-            .contains_key(&key)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn shard_of(&self, key: PageKey) -> usize {
@@ -146,6 +168,19 @@ mod tests {
     use super::*;
     use crate::DiskConfig;
 
+    /// One page through the pool, as an owned buffer.
+    fn page(
+        pool: &ShardedBufferPool,
+        disk: &DiskSim,
+        file: FileId,
+        page_no: usize,
+        ctx: &mut ReadContext,
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        pool.read_into(disk, file, page_no, ctx, &mut out);
+        out
+    }
+
     fn disk_with_file(pages: usize, page_size: usize) -> (DiskSim, FileId) {
         let mut disk = DiskSim::new(DiskConfig { page_size });
         let data: Vec<u8> = (0..pages * page_size).map(|i| (i % 251) as u8).collect();
@@ -158,8 +193,8 @@ mod tests {
         let (disk, id) = disk_with_file(4, 8);
         let pool = ShardedBufferPool::new(8, 2);
         let mut ctx = ReadContext::new();
-        pool.get(&disk, id, 0, &mut ctx);
-        pool.get(&disk, id, 0, &mut ctx);
+        page(&pool, &disk, id, 0, &mut ctx);
+        page(&pool, &disk, id, 0, &mut ctx);
         assert_eq!(ctx.stats().pages_read, 1);
         assert_eq!(ctx.stats().pool_hits, 1);
         assert_eq!(disk.stats().pages_read, 0, "shared reads bypass globals");
@@ -170,7 +205,7 @@ mod tests {
         let (disk, id) = disk_with_file(4, 8);
         let pool = ShardedBufferPool::new(4, 3);
         let mut ctx = ReadContext::new();
-        let got = pool.get(&disk, id, 2, &mut ctx);
+        let got = page(&pool, &disk, id, 2, &mut ctx);
         assert_eq!(got, disk.read_page_shared(id, 2, &mut ctx));
     }
 
@@ -180,7 +215,7 @@ mod tests {
         let pool = ShardedBufferPool::new(8, 4);
         let mut ctx = ReadContext::new();
         for p in 0..64 {
-            pool.get(&disk, id, p, &mut ctx);
+            page(&pool, &disk, id, p, &mut ctx);
         }
         assert!(pool.resident() <= pool.capacity());
         assert_eq!(pool.capacity(), 8);
@@ -197,7 +232,7 @@ mod tests {
                     let mut ctx = ReadContext::new();
                     for round in 0..3 {
                         for p in 0..32 {
-                            let got = pool.get(disk, id, (p + t * 7) % 32, &mut ctx);
+                            let got = page(pool, disk, id, (p + t * 7) % 32, &mut ctx);
                             let expect = disk.read_page_shared(id, (p + t * 7) % 32, &mut ctx);
                             assert_eq!(got, expect, "round {round}");
                         }
@@ -212,8 +247,8 @@ mod tests {
         let (disk, id) = disk_with_file(4, 8);
         let pool = ShardedBufferPool::new(4, 2);
         let mut ctx = ReadContext::new();
-        pool.get(&disk, id, 0, &mut ctx);
-        pool.get(&disk, id, 0, &mut ctx);
+        page(&pool, &disk, id, 0, &mut ctx);
+        page(&pool, &disk, id, 0, &mut ctx);
         disk.charge(ctx.take_stats());
         let global = disk.stats();
         assert_eq!(global.pages_read, 1);
@@ -226,8 +261,39 @@ mod tests {
         let (disk, id) = disk_with_file(4, 8);
         let pool = ShardedBufferPool::new(4, 2);
         let mut ctx = ReadContext::new();
-        pool.get(&disk, id, 0, &mut ctx);
+        page(&pool, &disk, id, 0, &mut ctx);
         assert!(pool.contains(&disk, id, 0));
+        pool.flush();
+        assert_eq!(pool.resident(), 0);
+    }
+
+    #[test]
+    fn read_into_appends_to_what_the_buffer_holds() {
+        let (disk, id) = disk_with_file(4, 8);
+        let pool = ShardedBufferPool::new(4, 2);
+        let mut ctx = ReadContext::new();
+        let mut out = vec![7u8];
+        pool.read_into(&disk, id, 1, &mut ctx, &mut out); // miss
+        pool.read_into(&disk, id, 1, &mut ctx, &mut out); // hit
+        let want = disk.read_page_shared(id, 1, &mut ctx);
+        assert_eq!(out[0], 7);
+        assert_eq!(&out[1..9], want);
+        assert_eq!(&out[9..], want);
+    }
+
+    #[test]
+    fn a_panicking_read_does_not_poison_its_stripe() {
+        let (disk, id) = disk_with_file(4, 8);
+        let pool = ShardedBufferPool::new(4, 1);
+        let mut ctx = ReadContext::new();
+        let out_of_range = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            page(&pool, &disk, id, 99, &mut ReadContext::new())
+        }));
+        assert!(out_of_range.is_err(), "page 99 of 4 must panic");
+        let want = disk.read_page_shared(id, 2, &mut ctx).to_vec();
+        assert_eq!(page(&pool, &disk, id, 2, &mut ctx), want);
+        assert!(pool.contains(&disk, id, 2));
+        assert_eq!(pool.resident(), 1);
         pool.flush();
         assert_eq!(pool.resident(), 0);
     }
@@ -251,9 +317,18 @@ mod tests {
 
         let pool = ShardedBufferPool::new(8, 2);
         let mut ctx = ReadContext::new();
-        assert_eq!(pool.get(&disk_a, id_a, 0, &mut ctx), vec![0xAA; page_size]);
-        assert_eq!(pool.get(&disk_b, id_b, 0, &mut ctx), vec![0xBB; page_size]);
-        assert_eq!(pool.get(&disk_a, id_a, 0, &mut ctx), vec![0xAA; page_size]);
+        assert_eq!(
+            page(&pool, &disk_a, id_a, 0, &mut ctx),
+            vec![0xAA; page_size]
+        );
+        assert_eq!(
+            page(&pool, &disk_b, id_b, 0, &mut ctx),
+            vec![0xBB; page_size]
+        );
+        assert_eq!(
+            page(&pool, &disk_a, id_a, 0, &mut ctx),
+            vec![0xAA; page_size]
+        );
         assert!(pool.contains(&disk_a, id_a, 0));
         assert!(pool.contains(&disk_b, id_b, 0));
     }

@@ -329,7 +329,7 @@ impl BitmapStore {
         let n_pages = self.disk.file_pages(handle.file);
         let mut bytes = Vec::with_capacity(self.disk.file_size(handle.file));
         for p in 0..n_pages {
-            bytes.extend_from_slice(&pool.get(&self.disk, handle.file, p, ctx));
+            pool.read_into(&self.disk, handle.file, p, ctx, &mut bytes);
         }
         bytes
     }
