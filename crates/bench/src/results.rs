@@ -12,12 +12,18 @@ use std::path::PathBuf;
 
 /// `results/` at the workspace root, resolved from this crate.
 pub fn results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+    repo_root().join("results")
 }
 
-/// The workspace root itself (for `BENCH_eval.json`).
+/// The workspace root itself (for `BENCH_eval.json`), two levels above
+/// this crate's manifest. Cargo sets `CARGO_MANIFEST_DIR` for every
+/// `cargo bench` and `cargo run`, so a build copied to another checkout
+/// writes into the checkout it runs from; the compile-time directory is
+/// the fallback when the variable is absent.
 pub fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+    std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from)
+        .join("../..")
 }
 
 /// Validates `json` with the telemetry parser and writes it to `path`,

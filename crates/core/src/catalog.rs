@@ -22,11 +22,12 @@
 //! [`crate::degrade`] machinery as standalone indexes.
 
 use crate::degrade::{RepairReport, VerifyReport};
+use crate::persist::is_index_magic;
 use crate::{BitmapIndex, IndexConfig, IndexedTable};
 use bix_storage::crc32;
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"BIXCAT1\n";
 
@@ -42,7 +43,8 @@ const MAX_FILE_LEN: usize = 256;
 pub enum CatalogError {
     /// An underlying file operation failed.
     Io(io::Error),
-    /// The manifest does not start with the catalog magic.
+    /// The file starts with neither the catalog nor an index magic, or
+    /// the manifest is malformed past its magic.
     BadMagic,
     /// The manifest's trailing CRC does not match its contents.
     CrcMismatch,
@@ -84,7 +86,9 @@ impl fmt::Display for CatalogError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CatalogError::Io(e) => write!(f, "catalog i/o: {e}"),
-            CatalogError::BadMagic => write!(f, "not a catalog file (bad magic)"),
+            CatalogError::BadMagic => {
+                write!(f, "neither a catalog nor an index file (bad magic)")
+            }
             CatalogError::CrcMismatch => write!(f, "catalog manifest checksum mismatch"),
             CatalogError::TooManyAttrs { got, cap } => {
                 write!(f, "manifest declares {got} attributes (cap {cap})")
@@ -134,14 +138,20 @@ fn clip_lossy(bytes: &[u8]) -> String {
 pub struct Catalog {
     table: IndexedTable,
     files: Vec<String>,
+    /// Opened from a bare index file: [`Catalog::save`] writes that
+    /// format back.
+    bare: bool,
 }
 
 impl Catalog {
     /// Wraps an in-memory table; index filenames are derived from the
     /// manifest stem at save time.
     pub fn from_table(table: IndexedTable) -> Catalog {
-        let files = Vec::new();
-        Catalog { table, files }
+        Catalog {
+            table,
+            files: Vec::new(),
+            bare: false,
+        }
     }
 
     /// Builds a catalog from whole columns: one `(name, column, config)`
@@ -175,9 +185,14 @@ impl Catalog {
     }
 
     /// Saves the manifest at `path` and one `BIXIDX2` file per
-    /// attribute beside it, named `<stem>.<attr>.bix`.
+    /// attribute beside it, named `<stem>.<attr>.bix` — or, for a
+    /// catalog [`Catalog::open`]ed from a bare index file, that one index
+    /// at `path` in its own format.
     pub fn save(&mut self, path: impl AsRef<Path>) -> Result<(), CatalogError> {
         let path = path.as_ref();
+        if let Some(index) = self.table.single_index().filter(|_| self.bare) {
+            return index.save(path).map_err(CatalogError::Io);
+        }
         let dir = path.parent().map(Path::to_path_buf).unwrap_or_default();
         let stem = path
             .file_stem()
@@ -216,37 +231,41 @@ impl Catalog {
         Ok(())
     }
 
-    /// Loads a catalog: manifest first (CRC-checked before any field is
-    /// trusted), then every attribute index via [`BitmapIndex::load`].
-    pub fn load(path: impl AsRef<Path>) -> Result<Catalog, CatalogError> {
-        Catalog::load_inner(path.as_ref(), false)
+    /// Opens either on-disk format, told apart by its magic: a `.bixcat`
+    /// manifest (CRC-checked before any field is trusted, then every
+    /// attribute index via [`BitmapIndex::load`]), or a single `BIXIDX2`
+    /// index file as a one-attribute catalog whose attribute is
+    /// [`crate::VALUE_ATTR`]. Any other file is [`CatalogError::BadMagic`].
+    pub fn open(path: impl AsRef<Path>) -> Result<Catalog, CatalogError> {
+        Catalog::open_with(path.as_ref(), false)
     }
 
-    /// Opens either on-disk format, told apart by its magic: a `.bixcat`
-    /// manifest loads as [`Catalog::load`] does, and a single `BIXIDX2`
-    /// index file becomes a one-attribute catalog whose attribute is
-    /// [`crate::VALUE_ATTR`].
-    pub fn open(path: impl AsRef<Path>) -> Result<Catalog, CatalogError> {
-        let path = path.as_ref();
+    /// Like [`Catalog::open`] but indexes load through
+    /// [`BitmapIndex::load_tolerant`], quarantining corrupt bitmaps
+    /// instead of failing (a manifest itself must still be intact).
+    pub fn open_tolerant(path: impl AsRef<Path>) -> Result<Catalog, CatalogError> {
+        Catalog::open_with(path.as_ref(), true)
+    }
+
+    fn open_with(path: &Path, tolerant: bool) -> Result<Catalog, CatalogError> {
         let mut magic = Vec::with_capacity(MAGIC.len());
         std::fs::File::open(path)?
             .take(MAGIC.len() as u64)
             .read_to_end(&mut magic)?;
         if magic == MAGIC {
-            Catalog::load(path)
-        } else {
-            Ok(Catalog::from_table(BitmapIndex::load(path)?.into()))
+            return Catalog::load_manifest(path, tolerant);
         }
+        if !is_index_magic(&magic) {
+            return Err(CatalogError::BadMagic);
+        }
+        Ok(Catalog {
+            table: load_index(path, tolerant)?.into(),
+            files: Vec::new(),
+            bare: true,
+        })
     }
 
-    /// Like [`Catalog::load`] but attribute indexes load through
-    /// [`BitmapIndex::load_tolerant`], quarantining corrupt bitmaps
-    /// instead of failing (the manifest itself must still be intact).
-    pub fn load_tolerant(path: impl AsRef<Path>) -> Result<Catalog, CatalogError> {
-        Catalog::load_inner(path.as_ref(), true)
-    }
-
-    fn load_inner(path: &Path, tolerant: bool) -> Result<Catalog, CatalogError> {
+    fn load_manifest(path: &Path, tolerant: bool) -> Result<Catalog, CatalogError> {
         let bytes = std::fs::read(path)?;
         let entries = parse_manifest(&bytes)?;
         let dir = path.parent().map(Path::to_path_buf).unwrap_or_default();
@@ -254,13 +273,7 @@ impl Catalog {
         let mut table = IndexedTable::new(rows as usize);
         let mut files = Vec::with_capacity(entries.len());
         for (name, file) in entries {
-            let full: PathBuf = dir.join(&file);
-            let reader = io::BufReader::new(std::fs::File::open(&full)?);
-            let index = if tolerant {
-                BitmapIndex::load_tolerant(reader)?
-            } else {
-                BitmapIndex::load_from(reader)?
-            };
+            let index = load_index(&dir.join(&file), tolerant)?;
             if index.rows() as u64 != rows {
                 return Err(CatalogError::RowsMismatch {
                     attr: name,
@@ -271,7 +284,11 @@ impl Catalog {
             table.add_index(&name, index);
             files.push(file);
         }
-        Ok(Catalog { table, files })
+        Ok(Catalog {
+            table,
+            files,
+            bare: false,
+        })
     }
 
     /// Verifies every attribute index's checksums, returning one report
@@ -293,9 +310,20 @@ impl Catalog {
     }
 
     /// The per-attribute index filenames recorded by the last
-    /// [`Catalog::save`] or [`Catalog::load`], in schema order.
+    /// [`Catalog::save`] or [`Catalog::open`] of a manifest, in schema
+    /// order (empty for a bare index file).
     pub fn files(&self) -> &[String] {
         &self.files
+    }
+}
+
+/// Loads one index file, strictly or tolerantly.
+fn load_index(path: &Path, tolerant: bool) -> io::Result<BitmapIndex> {
+    let reader = io::BufReader::new(std::fs::File::open(path)?);
+    if tolerant {
+        BitmapIndex::load_tolerant(reader)
+    } else {
+        BitmapIndex::load_from(reader)
     }
 }
 
@@ -390,6 +418,7 @@ fn read_prefixed<'a>(
 mod tests {
     use super::*;
     use crate::{CodecKind, EncodingScheme, Planner, TableQuery};
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("bixcat-{tag}-{}", std::process::id()));
@@ -444,7 +473,7 @@ mod tests {
         cat.save(&path).unwrap();
         assert_eq!(cat.files().len(), 3);
 
-        let mut loaded = Catalog::load(&path).unwrap();
+        let mut loaded = Catalog::open(&path).unwrap();
         assert_eq!(loaded.table().rows(), 200);
         assert_eq!(
             loaded.table().schema().attrs().len(),
@@ -488,6 +517,11 @@ mod tests {
         assert_eq!(opened.table().attribute_names(), vec![crate::VALUE_ATTR]);
         assert_eq!(opened.table().rows(), 200);
         assert!(opened.table().single_index().is_some());
+        // ... and saves back as a bare index file.
+        let mut opened = Catalog::open_tolerant(&index_path).unwrap();
+        let resaved = dir.join("resaved.bix");
+        opened.save(&resaved).unwrap();
+        assert_eq!(BitmapIndex::load(&resaved).unwrap().rows(), 200);
 
         // Neither format: the index loader's typed error.
         std::fs::write(dir.join("junk"), b"BIX").unwrap();
@@ -506,7 +540,7 @@ mod tests {
         bytes[12] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            Catalog::load(&path),
+            Catalog::open(&path),
             Err(CatalogError::CrcMismatch)
         ));
 
@@ -514,13 +548,13 @@ mod tests {
         bytes[12] ^= 0xff;
         bytes[0] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(Catalog::load(&path), Err(CatalogError::BadMagic)));
+        assert!(matches!(Catalog::open(&path), Err(CatalogError::BadMagic)));
 
         // Truncation anywhere is an error, never a panic.
         bytes[0] ^= 0xff;
         for cut in 0..bytes.len() {
             std::fs::write(&path, &bytes[..cut]).unwrap();
-            assert!(Catalog::load(&path).is_err(), "cut={cut}");
+            assert!(Catalog::open(&path).is_err(), "cut={cut}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -545,7 +579,7 @@ mod tests {
         body.extend_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, &body).unwrap();
         assert!(matches!(
-            Catalog::load(&path),
+            Catalog::open(&path),
             Err(CatalogError::BadFileName { .. })
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -564,8 +598,8 @@ mod tests {
         bytes[at] ^= 0x40;
         std::fs::write(&victim, &bytes).unwrap();
 
-        assert!(Catalog::load(&path).is_err());
-        let mut salvaged = Catalog::load_tolerant(&path).unwrap();
+        assert!(Catalog::open(&path).is_err());
+        let mut salvaged = Catalog::open_tolerant(&path).unwrap();
         let reports = salvaged.verify();
         assert_eq!(reports.len(), 3);
         std::fs::remove_dir_all(&dir).ok();

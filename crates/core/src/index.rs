@@ -354,8 +354,13 @@ impl BitmapIndex {
     /// Pretty-prints a query's rewritten bitmap expression with the real
     /// bitmap names, e.g. `"(I^0 ∨ I^3)"` — the `EXPLAIN` view of a query.
     pub fn explain(&self, q: &Query) -> String {
-        let expr = self.rewrite(q);
-        let bases = self.config.bases.bases().to_vec();
+        self.display_expr(&self.rewrite(q))
+    }
+
+    /// Renders `expr` with this index's bitmap names (`I^3`, and
+    /// `R^4[c2]` on a multi-component index).
+    pub fn display_expr(&self, expr: &Expr) -> String {
+        let bases = self.config.bases.bases();
         let encoding = self.config.encoding;
         let multi = bases.len() > 1;
         expr.display_with(&|r: crate::BitmapRef| {

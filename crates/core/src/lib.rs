@@ -67,11 +67,11 @@ pub use eval::{DomainCostModel, DomainCosts, EvalDomain, EvalMetrics, EvalResult
 pub use expr::{BitmapRef, Expr};
 pub use index::{BitmapIndex, CostPrediction, IndexConfig};
 pub use journal::{AppendError, RecoveryAction, RecoveryReport};
-pub use multi::{IndexedTable, TableQuery, VALUE_ATTR};
+pub use multi::{set_table_gauges, IndexedTable, TableQuery, VALUE_ATTR};
 pub use parallel::{BatchResult, EvalError, EvalFailure, EvalOptions, ParallelExecutor};
 pub use plan::{
-    AttrSchema, Plan, PlanError, PlanLiteral, PlanTextError, Planner, RewriteAction,
-    TableParseError, TableSchema, MAX_DNF_CLAUSES, MAX_PLAN_DEPTH,
+    AttrSchema, Plan, PlanError, PlanLiteral, PlanTextError, Planner, PredicateError,
+    RewriteAction, TableParseError, TableSchema, MAX_DNF_CLAUSES, MAX_PLAN_DEPTH,
 };
 pub use query::{ParseError, Query, QueryClass, MAX_MEMBERSHIP_VALUES};
 pub use rewrite::{minimal_intervals, rewrite_interval, rewrite_query};

@@ -35,6 +35,7 @@
 use crate::plan::{display_query, AttrSchema, TableSchema};
 use crate::{BitmapIndex, BufferPool, CostModel, EvalStrategy, IndexConfig, Query};
 use bix_bitvec::Bitvec;
+use bix_telemetry::MetricsRegistry;
 use std::fmt;
 
 /// A boolean combination of per-attribute selection queries.
@@ -324,6 +325,43 @@ impl From<BitmapIndex> for IndexedTable {
             attrs: vec![(VALUE_ATTR.to_string(), index)],
         }
     }
+}
+
+/// Publishes `table`'s shape gauges — the same names from the CLI and a
+/// server, so a remote `Stats` scrape describes what is served and a
+/// router learns a shard's row count from `bix_index_rows`. Cardinality
+/// and components are the single attribute's, and 0 on a wider table.
+pub fn set_table_gauges(registry: &MetricsRegistry, table: &IndexedTable) {
+    let set = |name: &str, help: &str, v: usize| registry.gauge(name, help).set(v as f64);
+    let single = table.single_index().map(BitmapIndex::config);
+    let sum = |f: fn(&BitmapIndex) -> usize| table.attrs.iter().map(|(_, i)| f(i)).sum();
+    set("bix_index_rows", "Indexed records", table.rows());
+    set("bix_catalog_attrs", "Indexed attributes", table.attrs.len());
+    set(
+        "bix_index_cardinality",
+        "Attribute cardinality C",
+        single.map_or(0, |c| c.cardinality as usize),
+    );
+    set(
+        "bix_index_components",
+        "Decomposition components",
+        single.map_or(0, |c| c.bases.n()),
+    );
+    set(
+        "bix_index_bitmaps",
+        "Stored bitmaps",
+        sum(BitmapIndex::num_bitmaps),
+    );
+    set(
+        "bix_index_stored_bytes",
+        "On-disk index size (compressed)",
+        table.space_bytes(),
+    );
+    set(
+        "bix_index_raw_bytes",
+        "Uncompressed index size",
+        sum(BitmapIndex::uncompressed_bytes),
+    );
 }
 
 #[cfg(test)]

@@ -48,6 +48,11 @@ use std::path::Path;
 const MAGIC_V1: &[u8; 8] = b"BIXIDX1\n";
 const MAGIC_V2: &[u8; 8] = b"BIXIDX2\n";
 
+/// Whether `magic` opens an index file of either version.
+pub(crate) fn is_index_magic(magic: &[u8]) -> bool {
+    magic == MAGIC_V2 || magic == MAGIC_V1
+}
+
 /// Hard ceilings on header-declared sizes, so a hostile file cannot make
 /// the loader allocate unboundedly before any payload byte is validated.
 const MAX_LOAD_CARDINALITY: u64 = 1 << 24;

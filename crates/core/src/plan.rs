@@ -40,7 +40,7 @@
 //! the one-literal plan `Plan::from(query)`.
 
 use crate::multi::TableQuery;
-use crate::Query;
+use crate::{ParseError, Query};
 use std::fmt;
 
 /// Maximum nesting depth (parentheses and operators) the parser and the
@@ -1299,7 +1299,51 @@ impl From<Query> for Plan {
     }
 }
 
+/// A [`Plan::predicate`] failure.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PredicateError {
+    /// The table has several attributes, and a predicate names none.
+    WideTable {
+        /// The table's attribute count.
+        attrs: usize,
+    },
+    /// The text is not a predicate.
+    Parse(ParseError),
+}
+
+impl fmt::Display for PredicateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PredicateError::WideTable { attrs } => write!(
+                f,
+                "this table has {attrs} attributes; a single-index predicate names none of \
+                 them — send a table query instead"
+            ),
+            PredicateError::Parse(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for PredicateError {}
+
 impl Plan {
+    /// Parses a single-attribute predicate ([`Query::parse`]'s grammar)
+    /// into the one-literal plan on a one-attribute table's attribute —
+    /// how a bare index answers predicates.
+    ///
+    /// # Errors
+    ///
+    /// [`PredicateError::WideTable`] unless `schema` has exactly one
+    /// attribute, [`PredicateError::Parse`] when the text does not parse.
+    pub fn predicate(schema: &TableSchema, text: &str) -> Result<Plan, PredicateError> {
+        match schema.attrs() {
+            [attr] => Query::parse(text, attr.cardinality)
+                .map(Plan::from)
+                .map_err(PredicateError::Parse),
+            attrs => Err(PredicateError::WideTable { attrs: attrs.len() }),
+        }
+    }
+
     /// The distinct literals across all clauses, in first-use order —
     /// each is rewritten once however many clauses share it.
     pub fn distinct_literals(&self) -> Vec<PlanLiteral> {

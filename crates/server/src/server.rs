@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 use bix_core::{
     AppendError, BitmapIndex, Catalog, CostModel, DeltaIndex, DeltaStats, EvalDomain, EvalError,
     EvalFailure, EvalMetrics, EvalOptions, IndexedTable, IoMetrics, MetricsRegistry,
-    ParallelExecutor, Plan, Planner, Query, ShardedBufferPool, TableSchema,
+    ParallelExecutor, Plan, Planner, PredicateError, ShardedBufferPool, TableSchema,
 };
 use bix_telemetry::{
     unix_ms_now, Counter, Gauge, Histogram, SlowLog, SlowQuery, SpanGuard, SpanId, TraceContext,
@@ -259,39 +259,6 @@ impl Shared {
         self.queue_cv.notify_all();
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(500));
     }
-}
-
-/// Publishes the table-shape gauges (the names the CLI uses) so a remote
-/// `Stats` scrape describes what is served; a router learns any shard's
-/// row count from `bix_index_rows`. The cardinality gauge is the single
-/// attribute's `C`, and 0 on a wider table.
-fn set_table_gauges(registry: &MetricsRegistry, table: &IndexedTable) {
-    let set = |name: &str, help: &str, v: f64| registry.gauge(name, help).set(v);
-    let attrs = table.schema().len();
-    set("bix_index_rows", "Indexed records", table.rows() as f64);
-    set(
-        "bix_catalog_attrs",
-        "Attributes in the served catalog",
-        attrs as f64,
-    );
-    set(
-        "bix_index_cardinality",
-        "Attribute cardinality C",
-        table.single_index().map_or(0, |ix| ix.config().cardinality) as f64,
-    );
-    set(
-        "bix_index_bitmaps",
-        "Stored bitmaps",
-        (0..attrs)
-            .filter_map(|i| table.index_at(i))
-            .map(BitmapIndex::num_bitmaps)
-            .sum::<usize>() as f64,
-    );
-    set(
-        "bix_index_stored_bytes",
-        "On-disk index size (compressed)",
-        table.space_bytes() as f64,
-    );
 }
 
 /// A running server (index shard or router). Dropping the handle does
@@ -850,7 +817,7 @@ impl IndexHandler {
         let table = table.into();
         let registry = MetricsRegistry::new();
         let metrics = IndexMetrics::new(&registry);
-        set_table_gauges(&registry, &table);
+        bix_core::set_table_gauges(&registry, &table);
         IndexHandler {
             delta: RwLock::new(delta_for(&table, config.delta_budget_bytes)),
             serving: Mutex::new(Serving::new(table, config)),
@@ -928,19 +895,14 @@ impl IndexHandler {
         let deltas = [delta.as_ref()];
         let (plans, plan_span) = match selection {
             Selection::Predicates { texts, .. } => {
-                let Some(index) = serving.table.single_index() else {
-                    return Err(bad_query(format!(
-                        "this server serves a table of {} attributes; a single-index predicate \
-                         names none of them — send a table query instead",
-                        serving.schema.len()
-                    )));
-                };
-                let cardinality = index.config().cardinality;
                 let plans = texts
                     .iter()
-                    .map(|text| Query::parse(text, cardinality).map(Plan::from))
+                    .map(|text| Plan::predicate(&serving.schema, text))
                     .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| self.parse_failed(e))?;
+                    .map_err(|e| match e {
+                        PredicateError::Parse(e) => self.parse_failed(e),
+                        wide => bad_query(wide.to_string()),
+                    })?;
                 (plans, None)
             }
             Selection::Expression { text, .. } => {
@@ -1053,7 +1015,7 @@ impl IndexHandler {
     /// ids is ever returned for the new one. Callers hold the delta
     /// write lock.
     fn install(&self, table: IndexedTable) {
-        set_table_gauges(&self.registry, &table);
+        bix_core::set_table_gauges(&self.registry, &table);
         *self.serving.lock().unwrap() = Serving::new(table, &self.config);
     }
 

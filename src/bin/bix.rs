@@ -4,40 +4,30 @@
 //! bix build   --input data.csv [--column 0] --cardinality C
 //!             [--encoding I] [--codec raw|bbc|wah|ewah|roaring]
 //!             [--components N] --out index.bix [--metrics-out file.json]
-//! bix query   index.bix <predicate>   # '=5' '<=10' '3..7' 'in:1,2,9' '!3..7'
-//!             [--eval-domain auto|compressed|raw]
-//!             [--trace] [--trace-out spans.jsonl] [--metrics-out file.json]
-//! bix query   index.bix --batch queries.txt [--parallel N] [--pool-pages P]
-//!             [--eval-domain auto|compressed|raw]
-//!             [--trace] [--trace-out spans.jsonl] [--metrics-out file.json]
 //! bix buildcat --input table.csv --out star.bixcat
 //!             [--encoding I] [--codec raw|bbc|wah|ewah|roaring]
 //!             [--components N]    # header row names the attributes; one
 //!                                 # index per column, cardinality = max+1
-//! bix query   --catalog star.bixcat "<expr>" [--count] [--parallel N]
-//!             [--eval-domain auto|compressed|raw] [--metrics-out file.json]
-//!                                 # boolean multi-attribute selection, e.g.
-//!                                 # "region in {0,1} and (discount >= 7 or
-//!                                 #  not store = 12)"; --count skips row
-//!                                 # materialisation (popcount pushdown)
-//! bix explain index.bix <predicate> [--eval-domain auto|compressed|raw]
-//!                                     # expression, per-constituent scans,
-//!                                     # predicted cost-model seconds, and a
-//!                                     # traced fold: per-node chosen domain
-//!                                     # with predicted-vs-actual time
-//! bix explain --catalog star.bixcat "<expr>"
-//!                                     # parsed expression, rewrite action
-//!                                     # log, DNF clauses, and per-literal
-//!                                     # predicted cost through its index
-//! bix stats   index.bix [--json]      # metrics snapshot: Prometheus text
+//! bix query   FILE <selection> [--count] [--parallel N] [--pool-pages P]
+//!             [--eval-domain auto|compressed|raw]
+//!             [--trace] [--trace-out spans.jsonl] [--metrics-out file.json]
+//! bix query   FILE --batch queries.txt [same flags]   # one selection a line
+//! bix explain FILE <selection> [--eval-domain auto|compressed|raw]
+//!                                     # expression, rewrite log, DNF plan,
+//!                                     # per-literal rewritten expression,
+//!                                     # constituents, predicted scans/bytes/
+//!                                     # seconds and rows, and a traced fold:
+//!                                     # per-node domain, predicted vs actual
+//! bix stats   FILE [--json]           # metrics snapshot: Prometheus text
 //!                                     # by default, JSON with --json
-//! bix info    index.bix
+//! bix info    FILE
 //! bix advise  --cardinality C [--equality X --one-sided Y --two-sided Z]
 //!             [--budget BITMAPS]
-//! bix verify  index.bix|star.bixcat   # checksum every bitmap; exit 2 if corrupt
-//! bix repair  index.bix [--out file] [--metrics-out file.json]
-//! bix repair  star.bixcat             # rebuild every repairable attribute
-//! bix serve   index.bix|star.bixcat [--addr HOST:PORT] [--workers N] [--queue-depth N]
+//! bix verify  FILE                    # checksum every bitmap; exit 2 if corrupt
+//! bix repair  FILE [--out file] [--metrics-out file.json]
+//!                                     # rebuild what the encoding's redundancy
+//!                                     # allows; writes back FILE's format
+//! bix serve   FILE [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!             [--deadline-ms MS] [--request-threads N] [--pool-pages P]
 //!             [--shard-id N]      # stamp replies as shard N (row-range member)
 //!             [--slow-ms MS]      # slow-query capture threshold (0 = all)
@@ -66,23 +56,34 @@
 //!                                 # breaker state, in-flight load
 //! ```
 //!
+//! FILE is either format, told apart by its magic bytes: a bare
+//! `index.bix`, read as the one-attribute table `value`, or a
+//! `star.bixcat` catalog. A selection is a single-attribute predicate
+//! (`=5`, `<=10`, `>=3`, `3..7`, `in:1,2,9`, `!3..7`) on a bare index,
+//! or a boolean expression over named attributes on either format
+//! (`region in {0,1} and (discount >= 7 or not store = 12)`,
+//! `value in {3,4}`). Flags may come before or after the positionals;
+//! an unknown flag is a usage error.
+//!
 //! The input file is one value per line, or CSV with `--column` selecting
 //! a zero-based field. Query output is matching row numbers (zero-based),
-//! one per line, plus a summary on stderr. `--eval-domain` picks whether
-//! the evaluation DAG folds compressed streams directly (`compressed`),
-//! decodes every bitmap at read time (`raw`), or chooses per DAG node by
-//! a measured cost model (`auto`, the default). `--trace` prints the span tree
-//! on stderr; `--trace-out` writes one JSON object per span (JSONL);
-//! `--metrics-out` writes a JSON metrics snapshot (counters, gauges, and
-//! per-phase latency histograms).
+//! one per line, plus a summary on stderr; `--count` prints the match
+//! count instead (a popcount: rows are never materialised). Every query
+//! runs through one `ParallelExecutor::execute` call. `--eval-domain`
+//! picks whether the evaluation DAG folds compressed streams directly
+//! (`compressed`), decodes every bitmap at read time (`raw`), or chooses
+//! per DAG node by a measured cost model (`auto`, the default). `--trace`
+//! prints the span tree on stderr; `--trace-out` writes one JSON object
+//! per span (JSONL); `--metrics-out` writes a JSON metrics snapshot
+//! (counters, gauges, and per-phase latency histograms).
 
 use bix_telemetry::{json, TraceContext};
 use chan_bitmap_index::analysis::{advise, Workload};
 use chan_bitmap_index::core::{
-    BitmapIndex, BitmapRef, BufferPool, Catalog, CodecKind, CostModel, EncodingScheme, EvalDomain,
-    EvalMetrics, EvalOptions, EvalResult, EvalStrategy, IndexConfig, IndexedTable, IoMetrics,
-    IoStats, MetricsRegistry, ParallelExecutor, Plan, Planner, Query, RewriteAction,
-    ShardedBufferPool, TableQuery, Tracer, EXISTENCE_REF,
+    set_table_gauges, BitmapIndex, BitmapRef, Catalog, CodecKind, CostModel, EncodingScheme,
+    EvalDomain, EvalMetrics, EvalOptions, IndexConfig, IndexedTable, IoMetrics, IoStats,
+    MetricsRegistry, ParallelExecutor, Plan, Planner, RewriteAction, ShardedBufferPool,
+    TableSchema, Tracer, EXISTENCE_REF,
 };
 use chan_bitmap_index::server::{
     Client, ClientError, ErrorCode as WireErrorCode, RetryPolicy, Router, RouterConfig, Server,
@@ -164,61 +165,6 @@ fn parse_eval_domain(args: &[String]) -> Result<EvalDomain, String> {
     }
 }
 
-/// Registers the index-shape gauges every metrics snapshot carries.
-fn register_index_gauges(registry: &MetricsRegistry, index: &BitmapIndex) {
-    let config = index.config();
-    let set = |name: &str, help: &str, v: f64| registry.gauge(name, help).set(v);
-    set("bix_index_rows", "Indexed records", index.rows() as f64);
-    set(
-        "bix_index_cardinality",
-        "Attribute cardinality C",
-        config.cardinality as f64,
-    );
-    set(
-        "bix_index_components",
-        "Decomposition components",
-        config.bases.n() as f64,
-    );
-    set(
-        "bix_index_bitmaps",
-        "Stored bitmaps",
-        index.num_bitmaps() as f64,
-    );
-    set(
-        "bix_index_stored_bytes",
-        "On-disk index size (compressed)",
-        index.space_bytes() as f64,
-    );
-    set(
-        "bix_index_raw_bytes",
-        "Uncompressed index size",
-        index.uncompressed_bytes() as f64,
-    );
-}
-
-/// Writes a query run's `--metrics-out` snapshot: index gauges, the
-/// query count, I/O, the evaluation mix, and per-phase span histograms.
-fn write_query_metrics(
-    path: &str,
-    index: &BitmapIndex,
-    results: &[EvalResult],
-    io: &IoStats,
-    tracer: &Tracer,
-) -> Result<(), String> {
-    let registry = MetricsRegistry::new();
-    register_index_gauges(&registry, index);
-    registry
-        .counter("bix_queries_total", "Queries executed")
-        .add(results.len() as u64);
-    IoMetrics::register(&registry).record(io);
-    let eval = EvalMetrics::register(&registry);
-    for r in results {
-        eval.record(r.decompressions, r.nodes_raw, r.nodes_compressed);
-    }
-    registry.observe_trace(tracer);
-    write_metrics(path, &registry)
-}
-
 /// Writes the registry's JSON snapshot to `path` (for `--metrics-out`).
 fn write_metrics(path: &str, registry: &MetricsRegistry) -> Result<(), String> {
     std::fs::write(path, registry.snapshot().to_json())
@@ -261,12 +207,6 @@ fn parse_codec(s: &str) -> Result<CodecKind, String> {
             "unknown codec {other} (use raw, bbc, wah, ewah, roaring)"
         )),
     }
-}
-
-/// Parses the CLI predicate grammar into a [`Query`] (see
-/// [`Query::parse`] for the grammar).
-fn parse_predicate(s: &str, cardinality: u64) -> Result<Query, String> {
-    Query::parse(s, cardinality).map_err(|e| e.to_string())
 }
 
 /// Reads one column of values from a text/CSV file.
@@ -321,15 +261,6 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     index
         .save(&out)
         .map_err(|e| format!("cannot write {out}: {e}"))?;
-    if let Some(metrics_out) = flag_value(args, "--metrics-out") {
-        let registry = MetricsRegistry::new();
-        register_index_gauges(&registry, &index);
-        registry
-            .gauge("bix_build_seconds", "Wall-clock index build time")
-            .set(build_seconds);
-        IoMetrics::register(&registry).record(&index.io_stats());
-        write_metrics(&metrics_out, &registry)?;
-    }
     eprintln!(
         "built {} index over {} rows (C={cardinality}, {} bitmaps, {} bytes) -> {out}",
         encoding.symbol(),
@@ -337,42 +268,50 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         index.num_bitmaps(),
         index.space_bytes(),
     );
+    if let Some(metrics_out) = flag_value(args, "--metrics-out") {
+        let registry = MetricsRegistry::new();
+        IoMetrics::register(&registry).record(&index.io_stats());
+        set_table_gauges(&registry, &IndexedTable::from(index));
+        registry
+            .gauge("bix_build_seconds", "Wall-clock index build time")
+            .set(build_seconds);
+        write_metrics(&metrics_out, &registry)?;
+    }
     Ok(())
 }
 
-/// Flags that consume a value argument, shared by the catalog-aware
-/// subcommands so positional arguments (the expression) can be found
-/// wherever they sit relative to `--flag value` pairs.
+/// Flags that take a value: the argument scanner skips their values.
 const VALUE_FLAGS: &[&str] = &[
-    "--catalog",
+    "--batch",
     "--eval-domain",
     "--parallel",
     "--pool-pages",
     "--metrics-out",
     "--trace-out",
-    "--input",
     "--out",
-    "--encoding",
-    "--codec",
-    "--components",
 ];
 
-/// The first positional (non-flag) argument, skipping `--flag value`
-/// pairs for every flag in [`VALUE_FLAGS`].
-fn first_positional(args: &[String]) -> Option<&String> {
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += if VALUE_FLAGS.contains(&args[i].as_str()) {
-                2
-            } else {
-                1
-            };
-            continue;
+/// The `N` positional arguments of a file-reading subcommand, which may
+/// come before, between or after its flags. Another count of them, a
+/// flag outside `allowed`, or a value flag without its value is a usage
+/// error.
+fn positionals<'a, const N: usize>(
+    args: &'a [String],
+    allowed: &[&str],
+    usage: &str,
+) -> Result<[&'a str; N], String> {
+    let mut positional = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            positional.push(arg.as_str());
+        } else if !allowed.contains(&arg.as_str()) {
+            return Err(format!("unknown flag {arg}\n{usage}"));
+        } else if VALUE_FLAGS.contains(&arg.as_str()) && rest.next().is_none() {
+            return Err(format!("{arg} needs a value\n{usage}"));
         }
-        return Some(&args[i]);
     }
-    None
+    positional.try_into().map_err(|_| usage.to_owned())
 }
 
 /// Reads a whole table from a headed CSV: the first non-empty line
@@ -453,89 +392,176 @@ fn cmd_buildcat(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `bix query --catalog`: plans a boolean multi-attribute expression
-/// and executes it across the catalog's indexes through one shared
-/// buffer pool. `--count` skips row materialisation entirely — the
-/// answer is the folded bitmap's popcount.
-fn cmd_query_catalog(path: &str, args: &[String]) -> Result<(), String> {
-    const USAGE: &str =
-        "usage: bix query --catalog <table.bixcat> \"<expr>\" [--count] [--parallel N] \
-         [--pool-pages P] [--eval-domain auto|compressed|raw] [--metrics-out file.json]";
-    let text = first_positional(args).ok_or(USAGE)?;
+/// Opens either file format as a table (a bare index is the
+/// one-attribute table `value`).
+fn open_table(path: &str) -> Result<IndexedTable, String> {
+    Catalog::open(path)
+        .map(Catalog::into_table)
+        .map_err(|e| format!("cannot load {path}: {e}"))
+}
+
+/// Every attribute's index, in schema order.
+fn indexes(table: &IndexedTable) -> impl Iterator<Item = &BitmapIndex> {
+    (0..).map_while(|i| table.index_at(i))
+}
+
+/// The I/O counters summed over every attribute's store.
+fn table_io(table: &IndexedTable) -> IoStats {
+    indexes(table).fold(IoStats::new(), |io, index| io + index.io_stats())
+}
+
+/// One selection as a plan: a single-attribute predicate (`=5`, `<=10`,
+/// `3..7`, `in:1,2`, `!pred`) through [`Plan::predicate`], anything else
+/// a table expression through [`Planner::plan_text`].
+fn plan_selection(schema: &TableSchema, text: &str) -> Result<Plan, String> {
+    let t = text.trim_start();
+    if t.starts_with(['=', '<', '>', '!'])
+        || t.starts_with(|c: char| c.is_ascii_digit())
+        || t.starts_with("in:")
+    {
+        Plan::predicate(schema, text).map_err(|e| e.to_string())
+    } else {
+        Planner::plan_text(schema, text).map_err(|e| e.to_string())
+    }
+}
+
+const QUERY_USAGE: &str = "usage: bix query <index.bix|table.bixcat> <selection> [--count] \
+     [--parallel N] [--pool-pages P] [--eval-domain auto|compressed|raw] [--trace] \
+     [--trace-out spans.jsonl] [--metrics-out file.json]\n   \
+     or: bix query <index.bix|table.bixcat> --batch <file> [same flags]";
+
+/// `bix query`: one selection, or one per line of a `--batch` file (`#`
+/// comments and blank lines skipped), planned against the file's table
+/// and run in one [`ParallelExecutor::execute`] call over `--parallel N`
+/// threads (default: 1, or every core for a batch). `--count` prints the
+/// popcount instead of the rows.
+fn cmd_query(args: &[String]) -> Result<(), String> {
+    const FLAGS: &[&str] = &[
+        "--batch",
+        "--count",
+        "--parallel",
+        "--pool-pages",
+        "--eval-domain",
+        "--trace",
+        "--trace-out",
+        "--metrics-out",
+    ];
+    let batch_file = flag_value(args, "--batch");
+    // Each selection with where it came from, for error messages.
+    let (path, selections) = match &batch_file {
+        None => {
+            let [path, text] = positionals(args, FLAGS, QUERY_USAGE)?;
+            (path, vec![(String::new(), text.to_owned())])
+        }
+        Some(file) => {
+            let [path] = positionals(args, FLAGS, QUERY_USAGE)?;
+            let contents =
+                std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+            let lines: Vec<_> = contents
+                .lines()
+                .enumerate()
+                .map(|(i, line)| (format!("{file}:{}: ", i + 1), line.trim().to_owned()))
+                .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+                .collect();
+            if lines.is_empty() {
+                return Err(format!("{file} contains no selections"));
+            }
+            (path, lines)
+        }
+    };
     let domain = parse_eval_domain(args)?;
-    let threads = numeric_flag(args, "--parallel", 1)?;
-    let pool_pages = numeric_flag(args, "--pool-pages", 8192)?;
-
-    let catalog = Catalog::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-    let table = catalog.into_table();
+    let table = open_table(path)?;
     let schema = table.schema();
-    let plan = Planner::plan_text(&schema, text).map_err(|e| e.to_string())?;
+    let plans = selections
+        .iter()
+        .map(|(at, text)| plan_selection(&schema, text).map_err(|e| format!("{at}{e}")))
+        .collect::<Result<Vec<_>, _>>()?;
 
-    let pool = ShardedBufferPool::new(pool_pages, threads.max(2));
+    let default_threads = match batch_file {
+        Some(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        None => 1,
+    };
+    let threads = numeric_flag(args, "--parallel", default_threads)?;
+    let pool = ShardedBufferPool::new(numeric_flag(args, "--pool-pages", 8192)?, threads.max(2));
+    let tracer = if wants_trace(args) {
+        Tracer::new()
+    } else {
+        Tracer::disabled()
+    };
     let opts = EvalOptions {
         domain,
+        tracer: &tracer,
         ..EvalOptions::default()
     };
-    let result = ParallelExecutor::new(threads)
-        .execute(&table, &[plan], &pool, &CostModel::default(), &opts)
-        .map_err(|e| e.to_string())?
-        .results
-        .remove(0);
-
-    if has_flag(args, "--count") {
-        println!("{}", result.count());
-        eprintln!(
-            "{} rows matched ({} bitmap scans, {} decompressions, {:.4}s simulated I/O; \
-             count pushdown, rows never materialised)",
-            result.count(),
-            result.scans,
-            result.decompressions,
-            result.total_seconds(),
-        );
-    } else {
-        for row in result.bitmap.ones() {
-            println!("{row}");
-        }
-        eprintln!(
-            "{} rows matched ({} bitmap scans, {} decompressions, {:.4}s simulated I/O)",
-            result.count(),
-            result.scans,
-            result.decompressions,
-            result.total_seconds(),
-        );
-    }
+    let batch = ParallelExecutor::new(threads)
+        .execute(&table, &plans, &pool, &CostModel::default(), &opts)
+        .map_err(|e| e.to_string())?;
+    emit_trace(args, &tracer)?;
     if let Some(metrics_out) = flag_value(args, "--metrics-out") {
+        // Table gauges, the query count, I/O, the evaluation mix, and
+        // per-phase span histograms.
         let registry = MetricsRegistry::new();
-        registry
-            .gauge("bix_index_rows", "Indexed records")
-            .set(table.rows() as f64);
-        registry
-            .gauge("bix_catalog_attrs", "Indexed attributes")
-            .set(schema.len() as f64);
+        set_table_gauges(&registry, &table);
         registry
             .counter("bix_queries_total", "Queries executed")
-            .inc();
-        IoMetrics::register(&registry).record(&result.io);
+            .add(batch.results.len() as u64);
+        IoMetrics::register(&registry).record(&batch.io);
+        let eval = EvalMetrics::register(&registry);
+        for r in &batch.results {
+            eval.record(r.decompressions, r.nodes_raw, r.nodes_compressed);
+        }
+        registry.observe_trace(&tracer);
         write_metrics(&metrics_out, &registry)?;
     }
+
+    if batch_file.is_some() {
+        for ((_, text), r) in selections.iter().zip(&batch.results) {
+            println!("{text}\t{} rows\t{} scans", r.count(), r.scans);
+        }
+        eprintln!(
+            "{} queries on {} threads in {:.3}s wall: {} scans, {} pages read, {} pool hits, {:.3}s simulated I/O",
+            batch.results.len(),
+            batch.threads,
+            batch.wall_seconds,
+            batch.total_scans(),
+            batch.io.pages_read,
+            batch.io.pool_hits,
+            batch.io_seconds,
+        );
+        return Ok(());
+    }
+    let r = &batch.results[0];
+    let pushdown = if has_flag(args, "--count") {
+        println!("{}", r.count());
+        "; count pushdown, rows never materialised"
+    } else {
+        for row in r.bitmap.ones() {
+            println!("{row}");
+        }
+        ""
+    };
+    eprintln!(
+        "{} rows matched ({} bitmap scans, {} decompressions, {:.4}s simulated I/O{pushdown})",
+        r.count(),
+        r.scans,
+        r.decompressions,
+        r.io_seconds,
+    );
     Ok(())
 }
 
-/// `bix explain --catalog`: the parsed expression, the rewrite action
-/// log, the DNF clauses, and each distinct literal's predicted cost
-/// through its attribute's index.
-fn cmd_explain_catalog(path: &str, args: &[String]) -> Result<(), String> {
-    let text =
-        first_positional(args).ok_or("usage: bix explain --catalog <table.bixcat> \"<expr>\"")?;
-    let catalog = Catalog::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-    let table = catalog.into_table();
+/// `bix explain`: the expression, the rewrite log and the DNF plan; per
+/// distinct literal its rewritten expression, constituents, predicted
+/// cost and estimated rows; then one traced fold of the plan.
+fn cmd_explain(args: &[String]) -> Result<(), String> {
+    const USAGE: &str = "usage: bix explain <index.bix|table.bixcat> <selection> \
+         [--eval-domain auto|compressed|raw]";
+    let [path, text] = positionals(args, &["--eval-domain"], USAGE)?;
+    let domain = parse_eval_domain(args)?;
+    let table = open_table(path)?;
     let schema = table.schema();
-
-    let query = TableQuery::parse(text, &schema).map_err(|e| e.to_string())?;
-    println!("expression: {query}");
-    let plan = Planner::new(&schema)
-        .plan(&query)
-        .map_err(|e| e.to_string())?;
+    let plan = plan_selection(&schema, text)?;
+    println!("expression: {}", text.trim());
     if plan.actions.is_empty() {
         println!("rewrite: (already normalised)");
     } else {
@@ -545,26 +571,45 @@ fn cmd_explain_catalog(path: &str, args: &[String]) -> Result<(), String> {
     println!("plan ({} DNF clause(s)):", plan.clauses.len());
     println!("{}", plan.display(&schema));
 
+    // Per literal, in the terms the trace output uses: distinct bitmap
+    // scans and predicted cost-model seconds (cold pool).
     let cost = CostModel::default();
-    let mut scans = 0usize;
-    let mut bytes = 0usize;
-    let mut seconds = 0.0f64;
-    for lit in plan.distinct_literals() {
-        let name = &schema.attr(lit.attr).name;
+    let literals = plan.distinct_literals();
+    let (mut scans, mut bytes, mut seconds) = (0, 0, 0.0);
+    for lit in &literals {
         let index = table
             .index_at(lit.attr)
-            .ok_or_else(|| format!("catalog has no index for attribute {name}"))?;
+            .expect("a plan's literals name its table's attributes");
         let expr = index.rewrite(&lit.query);
         let p = index.predict_cost(&expr, &cost);
-        let complement = if lit.complement {
-            " (complemented)"
+        let (complement, selected) = if lit.complement {
+            (" (complemented)", lit.query.clone().not())
         } else {
-            ""
+            ("", lit.query.clone())
         };
         println!(
-            "  literal {name}{complement}: {} scan(s), {} bytes, predicted {:.4}s",
-            p.scans, p.bytes, p.seconds,
+            "  literal {}{complement}: {}  -- {} scan(s), {} bytes, predicted {:.4}s, \
+             est. {} rows",
+            schema.attr(lit.attr).name,
+            index.display_expr(&expr),
+            p.scans,
+            p.bytes,
+            p.seconds,
+            index.estimate_rows(&selected),
         );
+        let constituents = index.rewrite_constituents(&lit.query, &Tracer::disabled(), None);
+        if constituents.len() > 1 {
+            for (i, c) in constituents.iter().enumerate() {
+                let p = index.predict_cost(c, &cost);
+                println!(
+                    "    constituent {i}: {}  -- {} scan(s), {} bytes, predicted {:.4}s",
+                    index.display_expr(c),
+                    p.scans,
+                    p.bytes,
+                    p.seconds,
+                );
+            }
+        }
         scans += p.scans;
         bytes += p.bytes;
         seconds += p.seconds;
@@ -572,202 +617,28 @@ fn cmd_explain_catalog(path: &str, args: &[String]) -> Result<(), String> {
     println!(
         "-- {scans} bitmap scan(s), {bytes} stored bytes, predicted {seconds:.4}s I/O \
          across {} distinct literal(s)",
-        plan.distinct_literals().len(),
-    );
-    Ok(())
-}
-
-fn cmd_query(args: &[String]) -> Result<(), String> {
-    const USAGE: &str = "usage: bix query <index.bix> <predicate> [--eval-domain auto|compressed|raw] | bix query <index.bix> --batch <file> [--parallel N] [--eval-domain auto|compressed|raw] | bix query --catalog <table.bixcat> \"<expr>\" [--count] [--parallel N]";
-    if let Some(catalog_path) = flag_value(args, "--catalog") {
-        return cmd_query_catalog(&catalog_path, args);
-    }
-    let path = args.first().ok_or(USAGE)?;
-    if let Some(batch_file) = flag_value(args, "--batch") {
-        return cmd_query_batch(path, &batch_file, args);
-    }
-    let predicate = args.get(1).filter(|a| !a.starts_with("--")).ok_or(USAGE)?;
-    let domain = parse_eval_domain(args)?;
-    let mut index = BitmapIndex::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-    let query = parse_predicate(predicate, index.config().cardinality)?;
-
-    let tracer = if wants_trace(args) {
-        Tracer::new()
-    } else {
-        Tracer::disabled()
-    };
-    let cost = CostModel::default();
-    let mut pool = BufferPool::new(index.config().disk.pages_for_bytes(64 << 20));
-    let root = tracer.span(&format!("query {predicate}"), None);
-    let root_id = root.id();
-    let opts = EvalOptions {
-        domain,
-        tracer: &tracer,
-        parent: root_id,
-        ..EvalOptions::default()
-    };
-    let result = index
-        .evaluate_with(&query, &mut pool, EvalStrategy::ComponentWise, &cost, &opts)
-        .map_err(|e| e.to_string())?;
-    root.attr("rows", result.bitmap.count_ones());
-    root.finish();
-
-    for row in result.bitmap.ones() {
-        println!("{row}");
-    }
-    emit_trace(args, &tracer)?;
-    if let Some(metrics_out) = flag_value(args, "--metrics-out") {
-        let results = std::slice::from_ref(&result);
-        write_query_metrics(&metrics_out, &index, results, &result.io, &tracer)?;
-    }
-    eprintln!(
-        "{} rows matched ({} bitmap scans, {} decompressions, {:.4}s simulated I/O)",
-        result.bitmap.count_ones(),
-        result.scans,
-        result.decompressions,
-        result.io_seconds,
-    );
-    Ok(())
-}
-
-/// Batch mode: evaluates one predicate per line of `batch_file`
-/// concurrently over `--parallel N` threads (default: all cores) through
-/// the lock-striped buffer pool. Prints one `line: count` summary per
-/// query and merged I/O totals on stderr.
-fn cmd_query_batch(path: &str, batch_file: &str, args: &[String]) -> Result<(), String> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = numeric_flag(args, "--parallel", cores)?;
-    let pool_pages = numeric_flag(args, "--pool-pages", 8192)?;
-
-    let table = IndexedTable::from(
-        BitmapIndex::load(path).map_err(|e| format!("cannot load {path}: {e}"))?,
-    );
-    let index = table
-        .single_index()
-        .expect("an index is a one-attribute table");
-    let contents = std::fs::read_to_string(batch_file)
-        .map_err(|e| format!("cannot read {batch_file}: {e}"))?;
-    let (mut texts, mut plans) = (Vec::new(), Vec::new());
-    for (line_no, line) in contents.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let q = parse_predicate(line, index.config().cardinality)
-            .map_err(|e| format!("{batch_file}:{}: {e}", line_no + 1))?;
-        texts.push(line);
-        plans.push(Plan::from(q));
-    }
-    if plans.is_empty() {
-        return Err(format!("{batch_file} contains no predicates"));
-    }
-
-    let pool = ShardedBufferPool::new(pool_pages, threads.max(2));
-    let tracer = if wants_trace(args) {
-        Tracer::new()
-    } else {
-        Tracer::disabled()
-    };
-    let opts = EvalOptions {
-        domain: parse_eval_domain(args)?,
-        tracer: &tracer,
-        ..EvalOptions::default()
-    };
-    let batch = ParallelExecutor::new(threads)
-        .execute(&table, &plans, &pool, &CostModel::default(), &opts)
-        .map_err(|e| e.to_string())?;
-    emit_trace(args, &tracer)?;
-    if let Some(metrics_out) = flag_value(args, "--metrics-out") {
-        write_query_metrics(&metrics_out, index, &batch.results, &batch.io, &tracer)?;
-    }
-
-    for (text, result) in texts.iter().zip(&batch.results) {
-        println!(
-            "{text}\t{} rows\t{} scans",
-            result.bitmap.count_ones(),
-            result.scans
-        );
-    }
-    eprintln!(
-        "{} queries on {} threads in {:.3}s wall: {} scans, {} pages read, {} pool hits, {:.3}s simulated I/O",
-        batch.results.len(),
-        batch.threads,
-        batch.wall_seconds,
-        batch.total_scans(),
-        batch.io.pages_read,
-        batch.io.pool_hits,
-        batch.io_seconds,
-    );
-    Ok(())
-}
-
-fn cmd_explain(args: &[String]) -> Result<(), String> {
-    if let Some(catalog_path) = flag_value(args, "--catalog") {
-        return cmd_explain_catalog(&catalog_path, args);
-    }
-    let [path, predicate, ..] = args else {
-        return Err(
-            "usage: bix explain <index.bix> <predicate> [--eval-domain auto|compressed|raw] \
-             | bix explain --catalog <table.bixcat> \"<expr>\""
-                .into(),
-        );
-    };
-    let mut index = BitmapIndex::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-    let query = parse_predicate(predicate, index.config().cardinality)?;
-    let expr = index.rewrite(&query);
-    let cost = CostModel::default();
-    println!("{}", index.explain(&query));
-
-    // Per-constituent breakdown in the same terms the trace output uses:
-    // distinct bitmap scans and predicted cost-model seconds (cold pool).
-    let config = index.config();
-    let bases = config.bases.bases().to_vec();
-    let encoding = config.encoding;
-    let multi = bases.len() > 1;
-    let name_of = move |r: BitmapRef| {
-        let name = encoding.slot_name(bases[r.component], r.slot);
-        if multi {
-            format!("{name}[c{}]", r.component + 1)
-        } else {
-            name
-        }
-    };
-    let constituents = index.rewrite_constituents(&query, &Tracer::disabled(), None);
-    if constituents.len() > 1 {
-        for (i, c) in constituents.iter().enumerate() {
-            let p = index.predict_cost(c, &cost);
-            println!(
-                "  constituent {i}: {}  -- {} scan(s), {} bytes, predicted {:.4}s",
-                c.display_with(&name_of),
-                p.scans,
-                p.bytes,
-                p.seconds,
-            );
-        }
-    }
-    let total = index.predict_cost(&expr, &cost);
-    println!(
-        "-- {} distinct bitmap scan(s), {} stored bytes, predicted {:.4}s I/O, est. {} matching rows",
-        total.scans,
-        total.bytes,
-        total.seconds,
-        index.estimate_rows(&query),
+        literals.len(),
     );
 
-    // One traced evaluation: which domain each DAG node actually ran in,
-    // with the DomainCostModel's predicted nanoseconds next to the
-    // measured time, so model misfires are visible per node.
-    let domain = parse_eval_domain(args)?;
+    // One traced fold: which domain each DAG node actually ran in, with
+    // the DomainCostModel's predicted nanoseconds next to the measured
+    // time, so model misfires are visible per node.
     let tracer = Tracer::new();
-    let mut pool = BufferPool::new(4096);
     let opts = EvalOptions {
         domain,
         tracer: &tracer,
         ..EvalOptions::default()
     };
-    let result = index
-        .evaluate_with(&query, &mut pool, EvalStrategy::ComponentWise, &cost, &opts)
+    let batch = ParallelExecutor::new(1)
+        .execute(
+            &table,
+            std::slice::from_ref(&plan),
+            &ShardedBufferPool::new(4096, 2),
+            &cost,
+            &opts,
+        )
         .map_err(|e| e.to_string())?;
+    let result = &batch.results[0];
     println!(
         "-- {} fold: {} raw node(s), {} compressed node(s), {} decompression(s)",
         domain.name(),
@@ -799,14 +670,12 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let path = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or("usage: bix stats <index.bix> [--json]")?;
-    let index = BitmapIndex::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
+    const USAGE: &str = "usage: bix stats <index.bix|table.bixcat> [--json]";
+    let [path] = positionals(args, &["--json"], USAGE)?;
+    let table = open_table(path)?;
     let registry = MetricsRegistry::new();
-    register_index_gauges(&registry, &index);
-    IoMetrics::register(&registry).record(&index.io_stats());
+    set_table_gauges(&registry, &table);
+    IoMetrics::register(&registry).record(&table_io(&table));
     // Expose the eval-mix counters (zeroed: no queries have run in this
     // process) so scrapers see a stable schema from every entry point.
     EvalMetrics::register(&registry);
@@ -820,23 +689,25 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let [path, ..] = args else {
-        return Err("usage: bix info <index.bix>".into());
-    };
-    let index = BitmapIndex::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-    let config = index.config();
-    println!("encoding:     {}", config.encoding.symbol());
-    println!("codec:        {}", config.codec.name());
-    println!("cardinality:  {}", config.cardinality);
-    println!(
-        "components:   {} (bases, most significant first: {:?})",
-        config.bases.n(),
-        config.bases.bases().iter().rev().collect::<Vec<_>>()
-    );
-    println!("rows:         {}", index.rows());
-    println!("bitmaps:      {}", index.num_bitmaps());
-    println!("stored bytes: {}", index.space_bytes());
-    println!("raw bytes:    {}", index.uncompressed_bytes());
+    const USAGE: &str = "usage: bix info <index.bix|table.bixcat>";
+    let [path] = positionals(args, &[], USAGE)?;
+    let table = open_table(path)?;
+    for (name, index) in table.attribute_names().into_iter().zip(indexes(&table)) {
+        let config = index.config();
+        println!("attribute:    {name}");
+        println!("encoding:     {}", config.encoding.symbol());
+        println!("codec:        {}", config.codec.name());
+        println!("cardinality:  {}", config.cardinality);
+        println!(
+            "components:   {} (bases, most significant first: {:?})",
+            config.bases.n(),
+            config.bases.bases().iter().rev().collect::<Vec<_>>()
+        );
+        println!("rows:         {}", index.rows());
+        println!("bitmaps:      {}", index.num_bitmaps());
+        println!("stored bytes: {}", index.space_bytes());
+        println!("raw bytes:    {}", index.uncompressed_bytes());
+    }
     Ok(())
 }
 
@@ -895,19 +766,13 @@ fn describe_ref(r: BitmapRef) -> String {
     }
 }
 
-/// Opens an index file with the corruption-tolerant loader, so damaged
-/// bitmaps are quarantined instead of aborting the load.
-fn load_tolerant_path(path: &str) -> Result<BitmapIndex, String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    BitmapIndex::load_tolerant(std::io::BufReader::new(file))
-        .map_err(|e| format!("cannot load {path}: {e}"))
-}
-
-/// `bix verify` for a `.bixcat` catalog: every attribute's index is
-/// checksummed; any corrupt bitmap anywhere fails the whole catalog.
-fn cmd_verify_catalog(path: &str) -> Result<(), String> {
+/// `bix verify`: checksums every bitmap of every attribute, opening
+/// either format tolerantly so a corrupt bitmap is reported, not fatal.
+fn cmd_verify(args: &[String]) -> Result<(), String> {
+    const USAGE: &str = "usage: bix verify <index.bix|table.bixcat>";
+    let [path] = positionals(args, &[], USAGE)?;
     let mut catalog =
-        Catalog::load_tolerant(path).map_err(|e| format!("cannot load {path}: {e}"))?;
+        Catalog::open_tolerant(path).map_err(|e| format!("cannot load {path}: {e}"))?;
     let reports = catalog.verify();
     let mut corrupt = 0usize;
     for (attr, report) in &reports {
@@ -916,32 +781,35 @@ fn cmd_verify_catalog(path: &str) -> Result<(), String> {
             eprintln!("corrupt: {attr}: {} [{name}]", describe_ref(*r));
         }
     }
+    let table = catalog.table();
+    let bitmaps: usize = indexes(table).map(BitmapIndex::num_bitmaps).sum();
     if corrupt == 0 {
         println!(
-            "{path}: ok ({} attribute(s), {} rows, {} bytes)",
+            "{path}: ok ({} attribute(s), {bitmaps} bitmaps, {} rows, {} bytes)",
             reports.len(),
-            catalog.table().rows(),
-            catalog.table().space_bytes(),
+            table.rows(),
+            table.space_bytes(),
         );
         Ok(())
     } else {
         Err(format!(
-            "{path}: {corrupt} bitmap(s) failed checksum verification across {} attribute(s)",
-            reports.len(),
+            "{path}: {corrupt} of {bitmaps} bitmaps failed checksum verification"
         ))
     }
 }
 
-/// `bix repair` for a `.bixcat` catalog. Refuses to save when any
-/// attribute still holds an unrepairable bitmap, for the same reason
-/// the single-index repair does.
-fn cmd_repair_catalog(path: &str, args: &[String]) -> Result<(), String> {
-    let out = flag_value(args, "--out").unwrap_or_else(|| path.to_string());
+/// `bix repair`: rebuilds what each attribute's encoding redundancy
+/// allows and saves in the format it opened — unless any bitmap stays
+/// unreconstructible.
+fn cmd_repair(args: &[String]) -> Result<(), String> {
+    const USAGE: &str = "usage: bix repair <index.bix|table.bixcat> [--out <file>] \
+         [--metrics-out file.json]";
+    let [path] = positionals(args, &["--out", "--metrics-out"], USAGE)?;
+    let out = flag_value(args, "--out").unwrap_or_else(|| path.to_owned());
     let mut catalog =
-        Catalog::load_tolerant(path).map_err(|e| format!("cannot load {path}: {e}"))?;
+        Catalog::open_tolerant(path).map_err(|e| format!("cannot load {path}: {e}"))?;
     let reports = catalog.repair();
-    let mut rebuilt = 0usize;
-    let mut unrepairable = 0usize;
+    let (mut rebuilt, mut unrepairable) = (0usize, 0usize);
     for (attr, report) in &reports {
         for r in &report.repaired {
             rebuilt += 1;
@@ -952,7 +820,25 @@ fn cmd_repair_catalog(path: &str, args: &[String]) -> Result<(), String> {
             eprintln!("unrepairable: {attr}: {}", describe_ref(*r));
         }
     }
+    if let Some(metrics_out) = flag_value(args, "--metrics-out") {
+        let registry = MetricsRegistry::new();
+        set_table_gauges(&registry, catalog.table());
+        registry
+            .counter("bix_repair_rebuilt_total", "Bitmaps rebuilt by repair")
+            .add(rebuilt as u64);
+        registry
+            .counter(
+                "bix_repair_unrepairable_total",
+                "Bitmaps repair could not reconstruct",
+            )
+            .add(unrepairable as u64);
+        IoMetrics::register(&registry).record(&table_io(catalog.table()));
+        write_metrics(&metrics_out, &registry)?;
+    }
     if unrepairable > 0 {
+        // Never write a file that still contains corrupt bitmaps: saving
+        // would re-checksum nothing, but it would overwrite the caller's
+        // only copy with one we know is damaged.
         return Err(format!(
             "{path}: {unrepairable} bitmap(s) could not be reconstructed; not saving",
         ));
@@ -960,87 +846,7 @@ fn cmd_repair_catalog(path: &str, args: &[String]) -> Result<(), String> {
     catalog
         .save(&out)
         .map_err(|e| format!("cannot write {out}: {e}"))?;
-    eprintln!("{path}: {rebuilt} bitmap(s) rebuilt, catalog saved to {out}");
-    Ok(())
-}
-
-fn cmd_verify(args: &[String]) -> Result<(), String> {
-    let [path, ..] = args else {
-        return Err("usage: bix verify <index.bix|table.bixcat>".into());
-    };
-    if path.ends_with(".bixcat") {
-        return cmd_verify_catalog(path);
-    }
-    let mut index = load_tolerant_path(path)?;
-    let report = index.verify();
-    for (r, name) in &report.corrupt {
-        eprintln!("corrupt: {} [{name}]", describe_ref(*r));
-    }
-    if report.is_clean() {
-        println!(
-            "{path}: ok ({} bitmaps, {} rows, {} bytes)",
-            index.num_bitmaps(),
-            index.rows(),
-            index.space_bytes(),
-        );
-        Ok(())
-    } else {
-        Err(format!(
-            "{path}: {} of {} bitmaps failed checksum verification",
-            report.corrupt.len(),
-            index.num_bitmaps(),
-        ))
-    }
-}
-
-fn cmd_repair(args: &[String]) -> Result<(), String> {
-    let path = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or("usage: bix repair <index.bix|table.bixcat> [--out <file>]")?;
-    if path.ends_with(".bixcat") {
-        return cmd_repair_catalog(path, args);
-    }
-    let out = flag_value(args, "--out").unwrap_or_else(|| path.clone());
-    let mut index = load_tolerant_path(path)?;
-    let report = index.repair();
-    for r in &report.repaired {
-        eprintln!("repaired: {}", describe_ref(*r));
-    }
-    for r in &report.unrepairable {
-        eprintln!("unrepairable: {}", describe_ref(*r));
-    }
-    if let Some(metrics_out) = flag_value(args, "--metrics-out") {
-        let registry = MetricsRegistry::new();
-        register_index_gauges(&registry, &index);
-        registry
-            .counter("bix_repair_rebuilt_total", "Bitmaps rebuilt by repair")
-            .add(report.repaired.len() as u64);
-        registry
-            .counter(
-                "bix_repair_unrepairable_total",
-                "Bitmaps repair could not reconstruct",
-            )
-            .add(report.unrepairable.len() as u64);
-        IoMetrics::register(&registry).record(&index.io_stats());
-        write_metrics(&metrics_out, &registry)?;
-    }
-    if !report.unrepairable.is_empty() {
-        // Never write a file that still contains corrupt bitmaps: saving
-        // would re-checksum nothing, but it would overwrite the caller's
-        // only copy with one we know is damaged.
-        return Err(format!(
-            "{path}: {} bitmap(s) could not be reconstructed; not saving",
-            report.unrepairable.len(),
-        ));
-    }
-    index
-        .save(&out)
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
-    eprintln!(
-        "{path}: {} bitmap(s) rebuilt, index saved to {out}",
-        report.repaired.len(),
-    );
+    eprintln!("{path}: {rebuilt} bitmap(s) rebuilt, saved to {out}");
     Ok(())
 }
 
@@ -1676,6 +1482,7 @@ fn cmd_client(args: &[String]) -> Result<(), CliFailure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chan_bitmap_index::core::{AttrSchema, Query};
 
     #[test]
     fn client_exit_codes_are_distinct_per_error_class() {
@@ -1708,16 +1515,57 @@ mod tests {
 
     #[test]
     fn predicate_grammar() {
-        assert_eq!(parse_predicate("=5", 10).unwrap(), Query::equality(5));
-        assert_eq!(parse_predicate("<=7", 10).unwrap(), Query::le(7));
-        assert_eq!(parse_predicate(">=3", 10).unwrap(), Query::ge(3, 10));
-        assert_eq!(parse_predicate("2..8", 10).unwrap(), Query::range(2, 8));
+        let one = IndexedTable::from(BitmapIndex::build(
+            &[1, 2, 3],
+            &IndexConfig::one_component(10, EncodingScheme::Interval),
+        ))
+        .schema();
+        let predicate = |text: &str| plan_selection(&one, text);
+        assert_eq!(predicate("=5").unwrap(), Plan::from(Query::equality(5)));
+        assert_eq!(predicate(" <=7").unwrap(), Plan::from(Query::le(7)));
+        assert_eq!(predicate(">=3").unwrap(), Plan::from(Query::ge(3, 10)));
+        assert_eq!(predicate("2..8").unwrap(), Plan::from(Query::range(2, 8)));
         assert_eq!(
-            parse_predicate("in:1, 4,9", 10).unwrap(),
-            Query::membership(vec![1, 4, 9])
+            predicate("in:1, 4,9").unwrap(),
+            Plan::from(Query::membership(vec![1, 4, 9]))
         );
-        assert!(parse_predicate("8..2", 10).is_err());
-        assert!(parse_predicate("garbage", 10).is_err());
+        assert_eq!(
+            predicate("!3..7").unwrap(),
+            Plan::from(Query::range(3, 7).not())
+        );
+        assert!(predicate("8..2").is_err());
+        assert!(predicate("garbage").is_err());
+        // Anything else is a table expression, on either shape of table.
+        let expr = predicate("value in {3, 4}").unwrap();
+        assert_eq!(expr.distinct_literals().len(), 1);
+        let mut wide = TableSchema::new();
+        for name in ["a", "b"] {
+            wide.push(AttrSchema {
+                name: name.into(),
+                cardinality: 10,
+                nullable: false,
+            });
+        }
+        assert!(plan_selection(&wide, "a = 1 or b = 2").is_ok());
+        let err = plan_selection(&wide, "=3").unwrap_err();
+        assert!(err.contains("table query"), "{err}");
+    }
+
+    #[test]
+    fn flags_go_anywhere_and_unknown_flags_are_refused() {
+        let args: Vec<String> = ["--eval-domain", "raw", "x.bix", "--count", "=3"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let allowed = ["--eval-domain", "--count"];
+        assert_eq!(positionals(&args, &allowed, "u").unwrap(), ["x.bix", "=3"]);
+        let err = positionals::<2>(&args, &["--count"], "u").unwrap_err();
+        assert!(err.contains("unknown flag --eval-domain"), "{err}");
+        let dangling = ["x.bix".to_string(), "--eval-domain".to_string()];
+        assert!(positionals::<1>(&dangling, &allowed, "u").is_err());
+        // One positional too many or too few.
+        assert!(positionals::<1>(&args, &allowed, "u").is_err());
+        assert!(positionals::<3>(&args, &allowed, "u").is_err());
     }
 
     #[test]
@@ -1982,7 +1830,7 @@ mod tests {
         // Multi-constituent membership query: predictions exist per
         // constituent and agree with the merged expression's leaf count.
         let index = BitmapIndex::load(&idx).expect("load");
-        let q = parse_predicate("in:1,7,13", 20).unwrap();
+        let q = Query::parse("in:1,7,13", 20).unwrap();
         let cost = CostModel::default();
         let merged = index.rewrite(&q);
         let total = index.predict_cost(&merged, &cost);
@@ -2058,9 +1906,8 @@ mod tests {
         cmd_verify(std::slice::from_ref(&cat_s)).expect("fresh catalog verifies");
 
         let expr = "region in {0, 1} and (discount >= 7 or not store = 12)";
-        cmd_query(&["--catalog".into(), cat_s.clone(), expr.into()]).expect("catalog query");
+        cmd_query(&[cat_s.clone(), expr.into()]).expect("catalog query");
         cmd_query(&[
-            "--catalog".into(),
             cat_s.clone(),
             expr.into(),
             "--count".into(),
@@ -2068,11 +1915,13 @@ mod tests {
             "2".into(),
         ])
         .expect("catalog count");
-        cmd_explain(&["--catalog".into(), cat_s.clone(), expr.into()]).expect("catalog explain");
+        cmd_explain(&[cat_s.clone(), expr.into()]).expect("catalog explain");
 
-        // Malformed expressions and unknown attributes are typed errors.
-        assert!(cmd_query(&["--catalog".into(), cat_s.clone(), "region in {".into()]).is_err());
-        assert!(cmd_explain(&["--catalog".into(), cat_s.clone(), "nope = 1".into()]).is_err());
+        // Malformed expressions, unknown attributes and single-index
+        // predicates on a wider table are typed errors.
+        assert!(cmd_query(&[cat_s.clone(), "region in {".into()]).is_err());
+        assert!(cmd_explain(&[cat_s.clone(), "nope = 1".into()]).is_err());
+        assert!(cmd_query(&[cat_s.clone(), "=1".into()]).is_err());
 
         // Header-shape problems are reported with the line number.
         std::fs::write(&csv, "a,b\n1\n").unwrap();
