@@ -11,11 +11,11 @@
 //! with). Each query set is evaluated with `--eval-domain raw` (decode
 //! every leaf, fold bitwise), `--eval-domain compressed` (fold
 //! word/byte-aligned kernels directly on the stored streams, decode
-//! once at the root), and `--eval-domain auto` (the per-node choice
-//! priced by a calibrated `DomainCostModel`). All paths are asserted
-//! bit-identical with equal scan counts before timing starts, and the
-//! compressed domain must perform **strictly fewer decompressions** —
-//! that counter pair is the headline number.
+//! once at the root), and `--eval-domain auto` (the executor's choice,
+//! today the word-wise fold). All paths are asserted bit-identical with
+//! equal scan counts before timing starts, `auto` must decode exactly
+//! what `raw` decodes, and the compressed domain must perform **strictly
+//! fewer decompressions** — that counter pair is the headline number.
 //!
 //! Besides the Criterion timings, the bench writes a machine-readable
 //! summary — per-codec median times and decompression counters — to
@@ -25,8 +25,8 @@
 
 use bix_bench::results;
 use bix_core::{
-    BitmapIndex, BufferPool, CodecKind, CostModel, DomainCostModel, EncodingScheme, EvalDomain,
-    EvalOptions, EvalStrategy, IndexConfig, Query,
+    BitmapIndex, BufferPool, CodecKind, CostModel, EncodingScheme, EvalDomain, EvalOptions,
+    EvalStrategy, IndexConfig, Query,
 };
 use bix_workload::{DatasetSpec, QuerySetSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -74,9 +74,7 @@ fn setup(codec: CodecKind, scheme: EncodingScheme) -> (BitmapIndex, Vec<Query>) 
     }
     .generate();
     let config = IndexConfig::one_component(C, scheme).with_codec(codec);
-    let mut index = BitmapIndex::build(&data.values, &config);
-    // Machine-true slopes for Auto's per-node packed-vs-raw pricing.
-    index.set_domain_cost_model(DomainCostModel::calibrate());
+    let index = BitmapIndex::build(&data.values, &config);
     let queries: Vec<Query> = QuerySetSpec { n_int: 4, n_equ: 2 }
         .generate(C, QUERIES, 7)
         .into_iter()
@@ -116,21 +114,33 @@ fn run_domain(index: &mut BitmapIndex, queries: &[Query], domain: EvalDomain) ->
     (scans, decompressions)
 }
 
-/// Median wall time of `reps` runs of `f`, in seconds.
-fn median_seconds(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
+/// Median wall time, in seconds, of `reps` runs of the query set in each
+/// domain of `domains`. The domains take turns within every round, so
+/// host drift lands on all of them alike instead of on whichever domain
+/// happened to run during it.
+fn median_seconds<const N: usize>(
+    reps: usize,
+    index: &mut BitmapIndex,
+    queries: &[Query],
+    domains: [EvalDomain; N],
+) -> [f64; N] {
+    let mut times = [(); N].map(|_| Vec::with_capacity(reps));
+    for _ in 0..reps {
+        for (k, &domain) in domains.iter().enumerate() {
             let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
+            black_box(run_domain(index, queries, domain));
+            times[k].push(start.elapsed().as_secs_f64());
+        }
+    }
+    times.map(|mut t| {
+        t.sort_by(|a, b| a.total_cmp(b));
+        t[t.len() / 2]
+    })
 }
 
 /// All three domains must produce bit-identical results with equal scan
-/// counts, and the compressed domain strictly fewer decompressions.
+/// counts, `auto` exactly `raw`'s decompressions, and the compressed
+/// domain strictly fewer.
 fn verify_agreement(index: &mut BitmapIndex, queries: &[Query]) -> (usize, usize) {
     let mut pool = BufferPool::new(POOL_PAGES);
     let cost = CostModel::default();
@@ -143,6 +153,7 @@ fn verify_agreement(index: &mut BitmapIndex, queries: &[Query]) -> (usize, usize
         assert_eq!(raw.bitmap, packed.bitmap, "q{i} bitmap");
         assert_eq!(raw.bitmap, auto.bitmap, "q{i} auto bitmap");
         assert_eq!(raw.scans, packed.scans, "q{i} scans");
+        assert_eq!(raw.decompressions, auto.decompressions, "q{i} auto decodes");
         raw_dec += raw.decompressions;
         packed_dec += packed.decompressions;
     }
@@ -160,15 +171,12 @@ fn write_results_json() {
         for codec in CODECS {
             let (mut index, queries) = setup(codec, scheme);
             let (raw_dec, packed_dec) = verify_agreement(&mut index, &queries);
-            let raw_s = median_seconds(reps, || {
-                black_box(run_domain(&mut index, &queries, EvalDomain::Raw));
-            });
-            let packed_s = median_seconds(reps, || {
-                black_box(run_domain(&mut index, &queries, EvalDomain::Compressed));
-            });
-            let auto_s = median_seconds(reps, || {
-                black_box(run_domain(&mut index, &queries, EvalDomain::Auto));
-            });
+            let [raw_s, packed_s, auto_s] = median_seconds(
+                reps,
+                &mut index,
+                &queries,
+                [EvalDomain::Raw, EvalDomain::Compressed, EvalDomain::Auto],
+            );
             let (_, auto_dec) = run_domain(&mut index, &queries, EvalDomain::Auto);
             let speedup = raw_s / packed_s;
             eprintln!(

@@ -54,24 +54,21 @@ pub enum EvalStrategy {
 
 /// Which representation the §6.3 DAG fold works over.
 ///
-/// The classic evaluator decompresses every bitmap as it is read and does
-/// word-wise bitwise work. Codecs closed under the bitwise operations
-/// (BBC, WAH, EWAH) also support folding the *compressed streams*
-/// directly — aligned fills combine in O(1) regardless of run length, and
-/// only one decompression is paid, at the root. Which wins depends on
-/// density: sparse, fill-heavy streams favour the compressed domain;
-/// near-incompressible streams favour a single decode plus word loops.
+/// The paper's evaluator decompresses every bitmap as it is read and
+/// combines the bitmaps word by word. The kernel-capable codecs (BBC, WAH,
+/// EWAH, Roaring) can also fold their *compressed streams* directly and
+/// pay one decompression, at the root; that only pays off on the long
+/// runs of sorted rows, and on our unsorted builds it loses end to end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EvalDomain {
-    /// Per-node choice priced by the [`DomainCostModel`]: a leaf stays
-    /// compressed when its codec's kernel is predicted cheaper over the
-    /// stored stream than a decode plus word-wise work over the raw
-    /// image; an intermediate result is decoded as soon as that stops
-    /// holding. This is the default.
+    /// The executor's choice, today the word-wise fold: every leaf is
+    /// decoded at read time, exactly as under [`EvalDomain::Raw`]. This
+    /// is the default.
     #[default]
     Auto,
     /// Keep every supported codec's stream compressed through the whole
-    /// fold; decompress once at the root.
+    /// fold; decompress once at the root. The explicit opt-in into the
+    /// compressed-domain kernels.
     Compressed,
     /// Decompress every bitmap at read time and fold word-wise (the
     /// classic path).
@@ -100,11 +97,6 @@ impl EvalDomain {
 }
 
 /// Per-codec slopes of the [`DomainCostModel`], nanoseconds per byte.
-///
-/// Both slopes are measured on near-incompressible (literal-heavy)
-/// inputs — the regime where the packed-vs-raw decision is close. Fill-
-/// heavy streams have tiny stored sizes, so the linear rule prefers the
-/// packed domain for them automatically.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DomainCosts {
     /// Decoding cost for dense (literal-heavy) streams: nanoseconds per
@@ -134,44 +126,12 @@ impl DomainCosts {
     }
 }
 
-/// Expected number of future fold ops a decoded value serves.
-///
-/// The packed-vs-raw choice is made greedily per DAG node, but a decode
-/// is a one-time cost while every op after it runs at
-/// `word_ns_per_byte`. [`DomainCostModel::prefer_packed`] therefore
-/// amortizes the decode over this many ops — a typical §6 expression
-/// fold is several levels deep, so charging the full decode against one
-/// op systematically overprices demotion.
-pub const DECODE_REUSE: f64 = 3.0;
-
-/// A measured cost model deciding, per DAG node, whether a value is
-/// cheaper to keep as a compressed stream or as a decoded bitmap.
-///
-/// The rule compares the marginal cost of the next operation on the value
-/// in each domain. Folding a packed value costs about
-/// `kernel_ns_per_stored_byte × stored` per op; going raw costs a decode
-/// (the density-matched [`DomainCosts::decode_slope`] × raw, amortized
-/// over [`DECODE_REUSE`] future ops), plus `word_ns_per_byte × raw` for
-/// the word-wise op, plus — the term that makes the choice honest — a
-/// full decode of the packed operand the next op would otherwise have
-/// kernel-folded: once a value is raw, [`NodeVal::combine`] must decode
-/// every compressed operand it meets. The value stays packed when
-///
-/// ```text
-/// kernel_ns × stored  ≤  (decode_ns / DECODE_REUSE + word_ns) × raw
-///                         + operand_decode_ns × operand_raw
-/// ```
-///
-/// The same inequality governs leaf admission (`reads_compressed`,
-/// operand priced self-like) and intermediate-result demotion
-/// (`NodeVal::combine`/`not`, operand priced from the op actually
-/// performed), replacing the two ad-hoc size-ratio thresholds that
-/// previously disagreed with each other — and that demoted every dense
-/// stream even when its kernel was cheaper than a decode. The operand
-/// term is what lets EWAH hold a dense accumulator packed through a long
-/// OR over compressed leaves (its kernel is cheaper per byte than its
-/// own decode) while WAH and Roaring, whose sparse decodes are nearly
-/// free, correctly let the same accumulator demote.
+/// Measured per-codec slopes predicting what one fold op costs in each
+/// domain — the number traced folds put next to each node's measured
+/// time ([`NodeVal::predicted_ns`]). A compressed-domain op costs about
+/// `kernel_ns_per_stored_byte × stored`; a word-wise op costs
+/// `word_ns_per_byte × raw`, plus the density-matched
+/// [`DomainCosts::decode_slope`] × raw for each operand still to decode.
 ///
 /// [`DomainCostModel::DEFAULT`] holds constants measured with
 /// [`DomainCostModel::calibrate`] on the development container;
@@ -238,7 +198,7 @@ impl DomainCostModel {
 
     /// Predicted nanoseconds for one compressed-domain op over a value of
     /// `codec` with `stored` stream bytes. Infinite when the codec has no
-    /// kernels, so [`DomainCostModel::prefer_packed`] never picks it.
+    /// kernels.
     pub fn packed_op_ns(&self, codec: CodecKind, stored: usize) -> f64 {
         self.costs(codec).map_or(f64::INFINITY, |c| {
             c.kernel_ns_per_stored_byte * stored as f64
@@ -255,61 +215,15 @@ impl DomainCostModel {
         (decode + self.word_ns_per_byte) * raw as f64
     }
 
-    /// Whether a value of `codec` with `stored` stream bytes and `raw`
-    /// decoded bytes is cheaper kept packed — the *admission* rule for
-    /// [`EvalDomain::Auto`], applied when a leaf is fetched.
-    ///
-    /// Unlike [`DomainCostModel::raw_op_ns`] (the true one-op price used
-    /// for prediction), the value's own decode is divided by
-    /// [`DECODE_REUSE`]: demoting once makes every later op on the value
-    /// word-cheap, and charging the whole decode against a single op
-    /// would pin dense streams packed through folds deep enough to repay
-    /// the decode many times over. The demote side also carries a full
-    /// *sibling* decode: a raw value forces every packed operand it later
-    /// combines with through [`NodeVal::into_raw`], a per-op cost a
-    /// packed kernel would have avoided entirely. At admission time the
-    /// sibling is unknown, so it is priced self-like (same codec, same
-    /// density regime) — the other leaves of the same query.
-    pub fn prefer_packed(&self, codec: CodecKind, stored: usize, raw: usize) -> bool {
-        self.keep_packed(codec, stored, raw, Some((stored, raw)))
-    }
-
-    /// The *demotion* rule for [`EvalDomain::Auto`], applied to the
-    /// result of every compressed-domain op ([`NodeVal::combine`] /
-    /// [`NodeVal::not`]). Same inequality as
-    /// [`DomainCostModel::prefer_packed`], but the forced-decode term
-    /// prices the op's *actual* operand (`None` when the operand arrived
-    /// raw, so demotion forces no decode and gets cheaper).
-    pub fn keep_packed(
-        &self,
-        codec: CodecKind,
-        stored: usize,
-        raw: usize,
-        operand: Option<(usize, usize)>,
-    ) -> bool {
-        let Some(c) = self.costs(codec) else {
-            return false;
-        };
-        let packed = c.kernel_ns_per_stored_byte * stored as f64;
-        let mut demote =
-            (c.decode_slope(stored, raw) / DECODE_REUSE + self.word_ns_per_byte) * raw as f64;
-        if let Some((op_stored, op_raw)) = operand {
-            demote += c.decode_slope(op_stored, op_raw) * op_raw as f64;
-        }
-        packed <= demote
-    }
-
     /// Measures the model's slopes on the current machine.
     ///
     /// Times each codec's decode and binary kernel, and the word-wise
     /// fold, over a pseudo-random half-dense megabit bitmap (the literal-
-    /// heavy regime where the packed-vs-raw decision is close) and takes
-    /// the minimum of several repetitions. The kernel slope is also
+    /// heavy regime) and takes the minimum of several repetitions. The kernel slope is also
     /// measured on a sparse pair (XOR over scattered single bits — the
     /// regime that exercises per-run and per-element merge paths rather
-    /// than bulk word loops) and the worse of the two slopes wins: a
-    /// model that underprices the slow path keeps values packed exactly
-    /// where the kernel loses. Decode is measured in both regimes and
+    /// than bulk word loops) and the worse of the two slopes wins, so the
+    /// prediction never underprices the slow path. Decode is measured in both regimes and
     /// kept as *separate* slopes ([`DomainCosts::decode_slope`] picks by
     /// the stream's own ratio) because the codecs disagree on which
     /// regime decodes faster. Costs a few milliseconds; callers that
@@ -403,23 +317,10 @@ impl DomainCostModel {
 }
 
 /// Decides whether a leaf bitmap is read as a compressed stream
-/// ([`bix_storage::BitmapStore::read_compressed`]) or decoded at read time.
-pub(crate) fn reads_compressed(
-    domain: EvalDomain,
-    handle: BitmapHandle,
-    stored: usize,
-    model: &DomainCostModel,
-) -> bool {
-    if !handle.codec().supports_compressed_ops() {
-        return false;
-    }
-    match domain {
-        EvalDomain::Raw => false,
-        EvalDomain::Compressed => true,
-        EvalDomain::Auto => {
-            model.prefer_packed(handle.codec(), stored, handle.len_bits().div_ceil(8))
-        }
-    }
+/// ([`bix_storage::BitmapStore::read_compressed`]) or decoded at read time:
+/// only [`EvalDomain::Compressed`] over a kernel-capable codec stays packed.
+pub(crate) fn reads_compressed(domain: EvalDomain, handle: BitmapHandle) -> bool {
+    domain == EvalDomain::Compressed && handle.codec().supports_compressed_ops()
 }
 
 /// One value flowing through the evaluation DAG: either a decoded bitmap
@@ -433,9 +334,10 @@ pub(crate) enum NodeVal {
     /// cell lazily caches the decoded image: hash-consed DAG nodes are
     /// consumed by several parents, and without the cache every
     /// mixed-domain consumer would decode (and count) the same stream
-    /// again — letting `auto` exceed the raw domain's decompression
-    /// count on queries with shared subexpressions. Clones share the
-    /// cell, so a value decodes at most once however often it is read.
+    /// again — letting the compressed domain exceed the raw domain's
+    /// decompression count on queries with shared subexpressions. Clones
+    /// share the cell, so a value decodes at most once however often it
+    /// is read.
     Packed(CompressedBitmap, DecodedCell),
 }
 
@@ -515,15 +417,6 @@ impl NodeVal {
         }
     }
 
-    /// Decodes (through the shared cache, counting only a fresh
-    /// decompression) or clones out a raw bitmap.
-    pub(crate) fn to_raw(&self, decompressions: &mut usize) -> Bitvec {
-        match self {
-            NodeVal::Raw(bv) => bv.clone(),
-            NodeVal::Packed(c, cell) => decode_cached(c, cell, decompressions).clone(),
-        }
-    }
-
     /// Consumes the value into a raw bitmap, counting any decompression.
     pub(crate) fn into_raw(self, decompressions: &mut usize) -> Bitvec {
         match self {
@@ -538,68 +431,26 @@ impl NodeVal {
         }
     }
 
-    /// Demotes a packed result to raw when the cost model says the ops
-    /// above it are cheaper word-wise — the per-node adaptive choice
-    /// under [`EvalDomain::Auto`]. `operand` carries the stored/raw
-    /// sizes of the packed operand the producing op consumed (if any):
-    /// demoting a value that keeps meeting compressed operands forces a
-    /// decode per op, so the model charges for it.
-    fn settle(
-        c: CompressedBitmap,
-        domain: EvalDomain,
-        model: &DomainCostModel,
-        operand: Option<(usize, usize)>,
-        decompressions: &mut usize,
-    ) -> NodeVal {
-        if domain == EvalDomain::Auto
-            && !model.keep_packed(c.kind(), c.stored_size(), c.raw_size(), operand)
-        {
-            *decompressions += 1;
-            return NodeVal::Raw(c.try_decode().expect("stream validated at read time"));
-        }
-        NodeVal::packed(c)
-    }
-
-    /// Complements the value, staying compressed when possible. A
-    /// complement can change the stored size dramatically (a sparse
-    /// Roaring array becomes near-full bitmap containers), so the result
-    /// goes through the same [`DomainCostModel`] demotion check as
-    /// [`NodeVal::combine`].
-    pub(crate) fn not(
-        &self,
-        domain: EvalDomain,
-        model: &DomainCostModel,
-        decompressions: &mut usize,
-    ) -> NodeVal {
-        if let NodeVal::Packed(c, _) = self {
+    /// Complements the value, staying compressed when possible; a raw
+    /// value is complemented in place.
+    pub(crate) fn not(self, decompressions: &mut usize) -> NodeVal {
+        if let NodeVal::Packed(c, _) = &self {
             if let Some(neg) = c.not_op() {
-                // The complemented stream is the proxy for the operands
-                // the result will meet (same codec, same density regime):
-                // demoting here would force them through a decode apiece.
-                let operand = Some((c.stored_size(), c.raw_size()));
-                return NodeVal::settle(neg, domain, model, operand, decompressions);
+                return NodeVal::packed(neg);
             }
         }
-        NodeVal::Raw(self.to_raw(decompressions).not())
+        let mut bv = self.into_raw(decompressions);
+        bv.not_assign();
+        NodeVal::Raw(bv)
     }
 
     /// Combines two values under `op`. Two compressed streams combine in
     /// the compressed domain; mixed or unsupported pairs decode and fold
-    /// word-wise. Under [`EvalDomain::Auto`] a compressed result whose
-    /// future ops the [`DomainCostModel`] prices higher than a decode
-    /// plus word loops is decoded eagerly — the per-node adaptive choice.
-    pub(crate) fn combine(
-        self,
-        other: &NodeVal,
-        op: BitOp,
-        domain: EvalDomain,
-        model: &DomainCostModel,
-        decompressions: &mut usize,
-    ) -> NodeVal {
+    /// word-wise.
+    pub(crate) fn combine(self, other: &NodeVal, op: BitOp, decompressions: &mut usize) -> NodeVal {
         if let (NodeVal::Packed(a, _), NodeVal::Packed(b, _)) = (&self, other) {
             if let Some(c) = a.binary_op(b, op) {
-                let operand = Some((b.stored_size(), b.raw_size()));
-                return NodeVal::settle(c, domain, model, operand, decompressions);
+                return NodeVal::packed(c);
             }
         }
         let mut acc = self.into_raw(decompressions);
@@ -796,14 +647,13 @@ impl NodeOp {
 pub(crate) struct Dag {
     /// The operations, child-before-parent.
     pub(crate) ops: Vec<NodeOp>,
-    /// The attribute whose cost model prices each node: a leaf's own,
-    /// an interior node's first child's.
+    /// The attribute whose cost model predicts each node's cost: a
+    /// leaf's own, an interior node's first child's.
     pub(crate) attr: Vec<usize>,
     /// Nodes whose value is decoded as soon as it is computed: each
     /// literal's expression root, so a literal's answer leaves its
     /// attribute's fold raw and the plan-level AND/OR/NOT over literal
-    /// answers run word-wise (the [`DomainCostModel`] prices one
-    /// attribute's fold, not the operators between attributes).
+    /// answers run word-wise even under [`EvalDomain::Compressed`].
     pub(crate) decode: Vec<bool>,
     /// Consumer counts per node, including one final consumer on `root` —
     /// a value may be freed when its count drains to zero.
@@ -1149,10 +999,6 @@ mod tests {
         }
         assert!(m.word_ns_per_byte > 0.0 && m.word_ns_per_byte.is_finite());
         assert!(m.costs(CodecKind::Raw).is_none(), "raw never packs");
-        // An empty stream is always worth keeping packed; a huge stream
-        // over a tiny image never is.
-        assert!(m.prefer_packed(CodecKind::Ewah, 0, 1 << 20));
-        assert!(!m.prefer_packed(CodecKind::Ewah, 1 << 30, 8));
     }
 
     /// A toy store with 4 bitmaps over 100 rows.

@@ -232,9 +232,8 @@ pub(crate) enum Store<'a> {
 }
 
 /// One index as the fold reads it: where each leaf is stored, the
-/// optional existence bitmap, the model pricing
-/// [`EvalDomain::Auto`]'s choices, and the store — the one fallible
-/// leaf reader.
+/// optional existence bitmap, the model predicting each traced op's
+/// cost, and the store — the one fallible leaf reader.
 pub(crate) struct Source<'a> {
     pub(crate) rows: usize,
     pub(crate) handles: &'a [Vec<BitmapHandle>],
@@ -253,11 +252,11 @@ impl Source<'_> {
         }
     }
 
-    /// Reads leaf `r` — as a compressed stream when `domain` and the cost
-    /// model say so; the existence bitmap always decoded — charging its
-    /// I/O to `ctx` (and a shared read to the store's counters too) and
-    /// counting a decode when a compressed stream arrives decoded. A
-    /// failed read names the bitmap.
+    /// Reads leaf `r` — as a compressed stream only under
+    /// [`EvalDomain::Compressed`]; the existence bitmap always decoded —
+    /// charging its I/O to `ctx` (and a shared read to the store's
+    /// counters too) and counting a decode when a compressed stream
+    /// arrives decoded. A failed read names the bitmap.
     pub(crate) fn read(
         &self,
         r: BitmapRef,
@@ -274,14 +273,13 @@ impl Source<'_> {
         let read = match &self.store {
             Store::Shared(store, pool) => {
                 let before = ctx.stats();
-                let read =
-                    if reads_compressed(domain, handle, store.stored_size(handle), self.model) {
-                        store
-                            .read_compressed_shared(handle, pool, ctx)
-                            .map(NodeVal::packed)
-                    } else {
-                        store.read_shared(handle, pool, ctx).map(NodeVal::Raw)
-                    };
+                let read = if reads_compressed(domain, handle) {
+                    store
+                        .read_compressed_shared(handle, pool, ctx)
+                        .map(NodeVal::packed)
+                } else {
+                    store.read_shared(handle, pool, ctx).map(NodeVal::Raw)
+                };
                 store.charge(ctx.stats().since(&before));
                 read
             }
@@ -289,12 +287,11 @@ impl Source<'_> {
                 let mut guard = exclusive.lock().expect("exclusive store");
                 let (store, pool) = &mut *guard;
                 let before = store.stats();
-                let read =
-                    if reads_compressed(domain, handle, store.stored_size(handle), self.model) {
-                        store.read_compressed(handle, pool).map(NodeVal::packed)
-                    } else {
-                        store.read_verified(handle, pool).map(NodeVal::Raw)
-                    };
+                let read = if reads_compressed(domain, handle) {
+                    store.read_compressed(handle, pool).map(NodeVal::packed)
+                } else {
+                    store.read_verified(handle, pool).map(NodeVal::Raw)
+                };
                 ctx.charge(store.stats().since(&before));
                 read
             }
@@ -819,6 +816,10 @@ fn worker_loop(
         let mut predicted_ns = 0.0f64;
 
         let mut dec = 0usize;
+        // Set when this node took its first child's value out of the
+        // child's slot (it was the last consumer), so the free loop below
+        // still counts that child as released.
+        let mut took_first = false;
         let value = if run.stopped() {
             // Deadline passed or a read failed: complete the node without
             // touching disk, children, or kernels so the fold drains
@@ -844,11 +845,18 @@ fn worker_loop(
                     // be freed before this node — their consumer — runs.
                     let model = sources[dag.attr[node]].model;
                     let children = op.children();
-                    let mut acc = state.values[children[0]]
-                        .lock()
-                        .expect("child value")
-                        .clone()
-                        .expect("child computed");
+                    // The first child seeds the accumulator: moved out of
+                    // its slot when this node is its last consumer (no
+                    // other reader remains), copied otherwise.
+                    let mut slot = state.values[children[0]].lock().expect("child value");
+                    took_first = state.refs[children[0]].load(Ordering::Acquire) == 1;
+                    let mut acc = if took_first {
+                        slot.take()
+                    } else {
+                        slot.clone()
+                    }
+                    .expect("child computed");
+                    drop(slot);
                     let bit_op = match op {
                         NodeOp::And(_) => BitOp::And,
                         NodeOp::Or(_) => BitOp::Or,
@@ -858,7 +866,7 @@ fn worker_loop(
                         if node_span.is_some() {
                             predicted_ns = acc.predicted_ns(None, model);
                         }
-                        acc = acc.not(run.domain, model, &mut dec);
+                        acc = acc.not(&mut dec);
                     }
                     for &c in &children[1..] {
                         let guard = state.values[c].lock().expect("child value");
@@ -866,7 +874,7 @@ fn worker_loop(
                         if node_span.is_some() {
                             predicted_ns += acc.predicted_ns(Some(rhs), model);
                         }
-                        acc = acc.combine(rhs, bit_op, run.domain, model, &mut dec);
+                        acc = acc.combine(rhs, bit_op, &mut dec);
                     }
                     acc
                 }
@@ -895,13 +903,14 @@ fn worker_loop(
         state.peak.fetch_max(live, Ordering::Relaxed);
 
         // Free children whose last consumer just ran.
-        for &c in op.children() {
+        for (k, &c) in op.children().iter().enumerate() {
             if state.refs[c].fetch_sub(1, Ordering::AcqRel) == 1
-                && state.values[c]
+                && (state.values[c]
                     .lock()
                     .expect("child value")
                     .take()
                     .is_some()
+                    || (k == 0 && took_first))
             {
                 state.resident.fetch_sub(1, Ordering::Relaxed);
             }
@@ -1186,6 +1195,46 @@ mod tests {
                 dec_packed < dec_raw,
                 "{codec}: compressed {dec_packed} vs raw {dec_raw}"
             );
+        }
+    }
+
+    #[test]
+    fn auto_folds_word_wise_exactly_like_raw() {
+        let column: Vec<u64> = (0..30_000u64).map(|i| (i * 37 + i / 13) % 50).collect();
+        let queries = plans(&test_queries());
+        for codec in [
+            CodecKind::Bbc,
+            CodecKind::Wah,
+            CodecKind::Ewah,
+            CodecKind::Roaring,
+        ] {
+            for scheme in [EncodingScheme::Interval, EncodingScheme::Equality] {
+                let config = IndexConfig::one_component(50, scheme).with_codec(codec);
+                let table: IndexedTable = BitmapIndex::build(&column, &config).into();
+                // One worker: per-thread disk heads make seeks, and so the
+                // I/O stats, depend on which thread reads which leaf.
+                let execute = |domain| {
+                    let pool = ShardedBufferPool::new(4096, 8);
+                    ParallelExecutor::new(1)
+                        .execute(
+                            &table,
+                            &queries,
+                            &pool,
+                            &CostModel::default(),
+                            &in_domain(domain),
+                        )
+                        .unwrap()
+                };
+                let (raw, auto) = (execute(EvalDomain::Raw), execute(EvalDomain::Auto));
+                assert_eq!(auto.io, raw.io, "{codec} {scheme}");
+                for (i, (a, r)) in auto.results.iter().zip(&raw.results).enumerate() {
+                    assert_eq!(a.bitmap, r.bitmap, "{codec} {scheme} q{i}");
+                    assert_eq!(a.scans, r.scans, "{codec} {scheme} q{i}");
+                    assert_eq!(a.decompressions, r.decompressions, "{codec} {scheme} q{i}");
+                    assert_eq!(a.io, r.io, "{codec} {scheme} q{i}");
+                    assert_eq!(a.nodes_compressed, 0, "{codec} {scheme} q{i}");
+                }
+            }
         }
     }
 

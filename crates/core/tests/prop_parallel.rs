@@ -165,10 +165,9 @@ proptest! {
                 got.distinct_bitmaps, want.distinct_bitmaps,
                 "query {} distinct", i
             );
-            // Auto's per-node domain choices are priced by the index's
-            // one DomainCostModel, so the sequential fold and the
-            // parallel workers must make identical decisions — the
-            // decode count and the raw/compressed node mix are exact.
+            // The sequential fold and the parallel workers fold the same
+            // DAG in the same domain, so the decode count and the
+            // raw/compressed node mix are exact.
             prop_assert_eq!(
                 got.decompressions, want.decompressions,
                 "query {} decompressions", i

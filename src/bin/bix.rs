@@ -9,7 +9,7 @@
 //!             [--components N]    # header row names the attributes; one
 //!                                 # index per column, cardinality = max+1
 //! bix query   FILE <selection> [--count] [--parallel N] [--pool-pages P]
-//!             [--eval-domain auto|compressed|raw]
+//!             [--eval-domain auto|compressed|raw]   # auto: word-wise today
 //!             [--trace] [--trace-out spans.jsonl] [--metrics-out file.json]
 //! bix query   FILE --batch queries.txt [same flags]   # one selection a line
 //! bix explain FILE <selection> [--eval-domain auto|compressed|raw]
@@ -71,8 +71,9 @@
 //! count instead (a popcount: rows are never materialised). Every query
 //! runs through one `ParallelExecutor::execute` call. `--eval-domain`
 //! picks whether the evaluation DAG folds compressed streams directly
-//! (`compressed`), decodes every bitmap at read time (`raw`), or chooses
-//! per DAG node by a measured cost model (`auto`, the default). `--trace`
+//! (`compressed`), decodes every bitmap at read time (`raw`), or leaves
+//! the choice to the executor (`auto`, the default — today the same
+//! word-wise fold as `raw`). `--trace`
 //! prints the span tree on stderr; `--trace-out` writes one JSON object
 //! per span (JSONL); `--metrics-out` writes a JSON metrics snapshot
 //! (counters, gauges, and per-phase latency histograms).
@@ -1276,7 +1277,7 @@ common flags:\n\
   --via-router HOST:PORT   alias for --addr, documenting that the peer\n\
                            is a scatter-gather router\n\
   --deadline-ms MS         per-request deadline (query/batch)\n\
-  --eval-domain D          auto|compressed|decompressed (query/batch)\n\
+  --eval-domain D          auto|compressed|raw (query/table/batch)\n\
   --retries N              transient-failure retries with jittered backoff\n\
                            (reconnects between attempts; default 0)\n\
   --allow-degraded         accept partial results when a router has lost\n\
