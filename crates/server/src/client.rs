@@ -34,7 +34,7 @@ use rand::{RngCore, SeedableRng};
 
 use crate::protocol::{
     read_frame, write_frame, ErrorCode, Frame, Message, Request, Response, RowsReply, StatsFormat,
-    WireError, FLAG_ALLOW_DEGRADED,
+    WireError, FLAG_ALLOW_DEGRADED, FLAG_PACKED_ROWS,
 };
 
 /// Client-side failure modes.
@@ -359,7 +359,7 @@ impl<S: Read + Write + Send> Client<S> {
     /// Stamps `trace` on every future request frame. A sampled context
     /// asks the server to trace the request and ship its span forest
     /// back ([`Client::last_spans`]); an all-zero context (the default)
-    /// keeps frames v1-identical.
+    /// keeps frames on the short routing extension.
     pub fn set_trace(&mut self, trace: TraceContext) {
         self.trace = trace;
     }
@@ -390,6 +390,9 @@ impl<S: Read + Write + Send> Client<S> {
         let id = self.next_id;
         self.next_id += 1;
         let mut frame = Frame::new(id, Message::Request(request.clone()));
+        // Always ask for packed row sections; a server that packs says
+        // so on its reply frame, and the decoder follows the reply.
+        frame.flags |= FLAG_PACKED_ROWS;
         if self.allow_degraded {
             frame.flags |= FLAG_ALLOW_DEGRADED;
         }

@@ -47,10 +47,11 @@ pub mod supervisor;
 pub use client::{Client, ClientError, ClientStats, CountReply, IngestAck, Outcome, RetryPolicy};
 pub use netfault::{Direction, FaultyStream, NetFault, NetFaultPlan};
 pub use protocol::{
-    decode_frame, encode_frame, read_frame, try_encode_frame, write_frame, ErrorCode, Frame,
-    Message, Request, Response, RowsReply, StatsFormat, WireError, EXT_LEN, EXT_LEN_TRACE,
-    FLAG_ALLOW_DEGRADED, HEADER_LEN, MAGIC, MAX_BATCH, MAX_INGEST, MAX_PAYLOAD, MAX_SHARDS,
-    MAX_SPANS, MAX_SPAN_ATTRS, TRACE_FLAG_SAMPLED, TRACE_FLAG_SPANS, VERSION, VERSION_EXT,
+    decode_frame, encode_frame, read_frame, rows_wire_len, try_encode_frame, write_frame,
+    ErrorCode, Frame, Message, Request, Response, RowsReply, StatsFormat, WireError, EXT_LEN,
+    EXT_LEN_TRACE, FLAG_ALLOW_DEGRADED, FLAG_PACKED_ROWS, HEADER_LEN, MAGIC, MAX_BATCH, MAX_INGEST,
+    MAX_PAYLOAD, MAX_SHARDS, MAX_SPANS, MAX_SPAN_ATTRS, TRACE_FLAG_SAMPLED, TRACE_FLAG_SPANS,
+    VERSION, VERSION_EXT,
 };
 pub use router::{merge_replies, Router, RouterConfig, ShardReply};
 pub use server::{IndexHandler, RequestMeta, ServeHandler, Server, ServerConfig};

@@ -19,7 +19,7 @@
 //! ```text
 //! offset  size  field
 //! 16      1     extension length (must be 11)
-//! 17      1     flags (bit 0: ALLOW_DEGRADED)
+//! 17      1     flags (bit 0: ALLOW_DEGRADED, bit 1: PACKED_ROWS)
 //! 18      2     shard id (little endian)
 //! 20      8     shard epoch (little endian)
 //! 28      n     payload
@@ -32,7 +32,7 @@
 //! ```text
 //! offset  size  field
 //! 16      1     extension length (36)
-//! 17      1     flags (bit 0: ALLOW_DEGRADED)
+//! 17      1     flags (bit 0: ALLOW_DEGRADED, bit 1: PACKED_ROWS)
 //! 18      2     shard id (little endian)
 //! 20      8     shard epoch (little endian)
 //! 28      16    trace id (little endian)
@@ -52,15 +52,38 @@
 //! The extension exists for sharded serving: a shard stamps every reply
 //! with its id and its reload epoch so a router can detect replies
 //! computed against a stale index generation (a hot reload mid-stream)
-//! and retry them instead of merging them. Frames with all-zero routing
-//! fields encode as version 1, so single-node deployments and old peers
-//! see exactly the v1 byte stream; frames with routing state but no
+//! and retry them instead of merging them. Frames with all-zero flags
+//! and routing fields encode as version 1, so old peers see exactly the
+//! v1 byte stream; frames with flags or routing state but no
 //! trace keep the 11-byte extension byte-for-byte. A v2 extension whose
 //! length is not one of the known layouts (11 or 36) is rejected with a
 //! typed error — trailing bytes are never silently skipped. For v2
 //! frames the CRC covers the extension as well as the payload, so a
 //! bit-flipped epoch or trace id can never route a reply into the wrong
 //! merge or splice spans into the wrong trace.
+//!
+//! `Rows`, `BatchRows` and `Degraded` replies carry one row section per
+//! answered selection: `scans`, `decompressions` and the row `count`
+//! (little-endian `u64`s), then the rows. On a frame without flag bit 1
+//! ([`FLAG_PACKED_ROWS`]) the rows are `count` ascending `u64`s, the v1
+//! layout. A request with the bit asks for packed rows; the server sets
+//! the bit on its reply only then, and every row section of that reply
+//! carries a layout tag after `count`:
+//!
+//! ```text
+//! tag  layout
+//! 0    list    count × u64 row id
+//! 1    packed  u64 first row, u64 span (last row − first row), then
+//!              span / 64 + 1 u64 words; bit i is row first + i
+//! ```
+//!
+//! The encoder picks, section by section, whichever layout has fewer
+//! bytes ([`rows_wire_len`]); a dense answer ships as the bitmap it is,
+//! about one bit per row of its window instead of 64. The decoder takes
+//! the layout from the frame's own flags, never from connection state.
+//! It bounds a window by the remaining payload before allocating and
+//! rejects, typed, a window whose end overflows `u64`, one that does not
+//! start and end on a row, and a popcount that disagrees with `count`.
 //!
 //! The codec in this module is pure — it maps between byte slices and
 //! typed [`Frame`] values without touching sockets — so every decode
@@ -108,6 +131,11 @@ pub const MAX_SPAN_ATTRS: u16 = 64;
 /// result when some shards are unreachable. Without it a router answers
 /// all-or-typed-error.
 pub const FLAG_ALLOW_DEGRADED: u8 = 0x01;
+/// Request flag: the client decodes packed row sections. A server sets
+/// it on the reply frame only when the request carried it, and every
+/// row section of a frame with the bit set begins with a one-byte layout
+/// tag; without it, row sections are exactly the v1 `u64` list.
+pub const FLAG_PACKED_ROWS: u8 = 0x02;
 /// Upper bound on a frame payload; larger claims are rejected before
 /// any allocation happens.
 pub const MAX_PAYLOAD: u32 = 64 << 20;
@@ -325,7 +353,8 @@ pub enum Message {
 pub struct Frame {
     /// Client-chosen id echoed back on the matching response.
     pub request_id: u64,
-    /// Request flags ([`FLAG_ALLOW_DEGRADED`]); 0 on v1 frames.
+    /// Frame flags ([`FLAG_ALLOW_DEGRADED`], [`FLAG_PACKED_ROWS`]); 0 on
+    /// v1 frames.
     pub flags: u8,
     /// Originating shard id on replies; 0 on v1 frames and requests.
     pub shard_id: u16,
@@ -546,30 +575,163 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn encode_rows(out: &mut Vec<u8>, r: &RowsReply) {
-    out.reserve(24 + 8 * r.rows.len());
+// Row-section layout tags, present only on frames with FLAG_PACKED_ROWS.
+/// `count` little-endian `u64` row ids.
+const ROWS_LIST: u8 = 0;
+/// First row, span (last row − first row), then the window
+/// `[first, first + span]` as a bitmap, a little-endian `u64` at a time.
+const ROWS_PACKED: u8 = 1;
+
+/// Body bytes of the packed layout of a window from `first` to `last`.
+fn window_len(first: u64, last: u64) -> u64 {
+    16 + 8 * (last.saturating_sub(first) / 64 + 1)
+}
+
+/// Whether `count` rows from `first` to `last` take fewer bytes packed
+/// than listed. Ties go to the list.
+fn packs_smaller(count: u64, first: u64, last: u64) -> bool {
+    count > 0 && window_len(first, last) < count.saturating_mul(8)
+}
+
+/// Wire bytes of one row section holding `count` ascending rows from
+/// `first` to `last` (both ignored when `count` is 0): the 24-byte
+/// header and the `u64` list, or, on a frame carrying
+/// [`FLAG_PACKED_ROWS`], a layout tag and the smaller of the list and
+/// the packed window. The encoder picks its layout by this count, and a
+/// server prices a reply by it before materialising a single row id.
+pub fn rows_wire_len(count: u64, first: u64, last: u64, packed: bool) -> u64 {
+    let list = count.saturating_mul(8);
+    match (packed, packs_smaller(count, first, last)) {
+        (false, _) => 24 + list,
+        (true, false) => 25 + list,
+        (true, true) => 25 + window_len(first, last),
+    }
+}
+
+fn encode_rows(out: &mut Vec<u8>, r: &RowsReply, packed: bool) {
+    let count = r.rows.len() as u64;
+    let first = r.rows.first().copied().unwrap_or(0);
+    let last = r.rows.last().copied().unwrap_or(0);
+    out.reserve(rows_wire_len(count, first, last, packed) as usize);
     put_u64(out, r.scans);
     put_u64(out, r.decompressions);
-    put_u64(out, r.rows.len() as u64);
+    put_u64(out, count);
+    if packed {
+        if packs_smaller(count, first, last) && put_window(out, &r.rows) {
+            return;
+        }
+        out.push(ROWS_LIST);
+    }
     for &row in &r.rows {
         put_u64(out, row);
     }
 }
 
-fn decode_rows(r: &mut Reader<'_>) -> Result<RowsReply, WireError> {
+/// Appends the packed layout of non-empty `rows`, setting each id's bit
+/// straight in the zeroed window (bit `i` of a little-endian word is bit
+/// `i % 8` of its byte `i / 8`). Returns false, having appended nothing,
+/// when `rows` is not strictly ascending: such a list has no window that
+/// decodes back to it, so it goes out as a list. Callers pack only a
+/// window smaller than the list, which bounds the bytes zeroed.
+fn put_window(out: &mut Vec<u8>, rows: &[u64]) -> bool {
+    if rows.windows(2).any(|pair| pair[0] >= pair[1]) {
+        return false;
+    }
+    let first = rows[0];
+    let span = rows[rows.len() - 1] - first;
+    out.push(ROWS_PACKED);
+    put_u64(out, first);
+    put_u64(out, span);
+    let at = out.len();
+    out.resize(at + 8 * (span / 64 + 1) as usize, 0);
+    let window = &mut out[at..];
+    for &row in rows {
+        let off = row - first;
+        window[(off / 8) as usize] |= 1 << (off % 8);
+    }
+    true
+}
+
+/// Decodes one row section; `packed` is whether the frame carries
+/// [`FLAG_PACKED_ROWS`], so sections start with a layout tag.
+fn decode_rows(r: &mut Reader<'_>, packed: bool) -> Result<RowsReply, WireError> {
     let scans = r.u64()?;
     let decompressions = r.u64()?;
     let count = r.u64()?;
-    // Each row id occupies 8 payload bytes; bound the allocation by
-    // what the frame can actually hold before trusting the count.
-    if count > (r.remaining() / 8) as u64 {
-        return Err(WireError::Malformed("row count exceeds payload"));
-    }
+    let layout = if packed { r.u8()? } else { ROWS_LIST };
+    let rows = match layout {
+        ROWS_LIST => {
+            // Each row id occupies 8 payload bytes; bound the allocation
+            // by what the frame can actually hold before trusting the count.
+            if count > (r.remaining() / 8) as u64 {
+                return Err(WireError::Malformed("row count exceeds payload"));
+            }
+            r.u64s(count as usize)?
+        }
+        ROWS_PACKED => decode_window(r, count)?,
+        _ => return Err(WireError::Malformed("unknown row-section layout")),
+    };
     Ok(RowsReply {
         scans,
         decompressions,
-        rows: r.u64s(count as usize)?,
+        rows,
     })
+}
+
+/// Reads a packed window holding `count` rows. The window is bounded by
+/// the remaining payload and its popcount checked against `count`
+/// before the row ids are allocated; ids come out of whole words by
+/// `trailing_zeros`.
+fn decode_window(r: &mut Reader<'_>, count: u64) -> Result<Vec<u64>, WireError> {
+    let first = r.u64()?;
+    let span = r.u64()?;
+    if first.checked_add(span).is_none() {
+        return Err(WireError::Malformed("row window overflows u64"));
+    }
+    let n_words = span / 64 + 1;
+    if n_words > (r.remaining() / 8) as u64 {
+        return Err(WireError::Malformed("row window exceeds payload"));
+    }
+    let window = r.bytes(n_words as usize * 8)?;
+    let words = || {
+        window
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+    };
+    // The window starts and ends on a row, with no bit past its end.
+    let last_word = words().next_back().expect("a window has a word");
+    if window[0] & 1 == 0 || last_word >> (span % 64) != 1 {
+        return Err(WireError::Malformed(
+            "row window must start and end on a row",
+        ));
+    }
+    let ones: u64 = words().map(|w| u64::from(w.count_ones())).sum();
+    if ones != count {
+        return Err(WireError::Malformed("row count disagrees with the window"));
+    }
+    // Each word appends its first four candidate rows unconditionally and
+    // then trims to its popcount, so a sparse window runs no branch that
+    // depends on the data; denser words go on bit by bit.
+    let mut rows = Vec::with_capacity(count as usize + 4);
+    let mut base = first;
+    for mut w in words() {
+        let (len, n) = (rows.len(), w.count_ones() as usize);
+        let mut four = [0u64; 4];
+        for row in &mut four {
+            *row = base.wrapping_add(u64::from(w.trailing_zeros()));
+            w &= w.wrapping_sub(1);
+        }
+        rows.extend_from_slice(&four);
+        if n <= 4 {
+            rows.truncate(len + n);
+        }
+        while w != 0 {
+            rows.push(base + u64::from(w.trailing_zeros()));
+            w &= w - 1;
+        }
+        base = base.wrapping_add(64);
+    }
+    Ok(rows)
 }
 
 impl Message {
@@ -596,7 +758,9 @@ impl Message {
         }
     }
 
-    fn encode_payload(&self, out: &mut Vec<u8>) {
+    /// Appends the payload; `packed` is whether the frame carries
+    /// [`FLAG_PACKED_ROWS`].
+    fn encode_payload(&self, out: &mut Vec<u8>, packed: bool) {
         match self {
             Message::Request(Request::Ping)
             | Message::Request(Request::Shutdown)
@@ -651,11 +815,11 @@ impl Message {
                 out.push(u8::from(*count_only));
                 out.extend_from_slice(text.as_bytes());
             }
-            Message::Response(Response::Rows(rows)) => encode_rows(out, rows),
+            Message::Response(Response::Rows(rows)) => encode_rows(out, rows, packed),
             Message::Response(Response::BatchRows(all)) => {
                 put_u32(out, all.len() as u32);
                 for rows in all {
-                    encode_rows(out, rows);
+                    encode_rows(out, rows, packed);
                 }
             }
             Message::Response(Response::Stats { text }) => {
@@ -671,7 +835,7 @@ impl Message {
                 }
                 put_u32(out, replies.len() as u32);
                 for rows in replies {
-                    encode_rows(out, rows);
+                    encode_rows(out, rows, packed);
                 }
             }
             Message::Response(Response::Ingested {
@@ -699,7 +863,9 @@ impl Message {
         }
     }
 
-    fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
+    /// Decodes a payload; `packed` is whether the frame carries
+    /// [`FLAG_PACKED_ROWS`].
+    fn decode_payload(kind: u8, payload: &[u8], packed: bool) -> Result<Message, WireError> {
         let mut r = Reader::new(payload);
         let msg = match kind {
             KIND_PING => Message::Request(Request::Ping),
@@ -775,7 +941,7 @@ impl Message {
                     text,
                 })
             }
-            KIND_ROWS => Message::Response(Response::Rows(decode_rows(&mut r)?)),
+            KIND_ROWS => Message::Response(Response::Rows(decode_rows(&mut r, packed)?)),
             KIND_BATCH_ROWS => {
                 let count = r.u32()?;
                 if count > MAX_BATCH {
@@ -783,7 +949,7 @@ impl Message {
                 }
                 let mut all = Vec::with_capacity(count.min(64) as usize);
                 for _ in 0..count {
-                    all.push(decode_rows(&mut r)?);
+                    all.push(decode_rows(&mut r, packed)?);
                 }
                 Message::Response(Response::BatchRows(all))
             }
@@ -808,7 +974,7 @@ impl Message {
                 }
                 let mut replies = Vec::with_capacity(count.min(64) as usize);
                 for _ in 0..count {
-                    replies.push(decode_rows(&mut r)?);
+                    replies.push(decode_rows(&mut r, packed)?);
                 }
                 Message::Response(Response::Degraded {
                     missing_shards,
@@ -988,7 +1154,9 @@ pub fn try_encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
     if !frame.spans.is_empty() {
         encode_spans(&mut out, &frame.spans);
     }
-    frame.msg.encode_payload(&mut out);
+    frame
+        .msg
+        .encode_payload(&mut out, frame.flags & FLAG_PACKED_ROWS != 0);
     let payload_len = u32::try_from(out.len() - payload_at).unwrap_or(u32::MAX);
     if payload_len > MAX_PAYLOAD {
         return Err(WireError::Oversize(payload_len));
@@ -1068,7 +1236,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
         (Vec::new(), payload)
     };
     frame.spans = spans;
-    frame.msg = Message::decode_payload(buf[3], body)?;
+    frame.msg = Message::decode_payload(buf[3], body, frame.flags & FLAG_PACKED_ROWS != 0)?;
     Ok((frame, total))
 }
 
@@ -1592,5 +1760,235 @@ mod tests {
             decode_frame(&bad),
             Err(WireError::UnknownKind(0x40))
         ));
+    }
+
+    /// Row sets at the edges of the id space and on either side of the
+    /// list/packed crossover (rows 63 apart pack once there are enough
+    /// of them; rows 64 apart never do).
+    fn edge_row_sets() -> Vec<Vec<u64>> {
+        vec![
+            vec![],
+            vec![0],
+            vec![u64::MAX],
+            vec![0, u64::MAX],
+            vec![u64::MAX - 1, u64::MAX],
+            (u64::MAX - 300..=u64::MAX).collect(),
+            (0..64).collect(),
+            (1..1_000).collect(),
+            (0..100).map(|i| i * 63).collect(),
+            (0..200).map(|i| i * 63).collect(),
+            (0..200).map(|i| 5 + i * 64).collect(),
+            vec![0, 1, 2, 3, 1 << 40],
+        ]
+    }
+
+    fn rows_of(rows: &[u64]) -> RowsReply {
+        RowsReply {
+            scans: 3,
+            decompressions: 1,
+            rows: rows.to_vec(),
+        }
+    }
+
+    /// A `Rows` frame, packing when `packed`.
+    fn rows_frame(rows: &[u64], packed: bool) -> Frame {
+        Frame {
+            flags: if packed { FLAG_PACKED_ROWS } else { 0 },
+            ..Frame::new(31, Message::Response(Response::Rows(rows_of(rows))))
+        }
+    }
+
+    /// The row section of an encoded `Rows` frame (its whole payload).
+    fn section(bytes: &[u8]) -> &[u8] {
+        let (payload_at, total) = frame_extent(bytes).expect("valid frame");
+        &bytes[payload_at..total - 4]
+    }
+
+    #[test]
+    fn row_sets_round_trip_under_both_flag_states() {
+        for rows in edge_row_sets() {
+            for packed in [false, true] {
+                let flags = if packed { FLAG_PACKED_ROWS } else { 0 };
+                for msg in [
+                    Response::Rows(rows_of(&rows)),
+                    Response::BatchRows(vec![rows_of(&rows), rows_of(&[]), rows_of(&rows)]),
+                    Response::Degraded {
+                        missing_shards: vec![1],
+                        replies: vec![rows_of(&[7]), rows_of(&rows)],
+                    },
+                ] {
+                    let frame = Frame {
+                        flags,
+                        ..Frame::new(5, Message::Response(msg))
+                    };
+                    let bytes = encode_frame(&frame);
+                    let (got, used) = decode_frame(&bytes).expect("round trip");
+                    assert_eq!(used, bytes.len());
+                    assert_eq!(got, frame, "{} rows, packed {packed}", rows.len());
+                    let (got, _) = read_frame(&mut &bytes[..]).expect("stream decode");
+                    assert_eq!(got, frame);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_encoder_sends_the_smaller_layout_at_its_priced_size() {
+        for rows in edge_row_sets() {
+            let (count, first, last) = (
+                rows.len() as u64,
+                rows.first().copied().unwrap_or(0),
+                rows.last().copied().unwrap_or(0),
+            );
+            let list = encode_frame(&rows_frame(&rows, false));
+            let packed = encode_frame(&rows_frame(&rows, true));
+            let (list, packed) = (section(&list), section(&packed));
+            assert_eq!(
+                list.len() as u64,
+                24 + 8 * count,
+                "unflagged is the v1 list"
+            );
+            assert_eq!(list.len() as u64, rows_wire_len(count, first, last, false));
+            assert_eq!(packed.len() as u64, rows_wire_len(count, first, last, true));
+            // One tag byte is all a packing frame ever costs over the list.
+            assert!(packed.len() <= list.len() + 1, "{} rows", rows.len());
+            let tag = packed[24];
+            if count > 0 && window_len(first, last) < 8 * count {
+                assert_eq!(tag, ROWS_PACKED, "{} rows", rows.len());
+                assert_eq!(packed.len() as u64, 25 + window_len(first, last));
+            } else {
+                assert_eq!(tag, ROWS_LIST, "{} rows", rows.len());
+                assert_eq!(&packed[25..], &list[24..]);
+            }
+        }
+        // Rows 63 apart: 100 of them tie (the list wins), 200 pack.
+        let tie: Vec<u64> = (0..100).map(|i| i * 63).collect();
+        assert_eq!(
+            section(&encode_frame(&rows_frame(&tie, true)))[24],
+            ROWS_LIST
+        );
+        let dense: Vec<u64> = (0..200).map(|i| i * 63).collect();
+        assert_eq!(
+            section(&encode_frame(&rows_frame(&dense, true)))[24],
+            ROWS_PACKED
+        );
+    }
+
+    #[test]
+    fn rows_that_are_not_strictly_ascending_go_out_as_a_list() {
+        let mut shuffled: Vec<u64> = (0..500).collect();
+        shuffled.swap(10, 400);
+        let mut doubled: Vec<u64> = (0..500).collect();
+        doubled.insert(250, 250);
+        for rows in [shuffled, doubled] {
+            let frame = rows_frame(&rows, true);
+            let bytes = encode_frame(&frame);
+            assert_eq!(section(&bytes)[24], ROWS_LIST);
+            assert_eq!(decode_frame(&bytes).expect("list decodes").0, frame);
+        }
+    }
+
+    /// A `Rows` reply frame with [`FLAG_PACKED_ROWS`] around a hand-built
+    /// row section: header, count, layout tag, then `body`.
+    fn hostile_rows(count: u64, tag: u8, body: &[u64]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 0);
+        put_u64(&mut payload, 0);
+        put_u64(&mut payload, count);
+        payload.push(tag);
+        for &v in body {
+            put_u64(&mut payload, v);
+        }
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.push(VERSION_EXT);
+        bytes.push(KIND_ROWS);
+        put_u64(&mut bytes, 5);
+        put_u32(&mut bytes, payload.len() as u32);
+        bytes.extend_from_slice(&[EXT_LEN, FLAG_PACKED_ROWS]);
+        bytes.extend_from_slice(&[0; EXT_LEN as usize - 1]);
+        bytes.extend_from_slice(&payload);
+        let crc = crc32(&bytes[HEADER_LEN..]);
+        put_u32(&mut bytes, crc);
+        bytes
+    }
+
+    #[test]
+    fn hostile_packed_sections_are_typed_errors() {
+        // The well-formed window {3, 4, 6} decodes.
+        let good = hostile_rows(3, ROWS_PACKED, &[3, 3, 0b1011]);
+        match decode_frame(&good).expect("valid window").0.msg {
+            Message::Response(Response::Rows(r)) => assert_eq!(r.rows, vec![3, 4, 6]),
+            other => panic!("want rows, got {other:?}"),
+        }
+        for (name, bytes, want) in [
+            (
+                "lying count",
+                hostile_rows(4, ROWS_PACKED, &[3, 3, 0b1011]),
+                "disagrees",
+            ),
+            (
+                "empty count, one row",
+                hostile_rows(0, ROWS_PACKED, &[3, 0, 1]),
+                "disagrees",
+            ),
+            (
+                "window words past the payload",
+                hostile_rows(3, ROWS_PACKED, &[3, 64 * 1000, 0b1011]),
+                "exceeds payload",
+            ),
+            (
+                "a 2^58-word window",
+                hostile_rows(3, ROWS_PACKED, &[0, u64::MAX, 1]),
+                "exceeds payload",
+            ),
+            (
+                "window end past u64::MAX",
+                hostile_rows(1, ROWS_PACKED, &[2, u64::MAX - 1, 1]),
+                "overflows",
+            ),
+            (
+                "first bit clear",
+                hostile_rows(2, ROWS_PACKED, &[3, 3, 0b1010]),
+                "start and end",
+            ),
+            (
+                "bit past the window's end",
+                hostile_rows(3, ROWS_PACKED, &[3, 2, 0b1101]),
+                "start and end",
+            ),
+            ("unknown tag", hostile_rows(0, 2, &[]), "layout"),
+            ("another unknown tag", hostile_rows(1, 0xff, &[7]), "layout"),
+            (
+                "list count past the payload",
+                hostile_rows(u64::MAX, ROWS_LIST, &[1]),
+                "exceeds payload",
+            ),
+        ] {
+            match decode_frame(&bytes) {
+                Err(WireError::Malformed(why)) => assert!(why.contains(want), "{name}: {why}"),
+                other => panic!("{name}: want a typed Malformed error, got {other:?}"),
+            }
+        }
+        // A tag with no window after it is a truncation, not a panic.
+        assert!(matches!(
+            decode_frame(&hostile_rows(3, ROWS_PACKED, &[])),
+            Err(WireError::Truncated)
+        ));
+    }
+
+    #[test]
+    fn packed_frames_catch_every_flip_and_truncation() {
+        let dense: Vec<u64> = (100..900).filter(|r| r % 3 != 0).collect();
+        let bytes = encode_frame(&rows_frame(&dense, true));
+        assert_eq!(section(&bytes)[24], ROWS_PACKED);
+        for cut in 0..bytes.len() {
+            assert!(decode_frame(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        for pos in HEADER_LEN..bytes.len() {
+            let mut corrupt = bytes.clone();
+            corrupt[pos] ^= 0x10;
+            assert!(decode_frame(&corrupt).is_err(), "flip at {pos}");
+        }
     }
 }

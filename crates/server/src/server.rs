@@ -59,8 +59,8 @@ use bix_telemetry::{
 };
 
 use crate::protocol::{
-    read_frame, write_frame, ErrorCode, Frame, Message, Request, Response, RowsReply, StatsFormat,
-    WireError, FLAG_ALLOW_DEGRADED,
+    read_frame, rows_wire_len, write_frame, ErrorCode, Frame, Message, Request, Response,
+    RowsReply, StatsFormat, WireError, FLAG_ALLOW_DEGRADED, FLAG_PACKED_ROWS,
 };
 
 /// Tunables for [`Server::start`] / [`Server::serve`].
@@ -127,6 +127,9 @@ const TICK: Duration = Duration::from_millis(50);
 pub struct RequestMeta {
     /// The client opted into [`Response::Degraded`] partial results.
     pub allow_degraded: bool,
+    /// The client decodes packed row sections ([`FLAG_PACKED_ROWS`]):
+    /// its reply is priced, and encoded, in the smaller layout.
+    pub packed_rows: bool,
     /// Epoch the client pinned the request to (0 = unpinned). A shard
     /// does not gate evaluation on it — replies carry the shard's own
     /// epoch and the *caller* decides whether a mismatch is fatal.
@@ -149,6 +152,7 @@ impl Default for RequestMeta {
     fn default() -> Self {
         RequestMeta {
             allow_degraded: false,
+            packed_rows: false,
             epoch: 0,
             shard_id: 0,
             trace: TraceContext::default(),
@@ -562,6 +566,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, queue_wait: Duration
         serve_span.attr("queue_wait_ns", queue_wait.as_nanos());
         let meta = RequestMeta {
             allow_degraded: frame.flags & FLAG_ALLOW_DEGRADED != 0,
+            packed_rows: frame.flags & FLAG_PACKED_ROWS != 0,
             epoch: frame.epoch,
             shard_id: frame.shard_id,
             trace: frame.trace,
@@ -603,6 +608,8 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, queue_wait: Duration
         });
         serve_span.finish();
         let mut reply_frame = stamp(shared, Frame::new(request_id, Message::Response(reply)));
+        // Pack row sections only for a client that asked.
+        reply_frame.flags = frame.flags & FLAG_PACKED_ROWS;
         if tracer.is_enabled() {
             // Echo the trace identity and attach this process's span
             // forest so the caller can graft it into its own tree.
@@ -649,6 +656,26 @@ fn write_reply(stream: &mut TcpStream, shared: &Shared, frame: &Frame) {
     if let Ok(n) = written {
         shared.metrics.bytes_out.add(n as u64);
     }
+}
+
+/// Most row ids one reply may materialise: twice what a list frame can
+/// carry, 128 MiB as `u64`s. A packed frame holds up to 64 ids per
+/// payload byte, so the frame cap alone no longer bounds them.
+const MAX_REPLY_ROWS: u64 = 1 << 24;
+
+/// Wire bytes of the row section answering with the `count` set rows
+/// of the bitmap `words`, from its first and last set words, without
+/// materialising a row id.
+fn section_wire_len(words: &[u64], count: u64, packed: bool) -> u64 {
+    let (Some(lo), Some(hi)) = (
+        words.iter().position(|&w| w != 0),
+        words.iter().rposition(|&w| w != 0),
+    ) else {
+        return rows_wire_len(0, 0, 0, packed);
+    };
+    let first = lo as u64 * 64 + u64::from(words[lo].trailing_zeros());
+    let last = hi as u64 * 64 + 63 - u64::from(words[hi].leading_zeros());
+    rows_wire_len(count, first, last, packed)
 }
 
 /// The typed refusal of a request the served table's shape cannot take.
@@ -971,22 +998,33 @@ impl IndexHandler {
                 decompressions: r.decompressions as u64,
             });
         }
-        // Bound the reply frame before building it: every row id costs 8
-        // payload bytes, each reply header 24 and the frame 8, and a frame
-        // larger than MAX_PAYLOAD must surface as a typed error, not a panic.
+        // Bound the reply before building it: its frame in the layout it
+        // will be sent in (each row section as `rows_wire_len` prices it,
+        // the frame 8), since a frame larger than MAX_PAYLOAD must surface
+        // as a typed error, not a panic; and the row ids it materialises,
+        // which a packed frame no longer bounds.
         let reply_bytes: u64 = batch
             .results
             .iter()
-            .map(|r| 24 + 8 * r.count())
+            .map(|r| section_wire_len(r.bitmap.words(), r.count(), meta.packed_rows))
             .sum::<u64>()
             + 8;
-        if reply_bytes > u64::from(crate::protocol::MAX_PAYLOAD) {
+        let reply_rows: u64 = batch.results.iter().map(|r| r.count()).sum();
+        let oversize = if reply_bytes > u64::from(crate::protocol::MAX_PAYLOAD) {
+            Some(format!(
+                "reply of {reply_bytes} bytes exceeds the frame cap"
+            ))
+        } else if reply_rows > MAX_REPLY_ROWS {
+            Some(format!(
+                "reply of {reply_rows} rows exceeds the {MAX_REPLY_ROWS}-row cap"
+            ))
+        } else {
+            None
+        };
+        if let Some(why) = oversize {
             return Err(Response::Error {
                 code: ErrorCode::Internal,
-                message: format!(
-                    "reply of {reply_bytes} bytes exceeds the frame cap; narrow the query, \
-                     split the batch or ask for a count"
-                ),
+                message: format!("{why}; narrow the query, split the batch or ask for a count"),
             });
         }
         let mut replies: Vec<RowsReply> = batch
@@ -1286,6 +1324,7 @@ impl ServeHandler for IndexHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{HEADER_LEN, MAX_BATCH};
     use bix_core::{EncodingScheme, IndexConfig};
 
     #[test]
@@ -1429,6 +1468,119 @@ mod tests {
             .unwrap_err();
         assert!(err.is_code(ErrorCode::BadQuery), "{err:?}");
         server.shutdown();
+    }
+
+    #[test]
+    fn the_reply_guard_prices_the_layout_the_client_decodes() {
+        // Full-range answers over 2,100 rows: a batch of MAX_BATCH of them
+        // is 68.9 MB as u64 lists, past the 64 MiB frame cap, and about
+        // 1.2 MB as packed windows.
+        let n_rows = 2_100u64;
+        let column: Vec<u64> = (0..n_rows).map(|i| i % 4).collect();
+        let index = BitmapIndex::build(
+            &column,
+            &IndexConfig::one_component(4, EncodingScheme::Interval),
+        );
+        let handler = IndexHandler::new(index, &ServerConfig::default());
+        let batch = |n: u32| Request::Batch {
+            domain: EvalDomain::Auto,
+            deadline_ms: 0,
+            predicates: vec!["0..3".into(); n as usize],
+        };
+        let list_len = |n: u32| u64::from(n) * (24 + 8 * n_rows) + 8;
+        let max = crate::protocol::MAX_PAYLOAD;
+        let fits = ((u64::from(max) - 8) / (24 + 8 * n_rows)) as u32;
+        assert!(list_len(fits) <= u64::from(max) && list_len(fits + 1) > u64::from(max));
+        let served = |resp: Response, n: u32| match resp {
+            Response::BatchRows(all) => {
+                assert_eq!(all.len(), n as usize);
+                assert!(all.iter().all(|r| r.rows.len() as u64 == n_rows));
+                all
+            }
+            other => panic!("want {n} replies, got {other:?}"),
+        };
+        // A v1 client: served up to the cap on the list size, refused
+        // one predicate past it, as before packing existed.
+        let v1 = RequestMeta::default();
+        served(handler.handle(batch(fits), &v1), fits);
+        match handler.handle(batch(fits + 1), &v1) {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Internal);
+                assert!(message.contains("exceeds the frame cap"), "{message}");
+            }
+            other => panic!("want a typed refusal, got {other:?}"),
+        }
+        // A packing client gets the whole wide batch, and it fits a frame.
+        let packed = RequestMeta {
+            packed_rows: true,
+            ..RequestMeta::default()
+        };
+        let all = served(handler.handle(batch(MAX_BATCH), &packed), MAX_BATCH);
+        let frame = Frame {
+            flags: FLAG_PACKED_ROWS,
+            ..Frame::new(1, Message::Response(Response::BatchRows(all)))
+        };
+        let bytes = crate::protocol::try_encode_frame(&frame).expect("packed reply fits");
+        assert!(bytes.len() < 2 << 20, "{} bytes", bytes.len());
+
+        // Past MAX_REPLY_ROWS ids a packing client is refused too, before
+        // a row id is materialised: 4096 answers of 4,100 rows pack into
+        // 2.3 MB but would be 134 MB of ids.
+        let n_rows = 4_100u64;
+        assert!(u64::from(MAX_BATCH) * n_rows > MAX_REPLY_ROWS);
+        let column: Vec<u64> = (0..n_rows).map(|i| i % 4).collect();
+        let index = BitmapIndex::build(
+            &column,
+            &IndexConfig::one_component(4, EncodingScheme::Interval),
+        );
+        let handler = IndexHandler::new(index, &ServerConfig::default());
+        match handler.handle(batch(MAX_BATCH), &packed) {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Internal);
+                assert!(message.contains("-row cap"), "{message}");
+            }
+            other => panic!("want a typed refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_section_is_priced_from_its_bitmap_as_the_encoder_sends_it() {
+        for positions in [
+            vec![],
+            vec![0],
+            vec![63, 64],
+            (5..700).collect(),
+            vec![3, 9_000],
+        ] {
+            let mut words = vec![0u64; 160];
+            for &p in &positions {
+                words[p / 64] |= 1 << (p % 64);
+            }
+            let rows: Vec<u64> = positions.iter().map(|&p| p as u64).collect();
+            let count = rows.len() as u64;
+            for packed in [false, true] {
+                let frame = Frame {
+                    flags: if packed { FLAG_PACKED_ROWS } else { 0 },
+                    ..Frame::new(
+                        1,
+                        Message::Response(Response::Rows(RowsReply {
+                            scans: 0,
+                            decompressions: 0,
+                            rows: rows.clone(),
+                        })),
+                    )
+                };
+                let encoded = crate::protocol::encode_frame(&frame);
+                let header = if packed { HEADER_LEN + 12 } else { HEADER_LEN };
+                assert_eq!(
+                    section_wire_len(&words, count, packed),
+                    (encoded.len() - header - 4) as u64,
+                    "{count} rows, packed {packed}"
+                );
+            }
+            // A v1 client is priced exactly as before: header plus list.
+            assert_eq!(section_wire_len(&words, count, false), 24 + 8 * count);
+        }
     }
 
     /// Rows a handler returns for a predicate and for the same

@@ -9,9 +9,11 @@ use std::time::Duration;
 
 use bix_core::{BitmapIndex, EncodingScheme, EvalDomain, IndexConfig};
 use bix_server::{
-    decode_frame, encode_frame, Client, Frame, Message, Request, Response, RowsReply, Server,
-    ServerConfig, StatsFormat, WireError, EXT_LEN, EXT_LEN_TRACE, HEADER_LEN, VERSION, VERSION_EXT,
+    decode_frame, encode_frame, rows_wire_len, Client, Frame, Message, Request, Response,
+    RowsReply, Server, ServerConfig, StatsFormat, WireError, EXT_LEN, EXT_LEN_TRACE,
+    FLAG_PACKED_ROWS, HEADER_LEN, MAGIC, VERSION, VERSION_EXT,
 };
+use bix_storage::crc32;
 use bix_telemetry::{SpanId, SpanRecord, TraceContext};
 use proptest::prelude::*;
 
@@ -136,8 +138,174 @@ fn arb_spans(max: usize) -> impl Strategy<Value = Vec<SpanRecord>> {
     })
 }
 
+/// Strictly ascending row sets of every density: a start anywhere in
+/// the id space, including just below `u64::MAX` (a set stops before it
+/// would pass it), and gaps on both sides of the list/packed crossover.
+fn arb_ascending_rows() -> impl Strategy<Value = Vec<u64>> {
+    (
+        prop_oneof![
+            Just(0u64),
+            any::<u64>(),
+            (0u64..1_000).prop_map(|d| u64::MAX - d)
+        ],
+        prop::sample::select(vec![1u64, 2, 8, 63, 64, 65, 1_000, u64::MAX / 4]),
+        prop::collection::vec(any::<u64>(), 0..400),
+    )
+        .prop_map(|(start, max_gap, draws)| {
+            let mut rows = Vec::with_capacity(draws.len());
+            let mut next = Some(start);
+            for d in draws {
+                let Some(row) = next else { break };
+                rows.push(row);
+                next = row.checked_add(1 + d % max_gap);
+            }
+            rows
+        })
+}
+
+fn reply_of(rows: Vec<u64>) -> RowsReply {
+    RowsReply {
+        scans: 4,
+        decompressions: 2,
+        rows,
+    }
+}
+
+/// A `Rows` frame carrying `rows`, packing when `packed`.
+fn rows_frame(rows: &[u64], packed: bool) -> Frame {
+    Frame {
+        flags: if packed { FLAG_PACKED_ROWS } else { 0 },
+        ..Frame::new(
+            12,
+            Message::Response(Response::Rows(reply_of(rows.to_vec()))),
+        )
+    }
+}
+
+/// The payload length an encoded frame's header declares.
+fn payload_len(bytes: &[u8]) -> u64 {
+    u64::from(u32::from_le_bytes(bytes[12..16].try_into().unwrap()))
+}
+
+/// A packing `Rows` frame (kind 0x82) with a hand-written row section:
+/// three header words, a layout tag, then `body`, under a valid CRC.
+fn hand_built_rows(count: u64, tag: u8, body: &[u8]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for v in [0, 0, count] {
+        payload.extend_from_slice(&u64::to_le_bytes(v));
+    }
+    payload.push(tag);
+    payload.extend_from_slice(body);
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&MAGIC);
+    bytes.extend_from_slice(&[VERSION_EXT, 0x82]);
+    bytes.extend_from_slice(&1u64.to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&[EXT_LEN, FLAG_PACKED_ROWS]);
+    bytes.extend_from_slice(&[0; EXT_LEN as usize - 1]);
+    bytes.extend_from_slice(&payload);
+    let crc = crc32(&bytes[HEADER_LEN..]);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Every row-carrying reply decodes to the identical rows whether or
+    // not it packs, in every message that carries row sections.
+    #[test]
+    fn row_sets_round_trip_under_both_flag_states(
+        a in arb_ascending_rows(),
+        b in arb_ascending_rows(),
+        shard in 0u16..4,
+    ) {
+        for flags in [0, FLAG_PACKED_ROWS] {
+            for msg in [
+                Response::Rows(reply_of(a.clone())),
+                Response::BatchRows(vec![reply_of(a.clone()), reply_of(b.clone())]),
+                Response::Degraded { missing_shards: vec![1], replies: vec![reply_of(b.clone())] },
+            ] {
+                let frame = Frame { flags, shard_id: shard, ..Frame::new(3, Message::Response(msg)) };
+                let bytes = encode_frame(&frame);
+                let (got, used) = decode_frame(&bytes).expect("round trip");
+                prop_assert_eq!(used, bytes.len());
+                prop_assert_eq!(got, frame);
+            }
+        }
+    }
+
+    // The encoder's choice is never larger than the other layout: a
+    // packing frame costs at most the one tag byte over the list, and
+    // it sends exactly what `rows_wire_len` priced.
+    #[test]
+    fn the_packed_choice_is_never_larger(rows in arb_ascending_rows()) {
+        let n = rows.len() as u64;
+        let (first, last) = (rows.first().copied().unwrap_or(0), rows.last().copied().unwrap_or(0));
+        let list = payload_len(&encode_frame(&rows_frame(&rows, false)));
+        let packed = payload_len(&encode_frame(&rows_frame(&rows, true)));
+        prop_assert_eq!(list, 24 + 8 * n);
+        prop_assert_eq!(list, rows_wire_len(n, first, last, false));
+        prop_assert_eq!(packed, rows_wire_len(n, first, last, true));
+        prop_assert!(packed <= list + 1);
+        if n > 0 {
+            // The window: first, span, one bit per row of [first, last].
+            let window = 16 + 8 * ((last - first) / 64 + 1);
+            prop_assert_eq!(packed, 25 + window.min(8 * n));
+        }
+    }
+
+    // A flipped bit anywhere past the base header of a packing frame
+    // (extension, row sections, CRC) is a typed error, never a panic.
+    #[test]
+    fn packed_frame_bit_flips_are_typed_errors(
+        rows in arb_ascending_rows(),
+        pos_seed in any::<u64>(),
+        bit in 0u8..8,
+    ) {
+        let mut bytes = encode_frame(&rows_frame(&rows, true));
+        let pos = HEADER_LEN + (pos_seed % (bytes.len() - HEADER_LEN) as u64) as usize;
+        bytes[pos] ^= 1 << bit;
+        prop_assert!(decode_frame(&bytes).is_err(), "flip at {}.{}", pos, bit);
+    }
+
+    #[test]
+    fn every_packed_prefix_truncation_is_an_error(rows in arb_ascending_rows()) {
+        let bytes = encode_frame(&rows_frame(&rows, true));
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_frame(&bytes[..cut]).is_err(), "cut {}", cut);
+        }
+    }
+
+    // Hostile row sections under a valid CRC: any tag, any count, any
+    // window header, any words. Decoding is total, and whatever it
+    // accepts holds exactly `count` strictly ascending rows.
+    #[test]
+    fn hostile_row_sections_never_panic(
+        count in prop_oneof![0u64..200, any::<u64>()],
+        tag in prop_oneof![0u8..3, any::<u8>()],
+        first in prop_oneof![0u64..1_000, any::<u64>()],
+        span in prop_oneof![0u64..1_000, any::<u64>()],
+        words in prop::collection::vec(any::<u64>(), 0..20),
+    ) {
+        let mut body = Vec::new();
+        for v in [first, span].into_iter().chain(words) {
+            body.extend_from_slice(&v.to_le_bytes());
+        }
+        match decode_frame(&hand_built_rows(count, tag, &body)) {
+            Ok((frame, _)) => match frame.msg {
+                Message::Response(Response::Rows(r)) => {
+                    prop_assert_eq!(r.rows.len() as u64, count);
+                    if tag == 1 {
+                        prop_assert!(r.rows.windows(2).all(|w| w[0] < w[1]));
+                    }
+                }
+                other => prop_assert!(false, "decoded as {:?}", other),
+            },
+            Err(WireError::Malformed(_)) | Err(WireError::Truncated) => {}
+            Err(other) => prop_assert!(false, "untyped rejection {:?}", other),
+        }
+    }
 
     #[test]
     fn random_bytes_never_panic_the_decoder(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
