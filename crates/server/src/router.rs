@@ -19,7 +19,7 @@
 //!    not dialled; they are "missing" instantly, costing none of the
 //!    request's deadline budget.
 //! 2. **Bounded per-shard retry** — transient failures (connect, I/O,
-//!    truncated/garbled replies, `Overloaded`) are retried on a fresh
+//!    truncated/garbled replies, `Overloaded`) are retried on another
 //!    connection with jittered exponential backoff, within what remains
 //!    of the request deadline.
 //! 3. **Epoch fencing** — every shard stamps replies with its reload
@@ -33,6 +33,14 @@
 //!    a typed `Unavailable` (or `DeadlineExceeded`) error. Silently
 //!    wrong answers are not an outcome.
 //!
+//! Every exchange with a shard runs through one kept-link path
+//! (`RouterInner::with_link`): each shard has at most one idle
+//! connection, taken by the next exchange and handed back only when no
+//! other exchange with that shard is in flight. A shard server pins one
+//! worker to each open connection, so this keep rule pins at most one
+//! worker per shard and never leaves one of the router's own exchanges
+//! queued behind its idle link.
+//!
 //! The shard transport is pluggable ([`Router::with_dialer`]) so chaos
 //! tests splice a [`FaultyStream`](crate::FaultyStream) under real
 //! router traffic.
@@ -40,7 +48,7 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -51,7 +59,7 @@ use bix_telemetry::{
 };
 
 use crate::client::{Client, ClientError, RetryPolicy};
-use crate::protocol::{ErrorCode, Request, Response, RowsReply, StatsFormat};
+use crate::protocol::{ErrorCode, Request, Response, RowsReply, StatsFormat, WireError};
 use crate::server::{RequestMeta, ServeHandler};
 use crate::supervisor::{ShardState, Supervisor, SupervisorConfig};
 
@@ -151,6 +159,7 @@ pub fn merge_replies(n_predicates: usize, shards: &[ShardReply]) -> Vec<RowsRepl
 
 /// Per-shard metric handles, indexed like the shard list.
 struct ShardMetrics {
+    dials: Arc<Counter>,
     retries: Arc<Counter>,
     timeouts: Arc<Counter>,
     failures: Arc<Counter>,
@@ -171,6 +180,10 @@ impl RouterMetrics {
     fn new(registry: &MetricsRegistry, n_shards: usize) -> RouterMetrics {
         let shards = (0..n_shards)
             .map(|i| ShardMetrics {
+                dials: registry.counter(
+                    &format!("bix_route_shard_{i}_dials_total"),
+                    "Connections dialled to this shard",
+                ),
                 retries: registry.counter(
                     &format!("bix_route_shard_{i}_retries_total"),
                     "Transient retries against this shard",
@@ -264,6 +277,140 @@ enum LegOutcome {
     Missing(ShardFailure),
 }
 
+/// Spans for exchanges no request traced (shape learning, health,
+/// stats).
+static UNTRACED: Tracer = Tracer::disabled();
+
+/// A shard transport that remembers whether any reply byte arrived
+/// since the last request went out, so [`Link::went_stale`] can tell a
+/// link the shard closed while it sat idle from one that died
+/// mid-reply.
+struct Tracked {
+    inner: Box<dyn Transport>,
+    /// Shared with the owning [`Link`]; only the thread running the
+    /// link's exchange touches it, so `Relaxed` suffices.
+    replied: Arc<AtomicBool>,
+}
+
+impl Read for Tracked {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        if n > 0 {
+            self.replied.store(true, Ordering::Relaxed);
+        }
+        Ok(n)
+    }
+}
+
+impl Write for Tracked {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.replied.store(false, Ordering::Relaxed);
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// One open connection to a shard.
+struct Link {
+    client: Client<Tracked>,
+    replied: Arc<AtomicBool>,
+}
+
+impl Link {
+    fn new(transport: Box<dyn Transport>) -> Link {
+        let replied = Arc::new(AtomicBool::new(false));
+        let client = Client::from_stream(Tracked {
+            inner: transport,
+            replied: Arc::clone(&replied),
+        });
+        Link { client, replied }
+    }
+
+    /// Whether `err`, from an exchange on this link after it sat idle,
+    /// says only that the shard closed the link meanwhile, so the
+    /// request never ran: the transport failed before any reply byte
+    /// arrived, or the shard's drain refusal was waiting in the socket.
+    /// A timeout is not staleness — a closed socket fails at once; a
+    /// slow shard is a real failure.
+    fn went_stale(&self, err: &ClientError) -> bool {
+        match err {
+            ClientError::Io(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+                ) =>
+            {
+                false
+            }
+            ClientError::Io(_) | ClientError::Wire(WireError::Truncated) => {
+                !self.replied.load(Ordering::Relaxed)
+            }
+            ClientError::Server { code, .. } => *code == ErrorCode::ShuttingDown,
+            _ => false,
+        }
+    }
+}
+
+/// A shard's idle link (at most one) and its exchanges in flight.
+#[derive(Default)]
+struct LinkSlot {
+    idle: Option<Link>,
+    in_flight: usize,
+}
+
+/// Every update under this lock is one step that leaves the slot valid,
+/// so a guard poisoned by a panicking thread is safe to take over.
+fn lock(slot: &Mutex<LinkSlot>) -> MutexGuard<'_, LinkSlot> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One exchange's claim on a shard's [`LinkSlot`]. The exchange counts
+/// as in flight until the claim drops, so a panicking exchange cannot
+/// leak the count.
+struct Claim<'a> {
+    slot: &'a Mutex<LinkSlot>,
+}
+
+impl<'a> Claim<'a> {
+    /// Counts an exchange in flight and takes the idle link, if any.
+    fn take(slot: &'a Mutex<LinkSlot>) -> (Claim<'a>, Option<Link>) {
+        let mut s = lock(slot);
+        s.in_flight += 1;
+        let idle = s.idle.take();
+        (Claim { slot }, idle)
+    }
+
+    /// The keep rule: `link` goes back only into an empty slot, and
+    /// only when no other exchange with the shard is in flight — one
+    /// that is may be queued at the shard behind the worker this link
+    /// pins. Otherwise the link closes.
+    fn release(self, link: Link) {
+        let mut s = lock(self.slot);
+        if s.idle.is_none() && s.in_flight == 1 {
+            s.idle = Some(link);
+        }
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        lock(self.slot).in_flight -= 1;
+    }
+}
+
+/// Whether an exchange may ride the shard's kept link.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Reuse {
+    /// Take the idle link if there is one (idempotent exchanges).
+    Kept,
+    /// Close any idle link and dial: for ingest, which is not
+    /// idempotent and so must not ride a link that may be stale.
+    Fresh,
+}
+
 struct RouterInner {
     addrs: Vec<String>,
     config: RouterConfig,
@@ -271,6 +418,8 @@ struct RouterInner {
     registry: MetricsRegistry,
     metrics: RouterMetrics,
     dialer: ShardDialer,
+    /// One kept-link slot per shard.
+    links: Vec<Mutex<LinkSlot>>,
     stop: AtomicBool,
     /// Composite routing generation: sum of last-seen shard epochs.
     /// Changes whenever any shard hot-reloads, so clients of the router
@@ -301,13 +450,64 @@ impl RouterInner {
         self.epoch_sum.store(sum, Ordering::Release);
     }
 
-    fn dial(&self, shard: usize) -> io::Result<Box<dyn Transport>> {
-        (self.dialer)(shard, &self.addrs[shard])
+    /// Dials `shard`, counted in `bix_route_shard_{i}_dials_total` and
+    /// timed by a `dial` span under `parent`.
+    fn dial(
+        &self,
+        shard: usize,
+        tracer: &Tracer,
+        parent: Option<SpanId>,
+    ) -> Result<Link, ClientError> {
+        self.metrics.shards[shard].dials.inc();
+        let span = tracer.span("dial", parent);
+        let transport =
+            (self.dialer)(shard, &self.addrs[shard]).inspect_err(|e| span.attr("error", e))?;
+        Ok(Link::new(transport))
     }
 
-    /// One request/reply exchange with a shard on a fresh connection.
-    /// Returns the reply, the epoch stamped on the reply frame, and
-    /// the shard's span forest (empty unless `trace` was sampled).
+    /// Runs `f` on a link to `shard`; every router→shard exchange goes
+    /// through here.
+    ///
+    /// With [`Reuse::Kept`] the exchange takes the shard's idle link and
+    /// dials only when there is none. A kept link that
+    /// [went stale](Link::went_stale) is redialled once, here, charged
+    /// as neither a leg retry nor a breaker failure. With
+    /// [`Reuse::Fresh`] any idle link is closed and the one dial's
+    /// outcome is final. A link whose exchange succeeded goes back
+    /// under the keep rule ([`Claim::release`]); a failed one closes.
+    fn with_link<T>(
+        &self,
+        shard: usize,
+        reuse: Reuse,
+        tracer: &Tracer,
+        parent: Option<SpanId>,
+        mut f: impl FnMut(&mut Client<Tracked>) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
+        let (claim, idle) = Claim::take(&self.links[shard]);
+        let idle = idle.filter(|_| reuse == Reuse::Kept);
+        let kept = idle.is_some();
+        let mut link = match idle {
+            Some(link) => link,
+            None => self.dial(shard, tracer, parent)?,
+        };
+        link.client.set_trace(TraceContext::default());
+        let mut result = f(&mut link.client);
+        if kept && result.as_ref().is_err_and(|e| link.went_stale(e)) {
+            link = self.dial(shard, tracer, parent)?;
+            result = f(&mut link.client);
+        }
+        if result.is_ok() {
+            claim.release(link);
+        }
+        result
+    }
+
+    /// One request/reply exchange with a shard over its kept link (or a
+    /// fresh one; see [`RouterInner::with_link`]). Returns the reply,
+    /// the epoch stamped on the reply frame, and the shard's span
+    /// forest (empty unless `trace` was sampled). A dial opens a `dial`
+    /// span under `attempt`.
+    #[allow(clippy::too_many_arguments)]
     fn exchange(
         &self,
         shard: usize,
@@ -315,43 +515,42 @@ impl RouterInner {
         domain: bix_core::EvalDomain,
         deadline_ms: u32,
         trace: TraceContext,
+        tracer: &Tracer,
+        attempt: Option<SpanId>,
     ) -> Result<(LegReply, u64, Vec<bix_telemetry::SpanRecord>), ClientError> {
-        let transport = self.dial(shard)?;
-        let mut client = Client::from_stream(transport);
-        client.set_trace(trace);
-        let reply = match req {
-            LegRequest::Batch(predicates) => {
-                LegReply::Rows(client.batch(predicates, domain, deadline_ms)?)
-            }
-            LegRequest::Table {
-                text,
-                count_only: false,
-            } => LegReply::Rows(vec![client.table_query(text, domain, deadline_ms)?]),
-            LegRequest::Table {
-                text,
-                count_only: true,
-            } => {
-                let c = client.table_count(text, domain, deadline_ms)?;
-                LegReply::Count {
-                    count: c.count,
-                    scans: c.scans,
-                    decompressions: c.decompressions,
+        self.with_link(shard, Reuse::Kept, tracer, attempt, |client| {
+            client.set_trace(trace);
+            let reply = match req {
+                LegRequest::Batch(predicates) => {
+                    LegReply::Rows(client.batch(predicates, domain, deadline_ms)?)
                 }
-            }
-        };
-        let epoch = client.last_epoch();
-        let spans = client.last_spans().to_vec();
-        Ok((reply, epoch, spans))
+                LegRequest::Table {
+                    text,
+                    count_only: false,
+                } => LegReply::Rows(vec![client.table_query(text, domain, deadline_ms)?]),
+                LegRequest::Table {
+                    text,
+                    count_only: true,
+                } => {
+                    let c = client.table_count(text, domain, deadline_ms)?;
+                    LegReply::Count {
+                        count: c.count,
+                        scans: c.scans,
+                        decompressions: c.decompressions,
+                    }
+                }
+            };
+            Ok((reply, client.last_epoch(), client.last_spans().to_vec()))
+        })
     }
 
     /// Fetches a shard's stats JSON and updates its remembered shape
     /// (rows gauge + reply epoch). Used at startup, after a stale-epoch
     /// detection, and by the health prober.
     fn learn_shape(&self, shard: usize) -> Result<(), ClientError> {
-        let transport = self.dial(shard)?;
-        let mut client = Client::from_stream(transport);
-        let text = client.stats(StatsFormat::Json)?;
-        let epoch = client.last_epoch();
+        let (text, epoch) = self.with_link(shard, Reuse::Kept, &UNTRACED, None, |c| {
+            Ok((c.stats(StatsFormat::Json)?, c.last_epoch()))
+        })?;
         let rows = parse_rows_gauge(&text).ok_or(ClientError::Unexpected(
             "shard stats missing bix_index_rows gauge",
         ))?;
@@ -414,7 +613,8 @@ impl RouterInner {
                 Some(id) => trace.child(u64::from(id.raw())),
                 None => trace,
             };
-            let outcome = self.exchange(shard, req, domain, budget_ms, leg_trace);
+            let outcome =
+                self.exchange(shard, req, domain, budget_ms, leg_trace, tracer, attempt_id);
             match outcome {
                 Ok((reply, epoch, spans)) => {
                     if let Some(id) = attempt_id {
@@ -527,39 +727,42 @@ impl RouterInner {
             }
             let rows: Vec<u64> = (0..n).map(|i| self.supervisor.rows(i)).collect();
 
-            // Parallel legs: one thread per admitted shard. Each epoch
-            // round is its own span so re-fans after a stale reply are
-            // visible in the trace, not silently folded into one.
+            // Parallel legs: the last admitted shard's leg runs on this
+            // thread, every other one on its own. Each epoch round is
+            // its own span so re-fans after a stale reply are visible in
+            // the trace, not silently folded into one.
             let round_span = tracer.span(&format!("round {epoch_round}"), fanout_span.id());
             let round_id = round_span.id();
             let trace = meta.trace;
-            let mut outcomes: Vec<Option<LegOutcome>> = Vec::new();
-            for _ in 0..n {
-                outcomes.push(None);
-            }
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (i, slot) in outcomes.iter_mut().enumerate() {
-                    if !self.supervisor.admit(i) {
-                        *slot = Some(LegOutcome::Missing(ShardFailure::Down));
-                        continue;
-                    }
-                    let expected_epoch = expected[i];
-                    handles.push(scope.spawn(move || {
-                        *slot = Some(self.run_leg(
-                            i,
-                            req,
-                            domain,
-                            deadline,
-                            expected_epoch,
-                            tracer,
-                            round_id,
-                            trace,
-                        ));
-                    }));
+            let mut outcomes: Vec<Option<LegOutcome>> = (0..n).map(|_| None).collect();
+            let mut legs = Vec::new();
+            for (i, slot) in outcomes.iter_mut().enumerate() {
+                if self.supervisor.admit(i) {
+                    legs.push((i, slot));
+                } else {
+                    *slot = Some(LegOutcome::Missing(ShardFailure::Down));
                 }
-                for h in handles {
-                    let _ = h.join();
+            }
+            let run = |i: usize| {
+                self.run_leg(
+                    i,
+                    req,
+                    domain,
+                    deadline,
+                    expected[i],
+                    tracer,
+                    round_id,
+                    trace,
+                )
+            };
+            let run = &run;
+            std::thread::scope(|scope| {
+                let inline = legs.pop();
+                for (i, slot) in legs {
+                    scope.spawn(move || *slot = Some(run(i)));
+                }
+                if let Some((i, slot)) = inline {
+                    *slot = Some(run(i));
                 }
             });
             for i in 0..n {
@@ -693,15 +896,10 @@ impl RouterInner {
                     let doc = if self.supervisor.state(i) == ShardState::Down {
                         "null".to_string()
                     } else {
-                        match self
-                            .dial(i)
-                            .map(Client::from_stream)
-                            .map_err(ClientError::from)
-                            .and_then(|mut c| c.stats(StatsFormat::Json))
-                        {
-                            Ok(text) => text,
-                            Err(_) => "null".to_string(),
-                        }
+                        self.with_link(i, Reuse::Kept, &UNTRACED, None, |c| {
+                            c.stats(StatsFormat::Json)
+                        })
+                        .unwrap_or_else(|_| "null".to_string())
                     };
                     shard_docs.push(doc);
                 }
@@ -724,15 +922,8 @@ impl RouterInner {
             let doc = if self.supervisor.state(i) == ShardState::Down {
                 "null".to_string()
             } else {
-                match self
-                    .dial(i)
-                    .map(Client::from_stream)
-                    .map_err(ClientError::from)
-                    .and_then(|mut c| c.slowlog())
-                {
-                    Ok(text) => text,
-                    Err(_) => "null".to_string(),
-                }
+                self.with_link(i, Reuse::Kept, &UNTRACED, None, |c| c.slowlog())
+                    .unwrap_or_else(|_| "null".to_string())
             };
             shard_docs.push(doc);
         }
@@ -747,8 +938,10 @@ impl RouterInner {
     /// end of the global row space, so the owning shard is always the
     /// final row range — earlier shards' row bases never move.
     ///
-    /// Exactly one attempt: ingest is not idempotent, and the router
-    /// must not double-apply a batch whose reply was lost. Transport
+    /// Exactly one attempt on a freshly dialled link: ingest is not
+    /// idempotent, and the router must not double-apply a batch whose
+    /// reply was lost — nor send one down a kept link that may have gone
+    /// stale, where it could not tell the two apart. Transport
     /// failures surface as `Unavailable`; typed shard errors (e.g.
     /// `Overloaded` while a merge catches up) pass through unchanged so
     /// the client can apply its own back-off.
@@ -765,11 +958,9 @@ impl RouterInner {
                 message: format!("ingest shard {shard} is down"),
             };
         }
-        let outcome = self
-            .dial(shard)
-            .map(Client::from_stream)
-            .map_err(ClientError::from)
-            .and_then(|mut c| c.ingest(values).map(|ack| (ack, c.last_epoch())));
+        let outcome = self.with_link(shard, Reuse::Fresh, &UNTRACED, None, |c| {
+            c.ingest(values).map(|ack| (ack, c.last_epoch()))
+        });
         match outcome {
             Ok((ack, epoch)) => {
                 self.supervisor.record_success(shard, epoch, ack.total_rows);
@@ -809,11 +1000,9 @@ impl RouterInner {
     /// prober *is* the half-open probe), refreshing breaker state.
     fn health_sweep(&self) {
         for i in 0..self.shard_count() {
-            let ok = self
-                .dial(i)
-                .map(Client::from_stream)
-                .map_err(ClientError::from)
-                .and_then(|mut c| c.ping().map(|()| c.last_epoch()));
+            let ok = self.with_link(i, Reuse::Kept, &UNTRACED, None, |c| {
+                c.ping().map(|()| c.last_epoch())
+            });
             match ok {
                 Ok(epoch) => {
                     let known = self.supervisor.epoch(i);
@@ -927,6 +1116,7 @@ impl Router {
             config.slow_log_capacity,
             config.slow_threshold_ms.saturating_mul(1_000_000),
         );
+        let links = shard_addrs.iter().map(|_| Mutex::default()).collect();
         let inner = Arc::new(RouterInner {
             addrs: shard_addrs,
             config,
@@ -934,6 +1124,7 @@ impl Router {
             registry,
             metrics,
             dialer,
+            links,
             stop: AtomicBool::new(false),
             epoch_sum: AtomicU64::new(0),
             slow,
@@ -1192,6 +1383,67 @@ mod tests {
         let merged = merge_replies(2, &shards);
         assert_eq!(merged[0].rows, vec![3]);
         assert_eq!(merged[1].rows, vec![4, 5]);
+    }
+
+    fn memory_link() -> Link {
+        Link::new(Box::new(io::Cursor::new(Vec::new())))
+    }
+
+    #[test]
+    fn keep_rule_keeps_one_idle_link_and_only_when_alone() {
+        let slot = Mutex::new(LinkSlot::default());
+        let (a, idle_a) = Claim::take(&slot);
+        let (b, idle_b) = Claim::take(&slot);
+        assert!(idle_a.is_none() && idle_b.is_none());
+        a.release(memory_link());
+        assert!(lock(&slot).idle.is_none(), "another exchange was in flight");
+        b.release(memory_link());
+        assert!(
+            lock(&slot).idle.is_some(),
+            "the last exchange keeps its link"
+        );
+        assert_eq!(lock(&slot).in_flight, 0);
+
+        let (c, kept) = Claim::take(&slot);
+        assert!(kept.is_some(), "the next exchange takes the kept link");
+        assert!(lock(&slot).idle.is_none());
+        drop(c);
+        assert_eq!(lock(&slot).in_flight, 0);
+    }
+
+    #[test]
+    fn a_panicking_exchange_releases_its_claim() {
+        let slot = Mutex::new(LinkSlot::default());
+        let caught = std::panic::catch_unwind(|| {
+            let _claim = Claim::take(&slot);
+            panic!("exchange panicked");
+        });
+        assert!(caught.is_err());
+        assert_eq!(lock(&slot).in_flight, 0);
+    }
+
+    #[test]
+    fn only_a_link_that_never_answered_went_stale() {
+        let link = memory_link();
+        let eof = ClientError::Wire(WireError::Truncated);
+        let reset = ClientError::Io(io::Error::from(io::ErrorKind::ConnectionReset));
+        let draining = ClientError::Server {
+            code: ErrorCode::ShuttingDown,
+            message: String::new(),
+        };
+        assert!(link.went_stale(&eof) && link.went_stale(&reset) && link.went_stale(&draining));
+        let timeout = ClientError::Io(io::Error::from(io::ErrorKind::TimedOut));
+        assert!(
+            !link.went_stale(&timeout),
+            "a slow shard is not a stale link"
+        );
+        assert!(!link.went_stale(&ClientError::Wire(WireError::CrcMismatch)));
+
+        link.replied.store(true, Ordering::Relaxed);
+        assert!(
+            !link.went_stale(&eof) && !link.went_stale(&reset),
+            "a link that died mid-reply is a real failure"
+        );
     }
 
     #[test]

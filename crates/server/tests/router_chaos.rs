@@ -1,5 +1,6 @@
 //! Chaos tests for the scatter-gather router: seeded network faults,
-//! shard death and restart mid-workload, and hot-reload epoch fencing.
+//! shard death and restart mid-workload, hot-reload epoch fencing, and
+//! the kept-link rule (reuse, stale links, one-worker shards, ingest).
 //!
 //! The invariants under test, in order of importance:
 //!
@@ -74,18 +75,7 @@ fn monolith_oracle(column: &[u64], predicates: &[String]) -> Vec<RowsReply> {
 
 /// Starts one real TCP server per contiguous row slice.
 fn start_shards(column: &[u64], bounds: &[usize]) -> Vec<Server> {
-    bounds
-        .windows(2)
-        .enumerate()
-        .map(|(i, w)| {
-            let config = ServerConfig {
-                shard_id: i as u16,
-                ..ServerConfig::default()
-            };
-            Server::start(build_index(&column[w[0]..w[1]]), "127.0.0.1:0", config)
-                .expect("bind shard")
-        })
-        .collect()
+    start_shards_with(column, bounds, ServerConfig::default())
 }
 
 fn router_config() -> RouterConfig {
@@ -121,6 +111,65 @@ fn assert_bit_identical(got: &[RowsReply], want: &[RowsReply]) {
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
         assert_eq!(g.rows, w.rows, "predicate {i} rows diverge");
     }
+}
+
+/// One counter or gauge from the router's own registry.
+fn metric(router: &Router, name: &str) -> f64 {
+    let text = match router.handle(
+        Request::Stats(bix_server::StatsFormat::Prometheus),
+        &RequestMeta::default(),
+    ) {
+        Response::Stats { text } => text,
+        other => panic!("stats failed: {other:?}"),
+    };
+    text.lines()
+        .find(|l| l.split_whitespace().next() == Some(name))
+        .and_then(|l| l.split_whitespace().last())
+        .and_then(|v| v.parse::<f64>().ok())
+        .unwrap_or_else(|| panic!("{name} missing from router stats"))
+}
+
+/// Starts one shard server per contiguous row slice, each with
+/// `config` (its shard id filled in).
+fn start_shards_with(column: &[u64], bounds: &[usize], config: ServerConfig) -> Vec<Server> {
+    bounds
+        .windows(2)
+        .enumerate()
+        .map(|(i, w)| {
+            let config = ServerConfig {
+                shard_id: i as u16,
+                ..config.clone()
+            };
+            Server::start(build_index(&column[w[0]..w[1]]), "127.0.0.1:0", config)
+                .expect("bind shard")
+        })
+        .collect()
+}
+
+/// Waits until `shard` serves no connection: its `read_timeout` ran
+/// out on the idle link the router kept.
+fn wait_until_idle_closed(shard: &Server) {
+    let inflight = shard.registry().gauge("bix_server_inflight", "");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while inflight.get() > 0.0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "shard never closed its idle connection"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Plain TCP shard links, counting dials per shard in `dials`.
+fn counting_dialer(dials: Arc<Vec<AtomicU64>>) -> bix_server::router::ShardDialer {
+    Arc::new(move |shard, addr: &str| {
+        dials[shard].fetch_add(1, Ordering::Relaxed);
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(Duration::from_millis(500)))?;
+        stream.set_write_timeout(Some(Duration::from_millis(500)))?;
+        Ok(Box::new(stream) as Box<dyn bix_server::router::Transport>)
+    })
 }
 
 /// Every shard link's first few connections run through a seeded
@@ -304,27 +353,26 @@ fn mid_stream_connection_death_is_retried_not_merged() {
     let shards = start_shards(&column, &bounds);
     let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
 
-    // Shard 1's first post-startup connection dies mid-reply (the
-    // truncation lands inside the batch response). The router must
-    // treat the half-delivered reply as line noise and retry on a
-    // fresh connection, not merge what it got.
+    // Shard 1's link dies mid-reply under the batch (the truncation
+    // lands inside the batch response). The router keeps the link its
+    // startup shape learning opened, so the batch's reply is frame 1 of
+    // shard 1's first link (frame 0 is the shape reply; the prober is
+    // off). The router must treat the half-delivered reply as line
+    // noise and retry on another connection, not merge what it got.
     let dials = Arc::new(AtomicU64::new(0));
     let dialer: bix_server::router::ShardDialer = Arc::new(move |shard, addr: &str| {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(Duration::from_millis(500)))?;
         stream.set_write_timeout(Some(Duration::from_millis(500)))?;
-        if shard == 1 {
-            let nth = dials.fetch_add(1, Ordering::Relaxed);
-            // Dial 0 is shape learning; dial 1 carries the batch.
-            if nth == 1 {
-                let plan = NetFaultPlan::new().fault(
-                    bix_server::Direction::Recv,
-                    0,
-                    bix_server::NetFault::Truncate,
-                );
-                return Ok(Box::new(FaultyStream::new(stream, plan))
-                    as Box<dyn bix_server::router::Transport>);
-            }
+        if shard == 1 && dials.fetch_add(1, Ordering::Relaxed) == 0 {
+            let plan = NetFaultPlan::new().fault(
+                bix_server::Direction::Recv,
+                1,
+                bix_server::NetFault::Truncate,
+            );
+            return Ok(
+                Box::new(FaultyStream::new(stream, plan)) as Box<dyn bix_server::router::Transport>
+            );
         }
         Ok(Box::new(stream))
     });
@@ -334,6 +382,10 @@ fn mid_stream_connection_death_is_retried_not_merged() {
         Response::BatchRows(replies) => assert_bit_identical(&replies, &oracle),
         other => panic!("mid-stream death must be survived by retry: {other:?}"),
     }
+    assert!(
+        metric(&router, "bix_route_shard_1_retries_total") >= 1.0,
+        "the truncated reply must have been retried"
+    );
 
     for shard in shards {
         shard.shutdown();
@@ -379,19 +431,7 @@ fn hot_reload_mid_workload_is_fenced_and_survived() {
         Response::BatchRows(replies) => assert_bit_identical(&replies, &oracle),
         other => panic!("post-reload fan-out failed: {other:?}"),
     }
-    let stats = match router.handle(
-        Request::Stats(bix_server::StatsFormat::Prometheus),
-        &RequestMeta::default(),
-    ) {
-        Response::Stats { text } => text,
-        other => panic!("stats failed: {other:?}"),
-    };
-    let fenced = stats
-        .lines()
-        .find(|l| l.starts_with("bix_route_stale_epoch_retries_total"))
-        .and_then(|l| l.split_whitespace().last())
-        .and_then(|v| v.parse::<f64>().ok())
-        .expect("stale-epoch counter present");
+    let fenced = metric(&router, "bix_route_stale_epoch_retries_total");
     assert!(
         fenced >= 1.0,
         "the stale reply must have been fenced, not merged"
@@ -494,6 +534,246 @@ fn health_probe_before_startup_learning_keeps_row_bases_correct() {
         }
         other => panic!("ingest through the router failed: {other:?}"),
     }
+
+    for shard in shards {
+        shard.shutdown();
+    }
+}
+
+#[test]
+fn sequential_batches_reuse_one_kept_link_per_shard() {
+    let column = corpus();
+    let predicates = batch();
+    let oracle = monolith_oracle(&column, &predicates);
+    let bounds = [0, 2_000, 4_000, ROWS];
+    let shards = start_shards(&column, &bounds);
+    let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
+    let dials: Arc<Vec<AtomicU64>> = Arc::new((0..3).map(|_| AtomicU64::new(0)).collect());
+    let router = Router::with_dialer(addrs, router_config(), counting_dialer(Arc::clone(&dials)));
+    let learned: Vec<u64> = dials.iter().map(|d| d.load(Ordering::Relaxed)).collect();
+    assert_eq!(
+        learned,
+        vec![1, 1, 1],
+        "startup learning dials each shard once"
+    );
+
+    for _ in 0..50 {
+        match run_batch(&router, &predicates, false) {
+            Response::BatchRows(replies) => assert_bit_identical(&replies, &oracle),
+            other => panic!("batch failed: {other:?}"),
+        }
+    }
+    for (i, d) in dials.iter().enumerate() {
+        let n = d.load(Ordering::Relaxed);
+        assert!(
+            n <= learned[i] + 1,
+            "shard {i}: 50 sequential batches dialled {} times",
+            n - learned[i]
+        );
+        let counted = metric(&router, &format!("bix_route_shard_{i}_dials_total"));
+        assert_eq!(counted, n as f64, "shard {i}: dials counter");
+    }
+
+    for shard in shards {
+        shard.shutdown();
+    }
+}
+
+#[test]
+fn a_link_the_shard_idled_out_is_redialled_without_a_retry() {
+    let column = corpus();
+    let predicates = batch();
+    let oracle = monolith_oracle(&column, &predicates);
+    let bounds = [0, 3_000, ROWS];
+    let shards = start_shards_with(
+        &column,
+        &bounds,
+        ServerConfig {
+            read_timeout: Duration::from_millis(100),
+            ..ServerConfig::default()
+        },
+    );
+    let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
+    let router = Router::new(addrs, router_config());
+    match run_batch(&router, &predicates, false) {
+        Response::BatchRows(replies) => assert_bit_identical(&replies, &oracle),
+        other => panic!("baseline failed: {other:?}"),
+    }
+
+    let counters = |router: &Router| -> Vec<f64> {
+        (0..2)
+            .flat_map(|i| {
+                ["retries_total", "failures_total", "breaker_state"]
+                    .map(|m| metric(router, &format!("bix_route_shard_{i}_{m}")))
+            })
+            .collect()
+    };
+    let dialled = |router: &Router| -> Vec<f64> {
+        (0..2)
+            .map(|i| metric(router, &format!("bix_route_shard_{i}_dials_total")))
+            .collect()
+    };
+    let before = counters(&router);
+    let dials_before = dialled(&router);
+
+    // Both shards close the kept links once they idle past 100 ms.
+    for shard in &shards {
+        wait_until_idle_closed(shard);
+    }
+    match run_batch(&router, &predicates, false) {
+        Response::BatchRows(replies) => assert_bit_identical(&replies, &oracle),
+        other => panic!("batch over stale links failed: {other:?}"),
+    }
+    assert_eq!(
+        counters(&router),
+        before,
+        "a stale kept link is not a retry, a failure or a breaker event"
+    );
+    let dials_after = dialled(&router);
+    for i in 0..2 {
+        assert_eq!(
+            dials_after[i],
+            dials_before[i] + 1.0,
+            "shard {i}: the stale link is redialled exactly once"
+        );
+    }
+
+    for shard in shards {
+        shard.shutdown();
+    }
+}
+
+#[test]
+fn kept_links_never_starve_a_one_worker_shard() {
+    let column = corpus();
+    let predicates = batch();
+    let oracle = monolith_oracle(&column, &predicates);
+    let bounds = [0, 3_000, ROWS];
+    let shards = start_shards_with(
+        &column,
+        &bounds,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
+    let config = router_config();
+    let io_timeout = config.io_timeout;
+    let router = Router::new(addrs, config);
+
+    const THREADS: usize = 4;
+    const PER_THREAD: usize = 8;
+    let start = std::sync::Barrier::new(THREADS);
+    let started = std::time::Instant::now();
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..PER_THREAD {
+                        match run_batch(&router, &predicates, false) {
+                            Response::BatchRows(replies) => assert_bit_identical(&replies, &oracle),
+                            other => panic!("concurrent batch failed: {other:?}"),
+                        }
+                    }
+                })
+            })
+            .collect();
+        // The prober's pings interleave with the client traffic.
+        while !clients.iter().all(|c| c.is_finished()) {
+            router.health_sweep();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        for c in clients {
+            c.join().expect("client thread");
+        }
+    });
+    let elapsed = started.elapsed();
+
+    for i in 0..2 {
+        assert_eq!(
+            metric(&router, &format!("bix_route_shard_{i}_timeouts_total")),
+            0.0,
+            "shard {i}: a leg waited out io_timeout behind a kept link"
+        );
+    }
+    let requests = (THREADS * PER_THREAD) as u32;
+    assert!(
+        elapsed < io_timeout * requests / 4,
+        "{requests} requests took {elapsed:?}"
+    );
+
+    for shard in shards {
+        shard.shutdown();
+    }
+}
+
+#[test]
+fn ingest_past_a_stale_link_applies_each_batch_once() {
+    let column = corpus();
+    let predicates = batch();
+    let bounds = [0, 3_000, ROWS];
+    let shards = start_shards_with(
+        &column,
+        &bounds,
+        ServerConfig {
+            read_timeout: Duration::from_millis(100),
+            ..ServerConfig::default()
+        },
+    );
+    let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
+    let router = Router::new(addrs, router_config());
+    match run_batch(&router, &predicates, false) {
+        Response::BatchRows(replies) => {
+            assert_bit_identical(&replies, &monolith_oracle(&column, &predicates))
+        }
+        other => panic!("baseline failed: {other:?}"),
+    }
+
+    let mut grown = column.clone();
+    for (batch, idle_out) in [
+        (vec![3u64, 5, 7], true),
+        (vec![0, 23], false),
+        (vec![11; 4], true),
+    ] {
+        if idle_out {
+            // The tail shard idles out the link the last exchange kept.
+            wait_until_idle_closed(&shards[1]);
+        }
+        let dials = metric(&router, "bix_route_shard_1_dials_total");
+        grown.extend_from_slice(&batch);
+        match router.handle(
+            Request::Ingest {
+                values: batch.clone(),
+            },
+            &RequestMeta::default(),
+        ) {
+            Response::Ingested {
+                appended,
+                delta_rows,
+                total_rows,
+            } => {
+                assert_eq!(appended, batch.len() as u64);
+                assert_eq!(delta_rows, (grown.len() - ROWS) as u64);
+                assert_eq!(total_rows, grown.len() as u64);
+            }
+            other => panic!("ingest failed: {other:?}"),
+        }
+        assert_eq!(
+            metric(&router, "bix_route_shard_1_dials_total"),
+            dials + 1.0,
+            "ingest dials one fresh link, stale kept link or not"
+        );
+    }
+    match run_batch(&router, &predicates, false) {
+        Response::BatchRows(replies) => {
+            assert_bit_identical(&replies, &monolith_oracle(&grown, &predicates))
+        }
+        other => panic!("batch after ingest failed: {other:?}"),
+    }
+    assert_eq!(metric(&router, "bix_route_shard_1_retries_total"), 0.0);
+    assert_eq!(metric(&router, "bix_route_shard_1_failures_total"), 0.0);
 
     for shard in shards {
         shard.shutdown();

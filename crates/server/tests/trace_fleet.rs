@@ -220,9 +220,11 @@ fn retry_attempts_appear_as_spans_under_fault_injection() {
     let shards = start_shards(&column, &bounds);
     let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
 
-    // Shard 1's first leg-carrying dial dies through a FaultyStream
-    // (dial 0 is the router's startup shape probe); the retry must land
-    // and the failed attempt must stay visible in the trace.
+    // Shard 1's link dies mid-reply under the query's leg. The router
+    // keeps the link its startup shape probe opened (that probe's reply
+    // is frame 0; the prober is off), so frame 1 of shard 1's first link
+    // is the leg's reply. The retry must land and the failed attempt
+    // must stay visible in the trace.
     let dials = Arc::new(AtomicU64::new(0));
     let dialer: bix_server::router::ShardDialer = Arc::new(move |shard, addr: &str| {
         let stream = TcpStream::connect(addr)?;
@@ -230,10 +232,10 @@ fn retry_attempts_appear_as_spans_under_fault_injection() {
         stream.set_write_timeout(Some(Duration::from_millis(500)))?;
         if shard == 1 {
             let nth = dials.fetch_add(1, Ordering::Relaxed);
-            if nth == 1 {
+            if nth == 0 {
                 let plan = NetFaultPlan::new().fault(
                     bix_server::Direction::Recv,
-                    0,
+                    1,
                     bix_server::NetFault::Truncate,
                 );
                 return Ok(Box::new(FaultyStream::new(stream, plan))
@@ -330,17 +332,32 @@ fn dial_errors_are_traced_attempts() {
     let shards = start_shards(&column, &bounds);
     let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
 
+    // Shard 0's kept link (opened by the startup shape probe, whose
+    // reply is frame 0) dies mid-reply under the query's leg, and the
+    // next dial — the leg's retry — is refused at the socket layer.
     let dials = Arc::new(AtomicU64::new(0));
     let dialer: bix_server::router::ShardDialer = Arc::new(move |shard, addr: &str| {
-        if shard == 0 {
-            let nth = dials.fetch_add(1, Ordering::Relaxed);
-            if nth == 1 {
-                return Err(io::Error::new(io::ErrorKind::ConnectionRefused, "injected"));
-            }
+        let nth = if shard == 0 {
+            dials.fetch_add(1, Ordering::Relaxed)
+        } else {
+            u64::MAX
+        };
+        if nth == 1 {
+            return Err(io::Error::new(io::ErrorKind::ConnectionRefused, "injected"));
         }
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(Duration::from_millis(500)))?;
         stream.set_write_timeout(Some(Duration::from_millis(500)))?;
+        if nth == 0 {
+            let plan = NetFaultPlan::new().fault(
+                bix_server::Direction::Recv,
+                1,
+                bix_server::NetFault::Truncate,
+            );
+            return Ok(
+                Box::new(FaultyStream::new(stream, plan)) as Box<dyn bix_server::router::Transport>
+            );
+        }
         Ok(Box::new(stream) as Box<dyn bix_server::router::Transport>)
     });
     let router = Router::with_dialer(addrs, router_config(), dialer);
@@ -376,6 +393,26 @@ fn dial_errors_are_traced_attempts() {
     assert!(
         attempts >= 2,
         "refused dial must surface as a failed attempt span, got {attempts}"
+    );
+    // The refusal is its own failed attempt: its error names the
+    // injected refusal, and the `dial` span under it carries the error.
+    let refused = |i: usize, s: &SpanRecord, prefix: &str| {
+        s.name.starts_with(prefix)
+            && has_ancestor(&spans, i, "leg shard=0")
+            && s.attrs
+                .iter()
+                .any(|(k, v)| k == "error" && v.contains("injected"))
+    };
+    assert!(
+        spans
+            .iter()
+            .enumerate()
+            .any(|(i, s)| refused(i, s, "attempt")),
+        "an attempt must fail with the refused dial's error"
+    );
+    assert!(
+        spans.iter().enumerate().any(|(i, s)| refused(i, s, "dial")),
+        "the refused dial must be a `dial` span carrying its error"
     );
 
     for shard in shards {
