@@ -79,7 +79,12 @@
 //!
 //! The encoder picks, section by section, whichever layout has fewer
 //! bytes ([`rows_wire_len`]); a dense answer ships as the bitmap it is,
-//! about one bit per row of its window instead of 64. The decoder takes
+//! about one bit per row of its window instead of 64. A server's own
+//! answers ([`Response::Bitmaps`]) are encoded straight from the fold's
+//! result bitmap: the window is its words between the first and last
+//! set words, shifted down to the first row, and a list is written by
+//! `trailing_zeros` — the same bytes a [`RowsReply`] of those rows
+//! encodes to, with no row id materialised. The decoder takes
 //! the layout from the frame's own flags, never from connection state.
 //! It bounds a window by the remaining payload before allocating and
 //! rejects, typed, a window whose end overflows `u64`, one that does not
@@ -98,7 +103,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use bix_core::EvalDomain;
+use bix_core::{Bitvec, EvalDomain};
 use bix_storage::crc32;
 use bix_telemetry::{SpanId, SpanRecord, TraceContext};
 
@@ -219,6 +224,20 @@ pub struct RowsReply {
     pub rows: Vec<u64>,
 }
 
+/// One selection answered as the fold left it: the result bitmap (bit
+/// `i` set when row `i` matches) and its cost summary. It goes out as
+/// exactly the row section of the [`RowsReply`] holding the bitmap's set
+/// rows, and a peer decodes it as that reply.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BitmapReply {
+    /// Bitmap scans charged to the query (the paper's cost metric).
+    pub scans: u64,
+    /// Compressed bitmaps materialised during evaluation.
+    pub decompressions: u64,
+    /// The matching rows.
+    pub bitmap: Bitvec,
+}
+
 /// A client-to-server message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -289,6 +308,17 @@ pub enum Response {
     Rows(RowsReply),
     /// Reply to [`Request::Batch`]; one entry per predicate, in order.
     BatchRows(Vec<RowsReply>),
+    /// A server's [`Response::Rows`] (`batch` false, exactly one reply)
+    /// or [`Response::BatchRows`] with every answer still its result
+    /// bitmap. It encodes byte for byte as that reply of the bitmaps' set
+    /// rows and decodes as it ([`Response::with_row_ids`]), so no peer
+    /// ever receives this variant.
+    Bitmaps {
+        /// Whether this answers a [`Request::Batch`].
+        batch: bool,
+        /// One answer per selection, in request order.
+        replies: Vec<BitmapReply>,
+    },
     /// Reply to [`Request::Stats`].
     Stats {
         /// Rendered metrics text in the requested format.
@@ -336,6 +366,32 @@ pub enum Response {
         /// Human-readable detail, bounded by the server.
         message: String,
     },
+}
+
+impl Response {
+    /// The response a peer decodes from this one's frame: a
+    /// [`Response::Bitmaps`] becomes the `Rows`/`BatchRows` of its set
+    /// rows; every other response is already what the peer sees.
+    pub fn with_row_ids(self) -> Response {
+        match self {
+            Response::Bitmaps { batch, replies } => {
+                let mut rows: Vec<RowsReply> = replies
+                    .into_iter()
+                    .map(|r| RowsReply {
+                        scans: r.scans,
+                        decompressions: r.decompressions,
+                        rows: r.bitmap.ones().map(|p| p as u64).collect(),
+                    })
+                    .collect();
+                if batch {
+                    return Response::BatchRows(rows);
+                }
+                assert_eq!(rows.len(), 1, "a single-selection reply holds one answer");
+                Response::Rows(rows.pop().expect("one answer"))
+            }
+            other => other,
+        }
+    }
 }
 
 /// Either direction of the protocol.
@@ -597,8 +653,8 @@ fn packs_smaller(count: u64, first: u64, last: u64) -> bool {
 /// `first` to `last` (both ignored when `count` is 0): the 24-byte
 /// header and the `u64` list, or, on a frame carrying
 /// [`FLAG_PACKED_ROWS`], a layout tag and the smaller of the list and
-/// the packed window. The encoder picks its layout by this count, and a
-/// server prices a reply by it before materialising a single row id.
+/// the packed window. The encoder picks its layout by this count, and
+/// `bitmap_wire_len` prices a server's bitmap reply by it.
 pub fn rows_wire_len(count: u64, first: u64, last: u64, packed: bool) -> u64 {
     let list = count.saturating_mul(8);
     match (packed, packs_smaller(count, first, last)) {
@@ -650,6 +706,94 @@ fn put_window(out: &mut Vec<u8>, rows: &[u64]) -> bool {
         window[(off / 8) as usize] |= 1 << (off % 8);
     }
     true
+}
+
+/// Where a bitmap's set rows lie: its first and last non-zero words
+/// (`lo`, `hi`) and its first and last set rows.
+struct Extent {
+    lo: usize,
+    hi: usize,
+    first: u64,
+    last: u64,
+}
+
+/// The [`Extent`] of the bitmap `words`, or `None` when no bit is set.
+/// The bitmap encoder and [`bitmap_wire_len`] both start from it, so a
+/// server's pricing and the frame it sends cannot disagree.
+fn extent(words: &[u64]) -> Option<Extent> {
+    let lo = words.iter().position(|&w| w != 0)?;
+    let hi = words.iter().rposition(|&w| w != 0)?;
+    Some(Extent {
+        lo,
+        hi,
+        first: lo as u64 * 64 + u64::from(words[lo].trailing_zeros()),
+        last: hi as u64 * 64 + 63 - u64::from(words[hi].leading_zeros()),
+    })
+}
+
+/// Wire bytes of the row section answering with the `count` set rows of
+/// the bitmap `words` ([`rows_wire_len`] of its extent), without
+/// materialising a row id.
+pub(crate) fn bitmap_wire_len(words: &[u64], count: u64, packed: bool) -> u64 {
+    match extent(words) {
+        Some(e) => rows_wire_len(count, e.first, e.last, packed),
+        None => rows_wire_len(0, 0, 0, packed),
+    }
+}
+
+/// Appends the row section of `r`, byte for byte what [`encode_rows`]
+/// appends for the [`RowsReply`] of its set rows, straight from the
+/// bitmap's words: a packed window is those words from the first set
+/// one, shifted down by `first % 64` a `u64` at a time; a list is each
+/// word's set bits by `trailing_zeros`.
+fn encode_bitmap(out: &mut Vec<u8>, r: &BitmapReply, packed: bool) {
+    let words = r.bitmap.words();
+    let count = r.bitmap.count_ones() as u64;
+    let extent = extent(words);
+    out.reserve(bitmap_wire_len(words, count, packed) as usize);
+    put_u64(out, r.scans);
+    put_u64(out, r.decompressions);
+    put_u64(out, count);
+    let Some(Extent {
+        lo,
+        hi,
+        first,
+        last,
+    }) = extent
+    else {
+        if packed {
+            out.push(ROWS_LIST);
+        }
+        return;
+    };
+    let set = &words[lo..=hi];
+    if packed {
+        if packs_smaller(count, first, last) {
+            out.push(ROWS_PACKED);
+            put_u64(out, first);
+            put_u64(out, last - first);
+            // The window's word k is bits `first % 64..` of `set[k]` and
+            // the low bits of `set[k + 1]`; it never reads past `hi`.
+            let shift = first % 64;
+            for k in 0..=((last - first) / 64) as usize {
+                let above = match set.get(k + 1) {
+                    Some(&next) if shift > 0 => next << (64 - shift),
+                    _ => 0,
+                };
+                put_u64(out, set[k] >> shift | above);
+            }
+            return;
+        }
+        out.push(ROWS_LIST);
+    }
+    for (i, &word) in set.iter().enumerate() {
+        let base = (lo + i) as u64 * 64;
+        let mut w = word;
+        while w != 0 {
+            put_u64(out, base + u64::from(w.trailing_zeros()));
+            w &= w - 1;
+        }
+    }
 }
 
 /// Decodes one row section; `packed` is whether the frame carries
@@ -749,6 +893,8 @@ impl Message {
             Message::Response(Response::Pong) => KIND_PONG,
             Message::Response(Response::Rows(_)) => KIND_ROWS,
             Message::Response(Response::BatchRows(_)) => KIND_BATCH_ROWS,
+            Message::Response(Response::Bitmaps { batch: false, .. }) => KIND_ROWS,
+            Message::Response(Response::Bitmaps { batch: true, .. }) => KIND_BATCH_ROWS,
             Message::Response(Response::Stats { .. }) => KIND_STATS_REPLY,
             Message::Response(Response::Ok) => KIND_OK,
             Message::Response(Response::Degraded { .. }) => KIND_DEGRADED,
@@ -820,6 +966,14 @@ impl Message {
                 put_u32(out, all.len() as u32);
                 for rows in all {
                     encode_rows(out, rows, packed);
+                }
+            }
+            Message::Response(Response::Bitmaps { batch, replies }) => {
+                if *batch {
+                    put_u32(out, replies.len() as u32);
+                }
+                for r in replies {
+                    encode_bitmap(out, r, packed);
                 }
             }
             Message::Response(Response::Stats { text }) => {
@@ -1989,6 +2143,132 @@ mod tests {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0x10;
             assert!(decode_frame(&corrupt).is_err(), "flip at {pos}");
+        }
+    }
+
+    /// Asserts that `bitmap` sent as a [`Response::Bitmaps`] is the very
+    /// frame of the `Rows`/`BatchRows` of its set rows, under both flag
+    /// states, and decodes to [`Response::with_row_ids`] of itself.
+    fn assert_sent_as_its_ids(bitmap: &Bitvec) {
+        let rows: Vec<u64> = bitmap.ones().map(|p| p as u64).collect();
+        let reply = |bitmap: &Bitvec| BitmapReply {
+            scans: 3,
+            decompressions: 1,
+            bitmap: bitmap.clone(),
+        };
+        let empty = Bitvec::zeros(0);
+        for flags in [0, FLAG_PACKED_ROWS] {
+            let frame = |msg| Frame {
+                flags,
+                ..Frame::new(31, Message::Response(msg))
+            };
+            for (sent, ids) in [
+                (
+                    Response::Bitmaps {
+                        batch: false,
+                        replies: vec![reply(bitmap)],
+                    },
+                    Response::Rows(rows_of(&rows)),
+                ),
+                (
+                    Response::Bitmaps {
+                        batch: true,
+                        replies: vec![reply(bitmap), reply(&empty), reply(bitmap)],
+                    },
+                    Response::BatchRows(vec![rows_of(&rows), rows_of(&[]), rows_of(&rows)]),
+                ),
+            ] {
+                let bytes = encode_frame(&frame(sent.clone()));
+                assert_eq!(
+                    bytes,
+                    encode_frame(&frame(ids.clone())),
+                    "{} rows of {}, flags {flags}",
+                    rows.len(),
+                    bitmap.len()
+                );
+                let (got, _) = decode_frame(&bytes).expect("a bitmap reply decodes");
+                assert_eq!(got.msg, Message::Response(ids));
+                assert_eq!(got.msg, Message::Response(sent.with_row_ids()));
+            }
+            let priced = bitmap_wire_len(bitmap.words(), rows.len() as u64, flags != 0);
+            assert_eq!(
+                priced,
+                section(&encode_frame(&rows_frame(&rows, flags != 0))).len() as u64
+            );
+        }
+    }
+
+    fn bitmap_of(len: usize, rows: impl IntoIterator<Item = usize>) -> Bitvec {
+        let mut bitmap = Bitvec::zeros(len);
+        for row in rows {
+            bitmap.set(row, true);
+        }
+        bitmap
+    }
+
+    #[test]
+    fn bitmap_replies_at_the_edges_are_sent_as_their_ids() {
+        let len = 1_000;
+        let mut cases = vec![Bitvec::zeros(0), Bitvec::zeros(len), Bitvec::ones_vec(len)];
+        // One bit at the edges of the first words and at the last row.
+        for row in [0, 63, 64, len - 1] {
+            cases.push(bitmap_of(len, [row]));
+        }
+        // First row on and off a word boundary, dense enough to pack.
+        for first in [0, 64, 128, 1, 65, 127] {
+            cases.push(bitmap_of(len, first..first + 300));
+            cases.push(bitmap_of(len, (first..len).step_by(3)));
+        }
+        // All-ones words inside a window, and spans ending mid-word.
+        cases.push(bitmap_of(len, (64..256).chain([700])));
+        for end in [65, 100, 127, 128, 129, 999] {
+            cases.push(bitmap_of(len, 30..end));
+        }
+        // Lists that tie the window (`count` = window words + 2) go out
+        // as lists; one row more packs.
+        cases.push(bitmap_of(len, [0, 1, 2]));
+        cases.push(bitmap_of(len, [10, 20, 30, 100]));
+        cases.push(bitmap_of(len, [10, 20, 30, 40, 100]));
+        for bitmap in &cases {
+            assert_sent_as_its_ids(bitmap);
+        }
+        let tie = section(&encode_frame(&rows_frame(&[10, 20, 30, 100], true)))[24];
+        assert_eq!(tie, ROWS_LIST);
+        let packs = section(&encode_frame(&rows_frame(&[10, 20, 30, 40, 100], true)))[24];
+        assert_eq!(packs, ROWS_PACKED);
+    }
+
+    /// One word of a random bitmap: empty, full, one bit, sparse or
+    /// half full.
+    fn arb_word() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            Just(u64::MAX),
+            (0u32..64).prop_map(|bit| 1u64 << bit),
+            (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(a, b, c)| a & b & c),
+            any::<u64>(),
+        ]
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn random_bitmap_replies_are_sent_as_their_ids(
+            words in prop::collection::vec(arb_word(), 0..48),
+            cut in 0usize..64,
+        ) {
+            // A length anywhere in the last word; bits past it cleared.
+            let len = (words.len() * 64).saturating_sub(cut);
+            let mut words = words;
+            if let Some(last) = words.last_mut() {
+                if len % 64 != 0 {
+                    *last &= (1u64 << (len % 64)) - 1;
+                }
+            }
+            assert_sent_as_its_ids(&Bitvec::from_words(len, words));
         }
     }
 }

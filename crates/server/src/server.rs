@@ -59,8 +59,8 @@ use bix_telemetry::{
 };
 
 use crate::protocol::{
-    read_frame, rows_wire_len, write_frame, ErrorCode, Frame, Message, Request, Response,
-    RowsReply, StatsFormat, WireError, FLAG_ALLOW_DEGRADED, FLAG_PACKED_ROWS,
+    bitmap_wire_len, read_frame, write_frame, BitmapReply, ErrorCode, Frame, Message, Request,
+    Response, StatsFormat, WireError, FLAG_ALLOW_DEGRADED, FLAG_PACKED_ROWS,
 };
 
 /// Tunables for [`Server::start`] / [`Server::serve`].
@@ -199,6 +199,7 @@ struct TransportMetrics {
     connections: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     inflight: Arc<Gauge>,
+    open: Arc<Gauge>,
     queue_wait_nanos: Arc<Histogram>,
     request_nanos: Arc<Histogram>,
 }
@@ -227,7 +228,11 @@ impl TransportMetrics {
                 "bix_server_queue_depth",
                 "Connections waiting in the admission queue",
             ),
-            inflight: registry.gauge("bix_server_inflight", "Connections currently being served"),
+            inflight: registry.gauge(
+                "bix_server_inflight",
+                "Requests currently being served (stats scrapes excluded)",
+            ),
+            open: registry.gauge("bix_server_connections", "Connections currently open"),
             queue_wait_nanos: registry.histogram(
                 "bix_server_queue_wait_nanos",
                 "Admission-queue wait per connection (ns)",
@@ -486,15 +491,9 @@ fn worker_loop(shared: &Shared) {
             refuse(stream, shared, ErrorCode::ShuttingDown, "server draining");
             continue;
         }
-        shared
-            .metrics
-            .inflight
-            .set(shared.metrics.inflight.get() + 1.0);
+        shared.metrics.open.add(1.0);
         serve_connection(stream, shared, queue_wait);
-        shared
-            .metrics
-            .inflight
-            .set((shared.metrics.inflight.get() - 1.0).max(0.0));
+        shared.metrics.open.add(-1.0);
     }
 }
 
@@ -590,10 +589,18 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, queue_wait: Duration
             }
         };
         let is_shutdown = matches!(request, Request::Shutdown);
+        // A scrape is not load: it would read itself in flight.
+        let load = !matches!(request, Request::Stats(_));
+        if load {
+            shared.metrics.inflight.add(1.0);
+        }
         // A panicking handler must not take its worker down with it:
         // nothing respawns workers, so answer `Internal` and go on.
         let handled =
             panic::catch_unwind(AssertUnwindSafe(|| shared.handler.handle(request, &meta)));
+        if load {
+            shared.metrics.inflight.add(-1.0);
+        }
         let reply = handled.unwrap_or_else(|payload| {
             shared.metrics.panics.inc();
             let what = payload
@@ -658,25 +665,13 @@ fn write_reply(stream: &mut TcpStream, shared: &Shared, frame: &Frame) {
     }
 }
 
-/// Most row ids one reply may materialise: twice what a list frame can
-/// carry, 128 MiB as `u64`s. A packed frame holds up to 64 ids per
-/// payload byte, so the frame cap alone no longer bounds them.
+/// Most rows one reply may carry: twice what a list frame can, 128 MiB
+/// as `u64`s. The server sends bitmaps and never materialises these
+/// ids, but every peer decodes a reply into a `Vec<u64>` of them — the
+/// `Client`, and a router for each shard leg — and a packed frame holds
+/// up to 64 ids per payload byte, so the frame cap alone does not bound
+/// that allocation.
 const MAX_REPLY_ROWS: u64 = 1 << 24;
-
-/// Wire bytes of the row section answering with the `count` set rows
-/// of the bitmap `words`, from its first and last set words, without
-/// materialising a row id.
-fn section_wire_len(words: &[u64], count: u64, packed: bool) -> u64 {
-    let (Some(lo), Some(hi)) = (
-        words.iter().position(|&w| w != 0),
-        words.iter().rposition(|&w| w != 0),
-    ) else {
-        return rows_wire_len(0, 0, 0, packed);
-    };
-    let first = lo as u64 * 64 + u64::from(words[lo].trailing_zeros());
-    let last = hi as u64 * 64 + 63 - u64::from(words[hi].leading_zeros());
-    rows_wire_len(count, first, last, packed)
-}
 
 /// The typed refusal of a request the served table's shape cannot take.
 fn bad_query(message: String) -> Response {
@@ -998,15 +993,15 @@ impl IndexHandler {
                 decompressions: r.decompressions as u64,
             });
         }
-        // Bound the reply before building it: its frame in the layout it
-        // will be sent in (each row section as `rows_wire_len` prices it,
-        // the frame 8), since a frame larger than MAX_PAYLOAD must surface
-        // as a typed error, not a panic; and the row ids it materialises,
-        // which a packed frame no longer bounds.
+        // Bound the reply before sending it: its frame in the layout it
+        // will be sent in (each row section as `bitmap_wire_len` prices
+        // it, the frame 8), since a frame larger than MAX_PAYLOAD must
+        // surface as a typed error, not a panic; and the row ids the peer
+        // will decode, which a packed frame no longer bounds.
         let reply_bytes: u64 = batch
             .results
             .iter()
-            .map(|r| section_wire_len(r.bitmap.words(), r.count(), meta.packed_rows))
+            .map(|r| bitmap_wire_len(r.bitmap.words(), r.count(), meta.packed_rows))
             .sum::<u64>()
             + 8;
         let reply_rows: u64 = batch.results.iter().map(|r| r.count()).sum();
@@ -1027,24 +1022,20 @@ impl IndexHandler {
                 message: format!("{why}; narrow the query, split the batch or ask for a count"),
             });
         }
-        let mut replies: Vec<RowsReply> = batch
+        self.metrics.rows_returned.add(reply_rows);
+        // The fold's own bitmaps go to the encoder; no row id is built.
+        let replies = batch
             .results
             .into_iter()
-            .map(|r| {
-                // One allocation of exactly the reply's ids.
-                let mut rows = Vec::with_capacity(r.bitmap.count_ones());
-                rows.extend(r.bitmap.ones().map(|p| p as u64));
-                self.metrics.rows_returned.add(rows.len() as u64);
-                RowsReply {
-                    scans: r.scans as u64,
-                    decompressions: r.decompressions as u64,
-                    rows,
-                }
+            .map(|r| BitmapReply {
+                scans: r.scans as u64,
+                decompressions: r.decompressions as u64,
+                bitmap: r.bitmap,
             })
             .collect();
-        Ok(match selection {
-            Selection::Predicates { batch: true, .. } => Response::BatchRows(replies),
-            _ => Response::Rows(replies.pop().expect("one selection, one reply")),
+        Ok(Response::Bitmaps {
+            batch: matches!(selection, Selection::Predicates { batch: true, .. }),
+            replies,
         })
     }
 
@@ -1324,7 +1315,7 @@ impl ServeHandler for IndexHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{HEADER_LEN, MAX_BATCH};
+    use crate::protocol::{RowsReply, HEADER_LEN, MAX_BATCH};
     use bix_core::{EncodingScheme, IndexConfig};
 
     #[test]
@@ -1502,7 +1493,7 @@ mod tests {
         // A v1 client: served up to the cap on the list size, refused
         // one predicate past it, as before packing existed.
         let v1 = RequestMeta::default();
-        served(handler.handle(batch(fits), &v1), fits);
+        served(handler.handle(batch(fits), &v1).with_row_ids(), fits);
         match handler.handle(batch(fits + 1), &v1) {
             Response::Error { code, message } => {
                 assert_eq!(code, ErrorCode::Internal);
@@ -1515,7 +1506,10 @@ mod tests {
             packed_rows: true,
             ..RequestMeta::default()
         };
-        let all = served(handler.handle(batch(MAX_BATCH), &packed), MAX_BATCH);
+        let all = served(
+            handler.handle(batch(MAX_BATCH), &packed).with_row_ids(),
+            MAX_BATCH,
+        );
         let frame = Frame {
             flags: FLAG_PACKED_ROWS,
             ..Frame::new(1, Message::Response(Response::BatchRows(all)))
@@ -1523,9 +1517,9 @@ mod tests {
         let bytes = crate::protocol::try_encode_frame(&frame).expect("packed reply fits");
         assert!(bytes.len() < 2 << 20, "{} bytes", bytes.len());
 
-        // Past MAX_REPLY_ROWS ids a packing client is refused too, before
-        // a row id is materialised: 4096 answers of 4,100 rows pack into
-        // 2.3 MB but would be 134 MB of ids.
+        // Past MAX_REPLY_ROWS rows a packing client is refused too: 4096
+        // answers of 4,100 rows pack into 2.3 MB, but its peer would
+        // decode them into 134 MB of ids.
         let n_rows = 4_100u64;
         assert!(u64::from(MAX_BATCH) * n_rows > MAX_REPLY_ROWS);
         let column: Vec<u64> = (0..n_rows).map(|i| i % 4).collect();
@@ -1558,36 +1552,193 @@ mod tests {
             }
             let rows: Vec<u64> = positions.iter().map(|&p| p as u64).collect();
             let count = rows.len() as u64;
+            let bitmap = bix_core::Bitvec::from_words(words.len() * 64, words.clone());
             for packed in [false, true] {
-                let frame = Frame {
+                let frame = |response| Frame {
                     flags: if packed { FLAG_PACKED_ROWS } else { 0 },
-                    ..Frame::new(
-                        1,
-                        Message::Response(Response::Rows(RowsReply {
-                            scans: 0,
-                            decompressions: 0,
-                            rows: rows.clone(),
-                        })),
-                    )
+                    ..Frame::new(1, Message::Response(response))
                 };
-                let encoded = crate::protocol::encode_frame(&frame);
+                let encoded = crate::protocol::encode_frame(&frame(Response::Rows(RowsReply {
+                    scans: 0,
+                    decompressions: 0,
+                    rows: rows.clone(),
+                })));
                 let header = if packed { HEADER_LEN + 12 } else { HEADER_LEN };
                 assert_eq!(
-                    section_wire_len(&words, count, packed),
+                    bitmap_wire_len(&words, count, packed),
                     (encoded.len() - header - 4) as u64,
                     "{count} rows, packed {packed}"
                 );
+                // The server's bitmap reply is that very frame.
+                let sent = crate::protocol::encode_frame(&frame(Response::Bitmaps {
+                    batch: false,
+                    replies: vec![BitmapReply {
+                        scans: 0,
+                        decompressions: 0,
+                        bitmap: bitmap.clone(),
+                    }],
+                }));
+                assert_eq!(sent, encoded, "{count} rows, packed {packed}");
             }
             // A v1 client is priced exactly as before: header plus list.
-            assert_eq!(section_wire_len(&words, count, false), 24 + 8 * count);
+            assert_eq!(bitmap_wire_len(&words, count, false), 24 + 8 * count);
         }
+    }
+
+    #[test]
+    fn a_live_reply_encodes_as_the_ids_the_in_process_evaluator_returns() {
+        use bix_core::{BufferPool, CodecKind, CostModel, EvalStrategy, Query};
+
+        // Sparse, dense, empty and full answers, off word boundaries.
+        let n_rows = 20_011u64;
+        let column: Vec<u64> = (0..n_rows).map(|i| (i * 7 + i / 13) % 40).collect();
+        let config =
+            IndexConfig::one_component(40, EncodingScheme::Interval).with_codec(CodecKind::Ewah);
+        let mut oracle = BitmapIndex::build(&column, &config);
+        let handler = IndexHandler::new(
+            BitmapIndex::build(&column, &config),
+            &ServerConfig::default(),
+        );
+        let predicates = ["=17", "3..30", "in:0,39", "!=5", "0..39", "!0..39"];
+        let ids = |index: &mut BitmapIndex, p: &str| -> Vec<u64> {
+            let q = Query::parse(p, 40).expect("test predicate parses");
+            let mut pool = BufferPool::new(1024);
+            let r = index.evaluate_detailed(
+                &q,
+                &mut pool,
+                EvalStrategy::ComponentWise,
+                &CostModel::default(),
+            );
+            r.bitmap.ones().map(|p| p as u64).collect()
+        };
+        let want: Vec<Vec<u64>> = predicates.iter().map(|p| ids(&mut oracle, p)).collect();
+        assert!(want.iter().any(Vec::is_empty) && want.iter().any(|w| w.len() as u64 == n_rows));
+        for flags in [0, FLAG_PACKED_ROWS] {
+            let meta = RequestMeta {
+                packed_rows: flags != 0,
+                ..RequestMeta::default()
+            };
+            let frame = |response| Frame {
+                flags,
+                ..Frame::new(3, Message::Response(response))
+            };
+            // The ids' own reply, carrying the handler's cost figures.
+            let as_ids = |replies: &[BitmapReply]| -> Vec<RowsReply> {
+                replies
+                    .iter()
+                    .zip(&want)
+                    .map(|(r, rows)| RowsReply {
+                        scans: r.scans,
+                        decompressions: r.decompressions,
+                        rows: rows.clone(),
+                    })
+                    .collect()
+            };
+            let sent = handler.handle(
+                Request::Batch {
+                    domain: EvalDomain::Auto,
+                    deadline_ms: 0,
+                    predicates: predicates.iter().map(|p| p.to_string()).collect(),
+                },
+                &meta,
+            );
+            let Response::Bitmaps {
+                batch: true,
+                replies,
+            } = &sent
+            else {
+                panic!("want a bitmap batch, got {sent:?}");
+            };
+            let expected = Response::BatchRows(as_ids(replies));
+            assert_eq!(
+                crate::protocol::encode_frame(&frame(sent.clone())),
+                crate::protocol::encode_frame(&frame(expected)),
+                "batch, flags {flags}"
+            );
+            for (i, p) in predicates.iter().enumerate() {
+                let sent = handler.handle(
+                    Request::Query {
+                        domain: EvalDomain::Auto,
+                        deadline_ms: 0,
+                        predicate: p.to_string(),
+                    },
+                    &meta,
+                );
+                let Response::Bitmaps {
+                    batch: false,
+                    replies,
+                } = &sent
+                else {
+                    panic!("want one bitmap, got {sent:?}");
+                };
+                let mut expected = as_ids(replies);
+                expected[0].rows = want[i].clone();
+                assert_eq!(
+                    crate::protocol::encode_frame(&frame(sent.clone())),
+                    crate::protocol::encode_frame(&frame(Response::Rows(expected.remove(0)))),
+                    "{p}, flags {flags}"
+                );
+            }
+        }
+    }
+
+    /// Gauges read from inside a handler, so a request sees itself.
+    struct GaugeProbe {
+        registry: MetricsRegistry,
+    }
+
+    impl ServeHandler for GaugeProbe {
+        fn handle(&self, _: Request, _: &RequestMeta) -> Response {
+            let read = |name| self.registry.gauge(name, "").get();
+            Response::Stats {
+                text: format!(
+                    "{} {}",
+                    read("bix_server_inflight"),
+                    read("bix_server_connections")
+                ),
+            }
+        }
+
+        fn registry(&self) -> &MetricsRegistry {
+            &self.registry
+        }
+    }
+
+    #[test]
+    fn an_idle_connection_is_open_but_not_in_flight() {
+        let probe = Arc::new(GaugeProbe {
+            registry: MetricsRegistry::new(),
+        });
+        let server = Server::serve(probe, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let gauge = |name| server.registry().gauge(name, "").get();
+        let mut client = crate::Client::connect(server.addr()).unwrap();
+        // A request is in flight while its handler runs; a stats scrape
+        // does not count itself.
+        assert_eq!(client.slowlog().unwrap(), "1 1");
+        assert_eq!(client.stats(StatsFormat::Json).unwrap(), "0 1");
+        // Between requests the connection stays open and idle.
+        assert_eq!(gauge("bix_server_inflight"), 0.0);
+        assert_eq!(gauge("bix_server_connections"), 1.0);
+        let mut second = crate::Client::connect(server.addr()).unwrap();
+        assert_eq!(second.slowlog().unwrap(), "1 2");
+        drop((client, second));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while gauge("bix_server_connections") > 0.0 {
+            assert!(
+                Instant::now() < deadline,
+                "closed connections still counted"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(gauge("bix_server_inflight"), 0.0);
+        server.shutdown();
     }
 
     /// Rows a handler returns for a predicate and for the same
     /// selection as a table query and a COUNT, which must agree.
     fn answers(handler: &IndexHandler, predicate: &str, text: &str) -> Vec<u64> {
         let meta = RequestMeta::default();
-        let rows = |request| match handler.handle(request, &meta) {
+        let rows = |request| match handler.handle(request, &meta).with_row_ids() {
             Response::Rows(reply) => reply.rows,
             other => panic!("want rows, got {other:?}"),
         };

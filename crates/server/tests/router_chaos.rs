@@ -60,14 +60,17 @@ fn build_index(column: &[u64]) -> BitmapIndex {
 /// The oracle: the whole column evaluated by one in-process handler.
 fn monolith_oracle(column: &[u64], predicates: &[String]) -> Vec<RowsReply> {
     let handler = IndexHandler::new(build_index(column), &ServerConfig::default());
-    match handler.handle(
-        Request::Batch {
-            domain: EvalDomain::Auto,
-            deadline_ms: 0,
-            predicates: predicates.to_vec(),
-        },
-        &RequestMeta::default(),
-    ) {
+    match handler
+        .handle(
+            Request::Batch {
+                domain: EvalDomain::Auto,
+                deadline_ms: 0,
+                predicates: predicates.to_vec(),
+            },
+            &RequestMeta::default(),
+        )
+        .with_row_ids()
+    {
         Response::BatchRows(replies) => replies,
         other => panic!("oracle evaluation failed: {other:?}"),
     }
@@ -149,9 +152,9 @@ fn start_shards_with(column: &[u64], bounds: &[usize], config: ServerConfig) -> 
 /// Waits until `shard` serves no connection: its `read_timeout` ran
 /// out on the idle link the router kept.
 fn wait_until_idle_closed(shard: &Server) {
-    let inflight = shard.registry().gauge("bix_server_inflight", "");
+    let open = shard.registry().gauge("bix_server_connections", "");
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while inflight.get() > 0.0 {
+    while open.get() > 0.0 {
         assert!(
             std::time::Instant::now() < deadline,
             "shard never closed its idle connection"

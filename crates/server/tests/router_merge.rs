@@ -36,7 +36,7 @@ fn evaluate(
         },
         &RequestMeta::default(),
     );
-    match response {
+    match response.with_row_ids() {
         Response::BatchRows(replies) => replies,
         other => panic!("shard evaluation failed: {other:?}"),
     }

@@ -44,6 +44,16 @@ impl Gauge {
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
+
+    /// Adds `delta` (negative to subtract) in one atomic update, so
+    /// threads moving a live count up and down never lose a step.
+    pub fn add(&self, delta: f64) {
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some((f64::from_bits(bits) + delta).to_bits())
+            });
+    }
 }
 
 /// A histogram over fixed log2 buckets (atomic; lock-free).
@@ -462,6 +472,23 @@ mod tests {
         let g = reg.gauge("bix_index_rows", "Rows indexed");
         g.set(12_345.0);
         assert_eq!(g.get(), 12_345.0);
+    }
+
+    #[test]
+    fn concurrent_gauge_adds_lose_no_step() {
+        let g = Gauge::default();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..10_000 {
+                        g.add(1.0);
+                        g.add(-1.0);
+                        g.add(1.0);
+                    }
+                });
+            }
+        });
+        assert_eq!(g.get(), 40_000.0);
     }
 
     #[test]
