@@ -111,7 +111,7 @@ fn bench_compressed_domain_ops(c: &mut Criterion) {
 /// image; and the CRC of a 677 KB reply payload.
 fn bench_warm_read(c: &mut Criterion) {
     use bix_compress::CodecKind;
-    use bix_storage::{crc32, BitmapStore, DiskConfig, ReadContext, ShardedBufferPool};
+    use bix_storage::{crc32, BitmapStore, BufferPool, DiskConfig, ReadContext};
     let len = 500_000;
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     let positions: Vec<usize> = (0..len)
@@ -125,7 +125,7 @@ fn bench_warm_read(c: &mut Criterion) {
     let bv = Bitvec::from_positions(len, &positions);
     let mut store = BitmapStore::new(DiskConfig::default());
     let handle = store.put("b", CodecKind::Bbc, &bv);
-    let pool = ShardedBufferPool::new(64, 2);
+    let pool = BufferPool::striped(64, 2);
     let mut ctx = ReadContext::new();
     let stored = store.contents(handle).to_vec();
     let image = bv.to_bytes();
@@ -135,8 +135,8 @@ fn bench_warm_read(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("warm_read");
     group.throughput(Throughput::Bytes(image.len() as u64));
-    group.bench_function("read_shared", |bench| {
-        bench.iter(|| black_box(store.read_shared(black_box(handle), &pool, &mut ctx)))
+    group.bench_function("read", |bench| {
+        bench.iter(|| black_box(store.read(black_box(handle), &pool, &mut ctx)))
     });
     group.bench_function("crc32", |bench| {
         bench.iter(|| black_box(crc32(black_box(&stored))))

@@ -87,7 +87,7 @@ fn setup(codec: CodecKind, scheme: EncodingScheme) -> (BitmapIndex, Vec<Query>) 
 fn evaluate_in(
     index: &mut BitmapIndex,
     q: &Query,
-    pool: &mut BufferPool,
+    pool: &BufferPool,
     cost: &CostModel,
     domain: EvalDomain,
 ) -> bix_core::EvalResult {
@@ -103,11 +103,11 @@ fn evaluate_in(
 /// Runs the whole query set in one domain, returning
 /// `(total scans, total decompressions)`.
 fn run_domain(index: &mut BitmapIndex, queries: &[Query], domain: EvalDomain) -> (usize, usize) {
-    let mut pool = BufferPool::new(POOL_PAGES);
+    let pool = BufferPool::new(POOL_PAGES);
     let cost = CostModel::default();
     let (mut scans, mut decompressions) = (0usize, 0usize);
     for q in queries {
-        let r = evaluate_in(index, q, &mut pool, &cost, domain);
+        let r = evaluate_in(index, q, &pool, &cost, domain);
         scans += r.scans;
         decompressions += r.decompressions;
     }
@@ -142,11 +142,11 @@ fn median_seconds<const N: usize>(
 /// counts, `auto` exactly `raw`'s decompressions, and the compressed
 /// domain strictly fewer.
 fn verify_agreement(index: &mut BitmapIndex, queries: &[Query]) -> (usize, usize) {
-    let mut pool = BufferPool::new(POOL_PAGES);
+    let pool = BufferPool::new(POOL_PAGES);
     let cost = CostModel::default();
     let (mut raw_dec, mut packed_dec) = (0usize, 0usize);
     for (i, q) in queries.iter().enumerate() {
-        let mut run = |domain| evaluate_in(index, q, &mut pool, &cost, domain);
+        let mut run = |domain| evaluate_in(index, q, &pool, &cost, domain);
         let raw = run(EvalDomain::Raw);
         let packed = run(EvalDomain::Compressed);
         let auto = run(EvalDomain::Auto);
@@ -206,9 +206,9 @@ fn write_results_json() {
     // One traced compressed-domain run: where the time goes (eval span,
     // DAG build, fold with per-node reads and kernel ops), keyed by phase.
     let traced = {
-        let (mut index, queries) = setup(CodecKind::Bbc, EncodingScheme::Interval);
+        let (index, queries) = setup(CodecKind::Bbc, EncodingScheme::Interval);
         results::trace_run(|tracer| {
-            let mut pool = BufferPool::new(POOL_PAGES);
+            let pool = BufferPool::new(POOL_PAGES);
             let cost = CostModel::default();
             for q in &queries {
                 let opts = EvalOptions {
@@ -216,14 +216,8 @@ fn write_results_json() {
                     tracer,
                     ..EvalOptions::default()
                 };
-                black_box(index.evaluate_with(
-                    q,
-                    &mut pool,
-                    EvalStrategy::ComponentWise,
-                    &cost,
-                    &opts,
-                ))
-                .expect("no deadline, no corruption");
+                black_box(index.evaluate_with(q, &pool, EvalStrategy::ComponentWise, &cost, &opts))
+                    .expect("no deadline, no corruption");
             }
         })
     };

@@ -16,7 +16,7 @@
 use bix_bench::results;
 use bix_core::{
     BitmapIndex, BufferPool, CodecKind, CostModel, EncodingScheme, EvalOptions, EvalStrategy,
-    IndexConfig, IndexedTable, ParallelExecutor, Plan, Query, ShardedBufferPool, VALUE_ATTR,
+    IndexConfig, IndexedTable, ParallelExecutor, Plan, Query, VALUE_ATTR,
 };
 use bix_workload::{DatasetSpec, QuerySetSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -48,19 +48,19 @@ fn setup() -> (IndexedTable, Vec<Query>) {
 
 fn run_sequential(table: &mut IndexedTable, queries: &[Query]) -> usize {
     let index = table.index_mut(VALUE_ATTR).expect("one attribute");
-    let mut pool = BufferPool::new(POOL_PAGES);
+    let pool = BufferPool::new(POOL_PAGES);
     let cost = CostModel::default();
     let mut scans = 0usize;
     for q in queries {
         scans += index
-            .evaluate_detailed(q, &mut pool, EvalStrategy::ComponentWise, &cost)
+            .evaluate_detailed(q, &pool, EvalStrategy::ComponentWise, &cost)
             .scans;
     }
     scans
 }
 
 fn run_parallel(table: &IndexedTable, plans: &[Plan], threads: usize) -> usize {
-    let pool = ShardedBufferPool::new(POOL_PAGES, threads.max(2));
+    let pool = BufferPool::striped(POOL_PAGES, threads.max(2));
     ParallelExecutor::new(threads)
         .execute(
             table,
@@ -97,14 +97,14 @@ fn median_seconds(reps: usize, mut f: impl FnMut()) -> f64 {
 
 fn verify_agreement(table: &mut IndexedTable, queries: &[Query], plans: &[Plan]) {
     let cost = CostModel::default();
-    let pool = ShardedBufferPool::new(POOL_PAGES, 4);
+    let pool = BufferPool::striped(POOL_PAGES, 4);
     let batch = ParallelExecutor::new(4)
         .execute(table, plans, &pool, &cost, &EvalOptions::default())
         .expect("no deadline, no corruption");
     let index = table.index_mut(VALUE_ATTR).expect("one attribute");
-    let mut seq_pool = BufferPool::new(POOL_PAGES);
+    let seq_pool = BufferPool::new(POOL_PAGES);
     for (i, q) in queries.iter().enumerate() {
-        let want = index.evaluate_detailed(q, &mut seq_pool, EvalStrategy::ComponentWise, &cost);
+        let want = index.evaluate_detailed(q, &seq_pool, EvalStrategy::ComponentWise, &cost);
         assert_eq!(batch.results[i].bitmap, want.bitmap, "q{i} bitmap");
         assert_eq!(batch.results[i].scans, want.scans, "q{i} scans");
     }
@@ -139,7 +139,7 @@ fn write_results_json(table: &mut IndexedTable, queries: &[Query], plans: &[Plan
     // run + queue-wait), keyed by span phase.
     let traced = {
         let shared: &IndexedTable = table;
-        let pool = ShardedBufferPool::new(POOL_PAGES, 4);
+        let pool = BufferPool::striped(POOL_PAGES, 4);
         results::trace_run(|tracer| {
             let opts = EvalOptions {
                 tracer,

@@ -62,14 +62,9 @@ fn bench_strategies(c: &mut Criterion) {
         for (label, strategy, pool_pages) in CONFIGS {
             group.bench_function(BenchmarkId::new(scheme.symbol(), label), |bench| {
                 bench.iter(|| {
-                    let mut pool = BufferPool::new(pool_pages);
+                    let pool = BufferPool::new(pool_pages);
                     index.reset_stats();
-                    black_box(index.evaluate_detailed(
-                        black_box(&query),
-                        &mut pool,
-                        strategy,
-                        &cost,
-                    ))
+                    black_box(index.evaluate_detailed(black_box(&query), &pool, strategy, &cost))
                 })
             });
         }
@@ -89,10 +84,10 @@ fn write_results_json(query: &Query, cost: &CostModel) {
         for (label, strategy, pool_pages) in CONFIGS {
             let mut times: Vec<f64> = (0..reps)
                 .map(|_| {
-                    let mut pool = BufferPool::new(pool_pages);
+                    let pool = BufferPool::new(pool_pages);
                     index.reset_stats();
                     let start = Instant::now();
-                    black_box(index.evaluate_detailed(query, &mut pool, strategy, cost));
+                    black_box(index.evaluate_detailed(query, &pool, strategy, cost));
                     start.elapsed().as_secs_f64()
                 })
                 .collect();
@@ -100,13 +95,13 @@ fn write_results_json(query: &Query, cost: &CostModel) {
             let median = times[times.len() / 2];
 
             let records = results::trace_run(|tracer| {
-                let mut pool = BufferPool::new(pool_pages);
+                let pool = BufferPool::new(pool_pages);
                 index.reset_stats();
                 let opts = EvalOptions {
                     tracer,
                     ..EvalOptions::default()
                 };
-                black_box(index.evaluate_with(query, &mut pool, strategy, cost, &opts))
+                black_box(index.evaluate_with(query, &pool, strategy, cost, &opts))
                     .expect("no deadline, no corruption");
             });
             rows.push(format!(
@@ -144,11 +139,11 @@ fn bench_decomposition_tradeoff(c: &mut Criterion) {
         );
         group.bench_function(BenchmarkId::from_parameter(n), |bench| {
             bench.iter(|| {
-                let mut pool = BufferPool::new(2048);
+                let pool = BufferPool::new(2048);
                 index.reset_stats();
                 black_box(index.evaluate_detailed(
                     black_box(&query),
-                    &mut pool,
+                    &pool,
                     EvalStrategy::ComponentWise,
                     &cost,
                 ))

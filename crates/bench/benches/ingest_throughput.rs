@@ -73,7 +73,7 @@ fn verify_bit_identity(main: &mut BitmapIndex, tail: &[u64]) {
     .generate();
     all.extend_from_slice(&base.values);
     all.extend_from_slice(tail);
-    let mut rebuilt = BitmapIndex::build(&all, main.config());
+    let rebuilt = BitmapIndex::build(&all, main.config());
     for pred in [
         "=7",
         "=199",
@@ -91,7 +91,7 @@ fn verify_bit_identity(main: &mut BitmapIndex, tail: &[u64]) {
         let overlaid = main
             .evaluate_with(
                 &q,
-                &mut BufferPool::new(16_384),
+                &BufferPool::new(16_384),
                 EvalStrategy::ComponentWise,
                 &CostModel::default(),
                 &opts,

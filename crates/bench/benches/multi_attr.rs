@@ -18,8 +18,8 @@
 
 use bix_bench::results;
 use bix_core::{
-    CodecKind, CostModel, EncodingScheme, EvalOptions, IndexConfig, IndexedTable, ParallelExecutor,
-    Planner, ShardedBufferPool,
+    BufferPool, CodecKind, CostModel, EncodingScheme, EvalOptions, IndexConfig, IndexedTable,
+    ParallelExecutor, Planner,
 };
 use bix_workload::DatasetSpec;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -79,7 +79,7 @@ fn bench_multi_attr(c: &mut Criterion) {
     let opts = EvalOptions::default();
     let plans = [plan];
     let execute_sequential = |table: &IndexedTable| {
-        let pool = ShardedBufferPool::new(8192, 2);
+        let pool = BufferPool::striped(8192, 2);
         ParallelExecutor::new(1)
             .execute(table, &plans, &pool, &cost, &opts)
             .expect("no deadline, no corruption")
@@ -92,7 +92,7 @@ fn bench_multi_attr(c: &mut Criterion) {
         naive.to_positions(),
         "rewritten plan drifts from naive evaluation"
     );
-    let pool = ShardedBufferPool::new(8192, 4);
+    let pool = BufferPool::striped(8192, 4);
     let executor = ParallelExecutor::new(4);
     let execute_parallel = |table: &IndexedTable| {
         executor

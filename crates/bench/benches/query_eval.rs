@@ -39,11 +39,11 @@ fn bench_by_class(c: &mut Criterion) {
         for (class_name, query) in &classes {
             group.bench_function(BenchmarkId::new(scheme.symbol(), class_name), |bench| {
                 bench.iter(|| {
-                    let mut pool = BufferPool::new(2048);
+                    let pool = BufferPool::new(2048);
                     index.reset_stats();
                     black_box(index.evaluate_detailed(
                         black_box(query),
-                        &mut pool,
+                        &pool,
                         EvalStrategy::ComponentWise,
                         &cost,
                     ))
@@ -62,11 +62,11 @@ fn bench_compressed_eval(c: &mut Criterion) {
         let mut index = build(EncodingScheme::Interval, codec);
         group.bench_function(BenchmarkId::from_parameter(codec.name()), |bench| {
             bench.iter(|| {
-                let mut pool = BufferPool::new(2048);
+                let pool = BufferPool::new(2048);
                 index.reset_stats();
                 black_box(index.evaluate_detailed(
                     black_box(&query),
-                    &mut pool,
+                    &pool,
                     EvalStrategy::ComponentWise,
                     &cost,
                 ))

@@ -64,14 +64,14 @@ fn build_index(column: &[u64]) -> BitmapIndex {
 
 /// Sequential in-process ground truth over the whole column.
 fn oracle(index: &mut BitmapIndex, predicates: &[String]) -> Vec<Vec<u64>> {
-    let mut pool = BufferPool::new(8192);
+    let pool = BufferPool::new(8192);
     predicates
         .iter()
         .map(|p| {
             let q = Query::parse(p, C).expect("bench predicate parses");
             let r = index.evaluate_detailed(
                 &q,
-                &mut pool,
+                &pool,
                 EvalStrategy::ComponentWise,
                 &CostModel::default(),
             );

@@ -57,14 +57,14 @@ fn setup() -> (BitmapIndex, Vec<String>) {
 
 /// Sequential in-process ground truth: `(rows, scans)` per predicate.
 fn oracle(index: &mut BitmapIndex, predicates: &[String]) -> Vec<(Vec<u64>, u64)> {
-    let mut pool = BufferPool::new(8192);
+    let pool = BufferPool::new(8192);
     predicates
         .iter()
         .map(|p| {
             let q = Query::parse(p, C).expect("bench predicate parses");
             let r = index.evaluate_detailed(
                 &q,
-                &mut pool,
+                &pool,
                 EvalStrategy::ComponentWise,
                 &CostModel::default(),
             );

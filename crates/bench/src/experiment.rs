@@ -169,7 +169,7 @@ pub fn run_query_set(
         ..CostModel::default()
     };
     let page_size = index.config().disk.page_size;
-    let mut pool = BufferPool::new((pool_bytes / page_size).max(1));
+    let pool = BufferPool::new((pool_bytes / page_size).max(1));
     let mut total_io = 0.0;
     let mut total_cpu = 0.0;
     let mut total_scans = 0usize;
@@ -178,7 +178,7 @@ pub fn run_query_set(
         pool.flush();
         index.reset_stats();
         let query = Query::Membership(q.values());
-        let r = index.evaluate_detailed(&query, &mut pool, EvalStrategy::ComponentWise, &cost);
+        let r = index.evaluate_detailed(&query, &pool, EvalStrategy::ComponentWise, &cost);
         total_io += r.io_seconds;
         total_cpu += r.cpu_seconds;
         total_scans += r.scans;

@@ -484,7 +484,7 @@ mod tests {
 
         // Plans built against the loaded schema execute identically too.
         let plan = Planner::new(&loaded.table().schema()).plan(&q).unwrap();
-        let pool = crate::ShardedBufferPool::new(1024, 2);
+        let pool = crate::BufferPool::striped(1024, 2);
         let planned = crate::ParallelExecutor::new(1)
             .execute(
                 loaded.table(),

@@ -260,10 +260,10 @@ mod tests {
             delta: &[Some(delta)],
             ..EvalOptions::default()
         };
-        let mut pool = BufferPool::new(4096);
+        let pool = BufferPool::new(4096);
         main.evaluate_with(
             q,
-            &mut pool,
+            &pool,
             EvalStrategy::ComponentWise,
             &CostModel::default(),
             &opts,
@@ -283,7 +283,7 @@ mod tests {
             let mut main = BitmapIndex::build(&initial, &cfg);
             let mut delta = DeltaIndex::for_index(&main, 1 << 20);
             delta.absorb(&extra).expect("fits");
-            let mut rebuilt = BitmapIndex::build(&full, &cfg);
+            let rebuilt = BitmapIndex::build(&full, &cfg);
             for lo in 0..10u64 {
                 for hi in lo..10 {
                     let q = Query::range(lo, hi);
@@ -308,7 +308,7 @@ mod tests {
         let mut main = BitmapIndex::build(&initial, &cfg);
         let mut delta = DeltaIndex::for_index(&main, 1 << 20);
         delta.absorb(&extra).expect("fits");
-        let mut rebuilt = BitmapIndex::build(&full, &cfg);
+        let rebuilt = BitmapIndex::build(&full, &cfg);
         for q in [
             Query::range(10, 60),
             Query::equality(5),
@@ -371,7 +371,7 @@ mod tests {
         assert_eq!(delta.rows(), 3);
         assert_eq!(delta.values(), &[6, 7, 8]);
 
-        let mut rebuilt = BitmapIndex::build(&[1, 2, 3, 4, 5, 6, 7, 8], &cfg);
+        let rebuilt = BitmapIndex::build(&[1, 2, 3, 4, 5, 6, 7, 8], &cfg);
         for q in [Query::range(2, 6), Query::equality(7), Query::le(4)] {
             assert_eq!(
                 with_delta(&mut main, &q, &delta).to_positions(),
@@ -384,7 +384,7 @@ mod tests {
     #[test]
     fn overlay_rejects_a_torn_main_delta_pairing_typed() {
         let cfg = config(EncodingScheme::Equality);
-        let mut main = BitmapIndex::build(&[1, 2, 3], &cfg);
+        let main = BitmapIndex::build(&[1, 2, 3], &cfg);
         // Delta claims to extend a 5-row main; main has 3 rows.
         let mut delta = DeltaIndex::new(&cfg, 5, 1 << 20);
         delta.absorb(&[4]).expect("fits");
@@ -395,7 +395,7 @@ mod tests {
         let err = main
             .evaluate_with(
                 &Query::equality(1),
-                &mut BufferPool::new(4096),
+                &BufferPool::new(4096),
                 EvalStrategy::ComponentWise,
                 &CostModel::default(),
                 &opts,

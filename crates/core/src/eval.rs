@@ -940,18 +940,17 @@ pub(crate) fn evaluate_ablation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::{evaluate_exclusive, Store};
+    use crate::parallel::evaluate_in_process;
     use crate::EvalOptions;
     use bix_compress::CodecKind;
     use bix_storage::{BitmapStore, BufferPool, CostModel, DiskConfig};
-    use std::sync::Mutex;
 
     /// Evaluates over the toy store's one component of 100 rows.
     fn evaluate(
         constituents: &[Expr],
         handles: &[BitmapHandle],
-        store: &mut BitmapStore,
-        pool: &mut BufferPool,
+        store: &BitmapStore,
+        pool: &BufferPool,
         strategy: EvalStrategy,
     ) -> EvalResult {
         let handles = [handles.to_vec()];
@@ -960,9 +959,10 @@ mod tests {
             handles: &handles,
             existence: None,
             model: &DomainCostModel::DEFAULT,
-            store: Store::Exclusive(Mutex::new((store, pool))),
+            store,
+            pool,
         };
-        evaluate_exclusive(
+        evaluate_in_process(
             &source,
             constituents,
             strategy,
@@ -1021,20 +1021,14 @@ mod tests {
 
     #[test]
     fn component_wise_scans_each_distinct_bitmap_once() {
-        let (mut store, handles, bitmaps) = setup();
-        let mut pool = BufferPool::new(64);
+        let (store, handles, bitmaps) = setup();
+        let pool = BufferPool::new(64);
         // Expression referencing bitmap 0 twice and bitmap 1 once.
         let e = Expr::or([
             Expr::and([Expr::leaf(0, 0), Expr::leaf(0, 1)]),
             Expr::and([Expr::leaf(0, 0), Expr::not(Expr::leaf(0, 1))]),
         ]);
-        let result = evaluate(
-            &[e],
-            &handles,
-            &mut store,
-            &mut pool,
-            EvalStrategy::ComponentWise,
-        );
+        let result = evaluate(&[e], &handles, &store, &pool, EvalStrategy::ComponentWise);
         assert_eq!(result.scans, 2);
         assert_eq!(result.distinct_bitmaps, 2);
         // (b0 ∧ b1) ∨ (b0 ∧ ¬b1) = b0.
@@ -1044,8 +1038,8 @@ mod tests {
 
     #[test]
     fn query_wise_rescans_shared_bitmaps() {
-        let (mut store, handles, bitmaps) = setup();
-        let mut pool = BufferPool::new(64);
+        let (store, handles, bitmaps) = setup();
+        let pool = BufferPool::new(64);
         let constituents = vec![
             Expr::and([Expr::leaf(0, 0), Expr::leaf(0, 1)]),
             Expr::and([Expr::leaf(0, 0), Expr::leaf(0, 2)]),
@@ -1053,8 +1047,8 @@ mod tests {
         let result = evaluate(
             &constituents,
             &handles,
-            &mut store,
-            &mut pool,
+            &store,
+            &pool,
             EvalStrategy::QueryWise,
         );
         // Bitmap 0 fetched by both constituents: 4 store reads, 3 distinct.
@@ -1112,7 +1106,7 @@ mod tests {
 
     #[test]
     fn strategies_agree_on_results() {
-        let (mut store, handles, _) = setup();
+        let (store, handles, _) = setup();
         let constituents = vec![
             Expr::xor(Expr::leaf(0, 0), Expr::leaf(0, 3)),
             Expr::not(Expr::leaf(0, 2)),
@@ -1123,19 +1117,19 @@ mod tests {
             EvalStrategy::QueryWise,
             EvalStrategy::QueryWiseScheduled,
         ] {
-            let mut pool = BufferPool::new(64);
+            let pool = BufferPool::new(64);
             store.reset_stats();
-            results.push(evaluate(&constituents, &handles, &mut store, &mut pool, strategy).bitmap);
+            results.push(evaluate(&constituents, &handles, &store, &pool, strategy).bitmap);
         }
         assert_eq!(results[0], results[1]);
     }
 
     #[test]
     fn empty_constituents_yield_empty_bitmap() {
-        let (mut store, handles, _) = setup();
+        let (store, handles, _) = setup();
         for strategy in [EvalStrategy::ComponentWise, EvalStrategy::QueryWise] {
-            let mut pool = BufferPool::new(8);
-            let result = evaluate(&[], &handles, &mut store, &mut pool, strategy);
+            let pool = BufferPool::new(8);
+            let result = evaluate(&[], &handles, &store, &pool, strategy);
             assert!(result.bitmap.is_all_zero());
             assert_eq!(result.scans, 0);
         }
@@ -1143,23 +1137,11 @@ mod tests {
 
     #[test]
     fn warm_pool_reduces_io_but_not_scans() {
-        let (mut store, handles, _) = setup();
-        let mut pool = BufferPool::new(64);
+        let (store, handles, _) = setup();
+        let pool = BufferPool::new(64);
         let e = vec![Expr::leaf(0, 0)];
-        let cold = evaluate(
-            &e,
-            &handles,
-            &mut store,
-            &mut pool,
-            EvalStrategy::ComponentWise,
-        );
-        let warm = evaluate(
-            &e,
-            &handles,
-            &mut store,
-            &mut pool,
-            EvalStrategy::ComponentWise,
-        );
+        let cold = evaluate(&e, &handles, &store, &pool, EvalStrategy::ComponentWise);
+        let warm = evaluate(&e, &handles, &store, &pool, EvalStrategy::ComponentWise);
         assert_eq!(cold.scans, warm.scans);
         assert!(warm.io.pages_read < cold.io.pages_read.max(1));
         assert!(warm.io_seconds < cold.io_seconds);

@@ -1,6 +1,6 @@
 //! The bitmap index: construction, storage, and the query API.
 
-use crate::parallel::{evaluate_exclusive, Source, Store};
+use crate::parallel::{evaluate_in_process, Source};
 use crate::{
     best_bases, BaseVector, EncodingScheme, EvalError, EvalOptions, EvalResult, EvalStrategy, Expr,
     Query,
@@ -8,12 +8,10 @@ use crate::{
 use bix_bitvec::Bitvec;
 use bix_compress::CodecKind;
 use bix_storage::{
-    BitmapHandle, BitmapStore, BufferPool, CostModel, DiskConfig, FaultPlan, IoStats,
-    ShardedBufferPool,
+    BitmapHandle, BitmapStore, BufferPool, CostModel, DiskConfig, FaultPlan, IoStats, ReadContext,
 };
 use bix_telemetry::{SpanId, Tracer};
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 
 /// Predicted evaluation cost of a rewritten expression, from stored
 /// sizes and the cost model alone — no I/O is performed. Matches the
@@ -94,9 +92,10 @@ impl IndexConfig {
 /// A multi-component bitmap index over one attribute.
 ///
 /// Bitmaps live on a simulated disk behind a buffer pool; evaluation
-/// charges I/O and CPU exactly as the paper's experiments do. Methods take
-/// `&mut self` because reads move the simulated disk head and fill the
-/// pool.
+/// charges I/O and CPU exactly as the paper's experiments do. Reads take
+/// `&self`: the disk head and counters of a read live in its
+/// [`ReadContext`], the cached pages in the caller's [`BufferPool`].
+/// Writes (appends, repairs, quarantine) take `&mut self`.
 pub struct BitmapIndex {
     config: IndexConfig,
     store: BitmapStore,
@@ -459,15 +458,14 @@ impl BitmapIndex {
 
     /// Evaluates a query with a generous fresh buffer pool and the
     /// component-wise strategy, returning just the matching records.
-    pub fn evaluate(&mut self, q: &Query) -> Bitvec {
-        let mut pool = BufferPool::new(self.config.disk.pages_for_bytes(64 << 20));
-        self.evaluate_detailed(
-            q,
-            &mut pool,
-            EvalStrategy::ComponentWise,
-            &CostModel::default(),
-        )
-        .bitmap
+    ///
+    /// # Panics
+    ///
+    /// Panics if a read fails (see [`BitmapIndex::evaluate_detailed`]).
+    pub fn evaluate(&self, q: &Query) -> Bitvec {
+        let pool = BufferPool::new(self.config.disk.pages_for_bytes(64 << 20));
+        self.evaluate_detailed(q, &pool, EvalStrategy::ComponentWise, &CostModel::default())
+            .bitmap
     }
 
     /// Evaluates a query with explicit buffer pool, strategy, and cost
@@ -475,73 +473,57 @@ impl BitmapIndex {
     ///
     /// # Panics
     ///
-    /// Panics if a bitmap the query reads is corrupt;
-    /// [`BitmapIndex::evaluate_with`] reports that as an error and
-    /// [`BitmapIndex::evaluate_checked`] routes around it.
+    /// Panics if a bitmap the query reads is corrupt or unreadable;
+    /// [`BitmapIndex::evaluate_with`] reports either as an error and
+    /// [`BitmapIndex::evaluate_checked`] routes around corruption.
     pub fn evaluate_detailed(
-        &mut self,
+        &self,
         q: &Query,
-        pool: &mut BufferPool,
+        pool: &BufferPool,
         strategy: EvalStrategy,
         cost: &CostModel,
     ) -> EvalResult {
         self.evaluate_with(q, pool, strategy, cost, &EvalOptions::default())
-            .expect("corrupt bitmap on an unguarded read path")
+            .unwrap_or_else(|e| panic!("unguarded read failed: {e}"))
     }
 
     /// Evaluates a query in process under `opts` (domain, tracing,
     /// deadline, `opts.delta[0]` as this index's ingest delta): the one
-    /// DAG fold runs on the calling thread over this store's own disk
-    /// head and `pool` — the I/O the paper's experiments measure — and the
-    /// [`EvalStrategy`] ablations read through the same fallible reader.
-    /// Traced calls record `rewrite` (with per-constituent `decompose`
-    /// children) and `eval` (with `build`, `fold` and per-node spans, plus
-    /// `existence` for nullable indexes and `delta`) under `opts.parent`.
+    /// DAG fold runs on the calling thread through `pool`, with one
+    /// [`ReadContext`] for the call — the I/O the paper's experiments
+    /// measure — and the [`EvalStrategy`] ablations read through the same
+    /// fallible reader. Traced calls record `rewrite` (with
+    /// per-constituent `decompose` children) and `eval` (with `build`,
+    /// `fold` and per-node spans, plus `existence` for nullable indexes
+    /// and `delta`) under `opts.parent`.
     pub fn evaluate_with(
-        &mut self,
+        &self,
         q: &Query,
-        pool: &mut BufferPool,
+        pool: &BufferPool,
         strategy: EvalStrategy,
         cost: &CostModel,
         opts: &EvalOptions<'_>,
     ) -> Result<EvalResult, EvalError> {
         let constituents = self.rewrite_constituents(q, opts.tracer, opts.parent);
-        evaluate_exclusive(
-            &self.exclusive_source(pool),
-            &constituents,
-            strategy,
-            cost,
-            opts,
-        )
+        evaluate_in_process(&self.source(pool), &constituents, strategy, cost, opts)
     }
 
-    /// This index as the fold reads it through `&self` and a shared pool.
-    pub(crate) fn shared_source<'a>(&'a self, pool: &'a ShardedBufferPool) -> Source<'a> {
+    /// This index as the fold reads it through `pool`.
+    pub(crate) fn source<'a>(&'a self, pool: &'a BufferPool) -> Source<'a> {
         Source {
             rows: self.rows,
             handles: &self.handles,
             existence: self.existence,
             model: &self.domain_cost,
-            store: Store::Shared(&self.store, pool),
-        }
-    }
-
-    /// This index as the fold reads it through its own disk head and
-    /// `pool`.
-    pub(crate) fn exclusive_source<'a>(&'a mut self, pool: &'a mut BufferPool) -> Source<'a> {
-        Source {
-            rows: self.rows,
-            handles: &self.handles,
-            existence: self.existence,
-            model: &self.domain_cost,
-            store: Store::Exclusive(Mutex::new((&mut self.store, pool))),
+            store: &self.store,
+            pool,
         }
     }
 
     /// Number of matching records for a query — evaluates through the
     /// index and counts (see [`BitmapIndex::estimate_rows`] for the
     /// zero-I/O alternative).
-    pub fn count(&mut self, q: &Query) -> usize {
+    pub fn count(&self, q: &Query) -> usize {
         self.evaluate(q).count_ones()
     }
 
@@ -592,10 +574,27 @@ impl BitmapIndex {
         self.store.reset_stats();
     }
 
-    /// Reads one stored bitmap back (diagnostics and tests).
-    pub fn bitmap(&mut self, component: usize, slot: usize) -> Bitvec {
-        let mut pool = BufferPool::new(1024);
-        self.store.read(self.handles[component][slot], &mut pool)
+    /// Reads one stored bitmap back (diagnostics and tests), charging
+    /// the store's counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bitmap is corrupt or unreadable.
+    pub fn bitmap(&self, component: usize, slot: usize) -> Bitvec {
+        self.read_stored(self.handles[component][slot])
+    }
+
+    /// Reads a stored bitmap through a fresh pool, charging the store's
+    /// counters (maintenance paths and [`BitmapIndex::bitmap`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bitmap is corrupt or unreadable.
+    pub(crate) fn read_stored(&self, handle: BitmapHandle) -> Bitvec {
+        let mut ctx = ReadContext::new();
+        let read = self.store.read(handle, &BufferPool::new(1024), &mut ctx);
+        self.store.charge(ctx.take_stats());
+        read.unwrap_or_else(|e| panic!("reading a stored bitmap: {e}"))
     }
 
     /// Handle of one stored bitmap (used by the update path).
@@ -740,7 +739,7 @@ mod tests {
     #[test]
     fn figure_1b_equality_index() {
         let config = IndexConfig::one_component(10, EncodingScheme::Equality);
-        let mut idx = BitmapIndex::build(&paper_column(), &config);
+        let idx = BitmapIndex::build(&paper_column(), &config);
         assert_eq!(idx.num_bitmaps(), 10);
         // E^2 has 1-bits at records 2, 4, 6 (1-based in the paper).
         assert_eq!(idx.bitmap(0, 2).to_positions(), vec![1, 3, 5]);
@@ -752,7 +751,7 @@ mod tests {
     #[test]
     fn figure_1c_range_index() {
         let config = IndexConfig::one_component(10, EncodingScheme::Range);
-        let mut idx = BitmapIndex::build(&paper_column(), &config);
+        let idx = BitmapIndex::build(&paper_column(), &config);
         assert_eq!(idx.num_bitmaps(), 9);
         // R^0 = [0,0]: only record 8 (value 0).
         assert_eq!(idx.bitmap(0, 0).to_positions(), vec![7]);
@@ -767,7 +766,7 @@ mod tests {
     #[test]
     fn figure_5c_interval_index() {
         let config = IndexConfig::one_component(10, EncodingScheme::Interval);
-        let mut idx = BitmapIndex::build(&paper_column(), &config);
+        let idx = BitmapIndex::build(&paper_column(), &config);
         assert_eq!(idx.num_bitmaps(), 5);
         // I^0 = [0,4]: records with values 3,2,1,2,2,0,4 -> rows 0,1,2,3,5,7,11.
         assert_eq!(idx.bitmap(0, 0).to_positions(), vec![0, 1, 2, 3, 5, 7, 11]);
@@ -780,7 +779,7 @@ mod tests {
     fn figure_2b_multi_component_equality() {
         let config = IndexConfig::one_component(10, EncodingScheme::Equality)
             .with_bases(BaseVector::from_msb(&[3, 4]));
-        let mut idx = BitmapIndex::build(&paper_column(), &config);
+        let idx = BitmapIndex::build(&paper_column(), &config);
         assert_eq!(idx.num_bitmaps(), 7); // 4 + 3
                                           // Component 1 (most significant), E_2^2: values 8, 9 -> rows 4, 6.
         assert_eq!(idx.bitmap(1, 2).to_positions(), vec![4, 6]);
@@ -793,7 +792,7 @@ mod tests {
     fn figure_2c_multi_component_range() {
         let config = IndexConfig::one_component(10, EncodingScheme::Range)
             .with_bases(BaseVector::from_msb(&[3, 4]));
-        let mut idx = BitmapIndex::build(&paper_column(), &config);
+        let idx = BitmapIndex::build(&paper_column(), &config);
         assert_eq!(idx.num_bitmaps(), 5); // 3 + 2
                                           // R_2^0 = digit2 <= 0: values 0..4 -> rows 0,1,2,3,5,7 and value 3 at 0.
         assert_eq!(idx.bitmap(1, 0).to_positions(), vec![0, 1, 2, 3, 5, 7]);
@@ -806,7 +805,7 @@ mod tests {
         let column = paper_column();
         for scheme in EncodingScheme::ALL {
             let config = IndexConfig::one_component(10, scheme);
-            let mut idx = BitmapIndex::build(&column, &config);
+            let idx = BitmapIndex::build(&column, &config);
             for lo in 0..10u64 {
                 for hi in lo..10 {
                     let got = idx.evaluate(&Query::range(lo, hi));
@@ -827,7 +826,7 @@ mod tests {
         let column = paper_column();
         for codec in [CodecKind::Raw, CodecKind::Bbc, CodecKind::Wah] {
             let config = IndexConfig::one_component(10, EncodingScheme::Interval).with_codec(codec);
-            let mut idx = BitmapIndex::build(&column, &config);
+            let idx = BitmapIndex::build(&column, &config);
             let got = idx.evaluate(&Query::membership(vec![0, 5, 9]));
             assert_eq!(got.to_positions(), vec![6, 7, 9], "{codec}");
         }
@@ -848,11 +847,11 @@ mod tests {
         for scheme in EncodingScheme::ALL {
             for codec in [CodecKind::Bbc, CodecKind::Wah, CodecKind::Ewah] {
                 let config = IndexConfig::one_component(25, scheme).with_codec(codec);
-                let mut idx = BitmapIndex::build(&column, &config);
+                let idx = BitmapIndex::build(&column, &config);
                 for q in &queries {
                     let mut per_domain = Vec::new();
                     for domain in [EvalDomain::Raw, EvalDomain::Auto, EvalDomain::Compressed] {
-                        let mut pool = BufferPool::new(4096);
+                        let pool = BufferPool::new(4096);
                         let opts = EvalOptions {
                             domain,
                             ..EvalOptions::default()
@@ -860,7 +859,7 @@ mod tests {
                         per_domain.push(
                             idx.evaluate_with(
                                 q,
-                                &mut pool,
+                                &pool,
                                 EvalStrategy::ComponentWise,
                                 &CostModel::default(),
                                 &opts,
@@ -923,17 +922,17 @@ mod tests {
                 .collect();
             let config =
                 IndexConfig::one_component(cardinality, EncodingScheme::Equality).with_codec(codec);
-            let mut idx = BitmapIndex::build(&column, &config);
+            let idx = BitmapIndex::build(&column, &config);
             for q in &queries {
-                let mut run = |domain| {
-                    let mut pool = BufferPool::new(4096);
+                let run = |domain| {
+                    let pool = BufferPool::new(4096);
                     let opts = EvalOptions {
                         domain,
                         ..EvalOptions::default()
                     };
                     idx.evaluate_with(
                         q,
-                        &mut pool,
+                        &pool,
                         EvalStrategy::ComponentWise,
                         &CostModel::default(),
                         &opts,
@@ -1000,9 +999,9 @@ mod parallel_tests {
         for scheme in EncodingScheme::ALL_WITH_VARIANTS {
             for codec in [CodecKind::Raw, CodecKind::Bbc] {
                 let config = IndexConfig::one_component(50, scheme).with_codec(codec);
-                let mut seq = BitmapIndex::build(&column, &config);
+                let seq = BitmapIndex::build(&column, &config);
                 for threads in [1usize, 4] {
-                    let mut par = BitmapIndex::build_parallel(&column, &config, threads);
+                    let par = BitmapIndex::build_parallel(&column, &config, threads);
                     assert_eq!(par.rows(), seq.rows());
                     assert_eq!(par.num_bitmaps(), seq.num_bitmaps());
                     assert_eq!(par.space_bytes(), seq.space_bytes(), "{scheme} {codec}");
@@ -1023,8 +1022,8 @@ mod parallel_tests {
     fn parallel_build_multi_component() {
         let column: Vec<u64> = (0..5_000u64).map(|i| i % 50).collect();
         let config = IndexConfig::n_components(50, EncodingScheme::EqualityRange, 2);
-        let mut seq = BitmapIndex::build(&column, &config);
-        let mut par = BitmapIndex::build_parallel(&column, &config, 3);
+        let seq = BitmapIndex::build(&column, &config);
+        let par = BitmapIndex::build_parallel(&column, &config, 3);
         let q = crate::Query::membership(vec![0, 13, 37, 49]);
         assert_eq!(par.evaluate(&q), seq.evaluate(&q));
     }

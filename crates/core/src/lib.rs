@@ -82,6 +82,6 @@ pub use bix_bitvec::Bitvec;
 pub use bix_compress::CodecKind;
 pub use bix_storage::{
     BufferPool, CorruptBitmap, CostModel, DiskConfig, DiskFault, FaultPlan, IoMetrics, IoStats,
-    ReadContext, ReadError, ReadFlip, ShardedBufferPool, READ_RETRY_LIMIT,
+    ReadContext, ReadError, READ_RETRY_LIMIT,
 };
 pub use bix_telemetry::{MetricsRegistry, MetricsSnapshot, SpanId, SpanRecord, Tracer};

@@ -290,10 +290,10 @@ impl IndexedTable {
                 let index = self
                     .index_mut(name)
                     .unwrap_or_else(|| panic!("no index on attribute {name}"));
-                let mut pool = BufferPool::new(index.config().disk.pages_for_bytes(11 << 20));
+                let pool = BufferPool::new(index.config().disk.pages_for_bytes(11 << 20));
                 let cost = CostModel::default();
                 return index
-                    .evaluate_detailed(query, &mut pool, EvalStrategy::ComponentWise, &cost)
+                    .evaluate_detailed(query, &pool, EvalStrategy::ComponentWise, &cost)
                     .bitmap;
             }
             TableQuery::Not(inner) => {
@@ -415,7 +415,7 @@ mod tests {
                 .execute(
                     &table,
                     &[plan],
-                    &crate::ShardedBufferPool::new(64, 2),
+                    &crate::BufferPool::striped(64, 2),
                     &CostModel::default(),
                     &crate::EvalOptions::default(),
                 )

@@ -38,12 +38,11 @@ impl BitmapIndex {
         }
 
         // Mask NULL rows out of every stored bitmap.
-        let mut pool = crate::BufferPool::new(4096);
         for comp in 0..config.bases.n() {
             let b = config.bases.bases()[comp];
             for slot in 0..config.encoding.num_bitmaps(b) {
                 let handle = index.handle(comp, slot);
-                let mut bitmap = index.store_mut().read(handle, &mut pool);
+                let mut bitmap = index.read_stored(handle);
                 bitmap.and_assign(&existence);
                 let new_handle = index.store_mut().replace(handle, config.codec, &bitmap);
                 index.set_handle(comp, slot, new_handle);
@@ -71,13 +70,10 @@ impl BitmapIndex {
     }
 
     /// Number of non-NULL rows.
-    pub fn non_null_rows(&mut self) -> usize {
+    pub fn non_null_rows(&self) -> usize {
         match self.existence_handle() {
             None => self.rows(),
-            Some(eb) => {
-                let mut pool = crate::BufferPool::new(4096);
-                self.store_mut().read(eb, &mut pool).count_ones()
-            }
+            Some(eb) => self.read_stored(eb).count_ones(),
         }
     }
 
@@ -95,8 +91,7 @@ impl BitmapIndex {
 
         // Extend the existence bitmap first (stats reset happens inside
         // the dense append below).
-        let mut pool = crate::BufferPool::new(4096);
-        let old_eb = self.store_mut().read(eb, &mut pool);
+        let old_eb = self.read_stored(eb);
         let mut builder = bix_bitvec::BitvecBuilder::with_capacity(old_eb.len() + new_rows.len());
         for i in 0..old_eb.len() {
             builder.push(old_eb.get(i));
@@ -127,14 +122,13 @@ impl BitmapIndex {
             let bases: Vec<u64> = self.config().bases.bases().to_vec();
             let encoding = self.config().encoding;
             let mut corrected = 0usize;
-            let mut pool = crate::BufferPool::new(4096);
             for (comp, &b) in bases.iter().enumerate() {
                 for slot in 0..encoding.num_bitmaps(b) {
                     if !encoding.slot_values(b, slot).contains(&0) {
                         continue; // placeholder 0 never touched this bitmap
                     }
                     let handle = self.handle(comp, slot);
-                    let mut bitmap = self.store_mut().read(handle, &mut pool);
+                    let mut bitmap = self.read_stored(handle);
                     for &row in &null_rows {
                         bitmap.set(row, false);
                         corrected += 1;
@@ -193,7 +187,7 @@ mod tests {
         for scheme in EncodingScheme::ALL_WITH_VARIANTS {
             for codec in [CodecKind::Raw, CodecKind::Bbc] {
                 let config = IndexConfig::one_component(10, scheme).with_codec(codec);
-                let mut idx = BitmapIndex::build_nullable(&column, &config);
+                let idx = BitmapIndex::build_nullable(&column, &config);
                 assert!(idx.is_nullable());
                 assert_eq!(idx.non_null_rows(), 6);
                 for q in &queries {
@@ -224,7 +218,7 @@ mod tests {
         // exact case where NULL rows would leak without the EB.
         let column = nullable_column();
         let config = IndexConfig::one_component(10, EncodingScheme::Interval);
-        let mut idx = BitmapIndex::build_nullable(&column, &config);
+        let idx = BitmapIndex::build_nullable(&column, &config);
         assert_eq!(idx.evaluate(&Query::equality(9)).to_positions(), vec![3]);
     }
 
@@ -232,11 +226,11 @@ mod tests {
     fn scans_account_for_the_existence_bitmap() {
         let column = nullable_column();
         let config = IndexConfig::one_component(10, EncodingScheme::Equality);
-        let mut idx = BitmapIndex::build_nullable(&column, &config);
-        let mut pool = crate::BufferPool::new(64);
+        let idx = BitmapIndex::build_nullable(&column, &config);
+        let pool = crate::BufferPool::new(64);
         let r = idx.evaluate_detailed(
             &Query::equality(5),
-            &mut pool,
+            &pool,
             crate::EvalStrategy::ComponentWise,
             &crate::CostModel::default(),
         );
@@ -257,7 +251,7 @@ mod tests {
             let stats = grown.append_nullable(&extra);
             assert_eq!(stats.records, extra.len());
 
-            let mut rebuilt = BitmapIndex::build_nullable(&full, &config);
+            let rebuilt = BitmapIndex::build_nullable(&full, &config);
             for lo in 0..10u64 {
                 for hi in lo..10 {
                     let q = Query::range(lo, hi);
@@ -276,7 +270,7 @@ mod tests {
     fn all_null_column_matches_nothing() {
         let column: Vec<Option<u64>> = vec![None; 20];
         let config = IndexConfig::one_component(10, EncodingScheme::Interval);
-        let mut idx = BitmapIndex::build_nullable(&column, &config);
+        let idx = BitmapIndex::build_nullable(&column, &config);
         assert_eq!(idx.non_null_rows(), 0);
         assert!(idx.evaluate(&Query::le(9)).is_all_zero());
         assert!(idx.evaluate(&Query::equality(0).not()).is_all_zero());

@@ -541,10 +541,10 @@ mod tests {
     fn save_load_round_trip_in_memory() {
         for scheme in EncodingScheme::ALL_WITH_VARIANTS {
             for codec in [CodecKind::Raw, CodecKind::Bbc] {
-                let mut original = sample_index(scheme, codec);
+                let original = sample_index(scheme, codec);
                 let mut buf = Vec::new();
                 original.save_to(&mut buf).expect("save");
-                let mut loaded = BitmapIndex::load_from(buf.as_slice()).expect("load");
+                let loaded = BitmapIndex::load_from(buf.as_slice()).expect("load");
 
                 assert_eq!(loaded.rows(), original.rows());
                 assert_eq!(loaded.num_bitmaps(), original.num_bitmaps());
@@ -567,11 +567,11 @@ mod tests {
 
     #[test]
     fn save_load_round_trip_on_disk() {
-        let mut original = sample_index(EncodingScheme::Interval, CodecKind::Bbc);
+        let original = sample_index(EncodingScheme::Interval, CodecKind::Bbc);
         let path =
             std::env::temp_dir().join(format!("bix_persist_test_{}.idx", std::process::id()));
         original.save(&path).expect("save to file");
-        let mut loaded = BitmapIndex::load(&path).expect("load from file");
+        let loaded = BitmapIndex::load(&path).expect("load from file");
         std::fs::remove_file(&path).ok();
         assert_eq!(
             loaded.evaluate(&Query::range(10, 20)).to_positions(),
@@ -581,11 +581,11 @@ mod tests {
 
     #[test]
     fn v1_files_still_load() {
-        let mut original = sample_index(EncodingScheme::Oreo, CodecKind::Bbc);
+        let original = sample_index(EncodingScheme::Oreo, CodecKind::Bbc);
         let mut buf = Vec::new();
         original.save_to_v1(&mut buf).expect("save v1");
         assert_eq!(&buf[..8], MAGIC_V1);
-        let mut loaded = BitmapIndex::load_from(buf.as_slice()).expect("load v1");
+        let loaded = BitmapIndex::load_from(buf.as_slice()).expect("load v1");
         assert_eq!(loaded.space_bytes(), original.space_bytes());
         for q in [Query::equality(3), Query::range(12, 40)] {
             assert_eq!(
@@ -775,10 +775,10 @@ mod tests {
             .collect();
         let config =
             IndexConfig::one_component(50, EncodingScheme::Interval).with_codec(CodecKind::Bbc);
-        let mut original = BitmapIndex::build_nullable(&column, &config);
+        let original = BitmapIndex::build_nullable(&column, &config);
         let mut buf = Vec::new();
         original.save_to(&mut buf).expect("save");
-        let mut loaded = BitmapIndex::load_from(buf.as_slice()).expect("load");
+        let loaded = BitmapIndex::load_from(buf.as_slice()).expect("load");
         assert!(loaded.is_nullable());
         assert_eq!(loaded.non_null_rows(), original.non_null_rows());
         for q in [Query::equality(49), Query::range(3, 20).not()] {

@@ -91,7 +91,7 @@ mod tests {
                 assert_eq!(stats.records, extra.len());
                 assert_eq!(appended.rows(), full.len());
 
-                let mut rebuilt = build(scheme, codec, &full);
+                let rebuilt = build(scheme, codec, &full);
                 for lo in 0..10u64 {
                     for hi in lo..10 {
                         let q = Query::range(lo, hi);

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use bix_core::{
     BitmapIndex, BitmapRef, BufferPool, CodecKind, CostModel, EncodingScheme, EvalDomain,
     EvalFailure, EvalOptions, EvalStrategy, IndexConfig, IndexedTable, ParallelExecutor, Plan,
-    Planner, Query, ShardedBufferPool,
+    Planner, Query,
 };
 
 fn test_index() -> BitmapIndex {
@@ -44,7 +44,7 @@ fn expired_deadline_fails_a_plan_typed() {
         IndexConfig::one_component(50, EncodingScheme::Interval),
     );
     let plan = Planner::plan_text(&table.schema(), "region in {0, 1} and discount >= 7").unwrap();
-    let pool = ShardedBufferPool::new(4096, 4);
+    let pool = BufferPool::striped(4096, 4);
     let opts = EvalOptions {
         deadline: Some(Instant::now() - Duration::from_millis(1)),
         ..EvalOptions::default()
@@ -70,7 +70,7 @@ fn corrupt_read_fails_a_batch_typed_without_hanging() {
         assert!(index.corrupt_bitmap(0, 3, 2, 0x40));
         let table = IndexedTable::from(index);
         let index = table.single_index().unwrap();
-        let pool = ShardedBufferPool::new(4096, 4);
+        let pool = BufferPool::striped(4096, 4);
         let before = index.io_stats();
         let opts = EvalOptions {
             domain,
@@ -112,11 +112,11 @@ fn corrupt_read_fails_a_batch_typed_without_hanging() {
 fn corrupt_read_fails_an_in_process_call_typed() {
     let mut index = test_index();
     assert!(index.corrupt_bitmap(0, 3, 2, 0x40));
-    let mut pool = BufferPool::new(4096);
+    let pool = BufferPool::new(4096);
     let err = index
         .evaluate_with(
             &Query::equality(3),
-            &mut pool,
+            &pool,
             EvalStrategy::ComponentWise,
             &CostModel::default(),
             &EvalOptions::default(),

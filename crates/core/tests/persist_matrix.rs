@@ -43,10 +43,10 @@ fn probes() -> Vec<Query> {
 /// Saves `original`, loads the bytes back, and checks the reloaded index
 /// agrees with the original on rows, bitmap count, every probe query,
 /// and — the point of this matrix — byte-for-byte space accounting.
-fn round_trip(mut original: BitmapIndex, context: &str) {
+fn round_trip(original: BitmapIndex, context: &str) {
     let mut buf = Vec::new();
     original.save_to(&mut buf).expect("save_to");
-    let mut loaded = BitmapIndex::load_from(buf.as_slice())
+    let loaded = BitmapIndex::load_from(buf.as_slice())
         .unwrap_or_else(|e| panic!("{context}: load failed: {e}"));
 
     assert_eq!(loaded.rows(), original.rows(), "{context}: rows");

@@ -6,8 +6,7 @@
 
 use bix_core::{
     BitmapIndex, BufferPool, CodecKind, CostModel, DeltaIndex, EncodingScheme, EvalOptions,
-    EvalStrategy, IndexConfig, IndexedTable, ParallelExecutor, Plan, Query, ShardedBufferPool,
-    VALUE_ATTR,
+    EvalStrategy, IndexConfig, IndexedTable, ParallelExecutor, Plan, Query, VALUE_ATTR,
 };
 use bix_workload::DatasetSpec;
 use proptest::prelude::*;
@@ -113,7 +112,7 @@ proptest! {
 
         let cost = CostModel::default();
         let executor = ParallelExecutor::new(s.threads);
-        let pool = ShardedBufferPool::new(1024, s.threads.max(2));
+        let pool = BufferPool::striped(1024, s.threads.max(2));
 
         let mut cursor = 0usize;
         for &(batch_rows, merge_after) in &s.batches {
@@ -142,7 +141,7 @@ proptest! {
                 prop_assert_eq!(
                     table.index_mut(VALUE_ATTR).unwrap().evaluate_with(
                         q,
-                        &mut BufferPool::new(4096),
+                        &BufferPool::new(4096),
                         EvalStrategy::ComponentWise,
                         &cost,
                         &EvalOptions { delta: &[Some(&delta)], ..EvalOptions::default() },
@@ -207,7 +206,7 @@ proptest! {
         delta.absorb(&tail.values).expect("in-domain batch");
 
         let executor = ParallelExecutor::new(s.threads);
-        let pool = ShardedBufferPool::new(1024, s.threads.max(2));
+        let pool = BufferPool::striped(1024, s.threads.max(2));
         let cost = CostModel::default();
         let batch = executor
             .execute(

@@ -119,9 +119,9 @@ proptest! {
             EvalStrategy::ComponentStreaming,
         ] {
             for pool_pages in [1usize, 4, 4096] {
-                let mut pool = BufferPool::new(pool_pages);
+                let pool = BufferPool::new(pool_pages);
                 idx.reset_stats();
-                let r = idx.evaluate_detailed(&s.query, &mut pool, strategy, &cost);
+                let r = idx.evaluate_detailed(&s.query, &pool, strategy, &cost);
                 results.push(r.bitmap.to_positions());
             }
         }
@@ -140,10 +140,10 @@ proptest! {
             .with_bases(s.bases.clone())
             .with_codec(s.codec);
         let mut idx = BitmapIndex::build(&s.column, &config);
-        let mut pool = BufferPool::new(4096);
+        let pool = BufferPool::new(4096);
         let r = idx.evaluate_detailed(
             &s.query,
-            &mut pool,
+            &pool,
             EvalStrategy::ComponentWise,
             &CostModel::default(),
         );

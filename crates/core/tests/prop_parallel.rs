@@ -7,7 +7,7 @@
 use bix_core::{
     BitmapIndex, BufferPool, CodecKind, CostModel, DeltaIndex, EncodingScheme, EvalOptions,
     EvalStrategy, IndexConfig, IndexedTable, IoMetrics, IoStats, MetricsRegistry, ParallelExecutor,
-    Plan, Query, ShardedBufferPool,
+    Plan, Query,
 };
 use bix_workload::DatasetSpec;
 use proptest::prelude::*;
@@ -138,20 +138,20 @@ proptest! {
         let cost = CostModel::default();
 
         // Sequential ground truth: one query at a time, component-wise.
-        let mut seq_pool = BufferPool::new(1024);
+        let seq_pool = BufferPool::new(1024);
         let sequential: Vec<_> = s
             .queries
             .iter()
             .map(|q| {
                 index
-                    .evaluate_with(q, &mut seq_pool, EvalStrategy::ComponentWise, &cost, &opts)
+                    .evaluate_with(q, &seq_pool, EvalStrategy::ComponentWise, &cost, &opts)
                     .expect("no deadline, no corruption")
             })
             .collect();
 
         let table = IndexedTable::from(index);
         let plans: Vec<Plan> = s.queries.iter().cloned().map(Plan::from).collect();
-        let pool = ShardedBufferPool::new(1024, s.threads.max(2));
+        let pool = BufferPool::striped(1024, s.threads.max(2));
         let batch = ParallelExecutor::new(s.threads)
             .with_inner_threads(s.inner_threads)
             .execute(&table, &plans, &pool, &cost, &opts)
@@ -203,7 +203,7 @@ proptest! {
         let metrics = IoMetrics::register(&registry);
 
         let before = index.io_stats();
-        let pool = ShardedBufferPool::new(1024, s.threads.max(2));
+        let pool = BufferPool::striped(1024, s.threads.max(2));
         let batch = ParallelExecutor::new(s.threads)
             .with_inner_threads(s.inner_threads)
             .execute(&table, &plans, &pool, &cost, &opts)

@@ -6,8 +6,8 @@
 //! delta-overlay serving path, across encoding schemes and codecs.
 
 use bix_core::{
-    CodecKind, CostModel, DeltaIndex, EncodingScheme, EvalOptions, IndexConfig, IndexedTable,
-    ParallelExecutor, PlanError, Planner, Query, ShardedBufferPool, TableQuery,
+    BufferPool, CodecKind, CostModel, DeltaIndex, EncodingScheme, EvalOptions, IndexConfig,
+    IndexedTable, ParallelExecutor, PlanError, Planner, Query, TableQuery,
 };
 use bix_workload::DatasetSpec;
 use proptest::prelude::*;
@@ -176,7 +176,7 @@ proptest! {
         let cost = CostModel::default();
 
         let plans = [plan];
-        let pool = ShardedBufferPool::new(4096, 2);
+        let pool = BufferPool::striped(4096, 2);
         let sequential = ParallelExecutor::new(1)
             .execute(&table, &plans, &pool, &cost, &EvalOptions::default())
             .expect("no deadline, no corruption")
@@ -195,7 +195,7 @@ proptest! {
             query
         );
 
-        let pool = ShardedBufferPool::new(4096, 2);
+        let pool = BufferPool::striped(4096, 2);
         let executor = ParallelExecutor::new(s.threads);
         let parallel = executor
             .execute(&table, &plans, &pool, &cost, &EvalOptions::default())
@@ -247,7 +247,7 @@ proptest! {
         let refs: Vec<Option<&DeltaIndex>> = deltas.iter().map(Some).collect();
 
         let cost = CostModel::default();
-        let pool = ShardedBufferPool::new(4096, 2);
+        let pool = BufferPool::striped(4096, 2);
         let opts = EvalOptions {
             delta: &refs,
             ..EvalOptions::default()
@@ -265,7 +265,7 @@ proptest! {
             query
         );
 
-        let pool = ShardedBufferPool::new(4096, 2);
+        let pool = BufferPool::striped(4096, 2);
         let executor = ParallelExecutor::new(s.threads);
         let parallel = executor
             .execute(&table, &plans, &pool, &cost, &opts)

@@ -5,8 +5,7 @@
 
 use bix_core::{
     BitmapIndex, BufferPool, CostModel, EncodingScheme, EvalOptions, EvalStrategy, IndexConfig,
-    IndexedTable, MetricsRegistry, ParallelExecutor, Plan, Query, ShardedBufferPool, SpanRecord,
-    Tracer,
+    IndexedTable, MetricsRegistry, ParallelExecutor, Plan, Query, SpanRecord, Tracer,
 };
 
 fn test_index() -> BitmapIndex {
@@ -47,9 +46,9 @@ fn assert_tree_invariants(records: &[SpanRecord]) {
 
 #[test]
 fn sequential_trace_has_nested_phases() {
-    let mut index = test_index();
+    let index = test_index();
     let tracer = Tracer::new();
-    let mut pool = BufferPool::new(4096);
+    let pool = BufferPool::new(4096);
     let q = Query::membership(vec![0, 7, 13, 37, 49]);
 
     let root = tracer.span("query", None);
@@ -57,7 +56,7 @@ fn sequential_trace_has_nested_phases() {
     let traced = index
         .evaluate_with(
             &q,
-            &mut pool,
+            &pool,
             EvalStrategy::ComponentWise,
             &CostModel::default(),
             &EvalOptions {
@@ -120,7 +119,7 @@ fn sequential_trace_has_nested_phases() {
 #[test]
 fn parallel_trace_covers_every_query_and_node_waits() {
     let index = IndexedTable::from(test_index());
-    let pool = ShardedBufferPool::new(4096, 4);
+    let pool = BufferPool::striped(4096, 4);
     let queries: Vec<Plan> = vec![
         Query::equality(7).into(),
         Query::range(3, 20).into(),
@@ -178,13 +177,13 @@ fn parallel_trace_covers_every_query_and_node_waits() {
 
 #[test]
 fn observe_trace_aggregates_phase_histograms() {
-    let mut index = test_index();
+    let index = test_index();
     let tracer = Tracer::new();
-    let mut pool = BufferPool::new(4096);
+    let pool = BufferPool::new(4096);
     index
         .evaluate_with(
             &Query::range(5, 30),
-            &mut pool,
+            &pool,
             EvalStrategy::ComponentWise,
             &CostModel::default(),
             &EvalOptions {

@@ -29,7 +29,7 @@
 //! mid-stream.
 //!
 //! Queries execute on the crate-standard [`ParallelExecutor`] against a
-//! shared [`ShardedBufferPool`], under the per-request deadline (or the
+//! shared [`BufferPool`], under the per-request deadline (or the
 //! server default). A hot `Reload` request opens and `verify()`s new
 //! data off the request thread, then atomically swaps the serving
 //! snapshot and bumps the epoch — in-flight requests keep the old table
@@ -49,9 +49,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bix_core::{
-    AppendError, BitmapIndex, Catalog, CostModel, DeltaIndex, DeltaStats, EvalDomain, EvalError,
-    EvalFailure, EvalMetrics, EvalOptions, IndexedTable, IoMetrics, MetricsRegistry,
-    ParallelExecutor, Plan, Planner, PredicateError, ShardedBufferPool, TableSchema,
+    AppendError, BitmapIndex, BufferPool, Catalog, CostModel, DeltaIndex, DeltaStats, EvalDomain,
+    EvalError, EvalFailure, EvalMetrics, EvalOptions, IndexedTable, IoMetrics, MetricsRegistry,
+    ParallelExecutor, Plan, Planner, PredicateError, TableSchema,
 };
 use bix_telemetry::{
     unix_ms_now, Counter, Gauge, Histogram, SlowLog, SlowQuery, SpanGuard, SpanId, TraceContext,
@@ -688,7 +688,7 @@ fn bad_query(message: String) -> Response {
 struct Serving {
     table: IndexedTable,
     schema: TableSchema,
-    pool: ShardedBufferPool,
+    pool: BufferPool,
 }
 
 impl Serving {
@@ -697,7 +697,7 @@ impl Serving {
         Arc::new(Serving {
             schema: table.schema(),
             table,
-            pool: ShardedBufferPool::new(config.pool_pages, config.workers.max(2)),
+            pool: BufferPool::striped(config.pool_pages, config.workers.max(2)),
         })
     }
 }
@@ -867,10 +867,13 @@ impl IndexHandler {
         (delta, serving)
     }
 
-    /// The typed reply to a failed evaluation: `DeadlineExceeded`, or
-    /// `Internal` naming the corrupt bitmap or the torn main/delta
-    /// pairing. The abandoned work's I/O is still recorded, so a corrupt
-    /// read shows in `bix_io_checksum_failures_total`.
+    /// The typed reply to a failed evaluation: `DeadlineExceeded`,
+    /// `Unavailable` naming a bitmap whose page stayed unreadable through
+    /// the disk's retries, or `Internal` naming the corrupt bitmap or the
+    /// torn main/delta pairing. The abandoned work's I/O is still
+    /// recorded, so a corrupt read shows in
+    /// `bix_io_checksum_failures_total` and a retried one in
+    /// `bix_io_read_retries_total`.
     fn eval_failed(&self, err: EvalError, deadline_ms: u64) -> Response {
         self.metrics.io.record(&err.io);
         match err.failure {
@@ -881,6 +884,10 @@ impl IndexHandler {
                     message: format!("deadline of {deadline_ms}ms exceeded"),
                 }
             }
+            EvalFailure::Unavailable { .. } => Response::Error {
+                code: ErrorCode::Unavailable,
+                message: err.to_string(),
+            },
             EvalFailure::Corrupt { .. } | EvalFailure::SnapshotMismatch { .. } => Response::Error {
                 code: ErrorCode::Internal,
                 message: err.to_string(),
@@ -1375,7 +1382,7 @@ mod tests {
             .execute(
                 &oracle_table,
                 &[plan],
-                &ShardedBufferPool::new(1024, 2),
+                &BufferPool::striped(1024, 2),
                 &CostModel::default(),
                 &EvalOptions::default(),
             )
@@ -1602,10 +1609,10 @@ mod tests {
         let predicates = ["=17", "3..30", "in:0,39", "!=5", "0..39", "!0..39"];
         let ids = |index: &mut BitmapIndex, p: &str| -> Vec<u64> {
             let q = Query::parse(p, 40).expect("test predicate parses");
-            let mut pool = BufferPool::new(1024);
+            let pool = BufferPool::new(1024);
             let r = index.evaluate_detailed(
                 &q,
-                &mut pool,
+                &pool,
                 EvalStrategy::ComponentWise,
                 &CostModel::default(),
             );

@@ -59,14 +59,14 @@ fn predicates() -> Vec<String> {
 
 /// Sequential ground truth: rows and scans per predicate.
 fn oracle(index: &mut BitmapIndex, preds: &[String]) -> Vec<(Vec<u64>, u64)> {
-    let mut pool = BufferPool::new(4096);
+    let pool = BufferPool::new(4096);
     preds
         .iter()
         .map(|p| {
             let q = Query::parse(p, C).expect("oracle predicate parses");
             let r = index.evaluate_detailed(
                 &q,
-                &mut pool,
+                &pool,
                 EvalStrategy::ComponentWise,
                 &CostModel::default(),
             );

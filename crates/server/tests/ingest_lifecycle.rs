@@ -60,7 +60,7 @@ fn ingested_rows_are_queryable_and_match_a_rebuild() {
     .generate();
     let mut all = base.values.clone();
     all.extend_from_slice(&tail.values);
-    let mut rebuilt = BitmapIndex::build(&all, &config);
+    let rebuilt = BitmapIndex::build(&all, &config);
 
     for pred in ["=7", "3..20", "<=25", ">=30", "!10..30", "in:0,4,8,39"] {
         let q = bix_core::Query::parse(pred, C).expect("parse");

@@ -167,14 +167,14 @@ fn hot_reload_swaps_the_serving_index_atomically() {
     let path = dir.join(format!("bix_reload_test_{}.idx", std::process::id()));
     build_index(17).save(&path).expect("save replacement index");
 
-    let mut original = build_index(0);
+    let original = build_index(0);
     let expected_before: Vec<u64> = original
         .evaluate(&bix_core::Query::range(3, 9))
         .to_positions()
         .iter()
         .map(|&p| p as u64)
         .collect();
-    let mut replacement = build_index(17);
+    let replacement = build_index(17);
     let expected_after: Vec<u64> = replacement
         .evaluate(&bix_core::Query::range(3, 9))
         .to_positions()

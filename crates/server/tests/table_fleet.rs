@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bix_core::{
-    Catalog, CostModel, EncodingScheme, EvalDomain, EvalOptions, IndexConfig, ParallelExecutor,
-    Planner, ShardedBufferPool,
+    BufferPool, Catalog, CostModel, EncodingScheme, EvalDomain, EvalOptions, IndexConfig,
+    ParallelExecutor, Planner,
 };
 use bix_server::{
     Client, ClientError, ErrorCode, RetryPolicy, Router, RouterConfig, Server, ServerConfig,
@@ -60,7 +60,7 @@ fn oracle_rows(text: &str) -> Vec<u64> {
         .execute(
             &table,
             &[plan],
-            &ShardedBufferPool::new(1024, 2),
+            &BufferPool::striped(1024, 2),
             &CostModel::default(),
             &EvalOptions::default(),
         )

@@ -3,12 +3,13 @@
 //! Every durability claim in this workspace is testable: a [`FaultPlan`]
 //! installed on a [`DiskSim`](crate::DiskSim) makes a chosen write fail
 //! outright, tears a chosen write mid-page (the first half of the bytes
-//! land, the rest are lost — a torn page), flips bits on a later read
-//! (at-rest corruption surfacing at read time), or makes the next few
+//! land, the rest are lost — a torn page), or makes the next few page
 //! reads fail transiently (exercising the bounded retry-with-backoff
 //! path). Faults are deterministic — a plan names explicit operation
 //! indexes — so recovery tests can sweep "crash after the Nth write"
-//! exhaustively.
+//! exhaustively. At-rest corruption is not a plan entry: it is
+//! [`DiskSim::corrupt_file`](crate::DiskSim::corrupt_file), applied to
+//! the stored bytes directly.
 
 use crate::FileId;
 
@@ -68,18 +69,6 @@ impl std::fmt::Display for DiskFault {
 
 impl std::error::Error for DiskFault {}
 
-/// One scheduled bit flip, applied to a file's stored bytes the next time
-/// any page of that file is read through the exclusive read path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadFlip {
-    /// File to corrupt.
-    pub file: FileId,
-    /// Byte offset within the file (clamped to the file length).
-    pub byte: usize,
-    /// XOR mask applied to that byte (must be non-zero to corrupt).
-    pub mask: u8,
-}
-
 /// A deterministic schedule of injected faults.
 ///
 /// Write operations are counted globally per disk (file creations,
@@ -90,7 +79,6 @@ pub struct ReadFlip {
 pub struct FaultPlan {
     pub(crate) fail_write: Option<u64>,
     pub(crate) torn_write: Option<u64>,
-    pub(crate) read_flips: Vec<ReadFlip>,
     pub(crate) transient_read_faults: u32,
 }
 
@@ -114,13 +102,6 @@ impl FaultPlan {
         self
     }
 
-    /// Flips bits in `file`'s stored bytes when it is next read —
-    /// simulated bit rot surfacing at read time.
-    pub fn flip_on_read(mut self, file: FileId, byte: usize, mask: u8) -> Self {
-        self.read_flips.push(ReadFlip { file, byte, mask });
-        self
-    }
-
     /// Makes the next `n` page-read attempts fail transiently. Reads
     /// retry with bounded exponential backoff, so `n` below the retry
     /// limit is invisible to callers (except in the retry counters) and
@@ -132,9 +113,6 @@ impl FaultPlan {
 
     /// True if the plan contains no faults at all.
     pub fn is_empty(&self) -> bool {
-        self.fail_write.is_none()
-            && self.torn_write.is_none()
-            && self.read_flips.is_empty()
-            && self.transient_read_faults == 0
+        self.fail_write.is_none() && self.torn_write.is_none() && self.transient_read_faults == 0
     }
 }

@@ -1,90 +1,98 @@
-//! An LRU buffer pool over the simulated disk.
+//! One exact-LRU page cache: a stripe of the [`crate::BufferPool`].
 
-use crate::{DiskSim, FileId};
+use crate::{DiskFault, DiskSim, FileId, ReadContext};
 use std::collections::HashMap;
 
-/// Key of one cached page.
-type PageKey = (FileId, usize);
+/// Key of one cached page: the owning disk's process-unique id, the
+/// file, and the page number. The disk id matters because one pool may
+/// serve several disks (a catalog's attribute indexes each own a disk,
+/// and every disk numbers its files from zero).
+pub(crate) type PageKey = (u32, FileId, usize);
 
-/// A fixed-capacity LRU page cache.
+/// A fixed-capacity LRU page cache over the simulated disk.
 ///
 /// The paper's component-wise evaluation strategy (§6.3) exists precisely
 /// to work within a bounded buffer: with enough buffer space no bitmap is
-/// scanned twice, with too little the evaluator pays rescans. The pool
-/// makes that trade-off observable — hits are counted against the shared
-/// [`crate::IoStats`], misses go to the disk.
-pub struct BufferPool {
+/// scanned twice, with too little the evaluator pays rescans. The cache
+/// makes that trade-off observable — hits and misses are charged to the
+/// reader's [`ReadContext`], misses go to the disk. Every access (hit or
+/// miss) takes a fresh stamp, and a miss on a full stripe evicts the
+/// smallest one: exact LRU.
+pub(crate) struct Stripe {
     capacity_pages: usize,
     /// page -> (contents, LRU stamp)
     pages: HashMap<PageKey, (Vec<u8>, u64)>,
     clock: u64,
 }
 
-impl BufferPool {
-    /// Creates a pool holding at most `capacity_pages` pages.
+impl Stripe {
+    /// An empty stripe of `capacity_pages` pages.
     ///
     /// # Panics
     ///
     /// Panics if `capacity_pages` is zero.
-    pub fn new(capacity_pages: usize) -> Self {
+    pub(crate) fn new(capacity_pages: usize) -> Stripe {
         assert!(capacity_pages > 0, "buffer pool needs at least one page");
-        BufferPool {
+        Stripe {
             capacity_pages,
             pages: HashMap::with_capacity(capacity_pages),
             clock: 0,
         }
     }
 
-    /// Pool capacity in pages.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity_pages
     }
 
-    /// Number of resident pages.
-    pub fn resident(&self) -> usize {
+    pub(crate) fn resident(&self) -> usize {
         self.pages.len()
     }
 
-    /// Fetches a page through the pool, reading from `disk` on a miss and
-    /// evicting the least-recently-used page if full.
-    pub fn get(&mut self, disk: &mut DiskSim, file: FileId, page_no: usize) -> &[u8] {
+    pub(crate) fn contains(&self, key: &PageKey) -> bool {
+        self.pages.contains_key(key)
+    }
+
+    pub(crate) fn flush(&mut self) {
+        self.pages.clear();
+    }
+
+    /// Appends page `key` to `out`, from the cache or — on a miss — from
+    /// `disk`, evicting the least-recently-used page if the stripe is
+    /// full. A failed disk read leaves the cached pages as they were.
+    pub(crate) fn read_into(
+        &mut self,
+        disk: &DiskSim,
+        key: PageKey,
+        ctx: &mut ReadContext,
+        out: &mut Vec<u8>,
+    ) -> Result<(), DiskFault> {
         self.clock += 1;
-        let key = (file, page_no);
-        if self.pages.contains_key(&key) {
-            disk.stats_handle().lock().expect("stats lock").pool_hits += 1;
-            let entry = self.pages.get_mut(&key).expect("checked above");
+        if let Some(entry) = self.pages.get_mut(&key) {
+            ctx.stats.pool_hits += 1;
             entry.1 = self.clock;
-            return &entry.0;
+            out.extend_from_slice(&entry.0);
+            return Ok(());
         }
-        let contents = disk.read_page(file, page_no).to_vec();
+        let contents = disk.read_page(key.1, key.2, ctx)?;
+        out.extend_from_slice(contents);
         if self.pages.len() >= self.capacity_pages {
             let victim = self
                 .pages
                 .iter()
                 .min_by_key(|(_, (_, stamp))| *stamp)
                 .map(|(k, _)| *k)
-                .expect("pool is non-empty when full");
+                .expect("stripe is non-empty when full");
             self.pages.remove(&victim);
         }
-        let stamp = self.clock;
-        &self.pages.entry(key).or_insert((contents, stamp)).0
-    }
-
-    /// Drops every cached page (the paper flushes the FS cache per query).
-    pub fn flush(&mut self) {
-        self.pages.clear();
-    }
-
-    /// True if the page is resident (test/diagnostic helper).
-    pub fn contains(&self, file: FileId, page_no: usize) -> bool {
-        self.pages.contains_key(&(file, page_no))
+        self.pages.insert(key, (contents.to_vec(), self.clock));
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DiskConfig;
+    use crate::{DiskConfig, IoStats};
 
     fn disk_with_file(pages: usize, page_size: usize) -> (DiskSim, FileId) {
         let mut disk = DiskSim::new(DiskConfig { page_size });
@@ -93,63 +101,87 @@ mod tests {
         (disk, id)
     }
 
+    /// Reads one page through `stripe`, returning its bytes.
+    fn get(
+        stripe: &mut Stripe,
+        disk: &DiskSim,
+        id: FileId,
+        page_no: usize,
+        ctx: &mut ReadContext,
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        stripe
+            .read_into(disk, (disk.sim_id(), id, page_no), ctx, &mut out)
+            .unwrap();
+        out
+    }
+
+    fn key(disk: &DiskSim, id: FileId, page_no: usize) -> PageKey {
+        (disk.sim_id(), id, page_no)
+    }
+
     #[test]
     fn hit_avoids_disk_read() {
-        let (mut disk, id) = disk_with_file(4, 8);
-        let mut pool = BufferPool::new(4);
-        pool.get(&mut disk, id, 0);
-        pool.get(&mut disk, id, 0);
-        let stats = disk.stats();
-        assert_eq!(stats.pages_read, 1);
-        assert_eq!(stats.pool_hits, 1);
+        let (disk, id) = disk_with_file(4, 8);
+        let mut stripe = Stripe::new(4);
+        let mut ctx = ReadContext::new();
+        get(&mut stripe, &disk, id, 0, &mut ctx);
+        get(&mut stripe, &disk, id, 0, &mut ctx);
+        assert_eq!(ctx.stats().pages_read, 1);
+        assert_eq!(ctx.stats().pool_hits, 1);
     }
 
     #[test]
     fn returns_correct_page_contents() {
-        let (mut disk, id) = disk_with_file(4, 8);
-        let mut pool = BufferPool::new(2);
-        let page2: Vec<u8> = pool.get(&mut disk, id, 2).to_vec();
-        let direct: Vec<u8> = disk.read_page(id, 2).to_vec();
-        assert_eq!(page2, direct);
+        let (disk, id) = disk_with_file(4, 8);
+        let mut stripe = Stripe::new(2);
+        let mut ctx = ReadContext::new();
+        let page2 = get(&mut stripe, &disk, id, 2, &mut ctx);
+        assert_eq!(page2, disk.read_page(id, 2, &mut ctx).unwrap());
+        assert_eq!(get(&mut stripe, &disk, id, 2, &mut ctx), page2, "hit");
     }
 
     #[test]
     fn evicts_least_recently_used() {
-        let (mut disk, id) = disk_with_file(4, 8);
-        let mut pool = BufferPool::new(2);
-        pool.get(&mut disk, id, 0);
-        pool.get(&mut disk, id, 1);
-        pool.get(&mut disk, id, 0); // refresh page 0
-        pool.get(&mut disk, id, 2); // evicts page 1
-        assert!(pool.contains(id, 0));
-        assert!(!pool.contains(id, 1));
-        assert!(pool.contains(id, 2));
+        let (disk, id) = disk_with_file(4, 8);
+        let mut stripe = Stripe::new(2);
+        let mut ctx = ReadContext::new();
+        get(&mut stripe, &disk, id, 0, &mut ctx);
+        get(&mut stripe, &disk, id, 1, &mut ctx);
+        get(&mut stripe, &disk, id, 0, &mut ctx); // refresh page 0
+        get(&mut stripe, &disk, id, 2, &mut ctx); // evicts page 1
+        assert!(stripe.contains(&key(&disk, id, 0)));
+        assert!(!stripe.contains(&key(&disk, id, 1)));
+        assert!(stripe.contains(&key(&disk, id, 2)));
     }
 
     #[test]
     fn rescan_after_eviction_hits_disk_again() {
-        let (mut disk, id) = disk_with_file(3, 8);
-        let mut pool = BufferPool::new(1);
-        pool.get(&mut disk, id, 0);
-        pool.get(&mut disk, id, 1);
-        pool.get(&mut disk, id, 0);
-        assert_eq!(disk.stats().pages_read, 3, "tiny pool forces rescans");
+        let (disk, id) = disk_with_file(3, 8);
+        let mut stripe = Stripe::new(1);
+        let mut ctx = ReadContext::new();
+        get(&mut stripe, &disk, id, 0, &mut ctx);
+        get(&mut stripe, &disk, id, 1, &mut ctx);
+        get(&mut stripe, &disk, id, 0, &mut ctx);
+        assert_eq!(ctx.stats().pages_read, 3, "tiny pool forces rescans");
     }
 
     #[test]
     fn flush_clears_residency() {
-        let (mut disk, id) = disk_with_file(2, 8);
-        let mut pool = BufferPool::new(2);
-        pool.get(&mut disk, id, 0);
-        pool.flush();
-        assert_eq!(pool.resident(), 0);
-        pool.get(&mut disk, id, 0);
-        assert_eq!(disk.stats().pages_read, 2);
+        let (disk, id) = disk_with_file(2, 8);
+        let mut stripe = Stripe::new(2);
+        let mut ctx = ReadContext::new();
+        get(&mut stripe, &disk, id, 0, &mut ctx);
+        stripe.flush();
+        assert_eq!(stripe.resident(), 0);
+        get(&mut stripe, &disk, id, 0, &mut ctx);
+        assert_eq!(ctx.stats().pages_read, 2);
+        assert_eq!(disk.stats(), IoStats::new(), "reads charge the context");
     }
 
     #[test]
     #[should_panic(expected = "at least one page")]
     fn zero_capacity_panics() {
-        let _ = BufferPool::new(0);
+        let _ = Stripe::new(0);
     }
 }

@@ -3,7 +3,7 @@
 
 use bix_bitvec::Bitvec;
 use bix_compress::CodecKind;
-use bix_storage::{BitmapStore, BufferPool, DiskConfig, DiskSim};
+use bix_storage::{BitmapStore, BufferPool, DiskConfig, DiskSim, ReadContext};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -49,13 +49,14 @@ proptest! {
         let files: Vec<_> = (0..3)
             .map(|f| disk.create_file(vec![f as u8; 16])) // 4 pages each
             .collect();
-        let mut pool = BufferPool::new(capacity);
+        let pool = BufferPool::new(capacity);
         let mut model = ModelLru::new(capacity);
+        let mut ctx = ReadContext::new();
 
         for (f, p) in accesses {
-            let before = disk.stats();
-            pool.get(&mut disk, files[f], p);
-            let after = disk.stats();
+            let before = ctx.stats();
+            pool.read_into(&disk, files[f], p, &mut ctx, &mut Vec::new()).unwrap();
+            let after = ctx.stats();
             let was_hit = after.pages_read == before.pages_read;
             let model_hit = model.access((f, p));
             prop_assert_eq!(was_hit, model_hit, "access ({}, {})", f, p);
@@ -93,11 +94,12 @@ proptest! {
             .map(|(k, bv)| store.put(&format!("b{k}"), codec, bv))
             .collect();
 
-        let mut pool = BufferPool::new(pool_pages);
+        let pool = BufferPool::new(pool_pages);
+        let mut ctx = ReadContext::new();
         for r in reads {
             let idx = r % handles.len();
             prop_assert_eq!(
-                &store.read(handles[idx], &mut pool),
+                &store.read(handles[idx], &pool, &mut ctx).unwrap(),
                 &bitmaps[idx],
                 "bitmap {} codec {}", idx, codec
             );
@@ -117,11 +119,12 @@ proptest! {
             disk.create_file(vec![1u8; 24]),
             disk.create_file(vec![2u8; 24]),
         ];
-        let mut pool = BufferPool::new(pool_pages);
+        let pool = BufferPool::new(pool_pages);
+        let mut ctx = ReadContext::new();
         for (f, p) in reads {
-            pool.get(&mut disk, files[f], p);
+            pool.read_into(&disk, files[f], p, &mut ctx, &mut Vec::new()).unwrap();
         }
-        let stats = disk.stats();
+        let stats = ctx.stats();
         prop_assert!(stats.seeks <= stats.pages_read);
         prop_assert!(stats.bytes_read <= stats.pages_read * page_size);
         prop_assert!(stats.page_requests() >= stats.pages_read);

@@ -48,17 +48,13 @@ fn main() {
                     CodecKind::Wah,
                     CodecKind::Roaring,
                 ] {
-                    let mut index = BitmapIndex::build(
+                    let index = BitmapIndex::build(
                         &data.values,
                         &IndexConfig::one_component(c, scheme).with_codec(codec),
                     );
-                    let mut pool = BufferPool::new(2048);
-                    let r = index.evaluate_detailed(
-                        &query,
-                        &mut pool,
-                        EvalStrategy::ComponentWise,
-                        cost,
-                    );
+                    let pool = BufferPool::new(2048);
+                    let r =
+                        index.evaluate_detailed(&query, &pool, EvalStrategy::ComponentWise, cost);
                     println!(
                         "{:>3} {:<7} {:<8} {:>12} {:>10} {:>10.3}",
                         z,

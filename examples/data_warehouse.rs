@@ -13,8 +13,8 @@
 //! Run with: `cargo run --release --example data_warehouse`
 
 use chan_bitmap_index::core::{
-    CostModel, DiskConfig, EncodingScheme, EvalOptions, IndexConfig, IndexedTable,
-    ParallelExecutor, Planner, Query, ShardedBufferPool, TableQuery,
+    BufferPool, CostModel, DiskConfig, EncodingScheme, EvalOptions, IndexConfig, IndexedTable,
+    ParallelExecutor, Planner, Query, TableQuery,
 };
 use chan_bitmap_index::workload::StarSchemaSpec;
 
@@ -75,7 +75,7 @@ fn main() {
         let plan = Planner::new(&table.schema())
             .plan(&report)
             .expect("the report plans");
-        let pool = ShardedBufferPool::new(DiskConfig::default().pages_for_bytes(11 << 20), 2);
+        let pool = BufferPool::striped(DiskConfig::default().pages_for_bytes(11 << 20), 2);
         let r = ParallelExecutor::new(1)
             .execute(&table, &[plan], &pool, &cost, &EvalOptions::default())
             .expect("no deadline, no corruption")

@@ -96,9 +96,9 @@ fn main() {
             .map(|lo| Query::range(lo, lo + 4))
             .collect();
         for q in &queries {
-            let mut pool = BufferPool::new(2048);
+            let pool = BufferPool::new(2048);
             index.reset_stats();
-            let r = index.evaluate_detailed(q, &mut pool, EvalStrategy::ComponentWise, &cost);
+            let r = index.evaluate_detailed(q, &pool, EvalStrategy::ComponentWise, &cost);
             total += r.total_seconds();
             scans += r.scans;
         }

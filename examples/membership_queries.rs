@@ -30,7 +30,7 @@ fn main() {
     println!("scans needed per scheme for this query (C = 50):");
     let query = Query::membership(values);
     for scheme in EncodingScheme::ALL {
-        let mut index = BitmapIndex::build(&data.values, &IndexConfig::one_component(50, scheme));
+        let index = BitmapIndex::build(&data.values, &IndexConfig::one_component(50, scheme));
         let expr = index.rewrite(&query);
         let matches = index.evaluate(&query).count_ones();
         println!(

@@ -23,7 +23,7 @@ fn main() {
 
     for scheme in EncodingScheme::BASIC {
         let config = IndexConfig::one_component(10, scheme);
-        let mut index = BitmapIndex::build(&column, &config);
+        let index = BitmapIndex::build(&column, &config);
         println!(
             "=== {} encoding: {} bitmaps, {} bytes on disk ===",
             scheme,

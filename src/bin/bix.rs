@@ -81,10 +81,10 @@
 use bix_telemetry::{json, TraceContext};
 use chan_bitmap_index::analysis::{advise, Workload};
 use chan_bitmap_index::core::{
-    set_table_gauges, BitmapIndex, BitmapRef, Catalog, CodecKind, CostModel, EncodingScheme,
-    EvalDomain, EvalMetrics, EvalOptions, IndexConfig, IndexedTable, IoMetrics, IoStats,
-    MetricsRegistry, ParallelExecutor, Plan, Planner, RewriteAction, ShardedBufferPool,
-    TableSchema, Tracer, EXISTENCE_REF,
+    set_table_gauges, BitmapIndex, BitmapRef, BufferPool, Catalog, CodecKind, CostModel,
+    EncodingScheme, EvalDomain, EvalMetrics, EvalOptions, IndexConfig, IndexedTable, IoMetrics,
+    IoStats, MetricsRegistry, ParallelExecutor, Plan, Planner, RewriteAction, TableSchema, Tracer,
+    EXISTENCE_REF,
 };
 use chan_bitmap_index::server::{
     Client, ClientError, ErrorCode as WireErrorCode, RetryPolicy, Router, RouterConfig, Server,
@@ -483,7 +483,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         None => 1,
     };
     let threads = numeric_flag(args, "--parallel", default_threads)?;
-    let pool = ShardedBufferPool::new(numeric_flag(args, "--pool-pages", 8192)?, threads.max(2));
+    let pool = BufferPool::striped(numeric_flag(args, "--pool-pages", 8192)?, threads.max(2));
     let tracer = if wants_trace(args) {
         Tracer::new()
     } else {
@@ -634,7 +634,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
         .execute(
             &table,
             std::slice::from_ref(&plan),
-            &ShardedBufferPool::new(4096, 2),
+            &BufferPool::striped(4096, 2),
             &cost,
             &opts,
         )
@@ -1872,7 +1872,7 @@ mod tests {
         ])
         .expect("build");
 
-        let mut loaded = BitmapIndex::load(&idx).expect("load");
+        let loaded = BitmapIndex::load(&idx).expect("load");
         assert_eq!(loaded.rows(), 200);
         assert_eq!(loaded.evaluate(&Query::equality(3)).count_ones(), 20);
 
@@ -1978,7 +1978,7 @@ mod tests {
         cmd_verify(&[idx.to_string_lossy().into_owned()]).expect("repaired file verifies");
 
         // The repaired index answers queries over the rebuilt slot exactly.
-        let mut loaded = BitmapIndex::load(&idx).expect("strict load after repair");
+        let loaded = BitmapIndex::load(&idx).expect("strict load after repair");
         assert_eq!(loaded.evaluate(&Query::equality(9)).count_ones(), 20);
         std::fs::remove_file(&idx).ok();
     }

@@ -174,7 +174,7 @@ fn verify_and_repair_keep_each_format() {
         f.ok(&["verify", file]);
     }
     // Each file keeps its own format and answers exactly again.
-    let mut index = BitmapIndex::load(f.path("col.bix")).expect("still a bare index");
+    let index = BitmapIndex::load(f.path("col.bix")).expect("still a bare index");
     assert_eq!(index.evaluate(&Query::equality(9)).count_ones(), 20);
     Catalog::open(f.path("t.bixcat")).expect("still a catalog");
     assert_eq!(

@@ -16,7 +16,7 @@ fn minimal_cardinalities_all_schemes() {
         for scheme in EncodingScheme::ALL_WITH_VARIANTS {
             for codec in [CodecKind::Raw, CodecKind::Bbc, CodecKind::Wah] {
                 let config = IndexConfig::one_component(c, scheme).with_codec(codec);
-                let mut idx = BitmapIndex::build(&column, &config);
+                let idx = BitmapIndex::build(&column, &config);
                 for lo in 0..c {
                     for hi in lo..c {
                         let got = idx.evaluate(&Query::range(lo, hi)).count_ones();
@@ -60,7 +60,7 @@ fn tiny_cardinality_full_query_space() {
     for c in 2u64..=3 {
         let column: Vec<u64> = (0..120).map(|i| (i * 7 + i / 3) % c).collect();
         for scheme in EncodingScheme::ALL_WITH_VARIANTS {
-            let mut idx = BitmapIndex::build(&column, &IndexConfig::one_component(c, scheme));
+            let idx = BitmapIndex::build(&column, &IndexConfig::one_component(c, scheme));
             let mut queries: Vec<Query> = Vec::new();
             for v in 0..c {
                 queries.push(Query::equality(v));
@@ -86,7 +86,7 @@ fn constant_column() {
     let column = vec![7u64; 5_000];
     for scheme in EncodingScheme::ALL_WITH_VARIANTS {
         let config = IndexConfig::one_component(10, scheme).with_codec(CodecKind::Bbc);
-        let mut idx = BitmapIndex::build(&column, &config);
+        let idx = BitmapIndex::build(&column, &config);
         assert_eq!(idx.evaluate(&Query::equality(7)).count_ones(), 5_000);
         assert_eq!(idx.evaluate(&Query::equality(3)).count_ones(), 0);
         assert_eq!(idx.evaluate(&Query::le(6)).count_ones(), 0);
@@ -104,7 +104,7 @@ fn constant_column() {
 fn empty_column() {
     for scheme in EncodingScheme::BASIC {
         let config = IndexConfig::one_component(10, scheme);
-        let mut idx = BitmapIndex::build(&[], &config);
+        let idx = BitmapIndex::build(&[], &config);
         assert_eq!(idx.rows(), 0);
         assert!(idx.evaluate(&Query::range(0, 9)).is_empty());
         assert!(idx.evaluate(&Query::equality(5).not()).is_empty());
@@ -124,14 +124,14 @@ fn starved_buffer_pool() {
         .map(|(i, _)| i)
         .collect();
     for scheme in [EncodingScheme::Equality, EncodingScheme::Interval] {
-        let mut idx = BitmapIndex::build(&column, &IndexConfig::one_component(50, scheme));
+        let idx = BitmapIndex::build(&column, &IndexConfig::one_component(50, scheme));
         for strategy in [
             EvalStrategy::ComponentWise,
             EvalStrategy::QueryWise,
             EvalStrategy::QueryWiseScheduled,
         ] {
-            let mut pool = BufferPool::new(1);
-            let r = idx.evaluate_detailed(&query, &mut pool, strategy, &CostModel::default());
+            let pool = BufferPool::new(1);
+            let r = idx.evaluate_detailed(&query, &pool, strategy, &CostModel::default());
             assert_eq!(r.bitmap.to_positions(), expect, "{scheme} {strategy:?}");
         }
     }
@@ -143,7 +143,7 @@ fn starved_buffer_pool() {
 fn boundary_queries() {
     let column: Vec<u64> = (0..10_000).map(|i| i % 50).collect();
     for scheme in EncodingScheme::ALL_WITH_VARIANTS {
-        let mut idx = BitmapIndex::build(&column, &IndexConfig::one_component(50, scheme));
+        let idx = BitmapIndex::build(&column, &IndexConfig::one_component(50, scheme));
         assert_eq!(idx.evaluate(&Query::equality(0)).count_ones(), 200);
         assert_eq!(idx.evaluate(&Query::equality(49)).count_ones(), 200);
         assert_eq!(idx.evaluate(&Query::range(0, 49)).count_ones(), 10_000);
@@ -171,7 +171,7 @@ fn queries_on_absent_values() {
     // Column only uses even values; odd values exist in the domain only.
     let column: Vec<u64> = (0..1_000).map(|i| (i % 25) * 2).collect();
     for scheme in EncodingScheme::ALL_WITH_VARIANTS {
-        let mut idx = BitmapIndex::build(&column, &IndexConfig::one_component(50, scheme));
+        let idx = BitmapIndex::build(&column, &IndexConfig::one_component(50, scheme));
         assert_eq!(
             idx.evaluate(&Query::equality(7)).count_ones(),
             0,
@@ -189,7 +189,7 @@ fn queries_on_absent_values() {
 #[test]
 fn single_row_relation() {
     for scheme in EncodingScheme::ALL_WITH_VARIANTS {
-        let mut idx = BitmapIndex::build(&[3], &IndexConfig::one_component(10, scheme));
+        let idx = BitmapIndex::build(&[3], &IndexConfig::one_component(10, scheme));
         assert_eq!(idx.evaluate(&Query::equality(3)).to_positions(), vec![0]);
         assert_eq!(idx.evaluate(&Query::equality(4)).count_ones(), 0);
         assert_eq!(idx.evaluate(&Query::equality(3).not()).count_ones(), 0);
@@ -205,7 +205,7 @@ fn base_two_components() {
     for scheme in EncodingScheme::ALL_WITH_VARIANTS {
         let config =
             IndexConfig::one_component(48, scheme).with_bases(BaseVector::from_msb(&[2, 12, 2]));
-        let mut idx = BitmapIndex::build(&column, &config);
+        let idx = BitmapIndex::build(&column, &config);
         for q in [Query::equality(47), Query::range(11, 37), Query::le(23)] {
             let got = idx.evaluate(&q).count_ones();
             let expect = column.iter().filter(|&&v| q.matches(v)).count();

@@ -22,7 +22,7 @@ fn dataset(z: f64) -> chan_bitmap_index::workload::Dataset {
 fn every_scheme_every_query_set_matches_brute_force() {
     let data = dataset(1.0);
     for scheme in EncodingScheme::ALL {
-        let mut index = BitmapIndex::build(&data.values, &IndexConfig::one_component(50, scheme));
+        let index = BitmapIndex::build(&data.values, &IndexConfig::one_component(50, scheme));
         for spec in QuerySetSpec::paper_query_sets() {
             for q in spec.generate(50, 3, 7) {
                 let query = Query::Membership(q.values());
@@ -44,7 +44,7 @@ fn every_scheme_every_query_set_matches_brute_force() {
 fn compressed_and_multi_component_agree_with_one_component_raw() {
     let data = dataset(2.0);
     let query = Query::membership(vec![0, 7, 8, 9, 30, 49]);
-    let mut reference = BitmapIndex::build(
+    let reference = BitmapIndex::build(
         &data.values,
         &IndexConfig::one_component(50, EncodingScheme::Equality),
     );
@@ -54,7 +54,7 @@ fn compressed_and_multi_component_agree_with_one_component_raw() {
         for n in [1usize, 2, 3] {
             for codec in [CodecKind::Raw, CodecKind::Bbc, CodecKind::Wah] {
                 let config = IndexConfig::n_components(50, scheme, n).with_codec(codec);
-                let mut index = BitmapIndex::build(&data.values, &config);
+                let index = BitmapIndex::build(&data.values, &config);
                 assert_eq!(
                     index.evaluate(&query).to_positions(),
                     expect,
@@ -82,11 +82,11 @@ fn measured_scans_match_analytic_expected_scans() {
             let queries = analysis::queries_in_class(class, c);
             let mut total = 0usize;
             for &(lo, hi) in &queries {
-                let mut pool = BufferPool::new(4096);
+                let pool = BufferPool::new(4096);
                 index.reset_stats();
                 let r = index.evaluate_detailed(
                     &Query::range(lo, hi),
-                    &mut pool,
+                    &pool,
                     EvalStrategy::ComponentWise,
                     &CostModel::default(),
                 );
@@ -107,7 +107,7 @@ fn measured_scans_match_analytic_expected_scans() {
 #[test]
 fn negated_queries_are_exact_complements() {
     let data = dataset(1.0);
-    let mut index = BitmapIndex::build(
+    let index = BitmapIndex::build(
         &data.values,
         &IndexConfig::one_component(50, EncodingScheme::Interval),
     );
@@ -178,9 +178,9 @@ fn scheduled_query_wise_reduces_io_under_tight_pool() {
     let mut run = |strategy| {
         // Pool of 2 pages: each bitmap here is one page, so only two
         // bitmaps stay resident.
-        let mut pool = BufferPool::new(2);
+        let pool = BufferPool::new(2);
         index.reset_stats();
-        index.evaluate_detailed(&query, &mut pool, strategy, &cost)
+        index.evaluate_detailed(&query, &pool, strategy, &cost)
     };
     let naive = run(EvalStrategy::QueryWise);
     let scheduled = run(EvalStrategy::QueryWiseScheduled);
@@ -213,9 +213,9 @@ fn streaming_component_wise_bounds_memory() {
     );
     let cost = CostModel::default();
     let mut run = |strategy| {
-        let mut pool = BufferPool::new(4096);
+        let pool = BufferPool::new(4096);
         index.reset_stats();
-        index.evaluate_detailed(&query, &mut pool, strategy, &cost)
+        index.evaluate_detailed(&query, &pool, strategy, &cost)
     };
     let streaming = run(EvalStrategy::ComponentStreaming);
     let cached = run(EvalStrategy::ComponentWise);
@@ -234,16 +234,16 @@ fn streaming_component_wise_bounds_memory() {
 #[test]
 fn paper_pool_size_avoids_rescans() {
     let data = dataset(1.0);
-    let mut index = BitmapIndex::build(
+    let index = BitmapIndex::build(
         &data.values,
         &IndexConfig::one_component(50, EncodingScheme::EqualityRange),
     );
     let pages = index.config().disk.pages_for_bytes(11 << 20);
-    let mut pool = BufferPool::new(pages);
+    let pool = BufferPool::new(pages);
     let query = Query::membership((0..50).step_by(3).collect::<Vec<u64>>());
     let r = index.evaluate_detailed(
         &query,
-        &mut pool,
+        &pool,
         EvalStrategy::ComponentWise,
         &CostModel::default(),
     );

@@ -196,7 +196,7 @@ fn figure_1_and_5_bit_matrices() {
     let column = vec![3u64, 2, 1, 2, 8, 2, 9, 0, 7, 5, 6, 4];
 
     // Figure 1(b), row 1 (value 3): E^3 set, everything else clear.
-    let mut e = BitmapIndex::build(
+    let e = BitmapIndex::build(
         &column,
         &IndexConfig::one_component(10, EncodingScheme::Equality),
     );
@@ -204,7 +204,7 @@ fn figure_1_and_5_bit_matrices() {
     assert_eq!(row0, [0, 0, 0, 1, 0, 0, 0, 0, 0, 0]);
 
     // Figure 1(c), row 1: R^3..R^8 set.
-    let mut r = BitmapIndex::build(
+    let r = BitmapIndex::build(
         &column,
         &IndexConfig::one_component(10, EncodingScheme::Range),
     );
@@ -213,7 +213,7 @@ fn figure_1_and_5_bit_matrices() {
 
     // Figure 5(c), row 1 (value 3): I^0..I^3 set, I^4 clear
     // (I^j = [j, j+4] contains 3 iff j <= 3).
-    let mut i = BitmapIndex::build(
+    let i = BitmapIndex::build(
         &column,
         &IndexConfig::one_component(10, EncodingScheme::Interval),
     );

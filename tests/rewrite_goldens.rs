@@ -74,7 +74,7 @@ fn paper_common_prefix_equality_split() {
     assert!(text.contains("E^2[c2]"), "{text}");
     assert!(text.contains("E^7[c2]"), "{text}");
     // And the whole thing is still correct.
-    let mut idx2 = BitmapIndex::build(
+    let idx2 = BitmapIndex::build(
         &(4300..4400).collect::<Vec<u64>>(),
         &IndexConfig::one_component(10_000, EncodingScheme::Equality)
             .with_bases(BaseVector::from_msb(&[10, 10, 10, 10])),
