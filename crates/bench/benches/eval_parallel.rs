@@ -7,6 +7,11 @@
 //! counts. Both paths produce bit-identical results and equal scan counts
 //! (asserted below before timing starts).
 //!
+//! A third run times one plan alone — the batch's widest — at one and
+//! two threads: a lone plan gets no across-plan parallelism, so the
+//! second thread can only be a kept crew thread helping its DAG fold,
+//! and the row shows what that helper costs or gains.
+//!
 //! Besides the Criterion timings, the bench writes a machine-readable
 //! summary — median batch times and speedups per thread count — to
 //! `results/eval_parallel.json` at the workspace root, and the committed
@@ -15,8 +20,8 @@
 
 use bix_bench::results;
 use bix_core::{
-    BitmapIndex, BufferPool, CodecKind, CostModel, EncodingScheme, EvalOptions, EvalStrategy,
-    IndexConfig, IndexedTable, ParallelExecutor, Plan, Query, VALUE_ATTR,
+    BatchResult, BitmapIndex, BufferPool, CodecKind, CostModel, EncodingScheme, EvalOptions,
+    EvalStrategy, IndexConfig, IndexedTable, ParallelExecutor, Plan, Query, VALUE_ATTR,
 };
 use bix_workload::{DatasetSpec, QuerySetSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -60,6 +65,10 @@ fn run_sequential(table: &mut IndexedTable, queries: &[Query]) -> usize {
 }
 
 fn run_parallel(table: &IndexedTable, plans: &[Plan], threads: usize) -> usize {
+    execute(table, plans, threads).total_scans()
+}
+
+fn execute(table: &IndexedTable, plans: &[Plan], threads: usize) -> BatchResult {
     let pool = BufferPool::striped(POOL_PAGES, threads.max(2));
     ParallelExecutor::new(threads)
         .execute(
@@ -70,7 +79,19 @@ fn run_parallel(table: &IndexedTable, plans: &[Plan], threads: usize) -> usize {
             &EvalOptions::default(),
         )
         .expect("no deadline, no corruption")
-        .total_scans()
+}
+
+/// The plan reading the most distinct bitmaps: the one a within-plan
+/// helper has the most leaves to share on.
+fn widest(table: &IndexedTable, plans: &[Plan]) -> Plan {
+    let batch = execute(table, plans, 1);
+    let (i, _) = batch
+        .results
+        .iter()
+        .enumerate()
+        .max_by_key(|(_, r)| r.distinct_bitmaps)
+        .expect("a non-empty batch");
+    plans[i].clone()
 }
 
 fn thread_counts() -> Vec<usize> {
@@ -112,7 +133,8 @@ fn verify_agreement(table: &mut IndexedTable, queries: &[Query], plans: &[Plan])
 
 fn write_results_json(table: &mut IndexedTable, queries: &[Query], plans: &[Plan]) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let reps = 5;
+    // A batch takes milliseconds, so enough repeats for a steady median.
+    let reps = 51;
     let seq = median_seconds(reps, || {
         black_box(run_sequential(table, queries));
     });
@@ -133,6 +155,34 @@ fn write_results_json(table: &mut IndexedTable, queries: &[Query], plans: &[Plan
             "    {{\"threads\": {t}, \"batch_seconds\": {par:.6}, \"speedup\": {speedup:.3}}}"
         ));
     }
+
+    // One plan alone at one and two threads: the within-plan helper's
+    // cost or gain, and how often a crew thread joined the fold.
+    let one = [widest(table, plans)];
+    let reps_one = 201;
+    let mut one_lines = Vec::new();
+    let mut alone = 0.0;
+    for t in [1usize, 2] {
+        let shared: &IndexedTable = table;
+        let mut helpers = 0usize;
+        let secs = median_seconds(reps_one, || {
+            helpers += black_box(execute(shared, &one, t)).results[0].helpers;
+        });
+        if t == 1 {
+            alone = secs;
+        }
+        let speedup = alone / secs;
+        let joined = helpers as f64 / reps_one as f64;
+        eprintln!(
+            "eval_parallel: one plan, {t} threads on {cores} core(s): {:.3}ms \
+             ({speedup:.2}x, helper joined {joined:.2} of folds)",
+            secs * 1e3,
+        );
+        one_lines.push(format!(
+            "    {{\"threads\": {t}, \"seconds\": {secs:.6}, \"speedup\": {speedup:.3}, \"helpers_per_fold\": {joined:.3}}}"
+        ));
+    }
+    let distinct = execute(table, &one, 1).results[0].distinct_bitmaps;
 
     // One traced batch run: where inside the executor the time goes
     // (query span per batch entry, expression build, DAG fold, per-node
@@ -157,8 +207,9 @@ fn write_results_json(table: &mut IndexedTable, queries: &[Query], plans: &[Plan
     };
 
     let json = format!(
-        "{{\n  \"benchmark\": \"eval_parallel\",\n  \"rows\": {ROWS},\n  \"cardinality\": {C},\n  \"zipf_z\": 1.0,\n  \"queries\": {QUERIES},\n  \"encoding\": \"I\",\n  \"codec\": \"bbc\",\n  \"pool_pages\": {POOL_PAGES},\n  \"host_cores\": {cores},\n  \"sequential_seconds\": {seq:.6},\n  \"parallel\": [\n{}\n  ],\n  \"traced_phases\": {}\n}}\n",
+        "{{\n  \"benchmark\": \"eval_parallel\",\n  \"rows\": {ROWS},\n  \"cardinality\": {C},\n  \"zipf_z\": 1.0,\n  \"queries\": {QUERIES},\n  \"encoding\": \"I\",\n  \"codec\": \"bbc\",\n  \"pool_pages\": {POOL_PAGES},\n  \"host_cores\": {cores},\n  \"sequential_seconds\": {seq:.6},\n  \"parallel\": [\n{}\n  ],\n  \"one_plan_distinct_bitmaps\": {distinct},\n  \"one_plan\": [\n{}\n  ],\n  \"traced_phases\": {}\n}}\n",
         lines.join(",\n"),
+        one_lines.join(",\n"),
         results::phases_json(&traced),
     );
     results::write_validated(&results::results_dir().join("eval_parallel.json"), &json);

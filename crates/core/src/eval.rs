@@ -20,7 +20,7 @@ use crate::{BitmapRef, Expr, EXISTENCE_REF};
 use bix_bitvec::Bitvec;
 use bix_compress::{BitOp, CodecKind, CompressedBitmap};
 use bix_storage::{BitmapHandle, IoStats, ReadContext};
-use bix_telemetry::{Counter, MetricsRegistry, SpanId};
+use bix_telemetry::{Counter, Gauge, MetricsRegistry, SpanId};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -534,6 +534,9 @@ pub struct EvalResult {
     pub nodes_raw: usize,
     /// DAG-fold nodes whose value stayed a compressed stream.
     pub nodes_compressed: usize,
+    /// Kept crew threads that joined this query's DAG fold as helpers
+    /// (see [`crate::Crew`]); zero for a one-worker fold.
+    pub helpers: usize,
     /// In-memory delta tails folded for this query (`main ∪ delta`
     /// evaluation); zero when the query ran against the main index alone.
     /// Delta reads never touch the store, so they are counted apart from
@@ -559,12 +562,15 @@ impl EvalResult {
 }
 
 /// The evaluation-mix counters every entry point exports — compressed
-/// bitmaps decoded, and DAG nodes folded per domain — so in-process runs,
-/// index servers and catalog servers publish one schema.
+/// bitmaps decoded, DAG nodes folded per domain, crew helpers that
+/// joined folds, and the crew's size — so in-process runs, index servers
+/// and catalog servers publish one schema.
 pub struct EvalMetrics {
     decompressions: Arc<Counter>,
     nodes_raw: Arc<Counter>,
     nodes_compressed: Arc<Counter>,
+    helper_joins: Arc<Counter>,
+    crew_threads: Arc<Gauge>,
 }
 
 impl EvalMetrics {
@@ -584,14 +590,26 @@ impl EvalMetrics {
                 "bix_eval_nodes_compressed_total",
                 "DAG nodes folded in the compressed domain",
             ),
+            helper_joins: c(
+                "bix_exec_helper_joins_total",
+                "Kept crew threads that joined a DAG fold as helpers",
+            ),
+            crew_threads: registry.gauge(
+                "bix_exec_crew_threads",
+                "Kept request threads the process has started",
+            ),
         }
     }
 
-    /// Charges one evaluation's decodes and node mix.
-    pub fn record(&self, decompressions: usize, nodes_raw: usize, nodes_compressed: usize) {
-        self.decompressions.add(decompressions as u64);
-        self.nodes_raw.add(nodes_raw as u64);
-        self.nodes_compressed.add(nodes_compressed as u64);
+    /// Charges one evaluation's decodes, node mix and fold helpers, and
+    /// publishes the crew's current size.
+    pub fn record(&self, result: &EvalResult) {
+        self.decompressions.add(result.decompressions as u64);
+        self.nodes_raw.add(result.nodes_raw as u64);
+        self.nodes_compressed.add(result.nodes_compressed as u64);
+        self.helper_joins.add(result.helpers as u64);
+        self.crew_threads
+            .set(crate::Crew::global().threads() as f64);
     }
 }
 
@@ -934,6 +952,7 @@ pub(crate) fn evaluate_ablation(
         decompressions,
         nodes_raw: 0,
         nodes_compressed: 0,
+        helpers: 0,
     }
 }
 

@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 mod catalog;
+mod crew;
 mod decompose;
 pub mod degrade;
 mod delta;
@@ -59,6 +60,7 @@ mod rewrite;
 mod update;
 
 pub use catalog::{Catalog, CatalogError, MAX_CATALOG_ATTRS};
+pub use crew::Crew;
 pub use decompose::{best_bases, compose, decompose, BaseVector};
 pub use degrade::{Degraded, RepairReport, VerifyReport, EXISTENCE_REF};
 pub use delta::{DeltaIndex, DeltaStats};

@@ -27,12 +27,15 @@
 //! deadline does: the remaining DAG nodes drain without work and the call
 //! returns a typed [`EvalError`]. Partial answers are never handed out.
 //!
-//! [`ParallelExecutor::execute`] parallelizes across plans (a fixed
-//! worker pool drains the batch) and within a plan (ready DAG nodes fold
-//! concurrently). Hash-consing makes each distinct bitmap exactly one DAG
-//! leaf, so scan counts do not depend on the thread count; seek counts
-//! do, because heads are per thread.
+//! [`ParallelExecutor::execute`] parallelizes across plans (the caller
+//! and crew threads drain the batch) and within a plan (ready DAG nodes
+//! fold concurrently). Neither spawns a thread: both borrow the kept
+//! threads of the process-wide [`Crew`], and the caller alone can finish
+//! the work, so crew threads only ever help. Hash-consing makes each
+//! distinct bitmap exactly one DAG leaf, so scan counts do not depend on
+//! the thread count; seek counts do, because heads are per thread.
 
+use crate::crew::Crew;
 use crate::eval::{evaluate_ablation, reads_compressed, Dag, DagBuilder, NodeOp, NodeVal};
 use crate::plan::Plan;
 #[cfg(doc)]
@@ -49,7 +52,7 @@ use bix_storage::{
 use bix_telemetry::{SpanGuard, SpanId, Tracer};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// The tracer behind [`EvalOptions::default`]: disabled, so an untraced
@@ -169,20 +172,25 @@ pub(crate) struct Run<'a> {
     pub(crate) domain: EvalDomain,
     pub(crate) tracer: &'a Tracer,
     cost: &'a CostModel,
-    /// Threads folding each plan's DAG.
+    /// Threads folding each plan's DAG: the caller plus up to
+    /// `workers - 1` crew helpers.
     workers: usize,
+    /// Set by [`ParallelExecutor::with_inner_threads`]: each fold offers
+    /// its helpers however many other folds are running.
+    forced: bool,
     deadline: Option<Instant>,
     cancelled: AtomicBool,
     failure: Mutex<Option<EvalFailure>>,
 }
 
 impl<'a> Run<'a> {
-    fn new(opts: &EvalOptions<'a>, cost: &'a CostModel, workers: usize) -> Run<'a> {
+    fn new(opts: &EvalOptions<'a>, cost: &'a CostModel, workers: usize, forced: bool) -> Run<'a> {
         Run {
             domain: opts.domain,
             tracer: opts.tracer,
             cost,
             workers,
+            forced,
             deadline: opts.deadline,
             cancelled: AtomicBool::new(false),
             failure: Mutex::new(None),
@@ -307,6 +315,8 @@ pub(crate) struct Folded {
     pub(crate) decompressions: usize,
     pub(crate) nodes_raw: usize,
     pub(crate) nodes_compressed: usize,
+    /// Crew threads that joined the fold.
+    pub(crate) helpers: usize,
 }
 
 /// Interns a DAG under a `build` span: `intern` adds the nodes and
@@ -375,6 +385,7 @@ fn evaluate_dag(
             let fold_span = tracer.span("fold", eval_id);
             let folded = fold_dag(dag, sources, rows, run, fold_span.id());
             fold_span.attr("workers", run.workers);
+            fold_span.attr("helpers", folded.helpers);
             fold_span.attr("decompressions", folded.decompressions);
             folded
         }
@@ -393,6 +404,7 @@ fn evaluate_dag(
         peak_resident: folded.peak_resident,
         nodes_raw: folded.nodes_raw,
         nodes_compressed: folded.nodes_compressed,
+        helpers: folded.helpers,
         delta_scans: 0,
         delta_rows: 0,
     };
@@ -465,7 +477,7 @@ pub(crate) fn evaluate_in_process(
     cost: &CostModel,
     opts: &EvalOptions<'_>,
 ) -> Result<EvalResult, EvalError> {
-    let run = Run::new(opts, cost, 1);
+    let run = Run::new(opts, cost, 1, false);
     let merged = Expr::or(constituents.iter().cloned());
     let nullable = source.existence.is_some();
     let dag = build(opts.tracer, opts.parent, |dag| {
@@ -487,7 +499,8 @@ pub struct ParallelExecutor {
 }
 
 impl ParallelExecutor {
-    /// An executor with a total budget of `threads` worker threads.
+    /// An executor with a total budget of `threads` worker threads: the
+    /// calling thread plus up to `threads - 1` kept crew threads.
     ///
     /// # Panics
     ///
@@ -504,8 +517,10 @@ impl ParallelExecutor {
     ///
     /// By default the budget is spent across plans first (one thread per
     /// plan while the batch is wide), and only batches narrower than the
-    /// thread count get within-plan workers. Forcing `n > 1` exercises
-    /// within-plan folding regardless of batch width.
+    /// thread count get within-plan workers; a fold then offers its
+    /// helpers only while fewer folds than the host has cores are
+    /// running. Forcing `n > 1` offers `n - 1` helpers to every fold,
+    /// regardless of batch width and of other folds.
     ///
     /// # Panics
     ///
@@ -549,7 +564,12 @@ impl ParallelExecutor {
         opts: &EvalOptions<'_>,
     ) -> Result<BatchResult, EvalError> {
         let started = Instant::now();
-        let run = Run::new(opts, cost, self.inner_threads(plans.len()));
+        let run = Run::new(
+            opts,
+            cost,
+            self.inner_threads(plans.len()),
+            self.inner_threads.is_some(),
+        );
         let tracer = opts.tracer;
         let batch_span = tracer.span("batch", opts.parent);
         batch_span.attr("queries", plans.len());
@@ -583,12 +603,8 @@ impl ParallelExecutor {
             }
             *slots[i].lock().expect("result slot") = Some(result);
         };
-        std::thread::scope(|scope| {
-            for _ in 1..self.threads.min(plans.len()) {
-                scope.spawn(drain);
-            }
-            drain();
-        });
+        let helpers = self.threads.min(plans.len()).saturating_sub(1);
+        Crew::global().offer(helpers, &|_| drain(), drain);
 
         let slots: Vec<Option<EvalResult>> = slots
             .into_iter()
@@ -645,16 +661,31 @@ impl BatchResult {
 /// spent ready but not yet picked up by a worker.
 type ReadyEntry = (usize, Option<Instant>);
 
+/// The fold's scheduling state, behind one lock.
+struct Ready {
+    /// Nodes whose children are all computed, oldest first.
+    queue: VecDeque<ReadyEntry>,
+    /// Nodes completed so far.
+    done: usize,
+    /// A helper panicked mid-node: the fold can never complete, so the
+    /// caller stops waiting and the crew hands it the panic.
+    abandoned: bool,
+    /// The caller is parked on [`FoldState::wake`], so a helper that
+    /// changes this state must wake it.
+    parked: bool,
+}
+
 /// Shared state of one DAG fold: a dependency-counting scheduler.
-/// A node becomes ready when all its children are computed; workers drain
-/// the ready queue until every node has run.
+/// A node becomes ready when all its children are computed. The caller
+/// drains the ready queue until every node has run, parking when it is
+/// empty; crew helpers take ready nodes too but leave when it is empty.
 struct FoldState<'d> {
     dag: &'d Dag,
     /// Consumers of each node (the child links inverted).
     parents: Vec<Vec<usize>>,
-    /// Ready-node queue plus count of nodes completed so far.
-    ready: Mutex<(VecDeque<ReadyEntry>, usize)>,
-    /// Wakes idle workers when nodes become ready or the fold finishes.
+    ready: Mutex<Ready>,
+    /// Wakes the caller — the one thread that ever parks here — when a
+    /// helper makes nodes ready or finishes the fold.
     wake: Condvar,
     /// Computed values (raw or still-compressed); freed (set back to
     /// `None`) at the last consumer.
@@ -676,9 +707,55 @@ struct FoldState<'d> {
     peak: AtomicUsize,
 }
 
-/// Folds the DAG bottom-up with `run.workers` threads (the §6.3
-/// evaluator's independent-subtree parallelism); the calling thread is
-/// worker 0, so one worker runs inline. Leaf `(attr, r)` reads through
+/// Folds running now, in this process: a fold offers crew helpers only
+/// while this stays below the host's cores (itself included).
+static FOLDS: AtomicUsize = AtomicUsize::new(0);
+
+/// The host's cores, read once: the standard library asks the OS (and
+/// the cgroup files) on every call.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Counts one fold in [`FOLDS`] while it lives.
+struct Running;
+
+impl Running {
+    /// Enters a fold; returns the guard and the folds now running.
+    fn enter() -> (Running, usize) {
+        (Running, FOLDS.fetch_add(1, Ordering::Relaxed) + 1)
+    }
+}
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        FOLDS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Marks a fold abandoned if its helper unwinds mid-node, and wakes the
+/// caller, which would otherwise wait for a node that never completes.
+struct Abandon<'s, 'd>(&'s FoldState<'d>);
+
+impl Drop for Abandon<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let state = self.0;
+            let mut ready = state.ready.lock().unwrap_or_else(PoisonError::into_inner);
+            ready.abandoned = true;
+            state.wake.notify_one();
+        }
+    }
+}
+
+/// Folds the DAG bottom-up on the calling thread plus up to
+/// `run.workers - 1` crew helpers (the §6.3 evaluator's
+/// independent-subtree parallelism). Helpers are offered only while
+/// fewer folds than cores are running, unless the width is forced; each
+/// one that joins takes ready nodes until the queue is empty, then
+/// leaves. The caller returns once every node is computed and no helper
+/// is mid-node. Leaf `(attr, r)` reads through
 /// `sources[attr]`; an op is priced by its node's attribute's cost
 /// model; constants are `rows` long. Leaves start ready in (attribute,
 /// component) order and the queue is FIFO, so a one-worker fold reads
@@ -709,7 +786,12 @@ fn fold_dag(
     let state = FoldState {
         dag,
         parents,
-        ready: Mutex::new((initial.into_iter().map(|i| (i, stamp)).collect(), 0)),
+        ready: Mutex::new(Ready {
+            queue: initial.into_iter().map(|i| (i, stamp)).collect(),
+            done: 0,
+            abandoned: false,
+            parked: false,
+        }),
         wake: Condvar::new(),
         values: (0..n).map(|_| Mutex::new(None)).collect(),
         pending: dag
@@ -727,17 +809,22 @@ fn fold_dag(
     };
 
     let io = Mutex::new(IoStats::new());
-    std::thread::scope(|scope| {
-        let work = || {
-            let mut ctx = ReadContext::new();
-            worker_loop(&state, sources, rows, run, parent, &mut ctx);
-            *io.lock().expect("io totals") += ctx.take_stats();
-        };
-        for _ in 1..run.workers {
-            scope.spawn(work);
-        }
-        work();
-    });
+    let work = |helper: bool| {
+        let mut ctx = ReadContext::new();
+        worker_loop(&state, sources, rows, run, parent, &mut ctx, helper);
+        *io.lock().expect("io totals") += ctx.take_stats();
+    };
+    let help = |_| {
+        let _abandon = Abandon(&state);
+        work(true);
+    };
+    let (_running, folds) = Running::enter();
+    let offers = if run.forced || folds < cores() {
+        run.workers - 1
+    } else {
+        0
+    };
+    let ((), helpers) = Crew::global().offer(offers, &help, || work(false));
 
     let root = state.values[dag.root]
         .lock()
@@ -754,9 +841,13 @@ fn fold_dag(
         decompressions,
         nodes_raw: state.nodes_raw.load(Ordering::Relaxed),
         nodes_compressed: state.nodes_compressed.load(Ordering::Relaxed),
+        helpers,
     }
 }
 
+/// Runs ready nodes of one fold until none is left: for a `helper`, as
+/// soon as the queue is empty; for the caller, once every node is done
+/// (it parks while helpers still hold the last ready nodes).
 fn worker_loop(
     state: &FoldState<'_>,
     sources: &[Source<'_>],
@@ -764,21 +855,25 @@ fn worker_loop(
     run: &Run<'_>,
     parent: Option<SpanId>,
     ctx: &mut ReadContext,
+    helper: bool,
 ) {
     let (dag, tracer) = (state.dag, run.tracer);
     let total = dag.ops.len();
     loop {
-        // Take a ready node, or sleep until one appears / the fold ends.
+        // Take a ready node; a helper leaves when there is none, the
+        // caller parks until one appears or the fold ends.
         let (node, enqueued) = {
             let mut ready = state.ready.lock().expect("ready queue");
             loop {
-                if let Some(entry) = ready.0.pop_front() {
+                if let Some(entry) = ready.queue.pop_front() {
                     break entry;
                 }
-                if ready.1 == total {
+                if helper || ready.done == total || ready.abandoned {
                     return;
                 }
+                ready.parked = true;
                 ready = state.wake.wait(ready).expect("ready queue");
+                ready.parked = false;
             }
         };
 
@@ -897,15 +992,13 @@ fn worker_loop(
         // Mark complete; enqueue parents that just became ready.
         let stamp = tracer.is_enabled().then(Instant::now);
         let mut ready = state.ready.lock().expect("ready queue");
-        ready.1 += 1;
+        ready.done += 1;
         for &p in &state.parents[node] {
             if state.pending[p].fetch_sub(1, Ordering::AcqRel) == 1 {
-                ready.0.push_back((p, stamp));
+                ready.queue.push_back((p, stamp));
             }
         }
-        if ready.1 == total {
-            state.wake.notify_all();
-        } else {
+        if ready.parked {
             state.wake.notify_one();
         }
     }
@@ -1294,6 +1387,41 @@ mod tests {
             assert_eq!(g.bitmap, w.bitmap);
             assert_eq!(g.scans, w.scans);
         }
+    }
+
+    /// A node that panics — on the caller or on a crew helper — unwinds
+    /// out of the fold to its caller instead of hanging it, and later
+    /// folds still get crew helpers.
+    #[test]
+    fn a_panicking_node_reaches_the_caller_and_folds_keep_their_helpers() {
+        let table = test_index(CodecKind::Raw);
+        let index = table.single_index().unwrap();
+        let pool = BufferPool::striped(4096, 4);
+        let query = Query::membership((0..50).step_by(2).collect::<Vec<u64>>());
+        let expr = Expr::or(index.rewrite_constituents(&query, &UNTRACED, None));
+        let cost = CostModel::default();
+        let source = index.source(&pool);
+        assert!(source.existence.is_none());
+        // A nullable literal over an index with no existence bitmap: the
+        // thread that reads that leaf panics.
+        let fold = |nullable: bool| {
+            let run = Run::new(&EvalOptions::default(), &cost, 2, true);
+            let dag = build(&UNTRACED, None, |dag| {
+                dag.literal(0, &expr, nullable, false)
+            });
+            let sources = std::slice::from_ref(&source);
+            fold_dag(&dag, sources, source.rows, &run, None).helpers
+        };
+        for _ in 0..20 {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fold(true)));
+            let payload = caught.expect_err("the node's panic reaches the caller");
+            let message = payload.downcast_ref::<String>().expect("an expect message");
+            assert!(message.contains("existence read"), "{message}");
+        }
+        assert!(
+            (0..200).any(|_| fold(false) == 1),
+            "a forced two-worker fold still gets its helper"
+        );
     }
 
     #[test]

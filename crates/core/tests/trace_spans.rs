@@ -44,6 +44,15 @@ fn assert_tree_invariants(records: &[SpanRecord]) {
     }
 }
 
+/// A span's numeric attribute `key`.
+fn attr(record: &SpanRecord, key: &str) -> Option<u64> {
+    record
+        .attrs
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v.parse().expect("numeric attribute"))
+}
+
 #[test]
 fn sequential_trace_has_nested_phases() {
     let index = test_index();
@@ -91,6 +100,11 @@ fn sequential_trace_has_nested_phases() {
             "missing phase {expected}: {phases:?}"
         );
     }
+
+    // An in-process call folds on the calling thread alone.
+    let fold = records.iter().find(|r| r.phase() == "fold").unwrap();
+    assert_eq!(attr(fold, "workers"), Some(1));
+    assert_eq!(attr(fold, "helpers"), Some(0));
 
     // Depth: query -> rewrite -> constituent -> decompose is 4 levels.
     fn depth_of<'a>(records: &'a [SpanRecord], mut r: &'a SpanRecord) -> usize {
@@ -154,6 +168,12 @@ fn parallel_trace_covers_every_query_and_node_waits() {
             .all(|r| r.attrs.iter().any(|(k, _)| k == "wait_ns")),
         "every node span carries queue-wait time"
     );
+    // Each fold may take one kept crew thread as its helper.
+    for fold in records.iter().filter(|r| r.phase() == "fold") {
+        assert_eq!(attr(fold, "workers"), Some(2));
+        let helpers = attr(fold, "helpers").expect("every fold counts its crew helpers");
+        assert!(helpers <= 1, "{helpers} helpers for two workers");
+    }
 
     // Tracing off: identical results, no records.
     let off = Tracer::disabled();

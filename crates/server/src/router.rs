@@ -52,7 +52,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bix_core::MetricsRegistry;
+use bix_core::{Crew, MetricsRegistry};
 use bix_telemetry::json::{self, Json};
 use bix_telemetry::{
     unix_ms_now, Counter, Gauge, SlowLog, SlowQuery, SpanId, TraceContext, Tracer,
@@ -728,23 +728,28 @@ impl RouterInner {
             let rows: Vec<u64> = (0..n).map(|i| self.supervisor.rows(i)).collect();
 
             // Parallel legs: the last admitted shard's leg runs on this
-            // thread, every other one on its own. Each epoch round is
-            // its own span so re-fans after a stale reply are visible in
-            // the trace, not silently folded into one.
+            // thread, every other one is handed to a kept crew thread
+            // (and runs here after all if no crew thread has claimed it
+            // by then). Each epoch round is its own span so re-fans after
+            // a stale reply are visible in the trace, not silently folded
+            // into one.
             let round_span = tracer.span(&format!("round {epoch_round}"), fanout_span.id());
             let round_id = round_span.id();
             let trace = meta.trace;
-            let mut outcomes: Vec<Option<LegOutcome>> = (0..n).map(|_| None).collect();
-            let mut legs = Vec::new();
-            for (i, slot) in outcomes.iter_mut().enumerate() {
-                if self.supervisor.admit(i) {
-                    legs.push((i, slot));
-                } else {
-                    *slot = Some(LegOutcome::Missing(ShardFailure::Down));
-                }
-            }
-            let run = |i: usize| {
-                self.run_leg(
+            let mut admitted = Vec::new();
+            let slots: Vec<Mutex<Option<LegOutcome>>> = (0..n)
+                .map(|i| {
+                    Mutex::new(if self.supervisor.admit(i) {
+                        admitted.push(i);
+                        None
+                    } else {
+                        Some(LegOutcome::Missing(ShardFailure::Down))
+                    })
+                })
+                .collect();
+            let leg = |k: usize| {
+                let i = admitted[k];
+                let outcome = self.run_leg(
                     i,
                     req,
                     domain,
@@ -753,18 +758,16 @@ impl RouterInner {
                     tracer,
                     round_id,
                     trace,
-                )
+                );
+                *slots[i].lock().expect("leg slot") = Some(outcome);
             };
-            let run = &run;
-            std::thread::scope(|scope| {
-                let inline = legs.pop();
-                for (i, slot) in legs {
-                    scope.spawn(move || *slot = Some(run(i)));
-                }
-                if let Some((i, slot)) = inline {
-                    *slot = Some(run(i));
-                }
-            });
+            if let Some(last) = admitted.len().checked_sub(1) {
+                Crew::global().require(last, &leg, || leg(last));
+            }
+            let outcomes: Vec<Option<LegOutcome>> = slots
+                .into_iter()
+                .map(|slot| slot.into_inner().expect("leg slot"))
+                .collect();
             for i in 0..n {
                 self.publish_shard_gauges(i);
             }

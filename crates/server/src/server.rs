@@ -969,9 +969,7 @@ impl IndexHandler {
             .map_err(|e| self.eval_failed(e, ms))?;
         drop((plan_span, delta));
         for r in &batch.results {
-            self.metrics
-                .eval
-                .record(r.decompressions, r.nodes_raw, r.nodes_compressed);
+            self.metrics.eval.record(r);
         }
         self.metrics.io.record(&batch.io);
         self.metrics.queries.add(batch.results.len() as u64);

@@ -106,20 +106,42 @@ impl Crc32 {
 
     /// Feeds `bytes` into the checksum.
     pub fn update(&mut self, bytes: &[u8]) {
-        #[cfg(target_arch = "x86_64")]
-        if bytes.len() >= FOLD_MIN && clmul::detected() {
-            // SAFETY: `detected` has just confirmed that this CPU has
-            // `pclmulqdq` and `sse4.1`, the features the fold needs.
-            self.state = unsafe { clmul::fold(self.state, bytes) };
-            return;
-        }
-        self.state = slicing_by_16(self.state, bytes);
+        self.state = match kernel(bytes.len()) {
+            // SAFETY: `kernel` picks the fold only once `clmul::detected`
+            // has confirmed that this CPU has `pclmulqdq` and `sse4.1`,
+            // the features the fold needs.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Fold => unsafe { clmul::fold(self.state, bytes) },
+            Kernel::Slicing => slicing_by_16(self.state, bytes),
+        };
     }
 
     /// The checksum of everything fed so far.
     pub fn finalize(&self) -> u32 {
         !self.state
     }
+}
+
+/// The kernels [`Crc32::update`] chooses between.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// `clmul::fold`.
+    #[cfg(target_arch = "x86_64")]
+    Fold,
+    /// [`slicing_by_16`].
+    Slicing,
+}
+
+/// The kernel for an input of `len` bytes on this CPU: the fold from
+/// `FOLD_MIN` bytes on where the CPU has its instructions, slicing-by-16
+/// otherwise.
+fn kernel(len: usize) -> Kernel {
+    #[cfg(target_arch = "x86_64")]
+    if len >= FOLD_MIN && clmul::detected() {
+        return Kernel::Fold;
+    }
+    let _ = len;
+    Kernel::Slicing
 }
 
 /// Folds `bytes` into `crc` sixteen bytes a step, then the rest bytewise.
@@ -396,6 +418,28 @@ mod tests {
         for (name, kernel) in kernels() {
             assert_eq!(streamed(kernel, &[b"123456789"]), 0xCBF4_3926, "{name}");
         }
+    }
+
+    /// The dispatch itself: a CPU check that stopped taking the fold (or
+    /// took it for short inputs) would still checksum correctly, only
+    /// several times slower, so no agreement test notices it.
+    #[test]
+    fn dispatch_takes_the_fold_from_fold_min_bytes_where_the_cpu_has_it() {
+        for len in [0, 1, 16, FOLD_MIN - 1] {
+            assert_eq!(kernel(len), super::Kernel::Slicing, "len {len}");
+        }
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1") {
+            for len in [FOLD_MIN, FOLD_MIN + 1, 64 << 10] {
+                assert_eq!(kernel(len), super::Kernel::Fold, "len {len}");
+            }
+            return;
+        }
+        assert_eq!(
+            kernel(64 << 10),
+            super::Kernel::Slicing,
+            "no fold without the CPU's support"
+        );
     }
 
     #[test]

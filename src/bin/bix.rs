@@ -509,7 +509,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         IoMetrics::register(&registry).record(&batch.io);
         let eval = EvalMetrics::register(&registry);
         for r in &batch.results {
-            eval.record(r.decompressions, r.nodes_raw, r.nodes_compressed);
+            eval.record(r);
         }
         registry.observe_trace(&tracer);
         write_metrics(&metrics_out, &registry)?;
