@@ -17,21 +17,19 @@
 //! what `raw` decodes, and the compressed domain must perform **strictly
 //! fewer decompressions** — that counter pair is the headline number.
 //!
-//! Besides the Criterion timings, the bench writes a machine-readable
-//! summary — per-codec median times and decompression counters — to
-//! `results/eval_domain.json` at the workspace root, and the committed
-//! perf baseline `BENCH_compress.json` in the repo root for future PRs to
-//! diff against.
+//! Besides the Criterion timings, the bench writes the committed
+//! baseline `BENCH_compress.json` at the repo root: per-cell times and
+//! decompression counters, and a traced per-phase breakdown.
 
-use bix_bench::results;
+use bix_bench::results::{self, Baseline};
 use bix_core::{
     BitmapIndex, BufferPool, CodecKind, CostModel, EncodingScheme, EvalDomain, EvalOptions,
     EvalStrategy, IndexConfig, Query,
 };
+use bix_telemetry::json::Json;
 use bix_workload::{DatasetSpec, QuerySetSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use std::time::Instant;
 
 const ROWS: usize = 200_000;
 const C: u64 = 200;
@@ -114,30 +112,6 @@ fn run_domain(index: &mut BitmapIndex, queries: &[Query], domain: EvalDomain) ->
     (scans, decompressions)
 }
 
-/// Median wall time, in seconds, of `reps` runs of the query set in each
-/// domain of `domains`. The domains take turns within every round, so
-/// host drift lands on all of them alike instead of on whichever domain
-/// happened to run during it.
-fn median_seconds<const N: usize>(
-    reps: usize,
-    index: &mut BitmapIndex,
-    queries: &[Query],
-    domains: [EvalDomain; N],
-) -> [f64; N] {
-    let mut times = [(); N].map(|_| Vec::with_capacity(reps));
-    for _ in 0..reps {
-        for (k, &domain) in domains.iter().enumerate() {
-            let start = Instant::now();
-            black_box(run_domain(index, queries, domain));
-            times[k].push(start.elapsed().as_secs_f64());
-        }
-    }
-    times.map(|mut t| {
-        t.sort_by(|a, b| a.total_cmp(b));
-        t[t.len() / 2]
-    })
-}
-
 /// All three domains must produce bit-identical results with equal scan
 /// counts, `auto` exactly `raw`'s decompressions, and the compressed
 /// domain strictly fewer.
@@ -165,70 +139,67 @@ fn verify_agreement(index: &mut BitmapIndex, queries: &[Query]) -> (usize, usize
 }
 
 fn write_results_json() {
-    let reps = 5;
-    let mut lines = Vec::new();
+    let encodings = SCHEMES.map(|s| scheme_name(s).into()).to_vec();
+    let mut baseline = Baseline::new(
+        "eval_domain",
+        &[
+            ("rows", ROWS.into()),
+            ("cardinality", C.into()),
+            ("zipf_z", 1.0.into()),
+            ("queries", QUERIES.into()),
+            ("encodings", Json::Arr(encodings)),
+            ("pool_pages", POOL_PAGES.into()),
+        ],
+    );
+    baseline.bit_identical();
+    // The domains take turns within every round.
+    let domains = [EvalDomain::Raw, EvalDomain::Compressed, EvalDomain::Auto];
     for scheme in SCHEMES {
         for codec in CODECS {
             let (mut index, queries) = setup(codec, scheme);
             let (raw_dec, packed_dec) = verify_agreement(&mut index, &queries);
-            let [raw_s, packed_s, auto_s] = median_seconds(
-                reps,
-                &mut index,
-                &queries,
-                [EvalDomain::Raw, EvalDomain::Compressed, EvalDomain::Auto],
-            );
+            let times = results::time_rounds(5, domains.len(), |k| {
+                run_domain(&mut index, &queries, domains[k])
+            });
+            let [raw_s, packed_s, auto_s]: [Vec<f64>; 3] = times.try_into().expect("3 domains");
             let (_, auto_dec) = run_domain(&mut index, &queries, EvalDomain::Auto);
-            let speedup = raw_s / packed_s;
-            eprintln!(
-                "eval_domain: {}/{} x{QUERIES} queries: compressed {:.2}ms vs raw {:.2}ms \
-                 ({speedup:.2}x), auto {:.2}ms, decompressions {packed_dec} vs {raw_dec} \
-                 (auto {auto_dec})",
-                codec_name(codec),
-                scheme_name(scheme),
-                packed_s * 1e3,
-                raw_s * 1e3,
-                auto_s * 1e3,
-            );
-            lines.push(format!(
-                "    {{\"codec\": \"{}\", \"encoding\": \"{}\", \
-                 \"raw_seconds\": {raw_s:.6}, \
-                 \"compressed_seconds\": {packed_s:.6}, \"auto_seconds\": {auto_s:.6}, \
-                 \"speedup\": {speedup:.3}, \
-                 \"raw_decompressions\": {raw_dec}, \
-                 \"compressed_decompressions\": {packed_dec}, \
-                 \"auto_decompressions\": {auto_dec}}}",
-                codec_name(codec),
-                scheme_name(scheme),
-            ));
+            let speedup = raw_s.iter().zip(&packed_s).map(|(r, c)| r / c).collect();
+            let cell = [
+                ("codec", codec_name(codec).into()),
+                ("encoding", scheme_name(scheme).into()),
+            ];
+            baseline
+                .metric("raw_seconds", &cell, "s", "lower", raw_s)
+                .metric("compressed_seconds", &cell, "s", "lower", packed_s)
+                .metric("auto_seconds", &cell, "s", "lower", auto_s)
+                .metric("speedup", &cell, "x", "higher", speedup);
+            for (name, decodes) in [
+                ("raw_decompressions", raw_dec),
+                ("compressed_decompressions", packed_dec),
+                ("auto_decompressions", auto_dec),
+            ] {
+                baseline.metric(name, &cell, "count", "lower", vec![decodes as f64]);
+            }
         }
     }
 
     // One traced compressed-domain run: where the time goes (eval span,
     // DAG build, fold with per-node reads and kernel ops), keyed by phase.
-    let traced = {
-        let (index, queries) = setup(CodecKind::Bbc, EncodingScheme::Interval);
-        results::trace_run(|tracer| {
-            let pool = BufferPool::new(POOL_PAGES);
-            let cost = CostModel::default();
-            for q in &queries {
-                let opts = EvalOptions {
-                    domain: EvalDomain::Compressed,
-                    tracer,
-                    ..EvalOptions::default()
-                };
-                black_box(index.evaluate_with(q, &pool, EvalStrategy::ComponentWise, &cost, &opts))
-                    .expect("no deadline, no corruption");
-            }
-        })
-    };
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"eval_domain\",\n  \"rows\": {ROWS},\n  \"cardinality\": {C},\n  \"zipf_z\": 1.0,\n  \"queries\": {QUERIES},\n  \"encodings\": [\"interval\", \"equality\"],\n  \"pool_pages\": {POOL_PAGES},\n  \"codecs\": [\n{}\n  ],\n  \"traced_phases\": {}\n}}\n",
-        lines.join(",\n"),
-        results::phases_json(&traced),
-    );
-    results::write_validated(&results::results_dir().join("eval_domain.json"), &json);
-    results::write_validated(&results::repo_root().join("BENCH_compress.json"), &json);
+    let (index, queries) = setup(CodecKind::Bbc, EncodingScheme::Interval);
+    baseline.traced(&[], |tracer| {
+        let pool = BufferPool::new(POOL_PAGES);
+        let cost = CostModel::default();
+        for q in &queries {
+            let opts = EvalOptions {
+                domain: EvalDomain::Compressed,
+                tracer,
+                ..EvalOptions::default()
+            };
+            black_box(index.evaluate_with(q, &pool, EvalStrategy::ComponentWise, &cost, &opts))
+                .expect("no deadline, no corruption");
+        }
+    });
+    baseline.write(&results::repo_root().join("BENCH_compress.json"));
 }
 
 fn bench_domains(c: &mut Criterion) {

@@ -12,13 +12,11 @@
 //! second thread can only be a kept crew thread helping its DAG fold,
 //! and the row shows what that helper costs or gains.
 //!
-//! Besides the Criterion timings, the bench writes a machine-readable
-//! summary — median batch times and speedups per thread count — to
-//! `results/eval_parallel.json` at the workspace root, and the committed
-//! perf baseline `BENCH_eval.json` (same numbers plus a traced per-phase
-//! breakdown) in the repo root for future PRs to diff against.
+//! Besides the Criterion timings, the bench writes the committed
+//! baseline `BENCH_eval.json` at the repo root: batch times and speedups
+//! per thread count, the one-plan row, and a traced per-phase breakdown.
 
-use bix_bench::results;
+use bix_bench::results::{self, Baseline};
 use bix_core::{
     BatchResult, BitmapIndex, BufferPool, CodecKind, CostModel, EncodingScheme, EvalOptions,
     EvalStrategy, IndexConfig, IndexedTable, ParallelExecutor, Plan, Query, VALUE_ATTR,
@@ -26,7 +24,6 @@ use bix_core::{
 use bix_workload::{DatasetSpec, QuerySetSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use std::time::Instant;
 
 const ROWS: usize = 200_000;
 const C: u64 = 200;
@@ -103,19 +100,6 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-/// Median wall time of `reps` runs of `f`, in seconds.
-fn median_seconds(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
-}
-
 fn verify_agreement(table: &mut IndexedTable, queries: &[Query], plans: &[Plan]) {
     let cost = CostModel::default();
     let pool = BufferPool::striped(POOL_PAGES, 4);
@@ -132,88 +116,84 @@ fn verify_agreement(table: &mut IndexedTable, queries: &[Query], plans: &[Plan])
 }
 
 fn write_results_json(table: &mut IndexedTable, queries: &[Query], plans: &[Plan]) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // The batch's widest plan, timed alone below.
+    let one = [widest(table, plans)];
+    let distinct = execute(table, &one, 1).results[0].distinct_bitmaps;
+    let mut baseline = Baseline::new(
+        "eval_parallel",
+        &[
+            ("rows", ROWS.into()),
+            ("cardinality", C.into()),
+            ("zipf_z", 1.0.into()),
+            ("queries", QUERIES.into()),
+            ("encoding", "I".into()),
+            ("codec", "bbc".into()),
+            ("pool_pages", POOL_PAGES.into()),
+            ("one_plan_distinct_bitmaps", distinct.into()),
+        ],
+    );
+    baseline.bit_identical();
+
     // A batch takes milliseconds, so enough repeats for a steady median.
-    let reps = 51;
-    let seq = median_seconds(reps, || {
-        black_box(run_sequential(table, queries));
+    // Each round times the sequential run and then every thread count.
+    let threads = thread_counts();
+    let mut times = results::time_rounds(51, 1 + threads.len(), |k| match k {
+        0 => run_sequential(table, queries),
+        k => run_parallel(table, plans, threads[k - 1]),
     });
-    let mut lines = Vec::new();
-    for t in thread_counts() {
-        let shared: &IndexedTable = table;
-        let par = median_seconds(reps, || {
-            black_box(run_parallel(shared, plans, t));
-        });
-        let speedup = seq / par;
-        eprintln!(
-            "eval_parallel: {QUERIES} queries, {t} threads on {cores} core(s): \
-             {:.2}ms vs {:.2}ms sequential ({speedup:.2}x)",
-            par * 1e3,
-            seq * 1e3,
-        );
-        lines.push(format!(
-            "    {{\"threads\": {t}, \"batch_seconds\": {par:.6}, \"speedup\": {speedup:.3}}}"
-        ));
+    let seq = times.remove(0);
+    baseline.metric("sequential_seconds", &[], "s", "lower", seq.clone());
+    for (&t, secs) in threads.iter().zip(times) {
+        let speedup = seq.iter().zip(&secs).map(|(s, p)| s / p).collect();
+        let labels = [("threads", t.into())];
+        baseline
+            .metric("batch_seconds", &labels, "s", "lower", secs)
+            .metric("speedup", &labels, "x", "higher", speedup);
     }
 
     // One plan alone at one and two threads: the within-plan helper's
-    // cost or gain, and how often a crew thread joined the fold.
-    let one = [widest(table, plans)];
+    // cost or gain, and the share of all timed folds a crew thread
+    // joined (one number over every repeat).
     let reps_one = 201;
-    let mut one_lines = Vec::new();
-    let mut alone = 0.0;
-    for t in [1usize, 2] {
-        let shared: &IndexedTable = table;
-        let mut helpers = 0usize;
-        let secs = median_seconds(reps_one, || {
-            helpers += black_box(execute(shared, &one, t)).results[0].helpers;
-        });
-        if t == 1 {
-            alone = secs;
-        }
-        let speedup = alone / secs;
-        let joined = helpers as f64 / reps_one as f64;
-        eprintln!(
-            "eval_parallel: one plan, {t} threads on {cores} core(s): {:.3}ms \
-             ({speedup:.2}x, helper joined {joined:.2} of folds)",
-            secs * 1e3,
-        );
-        one_lines.push(format!(
-            "    {{\"threads\": {t}, \"seconds\": {secs:.6}, \"speedup\": {speedup:.3}, \"helpers_per_fold\": {joined:.3}}}"
-        ));
+    let mut helpers = [0usize; 2];
+    let secs = results::time_rounds(reps_one, 2, |k| {
+        helpers[k] += execute(table, &one, k + 1).results[0].helpers;
+    });
+    for (k, t) in [1usize, 2].into_iter().enumerate() {
+        let joined = helpers[k] as f64 / reps_one as f64;
+        let speedup = secs[0].iter().zip(&secs[k]).map(|(a, b)| a / b).collect();
+        let labels = [("threads", t.into())];
+        baseline
+            .metric("one_plan_seconds", &labels, "s", "lower", secs[k].clone())
+            .metric("one_plan_speedup", &labels, "x", "higher", speedup)
+            .metric(
+                "helpers_per_fold",
+                &labels,
+                "ratio",
+                "neither",
+                vec![joined],
+            );
     }
-    let distinct = execute(table, &one, 1).results[0].distinct_bitmaps;
 
     // One traced batch run: where inside the executor the time goes
     // (query span per batch entry, expression build, DAG fold, per-node
     // run + queue-wait), keyed by span phase.
-    let traced = {
-        let shared: &IndexedTable = table;
+    baseline.traced(&[], |tracer| {
         let pool = BufferPool::striped(POOL_PAGES, 4);
-        results::trace_run(|tracer| {
-            let opts = EvalOptions {
-                tracer,
-                ..EvalOptions::default()
-            };
-            black_box(ParallelExecutor::new(4).execute(
-                shared,
-                plans,
-                &pool,
-                &CostModel::default(),
-                &opts,
-            ))
-            .expect("no deadline, no corruption");
-        })
-    };
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"eval_parallel\",\n  \"rows\": {ROWS},\n  \"cardinality\": {C},\n  \"zipf_z\": 1.0,\n  \"queries\": {QUERIES},\n  \"encoding\": \"I\",\n  \"codec\": \"bbc\",\n  \"pool_pages\": {POOL_PAGES},\n  \"host_cores\": {cores},\n  \"sequential_seconds\": {seq:.6},\n  \"parallel\": [\n{}\n  ],\n  \"one_plan_distinct_bitmaps\": {distinct},\n  \"one_plan\": [\n{}\n  ],\n  \"traced_phases\": {}\n}}\n",
-        lines.join(",\n"),
-        one_lines.join(",\n"),
-        results::phases_json(&traced),
-    );
-    results::write_validated(&results::results_dir().join("eval_parallel.json"), &json);
-    results::write_validated(&results::repo_root().join("BENCH_eval.json"), &json);
+        let opts = EvalOptions {
+            tracer,
+            ..EvalOptions::default()
+        };
+        black_box(ParallelExecutor::new(4).execute(
+            table,
+            plans,
+            &pool,
+            &CostModel::default(),
+            &opts,
+        ))
+        .expect("no deadline, no corruption");
+    });
+    baseline.write(&results::repo_root().join("BENCH_eval.json"));
 }
 
 fn bench_parallel(c: &mut Criterion) {

@@ -7,11 +7,11 @@
 //!   bench names — the scan counts are asserted in tests; here we measure
 //!   wall time of the full evaluation).
 //!
-//! Besides the Criterion timings, the bench writes median wall times and
-//! a traced per-phase breakdown per (scheme, strategy) configuration to
+//! Besides the Criterion timings, the bench writes wall times and a
+//! traced per-phase breakdown per (scheme, strategy) configuration to
 //! `results/eval_strategy.json` at the workspace root.
 
-use bix_bench::results;
+use bix_bench::results::{self, Baseline};
 use bix_core::{
     BitmapIndex, BufferPool, CodecKind, CostModel, EncodingScheme, EvalOptions, EvalStrategy,
     IndexConfig, Query,
@@ -19,7 +19,6 @@ use bix_core::{
 use bix_workload::{DatasetSpec, QuerySetSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 
 const ROWS: usize = 100_000;
 const C: u64 = 50;
@@ -74,50 +73,41 @@ fn bench_strategies(c: &mut Criterion) {
     write_results_json(&query, &cost);
 }
 
-/// Medians plus a traced per-phase breakdown for every configuration,
-/// written to `results/eval_strategy.json`.
+/// Wall times plus a traced per-phase breakdown for every
+/// configuration, written to `results/eval_strategy.json`.
 fn write_results_json(query: &Query, cost: &CostModel) {
-    let reps = 9;
-    let mut rows = Vec::new();
+    let mut baseline = Baseline::new(
+        "eval_strategy",
+        &[("rows", ROWS.into()), ("cardinality", C.into())],
+    );
     for scheme in [EncodingScheme::Interval, EncodingScheme::Equality] {
         let mut index = build(scheme);
         for (label, strategy, pool_pages) in CONFIGS {
-            let mut times: Vec<f64> = (0..reps)
-                .map(|_| {
-                    let pool = BufferPool::new(pool_pages);
-                    index.reset_stats();
-                    let start = Instant::now();
-                    black_box(index.evaluate_detailed(query, &pool, strategy, cost));
-                    start.elapsed().as_secs_f64()
-                })
-                .collect();
-            times.sort_by(|a, b| a.total_cmp(b));
-            let median = times[times.len() / 2];
-
-            let records = results::trace_run(|tracer| {
+            let times = results::time_rounds(9, 1, |_| {
                 let pool = BufferPool::new(pool_pages);
                 index.reset_stats();
-                let opts = EvalOptions {
-                    tracer,
-                    ..EvalOptions::default()
-                };
-                black_box(index.evaluate_with(query, &pool, strategy, cost, &opts))
-                    .expect("no deadline, no corruption");
+                index.evaluate_detailed(query, &pool, strategy, cost)
             });
-            rows.push(format!(
-                "    {{\"scheme\": \"{}\", \"strategy\": \"{label}\", \"pool_pages\": \
-                 {pool_pages}, \"median_seconds\": {median:.9}, \"phases\": {}}}",
-                scheme.symbol(),
-                results::phases_json(&records),
-            ));
+            let labels = [
+                ("scheme", scheme.symbol().into()),
+                ("strategy", label.into()),
+                ("pool_pages", pool_pages.into()),
+            ];
+            baseline
+                .metric("seconds", &labels, "s", "lower", times[0].clone())
+                .traced(&labels, |tracer| {
+                    let pool = BufferPool::new(pool_pages);
+                    index.reset_stats();
+                    let opts = EvalOptions {
+                        tracer,
+                        ..EvalOptions::default()
+                    };
+                    black_box(index.evaluate_with(query, &pool, strategy, cost, &opts))
+                        .expect("no deadline, no corruption");
+                });
         }
     }
-    let json = format!(
-        "{{\n  \"benchmark\": \"eval_strategy\",\n  \"rows\": {ROWS},\n  \"cardinality\": {C},\n  \
-         \"configs\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    results::write_validated(&results::results_dir().join("eval_strategy.json"), &json);
+    baseline.write(&results::results_dir().join("eval_strategy.json"));
 }
 
 fn bench_decomposition_tradeoff(c: &mut Criterion) {

@@ -2,7 +2,8 @@
 //! appends, single-threaded, in serving-sized batches — the write-path
 //! counterpart of `serve_throughput`.
 //!
-//! Three numbers matter and all land in the committed baseline:
+//! Three numbers matter and all land in the committed baseline
+//! `BENCH_ingest.json`, each over `RUNS` measured runs:
 //!
 //! - `absorb_rows_per_sec` — pure [`DeltaIndex::absorb`] rate (the
 //!   in-process memtable hot path; the acceptance floor is 1 Mrows/s),
@@ -16,7 +17,7 @@
 //! bit-identical to an index rebuilt from the concatenated column, so
 //! the numbers can never come from a delta that answers wrong.
 
-use bix_bench::results;
+use bix_bench::results::{self, Baseline};
 use bix_core::{
     BitmapIndex, BufferPool, CodecKind, CostModel, DeltaIndex, EncodingScheme, EvalOptions,
     EvalStrategy, IndexConfig, Query,
@@ -31,6 +32,8 @@ const BASE_ROWS: usize = 100_000;
 const INGEST_ROWS: usize = 1_000_000;
 const C: u64 = 200;
 const BATCH: usize = 4096;
+/// Measured runs of each path a baseline summarises.
+const RUNS: usize = 3;
 
 fn base_index() -> BitmapIndex {
     let data = DatasetSpec {
@@ -105,20 +108,8 @@ fn verify_bit_identity(main: &mut BitmapIndex, tail: &[u64]) {
     }
 }
 
-/// Absorbs the whole tail into a fresh delta, returning rows/second.
-fn timed_absorb(main: &BitmapIndex, tail: &[u64]) -> (f64, f64) {
-    let mut delta = DeltaIndex::for_index(main, usize::MAX);
-    let started = Instant::now();
-    for batch in tail.chunks(BATCH) {
-        black_box(delta.absorb(batch).expect("bench absorb"));
-    }
-    let wall = started.elapsed().as_secs_f64();
-    assert_eq!(delta.rows(), tail.len());
-    (tail.len() as f64 / wall, wall)
-}
-
 /// Pushes the tail through a real server socket in ingest frames,
-/// returning rows/second (merge disabled so the number isolates wire +
+/// returning wall seconds (merge disabled so the number isolates wire +
 /// absorb cost).
 fn timed_wire(tail: &[u64]) -> f64 {
     let config = ServerConfig {
@@ -136,11 +127,11 @@ fn timed_wire(tail: &[u64]) -> f64 {
     let wall = started.elapsed().as_secs_f64();
     assert_eq!(acked, tail.len() as u64);
     server.shutdown();
-    tail.len() as f64 / wall
+    wall
 }
 
 /// Drains a full delta into the main index through `try_append` — one
-/// background-merge compaction — returning rows/second.
+/// background-merge compaction — returning wall seconds.
 fn timed_merge(main: &BitmapIndex, tail: &[u64]) -> f64 {
     let mut merged = {
         // The merge clones the serving index the same way the server
@@ -153,28 +144,7 @@ fn timed_merge(main: &BitmapIndex, tail: &[u64]) -> f64 {
     merged.try_append(tail).expect("merge append");
     let wall = started.elapsed().as_secs_f64();
     assert_eq!(merged.rows(), BASE_ROWS + tail.len());
-    tail.len() as f64 / wall
-}
-
-fn write_results_json(absorb_rps: f64, wall: f64, wire_rps: f64, merge_rps: f64) {
-    eprintln!(
-        "ingest_throughput: absorb {absorb_rps:.0} rows/s ({wall:.3}s for {INGEST_ROWS} rows), \
-         wire {wire_rps:.0} rows/s, merge {merge_rps:.0} rows/s"
-    );
-    let json = format!(
-        "{{\n  \"benchmark\": \"ingest_throughput\",\n  \"base_rows\": {BASE_ROWS},\n  \
-         \"rows_ingested\": {INGEST_ROWS},\n  \"cardinality\": {C},\n  \
-         \"batch_rows\": {BATCH},\n  \"encoding\": \"E\",\n  \"codec\": \"ewah\",\n  \
-         \"bit_identical\": true,\n  \"wall_seconds\": {wall:.6},\n  \
-         \"absorb_rows_per_sec\": {absorb_rps:.1},\n  \
-         \"wire_rows_per_sec\": {wire_rps:.1},\n  \
-         \"merge_rows_per_sec\": {merge_rps:.1}\n}}\n",
-    );
-    results::write_validated(
-        &results::results_dir().join("ingest_throughput.json"),
-        &json,
-    );
-    results::write_validated(&results::repo_root().join("BENCH_ingest.json"), &json);
+    wall
 }
 
 fn bench_ingest(c: &mut Criterion) {
@@ -198,19 +168,41 @@ fn bench_ingest(c: &mut Criterion) {
     });
     group.finish();
 
-    // Best-of-three for the committed number: absorption is allocation-
-    // light, so the spread is small, but the first pass pays page
-    // faults for the tail buffers.
-    let (mut absorb_rps, mut wall) = (0.0f64, 0.0f64);
-    for _ in 0..3 {
-        let (rps, w) = timed_absorb(&main, &tail);
-        if rps > absorb_rps {
-            (absorb_rps, wall) = (rps, w);
+    // The first absorb pass pays page faults for the tail buffers, so
+    // the median of the runs is the committed number.
+    let absorb = results::time_rounds(RUNS, 1, |_| {
+        let mut delta = DeltaIndex::for_index(&main, usize::MAX);
+        for batch in tail.chunks(BATCH) {
+            delta.absorb(batch).expect("bench absorb");
         }
-    }
-    let wire_rps = timed_wire(&tail);
-    let merge_rps = timed_merge(&main, &tail);
-    write_results_json(absorb_rps, wall, wire_rps, merge_rps);
+        assert_eq!(delta.rows(), tail.len());
+        delta
+    })
+    .remove(0);
+    let rate = |secs: &[f64]| secs.iter().map(|s| INGEST_ROWS as f64 / s).collect();
+    let wire: Vec<f64> = (0..RUNS).map(|_| timed_wire(&tail)).collect();
+    let merge: Vec<f64> = (0..RUNS).map(|_| timed_merge(&main, &tail)).collect();
+    let config = [
+        ("base_rows", BASE_ROWS.into()),
+        ("rows_ingested", INGEST_ROWS.into()),
+        ("cardinality", C.into()),
+        ("batch_rows", BATCH.into()),
+        ("encoding", "E".into()),
+        ("codec", "ewah".into()),
+    ];
+    Baseline::new("ingest_throughput", &config)
+        .bit_identical()
+        .metric("wall_seconds", &[], "s", "lower", absorb.clone())
+        .metric(
+            "absorb_rows_per_sec",
+            &[],
+            "rows/s",
+            "higher",
+            rate(&absorb),
+        )
+        .metric("wire_rows_per_sec", &[], "rows/s", "higher", rate(&wire))
+        .metric("merge_rows_per_sec", &[], "rows/s", "higher", rate(&merge))
+        .write(&results::repo_root().join("BENCH_ingest.json"));
 }
 
 criterion_group!(benches, bench_ingest);

@@ -4,7 +4,8 @@
 //! materialisation (fold + positions + the 8-byte-per-row reply array a
 //! serving shard would build).
 //!
-//! Everything lands in the committed baseline `BENCH_multi.json`:
+//! Everything lands in the committed baseline `BENCH_multi.json`, as
+//! medians over `RUNS` rounds that time each path in turn:
 //!
 //! - `naive_seconds` vs `planned_seconds` — the rewrite's win on the
 //!   paper's motivating star-schema selection,
@@ -16,7 +17,7 @@
 //! asserted equal to the materialised row count — the numbers can never
 //! come from a plan that answers wrong.
 
-use bix_bench::results;
+use bix_bench::results::{self, Baseline};
 use bix_core::{
     BufferPool, CodecKind, CostModel, EncodingScheme, EvalOptions, IndexConfig, IndexedTable,
     ParallelExecutor, Planner,
@@ -24,7 +25,6 @@ use bix_core::{
 use bix_workload::DatasetSpec;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 
 const ROWS: usize = 200_000;
 const QUERY: &str = "region in {0, 1} and (discount >= 7 or not store = 12)";
@@ -50,17 +50,6 @@ fn build_table() -> IndexedTable {
         table.add_attribute(name, &column, config);
     }
     table
-}
-
-/// Minimum of `runs` timed executions of `f`, in seconds.
-fn best_of(runs: usize, mut f: impl FnMut()) -> f64 {
-    (0..runs)
-        .map(|_| {
-            let started = Instant::now();
-            f();
-            started.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 fn bench_multi_attr(c: &mut Criterion) {
@@ -127,49 +116,53 @@ fn bench_multi_attr(c: &mut Criterion) {
     });
     group.finish();
 
+    // COUNT pushdown folds then popcounts: the bitmap never leaves the
+    // evaluator as rows. Materialisation folds, extracts positions, and
+    // builds the 8-byte-per-row reply array a serving shard encodes into
+    // a rows frame.
     const RUNS: usize = 7;
-    let naive_seconds = best_of(RUNS, || {
-        black_box(table.evaluate(&query));
-    });
-    let planned_seconds = best_of(RUNS, || {
-        black_box(execute_sequential(&table));
-    });
-    // COUNT pushdown: fold then popcount; the bitmap never leaves the
-    // evaluator as rows.
-    let count_pushdown_seconds = best_of(RUNS, || {
-        let r = execute_sequential(&table);
-        black_box(r.count());
-    });
-    // Materialisation: fold, extract positions, and build the 8-byte-
-    // per-row reply array a serving shard encodes into a rows frame.
-    let materialize_seconds = best_of(RUNS, || {
-        let r = execute_sequential(&table);
-        let rows: Vec<u64> = r.bitmap.to_positions().iter().map(|&p| p as u64).collect();
-        let mut reply = Vec::with_capacity(rows.len() * 8);
-        for row in &rows {
-            reply.extend_from_slice(&row.to_le_bytes());
+    let mut times = results::time_rounds(RUNS, 4, |k| match k {
+        0 => {
+            black_box(table.evaluate(&query));
         }
-        black_box(reply);
-    });
-
-    eprintln!(
-        "multi_attr: naive {naive_seconds:.6}s, planned {planned_seconds:.6}s, \
-         count-pushdown {count_pushdown_seconds:.6}s, materialize {materialize_seconds:.6}s \
-         ({expected_rows} of {ROWS} rows match)"
+        1 => {
+            black_box(execute_sequential(&table));
+        }
+        2 => {
+            black_box(execute_sequential(&table).count());
+        }
+        _ => {
+            let r = execute_sequential(&table);
+            let rows: Vec<u64> = r.bitmap.to_positions().iter().map(|&p| p as u64).collect();
+            let mut reply = Vec::with_capacity(rows.len() * 8);
+            for row in &rows {
+                reply.extend_from_slice(&row.to_le_bytes());
+            }
+            black_box(reply);
+        }
+    })
+    .into_iter();
+    let mut baseline = Baseline::new(
+        "multi_attr",
+        &[
+            ("rows", ROWS.into()),
+            ("attributes", ATTRS.len().into()),
+            ("query", QUERY.into()),
+            ("matching_rows", expected_rows.into()),
+            ("codec", "ewah".into()),
+        ],
     );
-    let json = format!(
-        "{{\n  \"benchmark\": \"multi_attr\",\n  \"rows\": {ROWS},\n  \
-         \"attributes\": {},\n  \"query\": {:?},\n  \"matching_rows\": {expected_rows},\n  \
-         \"codec\": \"ewah\",\n  \"bit_identical\": true,\n  \
-         \"naive_seconds\": {naive_seconds:.9},\n  \
-         \"planned_seconds\": {planned_seconds:.9},\n  \
-         \"count_pushdown_seconds\": {count_pushdown_seconds:.9},\n  \
-         \"materialize_seconds\": {materialize_seconds:.9}\n}}\n",
-        ATTRS.len(),
-        QUERY,
-    );
-    results::write_validated(&results::results_dir().join("multi_attr.json"), &json);
-    results::write_validated(&results::repo_root().join("BENCH_multi.json"), &json);
+    baseline.bit_identical();
+    for name in [
+        "naive_seconds",
+        "planned_seconds",
+        "count_pushdown_seconds",
+        "materialize_seconds",
+    ] {
+        let secs = times.next().expect("one arm per path");
+        baseline.metric(name, &[], "s", "lower", secs);
+    }
+    baseline.write(&results::repo_root().join("BENCH_multi.json"));
 }
 
 criterion_group!(benches, bench_multi_attr);

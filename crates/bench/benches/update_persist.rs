@@ -64,43 +64,5 @@ fn bench_persistence(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_build(c: &mut Criterion) {
-    let base = column();
-    // ER at C = 200: the widest scheme, where slot assembly dominates.
-    let wide = DatasetSpec {
-        rows: ROWS,
-        cardinality: 200,
-        zipf_z: 1.0,
-        seed: 42,
-    }
-    .generate()
-    .values;
-    let config =
-        IndexConfig::one_component(200, EncodingScheme::EqualityRange).with_codec(CodecKind::Bbc);
-    let mut group = c.benchmark_group("parallel_build_er_c200");
-    group.sample_size(10);
-    for threads in [1usize, 2, 4] {
-        group.bench_function(BenchmarkId::from_parameter(threads), |bench| {
-            bench.iter(|| {
-                black_box(BitmapIndex::build_parallel(
-                    black_box(&wide),
-                    &config,
-                    threads,
-                ))
-            })
-        });
-    }
-    group.bench_function("sequential", |bench| {
-        bench.iter(|| black_box(BitmapIndex::build(black_box(&wide), &config)))
-    });
-    let _ = base;
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_append,
-    bench_persistence,
-    bench_parallel_build
-);
+criterion_group!(benches, bench_append, bench_persistence);
 criterion_main!(benches);

@@ -203,103 +203,6 @@ impl BitmapIndex {
         }
     }
 
-    /// Builds an index using `threads` worker threads for the bitmap
-    /// assembly phase. Produces an index identical to [`BitmapIndex::build`].
-    ///
-    /// The per-digit counting pass stays single-threaded (it is a single
-    /// scan of the column); the expensive part for wide schemes — OR-ing
-    /// equality bitmaps into each slot and compressing — is divided
-    /// slot-wise across threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as [`BitmapIndex::build`], or if
-    /// `threads == 0`.
-    pub fn build_parallel(column: &[u64], config: &IndexConfig, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one worker thread");
-        let c = config.cardinality;
-        assert!(c >= 2, "cardinality must be at least 2");
-        if let Some(&bad) = column.iter().find(|&&v| v >= c) {
-            panic!("column value {bad} outside domain 0..{c}");
-        }
-        let rows = column.len();
-        let mut store = BitmapStore::new(config.disk);
-        let mut handles = Vec::with_capacity(config.bases.n());
-        let mut uncompressed_bytes = 0usize;
-        let mut histogram = vec![0u64; c as usize];
-        for &v in column {
-            histogram[v as usize] += 1;
-        }
-        let codec = config.codec;
-
-        let bases = config.bases.bases();
-        let mut divisor = 1u64;
-        for (comp, &b) in bases.iter().enumerate() {
-            let mut eq: Vec<Bitvec> = (0..b).map(|_| Bitvec::zeros(rows)).collect();
-            for (row, &v) in column.iter().enumerate() {
-                let digit = (v / divisor) % b;
-                eq[digit as usize].set(row, true);
-            }
-
-            let n_slots = config.encoding.num_bitmaps(b);
-            // Assemble and compress slots in parallel; collect
-            // (slot, bitmap bytes, compressed stream) then store in order.
-            let eq_ref = &eq;
-            let encoding = config.encoding;
-            let mut results: Vec<Option<(usize, Vec<u8>)>> = vec![None; n_slots];
-            let chunk = n_slots.div_ceil(threads).max(1);
-            std::thread::scope(|scope| {
-                let mut remaining: &mut [Option<(usize, Vec<u8>)>] = &mut results;
-                let mut start = 0usize;
-                let mut workers = Vec::new();
-                while !remaining.is_empty() {
-                    let take = chunk.min(remaining.len());
-                    let (mine, rest) = remaining.split_at_mut(take);
-                    remaining = rest;
-                    let begin = start;
-                    start += take;
-                    workers.push(scope.spawn(move || {
-                        for (offset, out) in mine.iter_mut().enumerate() {
-                            let slot = begin + offset;
-                            let values = encoding.slot_values(b, slot);
-                            let mut acc = eq_ref[values[0] as usize].clone();
-                            for &v in &values[1..] {
-                                acc.or_assign(&eq_ref[v as usize]);
-                            }
-                            let compressed = codec.codec().compress(&acc);
-                            *out = Some((acc.byte_size(), compressed));
-                        }
-                    }));
-                }
-                for w in workers {
-                    w.join().expect("index build worker panicked");
-                }
-            });
-
-            let mut comp_handles = Vec::with_capacity(n_slots);
-            for (slot, result) in results.into_iter().enumerate() {
-                let (raw_size, compressed) = result.expect("every slot assembled");
-                uncompressed_bytes += raw_size;
-                let name = format!("c{comp}:{}", config.encoding.slot_name(b, slot));
-                comp_handles.push(store.put_precompressed(&name, codec, rows, &compressed));
-            }
-            handles.push(comp_handles);
-            divisor *= b;
-        }
-
-        BitmapIndex {
-            config: config.clone(),
-            store,
-            handles,
-            existence: None,
-            histogram,
-            rows,
-            uncompressed_bytes,
-            quarantined: BTreeSet::new(),
-            domain_cost: crate::DomainCostModel::DEFAULT,
-        }
-    }
-
     /// The index configuration.
     pub fn config(&self) -> &IndexConfig {
         &self.config
@@ -986,52 +889,5 @@ mod tests {
         let config = IndexConfig::n_components(50, EncodingScheme::Interval, 2);
         assert_eq!(config.bases.n(), 2);
         assert!(config.bases.capacity() >= 50);
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let column: Vec<u64> = (0..20_000u64).map(|i| (i * 31 + i / 11) % 50).collect();
-        for scheme in EncodingScheme::ALL_WITH_VARIANTS {
-            for codec in [CodecKind::Raw, CodecKind::Bbc] {
-                let config = IndexConfig::one_component(50, scheme).with_codec(codec);
-                let seq = BitmapIndex::build(&column, &config);
-                for threads in [1usize, 4] {
-                    let par = BitmapIndex::build_parallel(&column, &config, threads);
-                    assert_eq!(par.rows(), seq.rows());
-                    assert_eq!(par.num_bitmaps(), seq.num_bitmaps());
-                    assert_eq!(par.space_bytes(), seq.space_bytes(), "{scheme} {codec}");
-                    assert_eq!(par.uncompressed_bytes(), seq.uncompressed_bytes());
-                    for slot in 0..scheme.num_bitmaps(50) {
-                        assert_eq!(
-                            par.bitmap(0, slot),
-                            seq.bitmap(0, slot),
-                            "{scheme} {codec} t={threads} slot={slot}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_multi_component() {
-        let column: Vec<u64> = (0..5_000u64).map(|i| i % 50).collect();
-        let config = IndexConfig::n_components(50, EncodingScheme::EqualityRange, 2);
-        let seq = BitmapIndex::build(&column, &config);
-        let par = BitmapIndex::build_parallel(&column, &config, 3);
-        let q = crate::Query::membership(vec![0, 13, 37, 49]);
-        assert_eq!(par.evaluate(&q), seq.evaluate(&q));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_threads_panics() {
-        let config = IndexConfig::one_component(10, EncodingScheme::Equality);
-        let _ = BitmapIndex::build_parallel(&[1], &config, 0);
     }
 }

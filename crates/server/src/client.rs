@@ -142,8 +142,9 @@ impl RetryPolicy {
         }
     }
 
-    /// The jittered sleep before retry `attempt` (1-based).
-    fn delay(&self, attempt: u32, rng: &mut StdRng) -> Duration {
+    /// The jittered sleep before retry `attempt` (1-based); the router's
+    /// per-leg retries draw from the same formula.
+    pub(crate) fn delay(&self, attempt: u32, rng: &mut StdRng) -> Duration {
         let shift = attempt.saturating_sub(1).min(20);
         let exp = self
             .base_delay

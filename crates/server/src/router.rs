@@ -652,7 +652,7 @@ impl RouterInner {
                         return LegOutcome::Missing(ShardFailure::Failed(err));
                     }
                     m.retries.inc();
-                    let delay = retry_delay(policy, attempt, &mut rng);
+                    let delay = policy.delay(attempt, &mut rng);
                     let backoff = tracer.span(&format!("backoff {attempt}"), leg_id);
                     std::thread::sleep(delay);
                     backoff.finish();
@@ -1037,24 +1037,6 @@ impl RouterInner {
 }
 
 use rand::SeedableRng;
-
-/// The jittered exponential backoff before retry `attempt` (1-based),
-/// shared shape with [`RetryPolicy`]'s client-side loop.
-fn retry_delay(policy: &RetryPolicy, attempt: u32, rng: &mut rand::rngs::StdRng) -> Duration {
-    use rand::RngCore;
-    let shift = attempt.saturating_sub(1).min(20);
-    let exp = policy
-        .base_delay
-        .saturating_mul(1u32 << shift)
-        .min(policy.max_delay);
-    let jitter_budget = exp.as_micros() as u64 / 2;
-    let jitter = if jitter_budget > 0 {
-        Duration::from_micros(rng.next_u64() % (jitter_budget + 1))
-    } else {
-        Duration::ZERO
-    };
-    exp + jitter
-}
 
 /// Extracts the `bix_index_rows` gauge from a shard's stats JSON.
 fn parse_rows_gauge(text: &str) -> Option<u64> {

@@ -261,9 +261,9 @@ impl BitmapStore {
         self.disk.charge(io);
     }
 
-    /// Stores an already-compressed bitmap stream (produced off-line,
-    /// e.g. by a parallel build worker). The caller guarantees the stream
-    /// decodes to `len_bits` bits under `codec`.
+    /// Stores an already-compressed bitmap stream (produced off-line).
+    /// The caller guarantees the stream decodes to `len_bits` bits under
+    /// `codec`.
     pub fn put_precompressed(
         &mut self,
         name: &str,

@@ -1,8 +1,8 @@
-//! A minimal JSON parser and string escaper.
+//! A minimal JSON parser, renderer and string escaper.
 //!
-//! Just enough JSON to validate the crate's own output — metric
-//! snapshots, trace JSONL lines, bench baselines — without pulling in an
-//! external dependency. Parses the full JSON grammar (objects, arrays,
+//! Just enough JSON to validate and render the crate's own output —
+//! metric snapshots, trace JSONL lines, bench baselines — without pulling
+//! in an external dependency. Parses the full JSON grammar (objects, arrays,
 //! strings with escapes, numbers, booleans, null); numbers are held as
 //! `f64`, which is exact for the integer counters we emit (< 2^53).
 
@@ -70,6 +70,41 @@ impl Json {
             Json::Obj(fields) => Some(fields),
             _ => None,
         }
+    }
+}
+
+/// Compact rendering, `", "` and `": "` separated; a non-finite number
+/// renders as `null`.
+impl std::fmt::Display for Json {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+            Json::Null | Json::Num(_) => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Str(s) => f.write_str(&escape(s)),
+            Json::Arr(items) => {
+                let items: Vec<String> = items.iter().map(Json::to_string).collect();
+                write!(f, "[{}]", items.join(", "))
+            }
+            Json::Obj(fields) => {
+                let fields: Vec<String> = fields
+                    .iter()
+                    .map(|(k, v)| format!("{}: {v}", escape(k)))
+                    .collect();
+                write!(f, "{{{}}}", fields.join(", "))
+            }
+        }
+    }
+}
+
+macro_rules! json_from {
+    ($($t:ty),*) => {$(impl From<$t> for Json { fn from(n: $t) -> Json { Json::Num(n as f64) } })*};
+}
+json_from!(f64, u64, usize);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_owned())
     }
 }
 

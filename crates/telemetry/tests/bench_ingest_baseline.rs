@@ -1,71 +1,11 @@
-//! The committed ingest baseline `BENCH_ingest.json` at the repo root
-//! must stay valid JSON, attest the bit-identity gate the bench runs
-//! before timing, and hold the acceptance floor: ≥ 1 Mrows/s of
-//! single-threaded delta absorption. CI reruns the bench and then this
-//! test, so a regression below the floor (or a hand-edited file) fails
-//! the build.
+//! The committed `ingest_throughput` baseline `BENCH_ingest.json` must follow the one
+//! baseline schema and hold that benchmark's own claims (see
+//! `validator`). `bench_baselines` covers every baseline at once; this
+//! test names the one that broke.
 
-use bix_telemetry::json::{self, Json};
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_ingest.json")
-}
+mod validator;
 
 #[test]
 fn bench_ingest_baseline_is_valid_and_holds_the_floor() {
-    let path = baseline_path();
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing perf baseline {}: {e}", path.display()));
-    let doc =
-        json::parse(&text).unwrap_or_else(|e| panic!("{} is not valid JSON: {e}", path.display()));
-
-    assert_eq!(
-        doc.get("benchmark").and_then(Json::as_str),
-        Some("ingest_throughput"),
-        "baseline must come from the ingest_throughput bench"
-    );
-    assert_eq!(
-        doc.get("bit_identical").and_then(Json::as_bool),
-        Some(true),
-        "the bench must attest main ∪ delta matches a from-scratch rebuild"
-    );
-    for field in ["base_rows", "rows_ingested", "cardinality", "batch_rows"] {
-        let v = doc
-            .get(field)
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| panic!("baseline missing numeric field {field}"));
-        assert!(v > 0.0, "{field} must be positive, got {v}");
-    }
-    for field in [
-        "wall_seconds",
-        "absorb_rows_per_sec",
-        "wire_rows_per_sec",
-        "merge_rows_per_sec",
-    ] {
-        let v = doc
-            .get(field)
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| panic!("baseline missing measurement {field}"));
-        assert!(v > 0.0, "{field} must be positive, got {v}");
-    }
-
-    // The workload identity pins the acceptance scenario: 1M rows in
-    // serving-sized batches against a C=200 Zipf column.
-    assert_eq!(
-        doc.get("rows_ingested").and_then(Json::as_f64),
-        Some(1_000_000.0)
-    );
-    assert_eq!(doc.get("cardinality").and_then(Json::as_f64), Some(200.0));
-    assert_eq!(doc.get("batch_rows").and_then(Json::as_f64), Some(4096.0));
-
-    // The acceptance floor: sustained single-threaded absorption at or
-    // above a million rows per second.
-    let absorb = doc
-        .get("absorb_rows_per_sec")
-        .and_then(Json::as_f64)
-        .unwrap();
-    assert!(
-        absorb >= 1e6,
-        "delta absorption fell below the 1 Mrows/s acceptance floor: {absorb:.0}"
-    );
+    validator::check("BENCH_ingest.json");
 }

@@ -1,80 +1,11 @@
-//! The committed multi-attribute baseline `BENCH_multi.json` at the
-//! repo root must stay valid JSON, attest the bit-identity gate the
-//! bench runs before timing, and hold the acceptance criterion: COUNT
-//! pushdown (fold + popcount) strictly beats full row materialisation
-//! on the paper's motivating star-schema selection. CI reruns the bench
-//! and then this test, so a regression (or a hand-edited file) fails
-//! the build.
+//! The committed `multi_attr` baseline `BENCH_multi.json` must follow the one
+//! baseline schema and hold that benchmark's own claims (see
+//! `validator`). `bench_baselines` covers every baseline at once; this
+//! test names the one that broke.
 
-use bix_telemetry::json::{self, Json};
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_multi.json")
-}
+mod validator;
 
 #[test]
 fn bench_multi_baseline_is_valid_and_pushdown_wins() {
-    let path = baseline_path();
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing perf baseline {}: {e}", path.display()));
-    let doc =
-        json::parse(&text).unwrap_or_else(|e| panic!("{} is not valid JSON: {e}", path.display()));
-
-    assert_eq!(
-        doc.get("benchmark").and_then(Json::as_str),
-        Some("multi_attr"),
-        "baseline must come from the multi_attr bench"
-    );
-    assert_eq!(
-        doc.get("bit_identical").and_then(Json::as_bool),
-        Some(true),
-        "the bench must attest naive, sequential-plan, and parallel-plan \
-         evaluation agree before timing"
-    );
-
-    // The workload identity pins the acceptance scenario: the motivating
-    // three-attribute selection over a 200k-row star table.
-    assert_eq!(doc.get("rows").and_then(Json::as_f64), Some(200_000.0));
-    assert_eq!(doc.get("attributes").and_then(Json::as_f64), Some(3.0));
-    assert_eq!(
-        doc.get("query").and_then(Json::as_str),
-        Some("region in {0, 1} and (discount >= 7 or not store = 12)"),
-        "baseline must measure the motivating expression"
-    );
-    let matching = doc
-        .get("matching_rows")
-        .and_then(Json::as_f64)
-        .expect("baseline missing matching_rows");
-    assert!(
-        matching > 0.0 && matching < 200_000.0,
-        "the query must discriminate, got {matching} matching rows"
-    );
-
-    for field in [
-        "naive_seconds",
-        "planned_seconds",
-        "count_pushdown_seconds",
-        "materialize_seconds",
-    ] {
-        let v = doc
-            .get(field)
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| panic!("baseline missing measurement {field}"));
-        assert!(v > 0.0, "{field} must be positive, got {v}");
-    }
-
-    // The acceptance criterion: answering COUNT via popcount, without
-    // ever materialising row ids, must beat the materialising path.
-    let pushdown = doc
-        .get("count_pushdown_seconds")
-        .and_then(Json::as_f64)
-        .unwrap();
-    let materialize = doc
-        .get("materialize_seconds")
-        .and_then(Json::as_f64)
-        .unwrap();
-    assert!(
-        pushdown < materialize,
-        "COUNT pushdown must beat row materialisation: {pushdown:.9}s vs {materialize:.9}s"
-    );
+    validator::check("BENCH_multi.json");
 }

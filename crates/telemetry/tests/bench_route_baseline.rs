@@ -1,82 +1,11 @@
-//! The committed routing baseline `BENCH_route.json` at the repo root
-//! must stay valid JSON with the fields future PRs diff against, and it
-//! must attest the acceptance criterion the bench enforces before
-//! timing: replies merged across the shard fleet are bit-identical to
-//! the in-process evaluator over the whole column. CI fails this test
-//! whenever a bench run (or a hand edit) corrupts the file or drops
-//! that attestation.
+//! The committed `route_throughput` baseline `BENCH_route.json` must follow the one
+//! baseline schema and hold that benchmark's own claims (see
+//! `validator`). `bench_baselines` covers every baseline at once; this
+//! test names the one that broke.
 
-use bix_telemetry::json::{self, Json};
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_route.json")
-}
+mod validator;
 
 #[test]
 fn bench_route_baseline_is_valid_and_complete() {
-    let path = baseline_path();
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing perf baseline {}: {e}", path.display()));
-    let doc =
-        json::parse(&text).unwrap_or_else(|e| panic!("{} is not valid JSON: {e}", path.display()));
-
-    assert_eq!(
-        doc.get("benchmark").and_then(Json::as_str),
-        Some("route_throughput"),
-        "baseline must come from the route_throughput bench"
-    );
-    assert_eq!(
-        doc.get("bit_identical").and_then(Json::as_bool),
-        Some(true),
-        "the bench must attest merged replies match the in-process evaluator"
-    );
-    for field in [
-        "rows",
-        "cardinality",
-        "queries",
-        "shards",
-        "clients",
-        "requests",
-    ] {
-        let v = doc
-            .get(field)
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| panic!("baseline missing numeric field {field}"));
-        assert!(v > 0.0, "{field} must be positive, got {v}");
-    }
-    for field in [
-        "wall_seconds",
-        "throughput_qps",
-        "monolith_throughput_qps",
-        "latency_p50_seconds",
-        "latency_p99_seconds",
-    ] {
-        let v = doc
-            .get(field)
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| panic!("baseline missing measurement {field}"));
-        assert!(v > 0.0, "{field} must be positive, got {v}");
-    }
-    let p50 = doc
-        .get("latency_p50_seconds")
-        .and_then(Json::as_f64)
-        .unwrap();
-    let p99 = doc
-        .get("latency_p99_seconds")
-        .and_then(Json::as_f64)
-        .unwrap();
-    assert!(p50 <= p99, "p50 {p50} must not exceed p99 {p99}");
-
-    // The workload identity pins the acceptance scenario: the serving
-    // bench's 64-query Zipf workload (C=200) over a 4-shard fleet with
-    // at least 8 concurrent clients, and a same-run monolith number so
-    // the routing tax stays an explicit, diffable quantity.
-    assert_eq!(doc.get("queries").and_then(Json::as_f64), Some(64.0));
-    assert_eq!(doc.get("cardinality").and_then(Json::as_f64), Some(200.0));
-    assert_eq!(doc.get("shards").and_then(Json::as_f64), Some(4.0));
-    let clients = doc.get("clients").and_then(Json::as_f64).unwrap();
-    assert!(
-        clients >= 8.0,
-        "need >= 8 concurrent clients, got {clients}"
-    );
+    validator::check("BENCH_route.json");
 }
