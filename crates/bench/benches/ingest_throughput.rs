@@ -133,13 +133,9 @@ fn timed_wire(tail: &[u64]) -> f64 {
 /// Drains a full delta into the main index through `try_append` — one
 /// background-merge compaction — returning wall seconds.
 fn timed_merge(main: &BitmapIndex, tail: &[u64]) -> f64 {
-    let mut merged = {
-        // The merge clones the serving index the same way the server
-        // does: a save/load round-trip, never touching the original.
-        let mut buf = Vec::new();
-        main.save_to(&mut buf).expect("clone save");
-        BitmapIndex::load_from(&buf[..]).expect("clone load")
-    };
+    // The merge clones the serving index the same way the server does,
+    // never touching the original.
+    let mut merged = main.clone();
     let started = Instant::now();
     merged.try_append(tail).expect("merge append");
     let wall = started.elapsed().as_secs_f64();

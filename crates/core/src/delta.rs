@@ -186,7 +186,9 @@ impl DeltaIndex {
 
     /// Sets the tail bits for `batch` (domain and budget already
     /// checked). The only per-row work is one word-OR per member slot.
-    fn fill(&mut self, batch: &[u64]) {
+    /// The journaled append takes each batch's slot bits from here too;
+    /// a NULL row's digits there are placeholders it masks out.
+    pub(crate) fn fill(&mut self, batch: &[u64]) {
         let rows_after = self.rows + batch.len();
         let words_after = bix_bitvec::words_for(rows_after);
         let bases = self.config.bases.bases().to_vec();

@@ -205,16 +205,6 @@ impl DomainCostModel {
         })
     }
 
-    /// Predicted nanoseconds to decode a value of `codec` with `stored`
-    /// stream bytes and `raw` decoded-image bytes, then fold one
-    /// word-wise op over it.
-    pub fn raw_op_ns(&self, codec: CodecKind, stored: usize, raw: usize) -> f64 {
-        let decode = self
-            .costs(codec)
-            .map_or(0.0, |c| c.decode_slope(stored, raw));
-        (decode + self.word_ns_per_byte) * raw as f64
-    }
-
     /// Measures the model's slopes on the current machine.
     ///
     /// Times each codec's decode and binary kernel, and the word-wise

@@ -96,6 +96,12 @@ impl IndexConfig {
 /// `&self`: the disk head and counters of a read live in its
 /// [`ReadContext`], the cached pages in the caller's [`BufferPool`].
 /// Writes (appends, repairs, quarantine) take `&mut self`.
+///
+/// A clone is a snapshot: it shares the stored file bytes with the
+/// original behind `Arc`s but sits on its own disk, with a fresh disk
+/// id, zeroed I/O counters and no fault plan. Appends to, corruption of
+/// and faults in either side never reach the other.
+#[derive(Clone)]
 pub struct BitmapIndex {
     config: IndexConfig,
     store: BitmapStore,
@@ -133,30 +139,47 @@ impl BitmapIndex {
     ///
     /// Panics if any value is `>= config.cardinality`.
     pub fn build(column: &[u64], config: &IndexConfig) -> Self {
+        BitmapIndex::assemble(column.iter().map(|&v| Some(v)), config, false)
+    }
+
+    /// The one build body behind [`BitmapIndex::build`] and
+    /// [`BitmapIndex::build_nullable`]: one pass per component sets each
+    /// present row's equality bit (a NULL row sets none), each slot is
+    /// assembled from those and written once, and a `nullable` index
+    /// stores the existence bitmap of its present rows after them.
+    pub(crate) fn assemble<I>(column: I, config: &IndexConfig, nullable: bool) -> Self
+    where
+        I: ExactSizeIterator<Item = Option<u64>> + Clone,
+    {
         let c = config.cardinality;
         assert!(c >= 2, "cardinality must be at least 2");
-        if let Some(&bad) = column.iter().find(|&&v| v >= c) {
-            panic!("column value {bad} outside domain 0..{c}");
-        }
         let rows = column.len();
+        let mut histogram = vec![0u64; c as usize];
+        let mut existence = nullable.then(|| Bitvec::zeros(rows));
+        for (row, v) in column.clone().enumerate() {
+            let Some(v) = v else { continue };
+            if v >= c {
+                panic!("column value {v} outside domain 0..{c}");
+            }
+            histogram[v as usize] += 1;
+            if let Some(eb) = &mut existence {
+                eb.set(row, true);
+            }
+        }
         let mut store = BitmapStore::new(config.disk);
         let mut handles = Vec::with_capacity(config.bases.n());
         let mut uncompressed_bytes = 0usize;
-        let mut histogram = vec![0u64; c as usize];
-        for &v in column {
-            histogram[v as usize] += 1;
-        }
 
         let bases = config.bases.bases();
         let mut divisor = 1u64;
         for (comp, &b) in bases.iter().enumerate() {
             // Per-digit-value equality bitmaps in one pass over the column.
             let mut eq: Vec<Bitvec> = (0..b).map(|_| Bitvec::zeros(rows)).collect();
-            for (row, &v) in column.iter().enumerate() {
-                let digit = (v / divisor) % b;
-                eq[digit as usize].set(row, true);
+            for (row, v) in column.clone().enumerate() {
+                if let Some(v) = v {
+                    eq[((v / divisor) % b) as usize].set(row, true);
+                }
             }
-
             // Assemble each slot from the equality bitmaps, using a running
             // prefix OR for the contiguous-from-zero (range-style) slots.
             let mut prefix = eq[0].clone();
@@ -190,11 +213,16 @@ impl BitmapIndex {
             divisor *= b;
         }
 
+        let existence = existence.map(|eb| {
+            uncompressed_bytes += eb.byte_size();
+            store.put("EB", config.codec, &eb)
+        });
+
         BitmapIndex {
             config: config.clone(),
             store,
             handles,
-            existence: None,
+            existence,
             histogram,
             rows,
             uncompressed_bytes,
@@ -206,12 +234,6 @@ impl BitmapIndex {
     /// The index configuration.
     pub fn config(&self) -> &IndexConfig {
         &self.config
-    }
-
-    /// The cost model predicting fold-op costs for this index's
-    /// sequential folds and any [`crate::ParallelExecutor`] batch over it.
-    pub fn domain_cost_model(&self) -> &crate::DomainCostModel {
-        &self.domain_cost
     }
 
     /// Replaces the domain cost model — typically with
@@ -453,22 +475,12 @@ impl BitmapIndex {
         &self.histogram
     }
 
-    /// Adds a batch's values to the histogram (update path).
+    /// Adds a batch's values to the histogram (update path); NULL rows
+    /// ([`crate::nulls::NULL`]) count nowhere.
     pub(crate) fn histogram_add(&mut self, values: &[u64]) {
-        for &v in values {
+        for &v in values.iter().filter(|&&v| v != crate::nulls::NULL) {
             self.histogram[v as usize] += 1;
         }
-    }
-
-    /// Removes `n` occurrences of `value` from the histogram (the
-    /// nullable-append correction for placeholder values).
-    pub(crate) fn histogram_sub(&mut self, value: u64, n: u64) {
-        self.histogram[value as usize] -= n;
-    }
-
-    /// Replaces the histogram wholesale (nullable build path).
-    pub(crate) fn set_histogram(&mut self, histogram: Vec<u64>) {
-        self.histogram = histogram;
     }
 
     /// Resets I/O accounting (between measured queries, mimicking the
@@ -560,15 +572,9 @@ impl BitmapIndex {
         self.existence
     }
 
-    /// Installs or replaces the existence bitmap (nullable-build path).
+    /// Replaces the existence bitmap (journaled-append install).
     pub(crate) fn set_existence(&mut self, handle: Option<BitmapHandle>) {
         self.existence = handle;
-    }
-
-    /// Adds to the uncompressed-size accounting (for the existence
-    /// bitmap, which is outside the slot layout).
-    pub(crate) fn add_uncompressed_bytes(&mut self, bytes: usize) {
-        self.uncompressed_bytes += bytes;
     }
 
     /// Extends the logical row count after an append, refreshing the

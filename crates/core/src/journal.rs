@@ -25,11 +25,16 @@
 //! back — in both cases the index lands on exactly the pre-append or
 //! post-append state, never between.
 
-use crate::{BitmapIndex, UpdateStats};
+use crate::nulls::NULL;
+use crate::{BitmapIndex, DeltaIndex, UpdateStats};
+use bix_bitvec::Bitvec;
 use bix_storage::{crc32, BitmapHandle, DiskFault, FileId};
 
 const INTENT_KIND: &[u8; 4] = b"JINT";
 const COMMIT_KIND: &[u8; 4] = b"JCMT";
+
+/// The `component` of a planned rewrite of the existence bitmap.
+const EXISTENCE_COMPONENT: u32 = u32::MAX;
 
 /// What [`BitmapIndex::recover`] found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +114,7 @@ impl From<DiskFault> for AppendError {
 }
 
 /// One bitmap rewrite planned by the build phase / declared by an intent
-/// record.
+/// record: a slot, or the existence bitmap under [`EXISTENCE_COMPONENT`].
 struct PlannedRewrite {
     component: u32,
     slot: u32,
@@ -310,74 +315,61 @@ impl BitmapIndex {
         result.map_err(AppendError::Disk)
     }
 
-    fn append_journaled(&mut self, new_rows: &[u64]) -> Result<UpdateStats, DiskFault> {
+    /// The one journaled append behind [`BitmapIndex::try_append`] and
+    /// [`BitmapIndex::append_nullable`]: `batch` holds one value per new
+    /// row, or [`NULL`] for a NULL row of a nullable index.
+    pub(crate) fn append_journaled(&mut self, batch: &[u64]) -> Result<UpdateStats, DiskFault> {
         if !self.store().journal().is_empty() {
             self.recover();
         }
 
-        let codec = self.config().codec;
         let bases: Vec<u64> = self.config().bases.bases().to_vec();
         let encoding = self.config().encoding;
         let rows_before = self.rows();
-        let rows_after = rows_before + new_rows.len();
 
-        // Build phase: assemble every replacement bitmap in memory. Reads
-        // go through raw contents (index maintenance is off the query
-        // clock; stats are reset at the end regardless).
+        // Build phase: the delta's slot filler sets the batch's bits, one
+        // word-OR per member slot, and each replacement is the old bitmap
+        // extended by its slot's tail. A nullable index clears the NULL
+        // rows from every tail and extends its existence bitmap by the
+        // present rows. Reads go through raw contents (index maintenance
+        // is off the query clock; stats are reset by the callers).
+        let mut filler = DeltaIndex::new(self.config(), rows_before, usize::MAX);
+        filler.fill(batch);
+        let present = self
+            .is_nullable()
+            .then(|| Bitvec::from_bools(&batch.iter().map(|&v| v != NULL).collect::<Vec<_>>()));
         let mut one_bit_updates = 0usize;
-        let mut planned: Vec<PlannedRewrite> = Vec::new();
-        let mut old_handles: Vec<BitmapHandle> = Vec::new();
-        let mut new_streams: Vec<Vec<u8>> = Vec::new();
-        let mut divisor = 1u64;
+        let mut rewrites: Vec<(PlannedRewrite, Vec<u8>)> = Vec::new();
         for (comp, &b) in bases.iter().enumerate() {
-            let digits: Vec<u64> = new_rows.iter().map(|&v| (v / divisor) % b).collect();
             for slot in 0..encoding.num_bitmaps(b) {
-                let values = encoding.slot_values(b, slot);
-                let member: Vec<bool> = (0..b).map(|d| values.contains(&d)).collect();
-
-                let old_handle = self.handle(comp, slot);
-                let old = old_handle
-                    .codec()
-                    .codec()
-                    .decompress(self.store().contents(old_handle), old_handle.len_bits());
-                let mut builder =
-                    bix_bitvec::BitvecBuilder::with_capacity(old.len() + new_rows.len());
-                for i in 0..old.len() {
-                    builder.push(old.get(i));
+                let mut tail = filler.tail(comp, slot);
+                if let Some(present) = &present {
+                    tail.and_assign(present);
                 }
-                for &d in &digits {
-                    let bit = member[d as usize];
-                    builder.push(bit);
-                    one_bit_updates += usize::from(bit);
-                }
-                let stream = codec.codec().compress(&builder.finish());
-                planned.push(PlannedRewrite {
-                    component: u32::try_from(comp).expect("component index"),
-                    slot: u32::try_from(slot).expect("slot index"),
-                    old_file: old_handle.file().raw(),
-                    new_len: stream.len() as u64,
-                    new_crc: crc32(&stream),
-                });
-                old_handles.push(old_handle);
-                new_streams.push(stream);
+                one_bit_updates += tail.count_ones();
+                let component = u32::try_from(comp).expect("component index");
+                let slot = u32::try_from(slot).expect("slot index");
+                rewrites.push(self.extended(component, slot, &tail));
             }
-            divisor *= b;
         }
+        if let Some(present) = &present {
+            rewrites.push(self.extended(EXISTENCE_COMPONENT, 0, present));
+        }
+        let (planned, new_streams): (Vec<_>, Vec<_>) = rewrites.into_iter().unzip();
 
         // Intent: declare the batch before any data file is touched.
         let intent = Intent {
             rows_before: rows_before as u64,
             first_new_file: self.store().next_file_id().raw(),
-            batch: new_rows.to_vec(),
+            batch: batch.to_vec(),
             rewrites: planned,
         };
-        let intent_record = encode_intent(&intent);
-        self.store_mut().journal_append(&intent_record)?;
+        self.store_mut().journal_append(&encode_intent(&intent))?;
 
-        // Rewrite: new files, unnamed — invisible until installed.
-        let mut new_files: Vec<FileId> = Vec::with_capacity(new_streams.len());
+        // Rewrite: new files, unnamed — invisible until installed. They
+        // take consecutive ids from `first_new_file`.
         for stream in new_streams {
-            new_files.push(self.store_mut().try_create_unnamed(stream)?);
+            self.store_mut().try_create_unnamed(stream)?;
         }
 
         // Commit: the batch is now durable.
@@ -386,29 +378,74 @@ impl BitmapIndex {
             u32::try_from(intent.rewrites.len()).expect("rewrite count"),
         );
         self.store_mut().journal_append(&commit_record)?;
-
-        // Install: swap handles, retire old files. Pure bookkeeping — no
-        // fallible disk writes — so once the commit lands this completes.
-        let bitmaps_rewritten = new_files.len();
-        for ((rw, old_handle), new_file) in intent.rewrites.iter().zip(old_handles).zip(new_files) {
-            let name = self.store_mut().retire(old_handle);
-            let handle = self
-                .store_mut()
-                .adopt_file(new_file, name, codec, rows_after, rw.new_crc);
-            self.set_handle(rw.component as usize, rw.slot as usize, handle);
-        }
-        self.histogram_add(new_rows);
-        self.grow_rows(new_rows.len());
+        self.install(&intent);
 
         // Truncate: the journal's commit point. A fault here leaves the
         // committed batch in the journal; recovery just truncates.
         self.store_mut().journal_truncate()?;
         Ok(UpdateStats {
-            records: new_rows.len(),
+            records: batch.len(),
             one_bit_updates,
-            bitmaps_rewritten,
+            bitmaps_rewritten: self.num_bitmaps(),
             stored_bytes_after: self.space_bytes(),
         })
+    }
+
+    /// One rewrite of the build phase: the bitmap `(component, slot)`
+    /// names, decoded and extended by `tail`, then re-encoded.
+    fn extended(&self, component: u32, slot: u32, tail: &Bitvec) -> (PlannedRewrite, Vec<u8>) {
+        let old_handle = self.rewritten(component, slot);
+        let mut bitmap = old_handle
+            .codec()
+            .codec()
+            .decompress(self.store().contents(old_handle), old_handle.len_bits());
+        bitmap.extend_from(tail);
+        let stream = self.config().codec.codec().compress(&bitmap);
+        let planned = PlannedRewrite {
+            component,
+            slot,
+            old_file: old_handle.file().raw(),
+            new_len: stream.len() as u64,
+            new_crc: crc32(&stream),
+        };
+        (planned, stream)
+    }
+
+    /// The live handle a planned rewrite replaces: a slot's, or the
+    /// existence bitmap's under [`EXISTENCE_COMPONENT`].
+    fn rewritten(&self, component: u32, slot: u32) -> BitmapHandle {
+        if component == EXISTENCE_COMPONENT {
+            self.existence_handle()
+                .expect("an existence rewrite on a nullable index")
+        } else {
+            self.handle(component as usize, slot as usize)
+        }
+    }
+
+    /// Install: swaps handles to the intent's new files, retires the old
+    /// files and takes the batch into the row count and histogram — after
+    /// a commit lands, and when recovery rolls a committed batch forward.
+    /// Pure bookkeeping — no fallible disk writes — so once the commit
+    /// lands this completes.
+    fn install(&mut self, intent: &Intent) {
+        let codec = self.config().codec;
+        let rows_after = intent.rows_before as usize + intent.batch.len();
+        for (i, rw) in intent.rewrites.iter().enumerate() {
+            let old_handle = self.rewritten(rw.component, rw.slot);
+            debug_assert_eq!(old_handle.file().raw(), rw.old_file);
+            let new_file = FileId::from_raw(intent.first_new_file + i as u32);
+            let name = self.store_mut().retire(old_handle);
+            let handle = self
+                .store_mut()
+                .adopt_file(new_file, name, codec, rows_after, rw.new_crc);
+            if rw.component == EXISTENCE_COMPONENT {
+                self.set_existence(Some(handle));
+            } else {
+                self.set_handle(rw.component as usize, rw.slot as usize, handle);
+            }
+        }
+        self.histogram_add(&intent.batch);
+        self.grow_rows(intent.batch.len());
     }
 
     /// Inspects the write-ahead journal after a crash (a [`DiskFault`]
@@ -448,53 +485,34 @@ impl BitmapIndex {
             .iter()
             .skip(1)
             .any(|(kind, payload)| kind == COMMIT_KIND && commit_matches(payload, &intent));
-        let records_in_batch = intent.batch.len();
-
-        if committed {
-            if self.rows() as u64 == intent.rows_before {
-                // Commit landed but installation didn't (in-process this
-                // window is empty, but a reloaded index could land here).
-                // Verify the rewritten files against the intent CRCs and
-                // roll forward; fall back to rollback if any are bad.
-                let all_good = intent.rewrites.iter().enumerate().all(|(i, rw)| {
-                    let file = FileId::from_raw(intent.first_new_file + i as u32);
-                    let contents = self.store().raw_contents(file);
-                    contents.len() as u64 == rw.new_len && crc32(contents) == rw.new_crc
-                });
-                if !all_good {
-                    return self.rollback(&intent);
-                }
-                let codec = self.config().codec;
-                let rows_after = intent.rows_before as usize + records_in_batch;
-                for (i, rw) in intent.rewrites.iter().enumerate() {
-                    let comp = rw.component as usize;
-                    let slot = rw.slot as usize;
-                    let old_handle = self.handle(comp, slot);
-                    debug_assert_eq!(old_handle.file().raw(), rw.old_file);
-                    let new_file = FileId::from_raw(intent.first_new_file + i as u32);
-                    let name = self.store_mut().retire(old_handle);
-                    let handle = self
-                        .store_mut()
-                        .adopt_file(new_file, name, codec, rows_after, rw.new_crc);
-                    self.set_handle(comp, slot, handle);
-                }
-                let batch = intent.batch.clone();
-                self.histogram_add(&batch);
-                self.grow_rows(records_in_batch);
-            }
-            self.store_mut()
-                .journal_truncate()
-                .expect("journal truncate during recovery");
-            self.store().charge(IoStats {
-                journal_replays: 1,
-                ..IoStats::new()
+        if !committed {
+            return self.rollback(&intent);
+        }
+        if self.rows() as u64 == intent.rows_before {
+            // Commit landed but installation didn't (in-process this
+            // window is empty, but a reloaded index could land here).
+            // Verify the rewritten files against the intent CRCs and
+            // roll forward; fall back to rollback if any are bad.
+            let all_good = intent.rewrites.iter().enumerate().all(|(i, rw)| {
+                let file = FileId::from_raw(intent.first_new_file + i as u32);
+                let contents = self.store().raw_contents(file);
+                contents.len() as u64 == rw.new_len && crc32(contents) == rw.new_crc
             });
-            RecoveryReport {
-                action: RecoveryAction::Replayed,
-                records: records_in_batch,
+            if !all_good {
+                return self.rollback(&intent);
             }
-        } else {
-            self.rollback(&intent)
+            self.install(&intent);
+        }
+        self.store_mut()
+            .journal_truncate()
+            .expect("journal truncate during recovery");
+        self.store().charge(IoStats {
+            journal_replays: 1,
+            ..IoStats::new()
+        });
+        RecoveryReport {
+            action: RecoveryAction::Replayed,
+            records: intent.batch.len(),
         }
     }
 

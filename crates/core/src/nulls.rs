@@ -11,8 +11,11 @@
 //! after the complete expression is evaluated, every internal complement
 //! is cleansed at once.
 
-use crate::{BitmapIndex, IndexConfig, UpdateStats};
-use bix_bitvec::Bitvec;
+use crate::{AppendError, BitmapIndex, IndexConfig, UpdateStats};
+
+/// A NULL row in a batch handed to the journaled append (and in its
+/// intent record): outside every domain, so it never names a value.
+pub(crate) const NULL: u64 = u64::MAX;
 
 impl BitmapIndex {
     /// Builds an index over a nullable column. NULL rows set no bit in
@@ -23,45 +26,7 @@ impl BitmapIndex {
     ///
     /// Panics if any present value is `>= config.cardinality`.
     pub fn build_nullable(column: &[Option<u64>], config: &IndexConfig) -> Self {
-        // Build over the dense column with NULLs mapped to value 0, then
-        // clear the NULL rows from every bitmap by masking with EB. This
-        // reuses the (optimized) dense build path; the extra AND per
-        // bitmap is one word-level pass.
-        let dense: Vec<u64> = column.iter().map(|v| v.unwrap_or(0)).collect();
-        let mut index = BitmapIndex::build(&dense, config);
-
-        let mut existence = Bitvec::zeros(column.len());
-        for (row, v) in column.iter().enumerate() {
-            if v.is_some() {
-                existence.set(row, true);
-            }
-        }
-
-        // Mask NULL rows out of every stored bitmap.
-        for comp in 0..config.bases.n() {
-            let b = config.bases.bases()[comp];
-            for slot in 0..config.encoding.num_bitmaps(b) {
-                let handle = index.handle(comp, slot);
-                let mut bitmap = index.read_stored(handle);
-                bitmap.and_assign(&existence);
-                let new_handle = index.store_mut().replace(handle, config.codec, &bitmap);
-                index.set_handle(comp, slot, new_handle);
-            }
-        }
-
-        // The dense build counted NULLs as value 0; recount over the
-        // non-NULL values only.
-        let mut histogram = vec![0u64; config.cardinality as usize];
-        for v in column.iter().flatten() {
-            histogram[*v as usize] += 1;
-        }
-        index.set_histogram(histogram);
-
-        let eb_handle = index.store_mut().put("EB", config.codec, &existence);
-        index.set_existence(Some(eb_handle));
-        index.add_uncompressed_bytes(existence.byte_size());
-        index.reset_stats();
-        index
+        BitmapIndex::assemble(column.iter().copied(), config, true)
     }
 
     /// True if this index tracks NULLs (was built from a nullable column).
@@ -77,72 +42,37 @@ impl BitmapIndex {
         }
     }
 
-    /// Appends a batch of nullable records.
+    /// Appends a batch of nullable records through the journaled append
+    /// of [`BitmapIndex::try_append`]: NULL rows are cleared from every
+    /// value bitmap's tail, and the extended existence bitmap is one
+    /// more rewrite in the same intent, so [`BitmapIndex::recover`]
+    /// restores it like any slot. The returned stats count value bitmaps
+    /// only.
     ///
     /// # Panics
     ///
     /// Panics if the index was not built with [`BitmapIndex::build_nullable`],
-    /// or a present value is out of domain.
+    /// a present value is out of domain, or the simulated disk faults
+    /// mid-append (then [`BitmapIndex::recover`] restores the index).
     pub fn append_nullable(&mut self, new_rows: &[Option<u64>]) -> UpdateStats {
-        let eb = self
-            .existence_handle()
-            .expect("append_nullable requires an index built with build_nullable");
-        let codec = self.config().codec;
-
-        // Extend the existence bitmap first (stats reset happens inside
-        // the dense append below).
-        let old_eb = self.read_stored(eb);
-        let mut builder = bix_bitvec::BitvecBuilder::with_capacity(old_eb.len() + new_rows.len());
-        for i in 0..old_eb.len() {
-            builder.push(old_eb.get(i));
-        }
-        for v in new_rows {
-            builder.push(v.is_some());
-        }
-        let new_eb = builder.finish();
-        let new_eb_handle = self.store_mut().replace(eb, codec, &new_eb);
-        self.set_existence(Some(new_eb_handle));
-
-        // Dense append with NULLs as placeholder 0, then clear the new
-        // NULL rows from every value bitmap they touched (value 0's
-        // bitmaps only, so fix those up).
-        let old_rows = self.rows();
-        let dense: Vec<u64> = new_rows.iter().map(|v| v.unwrap_or(0)).collect();
-        let mut stats = self.append(&dense);
-        let null_count = new_rows.iter().filter(|v| v.is_none()).count() as u64;
-        self.histogram_sub(0, null_count);
-
-        let null_rows: Vec<usize> = new_rows
+        assert!(
+            self.is_nullable(),
+            "append_nullable requires an index built with build_nullable"
+        );
+        let cardinality = self.config().cardinality;
+        let batch: Vec<u64> = new_rows
             .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_none())
-            .map(|(i, _)| old_rows + i)
-            .collect();
-        if !null_rows.is_empty() {
-            let bases: Vec<u64> = self.config().bases.bases().to_vec();
-            let encoding = self.config().encoding;
-            let mut corrected = 0usize;
-            for (comp, &b) in bases.iter().enumerate() {
-                for slot in 0..encoding.num_bitmaps(b) {
-                    if !encoding.slot_values(b, slot).contains(&0) {
-                        continue; // placeholder 0 never touched this bitmap
-                    }
-                    let handle = self.handle(comp, slot);
-                    let mut bitmap = self.read_stored(handle);
-                    for &row in &null_rows {
-                        bitmap.set(row, false);
-                        corrected += 1;
-                    }
-                    let new_handle = self.store_mut().replace(handle, codec, &bitmap);
-                    self.set_handle(comp, slot, new_handle);
+            .map(|v| match *v {
+                Some(value) if value >= cardinality => {
+                    panic!("{}", AppendError::OutOfDomain { value, cardinality })
                 }
-            }
-            // The dense append over-counted the placeholder bits.
-            stats.one_bit_updates -= corrected;
-            stats.stored_bytes_after = self.space_bytes();
-        }
+                Some(value) => value,
+                None => NULL,
+            })
+            .collect();
+        let result = self.append_journaled(&batch);
         self.reset_stats();
-        stats
+        result.unwrap_or_else(|fault| panic!("disk fault during append: {fault:?}"))
     }
 }
 
@@ -264,6 +194,21 @@ mod tests {
             }
             assert_eq!(grown.non_null_rows(), rebuilt.non_null_rows());
         }
+    }
+
+    #[test]
+    fn append_nullable_counts_value_bitmaps_only() {
+        // The existence bitmap rides the same intent but is not a value
+        // bitmap: the stats match a dense append of the present values.
+        let config = IndexConfig::one_component(10, EncodingScheme::Range);
+        let mut nullable = BitmapIndex::build_nullable(&nullable_column(), &config);
+        let stats = nullable.append_nullable(&[Some(0), None, Some(9), None, Some(4)]);
+        let mut dense = BitmapIndex::build(&[1, 2], &config);
+        let expect = dense.append(&[0, 9, 4]);
+        assert_eq!(stats.records, 5);
+        assert_eq!(stats.one_bit_updates, expect.one_bit_updates);
+        assert_eq!(stats.bitmaps_rewritten, nullable.num_bitmaps());
+        assert_eq!(nullable.non_null_rows(), 9);
     }
 
     #[test]

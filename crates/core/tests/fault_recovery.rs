@@ -256,3 +256,80 @@ proptest! {
         assert_matches_column(&mut idx, landed, &context);
     }
 }
+
+/// Asserts `idx` is `build_nullable(column)`: the same answers (negated
+/// probes included), NULL count and histogram estimates.
+fn assert_matches_nullable(idx: &BitmapIndex, column: &[Option<u64>], context: &str) {
+    let expect = BitmapIndex::build_nullable(column, idx.config());
+    assert_eq!(idx.rows(), column.len(), "{context}: row count");
+    assert_eq!(idx.non_null_rows(), expect.non_null_rows(), "{context}");
+    for q in probes().into_iter().chain([Query::range(2, 7).not()]) {
+        assert_eq!(idx.evaluate(&q), expect.evaluate(&q), "{context}: {q:?}");
+        assert_eq!(
+            idx.estimate_rows(&q),
+            expect.estimate_rows(&q),
+            "{context}: estimate {q:?}"
+        );
+    }
+}
+
+/// The nullable append rides the same journal, existence bitmap
+/// included: a fault at every write it issues, failed or torn, recovers
+/// to `build_nullable` over the old or the concatenated column.
+#[test]
+fn nullable_append_crash_at_every_write_recovers_to_pre_or_post_state() {
+    use bix_core::CodecKind;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    for seed in seed_range() {
+        let (scheme, column, batch) = scenario(seed);
+        let column: Vec<Option<u64>> = column
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (i % 3 != 1).then_some(v))
+            .collect();
+        let batch: Vec<Option<u64>> = batch
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (i % 2 == 1).then_some(v))
+            .collect();
+        let codec = if seed % 2 == 0 {
+            CodecKind::Raw
+        } else {
+            CodecKind::Bbc
+        };
+        let config = IndexConfig::one_component(CARDINALITY, scheme).with_codec(codec);
+        let combined: Vec<Option<u64>> = column.iter().chain(&batch).copied().collect();
+
+        let mut clean = BitmapIndex::build_nullable(&column, &config);
+        let before_ops = clean.disk_writes_issued();
+        clean.append_nullable(&batch);
+        let append_ops = clean.disk_writes_issued() - before_ops;
+        assert_matches_nullable(&clean, &combined, "fault-free append");
+
+        for tear in [false, true] {
+            for op_offset in 0..append_ops {
+                let context =
+                    format!("seed={seed} scheme={scheme:?} tear={tear} op_offset={op_offset}");
+                let mut idx = BitmapIndex::build_nullable(&column, &config);
+                let target = idx.disk_writes_issued() + op_offset;
+                idx.inject_faults(if tear {
+                    FaultPlan::new().tear_nth_write(target)
+                } else {
+                    FaultPlan::new().fail_nth_write(target)
+                });
+                let outcome = catch_unwind(AssertUnwindSafe(|| idx.append_nullable(&batch)));
+                idx.clear_faults();
+                if outcome.is_err() {
+                    idx.recover();
+                }
+                let landed = if idx.rows() == column.len() {
+                    &column
+                } else {
+                    &combined
+                };
+                assert_matches_nullable(&idx, landed, &context);
+            }
+        }
+    }
+}

@@ -1146,11 +1146,6 @@ impl Router {
         &self.inner.supervisor
     }
 
-    /// The router's own slow-query log (fan-out latencies).
-    pub fn slow_log(&self) -> &SlowLog {
-        &self.inner.slow
-    }
-
     /// Forces an immediate health sweep (testing hook; the background
     /// prober does this on its own cadence).
     pub fn health_sweep(&self) {

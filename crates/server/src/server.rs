@@ -1173,7 +1173,7 @@ impl IndexHandler {
     }
 
     /// One merge cycle: snapshot the delta's buffered values and the
-    /// serving index, append them to a private copy of the index
+    /// serving index, append them to a clone of the index
     /// through the journaled [`BitmapIndex::try_append`] protocol
     /// (readers keep the old snapshot the whole time), then swap the
     /// merged index in and prune the delta under the delta write lock.
@@ -1194,13 +1194,15 @@ impl IndexHandler {
             .table
             .single_index()
             .expect("a delta only extends a one-attribute table");
-        // Clone the index by round-tripping the persistence format —
-        // the only supported way to copy an index, and it keeps the
-        // maintenance work entirely off the serving snapshot.
+        // The clone shares the serving index's stored bytes, so the
+        // maintenance work stays off the serving snapshot. A bitmap that
+        // fails its checksum or no longer decodes fails the merge rather
+        // than being extended and re-checksummed.
         let merged = (|| {
-            let mut buf = Vec::new();
-            index.save_to(&mut buf).ok()?;
-            let mut merged = BitmapIndex::load_from(&buf[..]).ok()?;
+            let mut merged = index.clone();
+            if !merged.verify().is_clean() {
+                return None;
+            }
             merged.try_append(&values).ok()?;
             Some(merged)
         })();

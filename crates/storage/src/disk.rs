@@ -3,7 +3,7 @@
 
 use crate::{DiskFault, FaultPlan, IoStats};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Identifies one stored file (one bitmap) on the simulated disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -81,7 +81,8 @@ impl ReadContext {
 ///
 /// Files are immutable once written. Every page fetch is counted in the
 /// reader's [`ReadContext`]; fetches of the next sequential page of the
-/// same file avoid the seek charge.
+/// same file avoid the seek charge. A clone is a snapshot that shares
+/// every file's bytes with the original (see its `Clone` impl).
 ///
 /// # Durability model
 ///
@@ -101,7 +102,9 @@ pub struct DiskSim {
     /// catalog's attribute indexes) never key two disks' pages the same
     /// — every disk numbers its files from zero.
     sim_id: u32,
-    files: Vec<Vec<u8>>,
+    /// File bytes, shared with clones; [`DiskSim::corrupt_file`] copies
+    /// a shared file before it flips a bit.
+    files: Vec<Arc<Vec<u8>>>,
     stats: Mutex<IoStats>,
     /// The write-ahead journal region (not counted in stored bytes).
     journal: Vec<u8>,
@@ -127,10 +130,9 @@ enum WriteGate {
 impl DiskSim {
     /// Creates an empty disk.
     pub fn new(config: DiskConfig) -> Self {
-        static NEXT_SIM_ID: AtomicU32 = AtomicU32::new(0);
         DiskSim {
             config,
-            sim_id: NEXT_SIM_ID.fetch_add(1, Ordering::Relaxed),
+            sim_id: next_sim_id(),
             files: Vec::new(),
             stats: Mutex::new(IoStats::new()),
             journal: Vec::new(),
@@ -218,14 +220,14 @@ impl DiskSim {
         let id = self.next_file_id();
         match self.write_gate(contents.len()) {
             WriteGate::Full => {
-                self.files.push(contents);
+                self.files.push(Arc::new(contents));
                 Ok(id)
             }
             WriteGate::Fail(op) => Err(DiskFault::WriteFailed { op }),
             WriteGate::Torn(op, kept) => {
                 let mut torn = contents;
                 torn.truncate(kept);
-                self.files.push(torn);
+                self.files.push(Arc::new(torn));
                 Err(DiskFault::WriteTorn { op, kept })
             }
         }
@@ -269,7 +271,7 @@ impl DiskSim {
     /// allocated (reads of a deleted file panic); used when a bitmap is
     /// rewritten in place by a batched update.
     pub fn delete_file(&mut self, id: FileId) {
-        self.files[id.0 as usize] = Vec::new();
+        self.files[id.0 as usize] = Arc::default();
     }
 
     /// Size of a file in bytes.
@@ -288,13 +290,12 @@ impl DiskSim {
     /// Returns `false` (and does nothing) if the file is empty or the
     /// offset is out of range.
     pub fn corrupt_file(&mut self, id: FileId, byte: usize, mask: u8) -> bool {
-        match self.files[id.0 as usize].get_mut(byte) {
-            Some(b) => {
-                *b ^= mask;
-                true
-            }
-            None => false,
+        let file = &mut self.files[id.0 as usize];
+        if byte >= file.len() {
+            return false;
         }
+        Arc::make_mut(file)[byte] ^= mask;
+        true
     }
 
     /// Number of pages in a file.
@@ -388,7 +389,34 @@ impl DiskSim {
     /// Total bytes stored across all files (journal excluded — it is
     /// transient bookkeeping, not index space).
     pub fn total_stored_bytes(&self) -> usize {
-        self.files.iter().map(Vec::len).sum()
+        self.files.iter().map(|f| f.len()).sum()
+    }
+}
+
+/// A process-unique disk identity (see [`DiskSim::sim_id`]).
+fn next_sim_id() -> u32 {
+    static NEXT_SIM_ID: AtomicU32 = AtomicU32::new(0);
+    NEXT_SIM_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// A snapshot: the clone shares every file's bytes and copies the
+/// journal and the write-operation count, but gets a fresh
+/// [`DiskSim::sim_id`] (a shared page cache never serves one disk's
+/// pages for the other's), zeroed I/O counters and no fault plan.
+/// Neither side's writes show through to the other: files are
+/// immutable, and a shared file is copied before it is corrupted.
+impl Clone for DiskSim {
+    fn clone(&self) -> Self {
+        DiskSim {
+            config: self.config,
+            sim_id: next_sim_id(),
+            files: self.files.clone(),
+            stats: Mutex::new(IoStats::new()),
+            journal: self.journal.clone(),
+            writes_issued: self.writes_issued,
+            fault_plan: None,
+            transient_reads: AtomicU32::new(0),
+        }
     }
 }
 
@@ -575,6 +603,29 @@ mod tests {
         // Clearing the plan drops the faults still pending.
         disk.clear_fault_plan();
         assert_eq!(page(&disk, id, 0, &mut ctx), vec![9u8; 8]);
+    }
+
+    #[test]
+    fn clone_is_a_snapshot_that_shares_file_bytes() {
+        let mut disk = DiskSim::new(DiskConfig { page_size: 8 });
+        let id = disk.create_file(vec![0u8; 16]);
+        let mut ctx = ReadContext::new();
+        page(&disk, id, 0, &mut ctx);
+        disk.charge(ctx.take_stats());
+        disk.set_fault_plan(FaultPlan::new().fail_nth_write(1));
+
+        let mut copy = disk.clone();
+        assert!(Arc::ptr_eq(&disk.files[0], &copy.files[0]), "bytes shared");
+        assert_ne!(copy.sim_id(), disk.sim_id());
+        assert_eq!(copy.stats(), IoStats::new());
+        assert_eq!(copy.writes_issued(), disk.writes_issued());
+        copy.try_create_file(vec![1])
+            .expect("the clone has no fault plan");
+
+        assert!(copy.corrupt_file(id, 3, 0x10));
+        assert_eq!(copy.file_contents(id)[3], 0x10);
+        assert_eq!(disk.file_contents(id), &[0u8; 16], "original untouched");
+        assert_eq!(disk.stats().pages_read, 1);
     }
 
     #[test]

@@ -138,6 +138,10 @@ fn validated(
 /// Every stored bitmap carries a CRC-32 of its compressed bytes in a
 /// side table; the reads verify it, so corruption is detected at the
 /// first read rather than surfacing as a wrong query answer.
+///
+/// A clone is a snapshot over the same file bytes (see [`DiskSim`]'s
+/// `Clone`): a fresh disk identity, zeroed counters, no fault plan.
+#[derive(Clone)]
 pub struct BitmapStore {
     disk: DiskSim,
     /// Diagnostic names keyed by file id. A map rather than a `Vec`
