@@ -106,9 +106,10 @@ fn bench_compressed_domain_ops(c: &mut Criterion) {
 }
 
 /// One warm-pool read of a half-dense 500k-row BBC bitmap (62.5 KB, the
-/// size of a `select_hot` interval bitmap) and its parts: CRC, BBC decode
-/// and byte image (page fetch is the remainder); the encode side's byte
-/// image; and the CRC of a 677 KB reply payload.
+/// size of a `select_hot` interval bitmap), which the pool's decoded
+/// tier serves, and the parts a read that misses the tier pays: CRC,
+/// BBC decode and byte image (page fetch is the remainder); the encode
+/// side's byte image; and the CRC of a 677 KB reply payload.
 fn bench_warm_read(c: &mut Criterion) {
     use bix_compress::CodecKind;
     use bix_storage::{crc32, BitmapStore, BufferPool, DiskConfig, ReadContext};

@@ -56,43 +56,54 @@ impl Bitvec {
         self.mask_tail();
     }
 
+    /// A new vector of `self.len` bits whose words are `f` of this
+    /// vector's and `other`'s: one pass that writes each word once.
+    #[inline]
+    fn zip_words(&self, other: &Bitvec, op: &str, f: impl Fn(u64, u64) -> u64) -> Bitvec {
+        self.check_same_len(other, op);
+        Bitvec {
+            words: self
+                .words
+                .iter()
+                .zip(&other.words)
+                .map(|(&a, &b)| f(a, b))
+                .collect(),
+            len: self.len,
+        }
+    }
+
     /// Returns `self & other`.
     #[must_use]
     pub fn and(&self, other: &Bitvec) -> Bitvec {
-        let mut out = self.clone();
-        out.and_assign(other);
-        out
+        self.zip_words(other, "AND", |a, b| a & b)
     }
 
     /// Returns `self | other`.
     #[must_use]
     pub fn or(&self, other: &Bitvec) -> Bitvec {
-        let mut out = self.clone();
-        out.or_assign(other);
-        out
+        self.zip_words(other, "OR", |a, b| a | b)
     }
 
     /// Returns `self ^ other`.
     #[must_use]
     pub fn xor(&self, other: &Bitvec) -> Bitvec {
-        let mut out = self.clone();
-        out.xor_assign(other);
-        out
+        self.zip_words(other, "XOR", |a, b| a ^ b)
     }
 
     /// Returns `self & !other`.
     #[must_use]
     pub fn and_not(&self, other: &Bitvec) -> Bitvec {
-        let mut out = self.clone();
-        out.and_not_assign(other);
-        out
+        self.zip_words(other, "AND NOT", |a, b| a & !b)
     }
 
     /// Returns the complement of `self` over `0..len`.
     #[must_use]
     pub fn not(&self) -> Bitvec {
-        let mut out = self.clone();
-        out.not_assign();
+        let mut out = Bitvec {
+            words: self.words.iter().map(|&w| !w).collect(),
+            len: self.len,
+        };
+        out.mask_tail();
         out
     }
 

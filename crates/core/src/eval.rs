@@ -313,13 +313,22 @@ pub(crate) fn reads_compressed(domain: EvalDomain, handle: BitmapHandle) -> bool
     domain == EvalDomain::Compressed && handle.codec().supports_compressed_ops()
 }
 
-/// One value flowing through the evaluation DAG: either a decoded bitmap
-/// or a still-compressed stream (validated at read time, so kernel ops
-/// and the final decode cannot fail).
+/// One value flowing through the evaluation DAG: a decoded bitmap, the
+/// complement of one, or a still-compressed stream (validated at read
+/// time, so kernel ops and the final decode cannot fail).
 #[derive(Debug, Clone)]
 pub(crate) enum NodeVal {
-    /// A decoded bitmap; ops on it are word-wise.
-    Raw(Bitvec),
+    /// A decoded bitmap; ops on it are word-wise. Shared: a leaf is the
+    /// very bitmap the buffer pool's decoded tier keeps, and a node
+    /// several parents consume is one bitmap. Ops borrow their operands
+    /// and build a fresh result; only a value no one else holds is
+    /// overwritten in place.
+    Raw(Arc<Bitvec>),
+    /// The complement of a decoded bitmap, not yet computed: a `Not`
+    /// over a decoded value costs nothing, and its consumer folds the
+    /// complement into its own pass (`a AND NOT b` is one `and_not`) or
+    /// complements it when it must.
+    Complement(Arc<Bitvec>),
     /// A compressed stream; ops on it run in the compressed domain. The
     /// cell lazily caches the decoded image: hash-consed DAG nodes are
     /// consumed by several parents, and without the cache every
@@ -333,7 +342,7 @@ pub(crate) enum NodeVal {
 
 /// Shared lazy decode slot for [`NodeVal::Packed`]; `Arc` because the
 /// parallel executor's fold reads node values from several threads.
-pub(crate) type DecodedCell = std::sync::Arc<std::sync::OnceLock<Bitvec>>;
+pub(crate) type DecodedCell = Arc<std::sync::OnceLock<Bitvec>>;
 
 /// Decodes through the cache, counting the decompression only when this
 /// call actually performed it (`get_or_init` runs the closure exactly
@@ -355,12 +364,48 @@ fn decode_cached<'a>(
     bv
 }
 
-fn apply_assign(acc: &mut Bitvec, op: BitOp, rhs: &Bitvec) {
-    match op {
-        BitOp::And => acc.and_assign(rhs),
-        BitOp::Or => acc.or_assign(rhs),
-        BitOp::Xor => acc.xor_assign(rhs),
-        BitOp::AndNot => *acc = acc.and_not(rhs),
+/// `lhs op rhs`: in place when `lhs` is the only holder of its bitmap,
+/// else built from the two borrowed operands.
+fn apply(mut lhs: Arc<Bitvec>, op: BitOp, rhs: &Bitvec) -> Arc<Bitvec> {
+    if let Some(acc) = Arc::get_mut(&mut lhs) {
+        match op {
+            BitOp::And => acc.and_assign(rhs),
+            BitOp::Or => acc.or_assign(rhs),
+            BitOp::Xor => acc.xor_assign(rhs),
+            BitOp::AndNot => acc.and_not_assign(rhs),
+        }
+        return lhs;
+    }
+    Arc::new(match op {
+        BitOp::And => lhs.and(rhs),
+        BitOp::Or => lhs.or(rhs),
+        BitOp::Xor => lhs.xor(rhs),
+        BitOp::AndNot => lhs.and_not(rhs),
+    })
+}
+
+/// `lhs op rhs` over decoded operands, each standing for its complement
+/// when its flag is set. De Morgan keeps every case to one pass, with
+/// the result's own complement deferred in turn: `!a & !b = !(a | b)`,
+/// `!a | b = !(a & !b)`, `!a ^ b = !(a ^ b)`.
+fn word_op(lhs: Arc<Bitvec>, lhs_not: bool, op: BitOp, rhs: &Bitvec, rhs_not: bool) -> NodeVal {
+    use BitOp::{And, AndNot, Or, Xor};
+    let (bits, complement) = match (op, lhs_not, rhs_not) {
+        (And, false, false) => (apply(lhs, And, rhs), false),
+        (And, false, true) => (apply(lhs, AndNot, rhs), false),
+        (And, true, false) => (Arc::new(rhs.and_not(&lhs)), false),
+        (And, true, true) => (apply(lhs, Or, rhs), true),
+        (Or, false, false) => (apply(lhs, Or, rhs), false),
+        (Or, false, true) => (Arc::new(rhs.and_not(&lhs)), true),
+        (Or, true, false) => (apply(lhs, AndNot, rhs), true),
+        (Or, true, true) => (apply(lhs, And, rhs), true),
+        (Xor, _, _) => (apply(lhs, Xor, rhs), lhs_not != rhs_not),
+        (AndNot, _, _) => return word_op(lhs, lhs_not, And, rhs, !rhs_not),
+    };
+    if complement {
+        NodeVal::Complement(bits)
+    } else {
+        NodeVal::Raw(bits)
     }
 }
 
@@ -368,7 +413,7 @@ impl NodeVal {
     /// Telemetry label for the representation this value ended up in.
     pub(crate) fn domain_name(&self) -> &'static str {
         match self {
-            NodeVal::Raw(_) => "raw",
+            NodeVal::Raw(_) | NodeVal::Complement(_) => "raw",
             NodeVal::Packed(..) => "compressed",
         }
     }
@@ -389,15 +434,15 @@ impl NodeVal {
             NodeVal::Packed(c, _) => model.costs(c.kind()).map_or(0.0, |s| {
                 s.decode_slope(c.stored_size(), c.raw_size()) * c.raw_size() as f64
             }),
-            NodeVal::Raw(_) => 0.0,
+            NodeVal::Raw(_) | NodeVal::Complement(_) => 0.0,
         };
         let raw_bytes = match self {
-            NodeVal::Raw(bv) => bv.byte_size(),
+            NodeVal::Raw(bv) | NodeVal::Complement(bv) => bv.byte_size(),
             NodeVal::Packed(c, _) => c.raw_size(),
         };
         match (self, rhs) {
             (NodeVal::Packed(p, _), None) => model.packed_op_ns(p.kind(), p.stored_size()),
-            (NodeVal::Raw(_), None) => model.word_ns_per_byte * raw_bytes as f64,
+            (_, None) => model.word_ns_per_byte * raw_bytes as f64,
             (NodeVal::Packed(a, _), Some(NodeVal::Packed(b, _))) if a.kind() == b.kind() => {
                 model.packed_op_ns(a.kind(), a.stored_size().max(b.stored_size()))
             }
@@ -407,50 +452,69 @@ impl NodeVal {
         }
     }
 
-    /// Consumes the value into a raw bitmap, counting any decompression.
-    pub(crate) fn into_raw(self, decompressions: &mut usize) -> Bitvec {
+    /// The value as a decoded bitmap, counting any decompression: a
+    /// decoded cell no one else holds is moved out, not copied, and a
+    /// deferred complement is computed (in place when no one else holds
+    /// its bitmap).
+    pub(crate) fn into_shared(self, decompressions: &mut usize) -> Arc<Bitvec> {
         match self {
             NodeVal::Raw(bv) => bv,
+            NodeVal::Complement(mut bv) => {
+                match Arc::get_mut(&mut bv) {
+                    Some(own) => own.not_assign(),
+                    None => bv = Arc::new(bv.not()),
+                }
+                bv
+            }
             NodeVal::Packed(c, cell) => {
                 decode_cached(&c, &cell, decompressions);
-                match std::sync::Arc::try_unwrap(cell) {
+                Arc::new(match Arc::try_unwrap(cell) {
                     Ok(once) => once.into_inner().expect("cell just initialized"),
                     Err(shared) => shared.get().expect("cell just initialized").clone(),
-                }
+                })
             }
         }
     }
 
-    /// Complements the value, staying compressed when possible; a raw
-    /// value is complemented in place.
+    /// Consumes the value into an owned bitmap, counting any
+    /// decompression: unwrapped when no one else holds it, else copied
+    /// once.
+    pub(crate) fn into_raw(self, decompressions: &mut usize) -> Bitvec {
+        Arc::try_unwrap(self.into_shared(decompressions)).unwrap_or_else(|bv| (*bv).clone())
+    }
+
+    /// Complements the value: a compressed stream stays compressed when
+    /// its codec can, and a decoded value's complement is deferred to
+    /// its consumer.
     pub(crate) fn not(self, decompressions: &mut usize) -> NodeVal {
-        if let NodeVal::Packed(c, _) = &self {
-            if let Some(neg) = c.not_op() {
-                return NodeVal::packed(neg);
-            }
+        match self {
+            NodeVal::Raw(bv) => NodeVal::Complement(bv),
+            NodeVal::Complement(bv) => NodeVal::Raw(bv),
+            NodeVal::Packed(c, cell) => match c.not_op() {
+                Some(neg) => NodeVal::packed(neg),
+                None => NodeVal::Complement(NodeVal::Packed(c, cell).into_shared(decompressions)),
+            },
         }
-        let mut bv = self.into_raw(decompressions);
-        bv.not_assign();
-        NodeVal::Raw(bv)
     }
 
     /// Combines two values under `op`. Two compressed streams combine in
     /// the compressed domain; mixed or unsupported pairs decode and fold
-    /// word-wise.
+    /// word-wise, in one pass whatever complements they carry.
     pub(crate) fn combine(self, other: &NodeVal, op: BitOp, decompressions: &mut usize) -> NodeVal {
         if let (NodeVal::Packed(a, _), NodeVal::Packed(b, _)) = (&self, other) {
             if let Some(c) = a.binary_op(b, op) {
                 return NodeVal::packed(c);
             }
         }
-        let mut acc = self.into_raw(decompressions);
-        match other {
-            NodeVal::Raw(bv) => apply_assign(&mut acc, op, bv),
-            NodeVal::Packed(c, cell) => {
-                apply_assign(&mut acc, op, decode_cached(c, cell, decompressions));
-            }
+        let (rhs, rhs_not) = match other {
+            NodeVal::Raw(bv) => (&**bv, false),
+            NodeVal::Complement(bv) => (&**bv, true),
+            NodeVal::Packed(c, cell) => (decode_cached(c, cell, decompressions), false),
+        };
+        match self {
+            NodeVal::Complement(lhs) => word_op(lhs, true, op, rhs, rhs_not),
+            lhs => word_op(lhs.into_shared(decompressions), false, op, rhs, rhs_not),
         }
-        NodeVal::Raw(acc)
     }
 }
 
@@ -841,9 +905,16 @@ impl Dag {
                 NodeOp::Leaf(attr, r) => fetch(*attr, *r),
                 NodeOp::Not(c) => child(*c).not(),
                 op => {
+                    // Two or more children: the first op builds the
+                    // result from both operands, the rest fold into it.
                     let children = op.children();
-                    let mut acc = child(children[0]).clone();
-                    for &c in &children[1..] {
+                    let (a, b) = (child(children[0]), child(children[1]));
+                    let mut acc = match op {
+                        NodeOp::And(_) => a.and(b),
+                        NodeOp::Or(_) => a.or(b),
+                        _ => a.xor(b),
+                    };
+                    for &c in &children[2..] {
                         match op {
                             NodeOp::And(_) => acc.and_assign(child(c)),
                             NodeOp::Or(_) => acc.or_assign(child(c)),
@@ -1142,6 +1213,40 @@ mod tests {
             assert!(result.bitmap.is_all_zero());
             assert_eq!(result.scans, 0);
         }
+    }
+
+    #[test]
+    fn deferred_complements_combine_like_their_values() {
+        let (a, b) = (
+            Bitvec::from_positions(70, &[0, 3, 5, 64, 69]),
+            Bitvec::from_positions(70, &[3, 4, 5, 65]),
+        );
+        let value = |bv: &Bitvec, negated: bool| {
+            let bits = Arc::new(bv.clone());
+            let v = NodeVal::Raw(bits);
+            if negated {
+                v.not(&mut 0)
+            } else {
+                v
+            }
+        };
+        let plain = |bv: &Bitvec, negated: bool| if negated { bv.not() } else { bv.clone() };
+        for op in [BitOp::And, BitOp::Or, BitOp::Xor, BitOp::AndNot] {
+            for (a_not, b_not, shared) in (0..8).map(|k| (k & 1 == 1, k & 2 == 2, k & 4 == 4)) {
+                let lhs = value(&a, a_not);
+                let _holder = shared.then(|| lhs.clone());
+                let got = lhs.combine(&value(&b, b_not), op, &mut 0).into_raw(&mut 0);
+                let (x, y) = (plain(&a, a_not), plain(&b, b_not));
+                let want = match op {
+                    BitOp::And => x.and(&y),
+                    BitOp::Or => x.or(&y),
+                    BitOp::Xor => x.xor(&y),
+                    BitOp::AndNot => x.and_not(&y),
+                };
+                assert_eq!(got, want, "{op:?} !a={a_not} !b={b_not} shared={shared}");
+            }
+        }
+        assert_eq!(value(&a, true).not(&mut 0).into_raw(&mut 0), a);
     }
 
     #[test]

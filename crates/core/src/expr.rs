@@ -251,7 +251,11 @@ impl Expr {
             Expr::True => Bitvec::ones_vec(rows),
             Expr::False => Bitvec::zeros(rows),
             Expr::Leaf(r) => fetch(*r),
-            Expr::Not(inner) => inner.evaluate(rows, fetch).not(),
+            Expr::Not(inner) => {
+                let mut bv = inner.evaluate(rows, fetch);
+                bv.not_assign();
+                bv
+            }
             Expr::And(children) => {
                 let mut iter = children.iter();
                 let mut acc = iter

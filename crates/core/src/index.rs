@@ -9,9 +9,11 @@ use bix_bitvec::Bitvec;
 use bix_compress::CodecKind;
 use bix_storage::{
     BitmapHandle, BitmapStore, BufferPool, CostModel, DiskConfig, FaultPlan, IoStats, ReadContext,
+    ReadError,
 };
 use bix_telemetry::{SpanId, Tracer};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Predicted evaluation cost of a rewritten expression, from stored
 /// sizes and the cost model alone — no I/O is performed. Matches the
@@ -499,17 +501,25 @@ impl BitmapIndex {
         self.read_stored(self.handles[component][slot])
     }
 
-    /// Reads a stored bitmap through a fresh pool, charging the store's
-    /// counters (maintenance paths and [`BitmapIndex::bitmap`]).
+    /// Reads a stored bitmap through a fresh one-page pool (each page is
+    /// read once, and the decoded bitmap is the caller's to keep),
+    /// charging the store's counters: the checked read of the
+    /// maintenance paths and [`BitmapIndex::bitmap`].
+    pub(crate) fn try_read_stored(&self, handle: BitmapHandle) -> Result<Bitvec, ReadError> {
+        let mut ctx = ReadContext::new();
+        let read = self.store.read(handle, &BufferPool::new(1), &mut ctx);
+        self.store.charge(ctx.take_stats());
+        read.map(|bits| Arc::try_unwrap(bits).unwrap_or_else(|bits| (*bits).clone()))
+    }
+
+    /// [`BitmapIndex::try_read_stored`] for bitmaps known to be sound.
     ///
     /// # Panics
     ///
     /// Panics if the bitmap is corrupt or unreadable.
     pub(crate) fn read_stored(&self, handle: BitmapHandle) -> Bitvec {
-        let mut ctx = ReadContext::new();
-        let read = self.store.read(handle, &BufferPool::new(1024), &mut ctx);
-        self.store.charge(ctx.take_stats());
-        read.unwrap_or_else(|e| panic!("reading a stored bitmap: {e}"))
+        self.try_read_stored(handle)
+            .unwrap_or_else(|e| panic!("reading a stored bitmap: {e}"))
     }
 
     /// Handle of one stored bitmap (used by the update path).

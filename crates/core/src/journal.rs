@@ -28,7 +28,7 @@
 use crate::nulls::NULL;
 use crate::{BitmapIndex, DeltaIndex, UpdateStats};
 use bix_bitvec::Bitvec;
-use bix_storage::{crc32, BitmapHandle, DiskFault, FileId};
+use bix_storage::{crc32, BitmapHandle, DiskFault, FileId, ReadError};
 
 const INTENT_KIND: &[u8; 4] = b"JINT";
 const COMMIT_KIND: &[u8; 4] = b"JCMT";
@@ -64,8 +64,10 @@ pub struct RecoveryReport {
 /// this type so a serving shard can map every ingest failure to a wire
 /// error instead of crashing: bad input ([`AppendError::OutOfDomain`])
 /// is the client's fault, a full memtable ([`AppendError::MemtableFull`])
-/// is transient backpressure, and a disk fault means the journaled batch
-/// needs [`BitmapIndex::recover`].
+/// is transient backpressure, a disk fault means the journaled batch
+/// needs [`BitmapIndex::recover`], and a stored bitmap that fails its
+/// checked read ([`AppendError::Read`]) is refused before anything is
+/// written.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AppendError {
     /// A value in the batch is `>= cardinality`. Nothing was applied.
@@ -86,6 +88,11 @@ pub enum AppendError {
     /// The simulated disk faulted mid-protocol; the journal knows how to
     /// restore a consistent state via [`BitmapIndex::recover`].
     Disk(DiskFault),
+    /// A stored bitmap the batch would extend failed its checked read:
+    /// its bytes mismatch their CRC or do not decode, or a page stayed
+    /// unreadable. Nothing was written, so a corrupt bitmap is never
+    /// extended and re-checksummed into one that verifies clean.
+    Read(ReadError),
 }
 
 impl std::fmt::Display for AppendError {
@@ -101,6 +108,7 @@ impl std::fmt::Display for AppendError {
                 )
             }
             AppendError::Disk(fault) => write!(f, "disk fault during append: {fault:?}"),
+            AppendError::Read(error) => write!(f, "append refused: {error}"),
         }
     }
 }
@@ -312,13 +320,13 @@ impl BitmapIndex {
         // fault path used to return early and leak the build/rewrite
         // traffic into the query-time counters.
         self.reset_stats();
-        result.map_err(AppendError::Disk)
+        result
     }
 
     /// The one journaled append behind [`BitmapIndex::try_append`] and
     /// [`BitmapIndex::append_nullable`]: `batch` holds one value per new
     /// row, or [`NULL`] for a NULL row of a nullable index.
-    pub(crate) fn append_journaled(&mut self, batch: &[u64]) -> Result<UpdateStats, DiskFault> {
+    pub(crate) fn append_journaled(&mut self, batch: &[u64]) -> Result<UpdateStats, AppendError> {
         if !self.store().journal().is_empty() {
             self.recover();
         }
@@ -331,8 +339,10 @@ impl BitmapIndex {
         // word-OR per member slot, and each replacement is the old bitmap
         // extended by its slot's tail. A nullable index clears the NULL
         // rows from every tail and extends its existence bitmap by the
-        // present rows. Reads go through raw contents (index maintenance
-        // is off the query clock; stats are reset by the callers).
+        // present rows. Each old bitmap is read through the checked
+        // path, so a corrupt one refuses the batch before the intent is
+        // written (index maintenance is off the query clock; stats are
+        // reset by the callers).
         let mut filler = DeltaIndex::new(self.config(), rows_before, usize::MAX);
         filler.fill(batch);
         let present = self
@@ -349,11 +359,11 @@ impl BitmapIndex {
                 one_bit_updates += tail.count_ones();
                 let component = u32::try_from(comp).expect("component index");
                 let slot = u32::try_from(slot).expect("slot index");
-                rewrites.push(self.extended(component, slot, &tail));
+                rewrites.push(self.extended(component, slot, &tail)?);
             }
         }
         if let Some(present) = &present {
-            rewrites.push(self.extended(EXISTENCE_COMPONENT, 0, present));
+            rewrites.push(self.extended(EXISTENCE_COMPONENT, 0, present)?);
         }
         let (planned, new_streams): (Vec<_>, Vec<_>) = rewrites.into_iter().unzip();
 
@@ -392,13 +402,17 @@ impl BitmapIndex {
     }
 
     /// One rewrite of the build phase: the bitmap `(component, slot)`
-    /// names, decoded and extended by `tail`, then re-encoded.
-    fn extended(&self, component: u32, slot: u32, tail: &Bitvec) -> (PlannedRewrite, Vec<u8>) {
+    /// names, read back checked and extended by `tail`, then re-encoded.
+    fn extended(
+        &self,
+        component: u32,
+        slot: u32,
+        tail: &Bitvec,
+    ) -> Result<(PlannedRewrite, Vec<u8>), AppendError> {
         let old_handle = self.rewritten(component, slot);
-        let mut bitmap = old_handle
-            .codec()
-            .codec()
-            .decompress(self.store().contents(old_handle), old_handle.len_bits());
+        let mut bitmap = self
+            .try_read_stored(old_handle)
+            .map_err(AppendError::Read)?;
         bitmap.extend_from(tail);
         let stream = self.config().codec.codec().compress(&bitmap);
         let planned = PlannedRewrite {
@@ -408,7 +422,7 @@ impl BitmapIndex {
             new_len: stream.len() as u64,
             new_crc: crc32(&stream),
         };
-        (planned, stream)
+        Ok((planned, stream))
     }
 
     /// The live handle a planned rewrite replaces: a slot's, or the

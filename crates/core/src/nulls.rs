@@ -72,7 +72,7 @@ impl BitmapIndex {
             .collect();
         let result = self.append_journaled(&batch);
         self.reset_stats();
-        result.unwrap_or_else(|fault| panic!("disk fault during append: {fault:?}"))
+        result.unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

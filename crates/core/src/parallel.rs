@@ -52,7 +52,7 @@ use bix_storage::{
 use bix_telemetry::{SpanGuard, SpanId, Tracer};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// The tracer behind [`EvalOptions::default`]: disabled, so an untraced
@@ -898,18 +898,18 @@ fn worker_loop(
             // touching disk, children, or kernels so the fold drains
             // immediately. The placeholder value is never handed out —
             // the caller maps the whole run to its `EvalError`.
-            NodeVal::Raw(Bitvec::zeros(0))
+            NodeVal::Raw(Arc::new(Bitvec::zeros(0)))
         } else {
             match op {
-                NodeOp::Const(true) => NodeVal::Raw(Bitvec::ones_vec(rows)),
-                NodeOp::Const(false) => NodeVal::Raw(Bitvec::zeros(rows)),
+                NodeOp::Const(true) => NodeVal::Raw(Arc::new(Bitvec::ones_vec(rows))),
+                NodeOp::Const(false) => NodeVal::Raw(Arc::new(Bitvec::zeros(rows))),
                 NodeOp::Leaf(attr, r) => {
                     state.scans.fetch_add(1, Ordering::Relaxed);
                     sources[*attr]
                         .read(*r, run.domain, ctx, &mut dec)
                         .unwrap_or_else(|failure| {
                             run.fail(failure);
-                            NodeVal::Raw(Bitvec::zeros(0))
+                            NodeVal::Raw(Arc::new(Bitvec::zeros(0)))
                         })
                 }
                 op => {
@@ -920,7 +920,9 @@ fn worker_loop(
                     let children = op.children();
                     // The first child seeds the accumulator: moved out of
                     // its slot when this node is its last consumer (no
-                    // other reader remains), copied otherwise.
+                    // other reader remains), shared otherwise. The first
+                    // op overwrites it only if no one else holds it (a
+                    // leaf the pool's tier keeps is never overwritten).
                     let mut slot = state.values[children[0]].lock().expect("child value");
                     took_first = state.refs[children[0]].load(Ordering::Acquire) == 1;
                     let mut acc = if took_first {
@@ -954,7 +956,7 @@ fn worker_loop(
             }
         };
         match &value {
-            NodeVal::Raw(_) => &state.nodes_raw,
+            NodeVal::Raw(_) | NodeVal::Complement(_) => &state.nodes_raw,
             NodeVal::Packed(..) => &state.nodes_compressed,
         }
         .fetch_add(1, Ordering::Relaxed);
@@ -963,7 +965,7 @@ fn worker_loop(
             span.attr("predicted_ns", predicted_ns.round() as u64);
         }
         let value = if dag.decode[node] {
-            NodeVal::Raw(value.into_raw(&mut dec))
+            NodeVal::Raw(value.into_shared(&mut dec))
         } else {
             value
         };

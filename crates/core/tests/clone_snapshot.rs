@@ -3,7 +3,10 @@
 //! done to the clone — appends, at-rest corruption, injected faults —
 //! reaches the original's bytes, answers or counters.
 
-use bix_core::{BitmapIndex, CodecKind, EncodingScheme, FaultPlan, IndexConfig, IoStats, Query};
+use bix_core::{
+    AppendError, BitmapIndex, CodecKind, EncodingScheme, FaultPlan, IndexConfig, IoStats, Query,
+    ReadError,
+};
 
 fn saved(index: &BitmapIndex) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -70,5 +73,37 @@ fn clone_is_a_snapshot() {
         original
             .try_append(&batch)
             .expect_err("the original keeps its fault plan");
+    }
+}
+
+/// An append reads every bitmap it extends through the checked path: a
+/// corrupt one refuses the batch with a typed error before the journal
+/// or any data file is written, and stays detectably corrupt.
+#[test]
+fn an_append_refuses_a_corrupt_bitmap_before_writing() {
+    let column: Vec<u64> = (0..700u64).map(|i| (i * 13 + i / 9) % 16).collect();
+    let batch: Vec<u64> = vec![0, 15, 7, 7, 3];
+    for codec in [CodecKind::Bbc, CodecKind::Raw] {
+        let config = IndexConfig::n_components(16, EncodingScheme::Interval, 2).with_codec(codec);
+        let mut index = BitmapIndex::build(&column, &config);
+        assert!(index.corrupt_bitmap(0, 1, 0, 0xff));
+        let writes = index.disk_writes_issued();
+
+        let err = index.try_append(&batch).expect_err("a corrupt bitmap");
+        assert!(
+            matches!(err, AppendError::Read(ReadError::Checksum(_))),
+            "{codec}: {err:?}"
+        );
+        assert_eq!(
+            index.disk_writes_issued(),
+            writes,
+            "{codec}: nothing written"
+        );
+        assert_eq!(index.rows(), column.len(), "{codec}: no rows appended");
+        assert_eq!(index.io_stats(), IoStats::new(), "{codec}: off the clock");
+        assert!(
+            !index.verify().is_clean(),
+            "{codec}: still detectably corrupt, not re-checksummed"
+        );
     }
 }

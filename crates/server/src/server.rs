@@ -1195,21 +1195,15 @@ impl IndexHandler {
             .single_index()
             .expect("a delta only extends a one-attribute table");
         // The clone shares the serving index's stored bytes, so the
-        // maintenance work stays off the serving snapshot. A bitmap that
-        // fails its checksum or no longer decodes fails the merge rather
-        // than being extended and re-checksummed.
-        let merged = (|| {
-            let mut merged = index.clone();
-            if !merged.verify().is_clean() {
-                return None;
-            }
-            merged.try_append(&values).ok()?;
-            Some(merged)
-        })();
-        let Some(merged) = merged else {
+        // maintenance work stays off the serving snapshot. The append
+        // reads every bitmap it extends through the checked path: one
+        // that fails its checksum or no longer decodes fails the merge
+        // rather than being extended and re-checksummed.
+        let mut merged = index.clone();
+        if merged.try_append(&values).is_err() {
             self.metrics.merge_failures.inc();
             return 0;
-        };
+        }
         let mut table = IndexedTable::new(merged.rows());
         table.add_index(&serving.schema.attr(0).name, merged);
         let mut guard = self.delta.write().unwrap();

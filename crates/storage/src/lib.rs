@@ -14,7 +14,9 @@
 //!   sitting above the disk — the paper's evaluation strategy is
 //!   explicitly buffer-aware (§6.3), so rescans hit the pool and cold
 //!   reads hit the "disk". [`BufferPool::striped`] splits it over
-//!   independently locked stripes for concurrent readers.
+//!   independently locked stripes for concurrent readers. Its decoded
+//!   tier keeps verified bitmaps, shared, for as long as the pages they
+//!   were decoded from stay resident.
 //! * [`CostModel`] converts I/O counts into simulated elapsed time using a
 //!   seek-latency + transfer-bandwidth model calibrated to the paper's
 //!   hardware, so experiment *shapes* (who wins, where crossovers fall)
@@ -42,7 +44,7 @@
 //! let pool = BufferPool::new(store.config().pages_for_bytes(11 << 20));
 //! let mut ctx = ReadContext::new();
 //! let read_back = store.read(handle, &pool, &mut ctx).unwrap();
-//! assert_eq!(read_back, bv);
+//! assert_eq!(*read_back, bv);
 //!
 //! let stats = ctx.stats();
 //! assert!(stats.pages_read > 0);
@@ -63,6 +65,7 @@ mod pool;
 mod shard_pool;
 mod stats;
 mod store;
+mod tier;
 
 pub use cost::CostModel;
 pub use crc32::{crc32, Crc32};

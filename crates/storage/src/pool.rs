@@ -20,9 +20,20 @@ pub(crate) type PageKey = (u32, FileId, usize);
 /// smallest one: exact LRU.
 pub(crate) struct Stripe {
     capacity_pages: usize,
-    /// page -> (contents, LRU stamp)
-    pages: HashMap<PageKey, (Vec<u8>, u64)>,
+    pages: HashMap<PageKey, Page>,
     clock: u64,
+}
+
+/// One resident page.
+pub(crate) struct Page {
+    contents: Vec<u8>,
+    /// Clock of the last access (the LRU order).
+    stamp: u64,
+    /// Clock of the miss that loaded this copy. The stripe's clock only
+    /// grows and a page always maps to the same stripe, so `(key,
+    /// loaded)` names one resident copy: a page evicted and read again
+    /// gets a new number.
+    loaded: u64,
 }
 
 impl Stripe {
@@ -56,22 +67,37 @@ impl Stripe {
         self.pages.clear();
     }
 
+    /// True if page `key` is resident as the copy loaded at `loaded`.
+    pub(crate) fn holds(&self, key: &PageKey, loaded: u64) -> bool {
+        self.pages
+            .get(key)
+            .is_some_and(|page| page.loaded == loaded)
+    }
+
+    /// Charges a hit on page `key` and stamps it most recently used,
+    /// returning the page if it is resident.
+    pub(crate) fn hit(&mut self, key: &PageKey, ctx: &mut ReadContext) -> Option<&Page> {
+        self.clock += 1;
+        let page = self.pages.get_mut(key)?;
+        ctx.stats.pool_hits += 1;
+        page.stamp = self.clock;
+        Some(page)
+    }
+
     /// Appends page `key` to `out`, from the cache or — on a miss — from
     /// `disk`, evicting the least-recently-used page if the stripe is
-    /// full. A failed disk read leaves the cached pages as they were.
+    /// full. Returns the resident copy's load stamp (see [`Page`]). A
+    /// failed disk read leaves the cached pages as they were.
     pub(crate) fn read_into(
         &mut self,
         disk: &DiskSim,
         key: PageKey,
         ctx: &mut ReadContext,
         out: &mut Vec<u8>,
-    ) -> Result<(), DiskFault> {
-        self.clock += 1;
-        if let Some(entry) = self.pages.get_mut(&key) {
-            ctx.stats.pool_hits += 1;
-            entry.1 = self.clock;
-            out.extend_from_slice(&entry.0);
-            return Ok(());
+    ) -> Result<u64, DiskFault> {
+        if let Some(page) = self.hit(&key, ctx) {
+            out.extend_from_slice(&page.contents);
+            return Ok(page.loaded);
         }
         let contents = disk.read_page(key.1, key.2, ctx)?;
         out.extend_from_slice(contents);
@@ -79,13 +105,18 @@ impl Stripe {
             let victim = self
                 .pages
                 .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
+                .min_by_key(|(_, page)| page.stamp)
                 .map(|(k, _)| *k)
                 .expect("stripe is non-empty when full");
             self.pages.remove(&victim);
         }
-        self.pages.insert(key, (contents.to_vec(), self.clock));
-        Ok(())
+        let page = Page {
+            contents: contents.to_vec(),
+            stamp: self.clock,
+            loaded: self.clock,
+        };
+        self.pages.insert(key, page);
+        Ok(self.clock)
     }
 }
 

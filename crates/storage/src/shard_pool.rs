@@ -1,8 +1,11 @@
-//! The buffer pool: exact-LRU stripes behind independent locks.
+//! The buffer pool: exact-LRU stripes behind independent locks, and
+//! the decoded tier above them.
 
 use crate::pool::{PageKey, Stripe};
+use crate::tier::Tier;
 use crate::{DiskFault, DiskSim, FileId, ReadContext};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use bix_bitvec::Bitvec;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A fixed-capacity page cache over one or more simulated disks, read
 /// through `&self` by any number of threads.
@@ -15,12 +18,27 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// and two threads contend only when touching pages of the same stripe,
 /// at the price of per-stripe LRU being only approximately global LRU.
 ///
+/// Above the pages sits the **decoded tier**: bitmaps that
+/// [`crate::BitmapStore::read`] has CRC-verified and decoded, kept as
+/// shared [`Arc<Bitvec>`]s and keyed by disk and file. Each is charged
+/// its decoded size in pages of its disk's page size, against a budget
+/// of [`BufferPool::capacity`] pages of its own, and evicted least
+/// recently used first. A kept bitmap remembers which page copies its
+/// bytes came from, and is served only while every one of them is still
+/// resident: then the read it saves would have copied exactly those
+/// bytes, passed the same CRC and decoded to the same bitmap. Serving
+/// it touches those pages as hits, in order, so a tier hit charges the
+/// reader the same pool hits and leaves the same LRU order as a read of
+/// the pages. A page evicted and read again is a new copy, and the next
+/// read of its file verifies and decodes again.
+///
 /// A stripe holds only copies of immutable disk pages and their LRU
-/// stamps, and a read that panics (an out-of-range page) does so before
-/// it changes either, so the pool recovers poisoned stripe locks instead
-/// of failing every later caller of that stripe.
+/// stamps, and the tier only whole decoded bitmaps; a read that panics
+/// (an out-of-range page) does so before it changes either, so the pool
+/// recovers poisoned locks instead of failing every later caller.
 pub struct BufferPool {
     stripes: Vec<Mutex<Stripe>>,
+    decoded: Mutex<Tier>,
 }
 
 impl BufferPool {
@@ -48,6 +66,7 @@ impl BufferPool {
             stripes: (0..stripes)
                 .map(|_| Mutex::new(Stripe::new(per_stripe)))
                 .collect(),
+            decoded: Mutex::new(Tier::new(per_stripe * stripes)),
         }
     }
 
@@ -68,10 +87,18 @@ impl BufferPool {
             .sum()
     }
 
+    /// Pages charged by the decoded tier's bitmaps (its budget is
+    /// [`BufferPool::capacity`]).
+    pub fn decoded_pages(&self) -> usize {
+        self.tier().used()
+    }
+
     /// Fetches a page through the pool and appends it to `out`, reading
     /// from `disk` on a miss and evicting within the page's stripe if it
     /// is full. Hits and misses are charged to the caller's
-    /// [`ReadContext`].
+    /// [`ReadContext`]. Returns the resident copy's load stamp: a number
+    /// that stays the same while the page stays resident and changes
+    /// when it is evicted and read again.
     ///
     /// The page is copied once, straight from the cache (or the disk)
     /// into `out`, under the stripe lock.
@@ -93,17 +120,72 @@ impl BufferPool {
         page_no: usize,
         ctx: &mut ReadContext,
         out: &mut Vec<u8>,
-    ) -> Result<(), DiskFault> {
+    ) -> Result<u64, DiskFault> {
         let key = (disk.sim_id(), file, page_no);
         self.stripe(self.stripe_of(key))
             .read_into(disk, key, ctx, out)
     }
 
-    /// Drops every cached page (the paper flushes the FS cache per query).
+    /// The decoded bitmap of `file`, a file of `pages` pages, if the tier
+    /// keeps one and every page copy it was decoded from is resident.
+    /// Those pages are then charged to `ctx` as hits and stamped, in
+    /// page order, exactly as reading them through
+    /// [`BufferPool::read_into`] would, and the read counts as a
+    /// [`crate::IoStats::decoded_hits`]. Otherwise nothing is charged.
+    pub(crate) fn decoded(
+        &self,
+        disk: &DiskSim,
+        file: FileId,
+        pages: usize,
+        ctx: &mut ReadContext,
+    ) -> Option<Arc<Bitvec>> {
+        let (bits, loads) = self.tier().get(&(disk.sim_id(), file))?;
+        let key = |p: usize| (disk.sim_id(), file, p);
+        let stripe_of: Vec<usize> = (0..pages).map(|p| self.stripe_of(key(p))).collect();
+        // Lock every stripe the file lives in, in index order (the only
+        // place two stripe locks are held at once, so the order cannot
+        // deadlock): the residency check and the touches are one step.
+        let mut stripes: Vec<Option<MutexGuard<'_, Stripe>>> = (0..self.stripes.len())
+            .map(|i| stripe_of.contains(&i).then(|| self.stripe(i)))
+            .collect();
+        let resident = loads.len() == pages
+            && (0..pages).all(|p| {
+                let stripe = stripes[stripe_of[p]].as_ref().expect("locked above");
+                stripe.holds(&key(p), loads[p])
+            });
+        if !resident {
+            return None;
+        }
+        for p in 0..pages {
+            let stripe = stripes[stripe_of[p]].as_mut().expect("locked above");
+            stripe.hit(&key(p), ctx);
+        }
+        ctx.stats.decoded_hits += 1;
+        Some(bits)
+    }
+
+    /// Keeps `bits`, verified and decoded from the bytes of `file`'s page
+    /// copies `loads` (as [`BufferPool::read_into`] returned them), in
+    /// the decoded tier, charged its decoded size in pages of `disk`.
+    pub(crate) fn keep_decoded(
+        &self,
+        disk: &DiskSim,
+        file: FileId,
+        bits: &Arc<Bitvec>,
+        loads: Vec<u64>,
+    ) {
+        let pages = disk.config().pages_for_bytes(bits.words().len() * 8);
+        self.tier()
+            .insert((disk.sim_id(), file), Arc::clone(bits), loads, pages);
+    }
+
+    /// Drops every cached page and decoded bitmap (the paper flushes the
+    /// FS cache per query).
     pub fn flush(&self) {
         for i in 0..self.stripes.len() {
             self.stripe(i).flush();
         }
+        self.tier().clear();
     }
 
     /// True if the page is resident (test/diagnostic helper).
@@ -118,6 +200,12 @@ impl BufferPool {
         self.stripes[i]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Locks the decoded tier, recovering the guard as [`Self::stripe`]
+    /// does.
+    fn tier(&self) -> MutexGuard<'_, Tier> {
+        self.decoded.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn stripe_of(&self, key: PageKey) -> usize {

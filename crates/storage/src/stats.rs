@@ -17,6 +17,9 @@ pub struct IoStats {
     pub pages_read: usize,
     /// Page requests satisfied by the buffer pool.
     pub pool_hits: usize,
+    /// Bitmap reads served already decoded from the buffer pool's tier
+    /// (their pages are counted in `pool_hits` as well).
+    pub decoded_hits: usize,
     /// Non-sequential disk accesses.
     pub seeks: usize,
     /// Total bytes transferred from disk.
@@ -53,6 +56,7 @@ impl IoStats {
         IoStats {
             pages_read: self.pages_read.saturating_sub(earlier.pages_read),
             pool_hits: self.pool_hits.saturating_sub(earlier.pool_hits),
+            decoded_hits: self.decoded_hits.saturating_sub(earlier.decoded_hits),
             seeks: self.seeks.saturating_sub(earlier.seeks),
             bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
             write_faults: self.write_faults.saturating_sub(earlier.write_faults),
@@ -74,6 +78,7 @@ impl std::ops::Add for IoStats {
         IoStats {
             pages_read: self.pages_read + rhs.pages_read,
             pool_hits: self.pool_hits + rhs.pool_hits,
+            decoded_hits: self.decoded_hits + rhs.decoded_hits,
             seeks: self.seeks + rhs.seeks,
             bytes_read: self.bytes_read + rhs.bytes_read,
             write_faults: self.write_faults + rhs.write_faults,
@@ -101,6 +106,7 @@ impl std::ops::AddAssign for IoStats {
 pub struct IoMetrics {
     pages_read: std::sync::Arc<bix_telemetry::Counter>,
     pool_hits: std::sync::Arc<bix_telemetry::Counter>,
+    decoded_hits: std::sync::Arc<bix_telemetry::Counter>,
     seeks: std::sync::Arc<bix_telemetry::Counter>,
     bytes_read: std::sync::Arc<bix_telemetry::Counter>,
     write_faults: std::sync::Arc<bix_telemetry::Counter>,
@@ -111,7 +117,7 @@ pub struct IoMetrics {
 }
 
 impl IoMetrics {
-    /// Registers the nine `bix_io_*_total` counters (get-or-create, so
+    /// Registers the ten `bix_io_*_total` counters (get-or-create, so
     /// several facades over one registry share the same counters).
     pub fn register(registry: &bix_telemetry::MetricsRegistry) -> IoMetrics {
         IoMetrics {
@@ -122,6 +128,10 @@ impl IoMetrics {
             pool_hits: registry.counter(
                 "bix_io_pool_hits_total",
                 "Page requests satisfied by the buffer pool",
+            ),
+            decoded_hits: registry.counter(
+                "bix_io_decoded_hits_total",
+                "Bitmap reads served decoded from the buffer pool's tier",
             ),
             seeks: registry.counter("bix_io_seeks_total", "Non-sequential disk accesses"),
             bytes_read: registry.counter(
@@ -155,6 +165,7 @@ impl IoMetrics {
     pub fn record(&self, delta: &IoStats) {
         self.pages_read.add(delta.pages_read as u64);
         self.pool_hits.add(delta.pool_hits as u64);
+        self.decoded_hits.add(delta.decoded_hits as u64);
         self.seeks.add(delta.seeks as u64);
         self.bytes_read.add(delta.bytes_read as u64);
         self.write_faults.add(delta.write_faults as u64);
@@ -170,6 +181,7 @@ impl IoMetrics {
         IoStats {
             pages_read: self.pages_read.get() as usize,
             pool_hits: self.pool_hits.get() as usize,
+            decoded_hits: self.decoded_hits.get() as usize,
             seeks: self.seeks.get() as usize,
             bytes_read: self.bytes_read.get() as usize,
             write_faults: self.write_faults.get() as usize,
@@ -249,6 +261,7 @@ mod tests {
         let delta = IoStats {
             pages_read: 7,
             pool_hits: 3,
+            decoded_hits: 1,
             seeks: 2,
             bytes_read: 57_344,
             checksum_failures: 1,
@@ -262,6 +275,7 @@ mod tests {
         let text = registry.snapshot().to_prometheus();
         assert!(text.contains("bix_io_pages_read_total 14"), "{text}");
         assert!(text.contains("bix_io_bytes_read_total 114688"));
+        assert!(text.contains("bix_io_decoded_hits_total 2"), "{text}");
     }
 
     #[test]

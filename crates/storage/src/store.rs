@@ -7,6 +7,7 @@ use crate::{
 use bix_bitvec::Bitvec;
 use bix_compress::{CompressedBitmap, DecodeError};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Handle to one stored bitmap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -202,13 +203,28 @@ impl BitmapStore {
     /// decoded fallibly: corruption comes back as a [`ReadError`], never
     /// as a wrong bitmap or a panic. A page the disk cannot read after
     /// its bounded retries is [`ReadError::Unavailable`].
+    ///
+    /// The bitmap is shared with `pool`'s decoded tier. While every page
+    /// copy it was verified and decoded from stays resident, the next
+    /// read of it is a tier hit: the pages are charged as pool hits, as
+    /// a page read would charge them, and the same bitmap comes back
+    /// without a copy, a CRC or a decode ([`IoStats::decoded_hits`]).
+    /// Any page miss takes the full path and refills the tier, so pages,
+    /// seeks and bytes read are the same either way.
     pub fn read(
         &self,
         handle: BitmapHandle,
         pool: &BufferPool,
         ctx: &mut ReadContext,
-    ) -> Result<Bitvec, ReadError> {
-        self.checked(handle, pool, ctx, decoded(handle))
+    ) -> Result<Arc<Bitvec>, ReadError> {
+        let pages = self.disk.file_pages(handle.file);
+        if let Some(bits) = pool.decoded(&self.disk, handle.file, pages, ctx) {
+            return Ok(bits);
+        }
+        let (bits, loads) = self.checked(handle, pool, ctx, decoded(handle))?;
+        let bits = Arc::new(bits);
+        pool.keep_decoded(&self.disk, handle.file, &bits, loads);
+        Ok(bits)
     }
 
     /// [`BitmapStore::read`] without the decode: the compressed stream,
@@ -221,22 +237,27 @@ impl BitmapStore {
         ctx: &mut ReadContext,
     ) -> Result<CompressedBitmap, ReadError> {
         self.checked(handle, pool, ctx, validated(handle))
+            .map(|(stream, _)| stream)
     }
 
     /// The read behind both: every page through `pool`, the file's
     /// recorded CRC-32, then `finish` — a full decode or a structural
-    /// validation.
+    /// validation. Returns the load stamps of the page copies read, too.
     fn checked<T>(
         &self,
         handle: BitmapHandle,
         pool: &BufferPool,
         ctx: &mut ReadContext,
         finish: impl FnOnce(Vec<u8>) -> Result<T, DecodeError>,
-    ) -> Result<T, ReadError> {
+    ) -> Result<(T, Vec<u64>), ReadError> {
+        let pages = self.disk.file_pages(handle.file);
         let mut bytes = Vec::with_capacity(self.disk.file_size(handle.file));
-        for p in 0..self.disk.file_pages(handle.file) {
-            pool.read_into(&self.disk, handle.file, p, ctx, &mut bytes)
+        let mut loads = Vec::with_capacity(pages);
+        for p in 0..pages {
+            let load = pool
+                .read_into(&self.disk, handle.file, p, ctx, &mut bytes)
                 .map_err(ReadError::Unavailable)?;
+            loads.push(load);
         }
         let expected = *self
             .checks
@@ -256,7 +277,7 @@ impl BitmapStore {
             })
         };
         ctx.stats.checksum_failures += usize::from(read.is_err());
-        read
+        Ok((read?, loads))
     }
 
     /// Adds externally-accumulated counters (merged [`ReadContext`]s) into
@@ -303,8 +324,8 @@ impl BitmapStore {
 
     /// Replaces a stored bitmap with new contents (a batched-update
     /// rewrite). The old file is deleted; a fresh handle is returned. Any
-    /// buffer-pool pages of the old file become unreachable garbage that
-    /// LRU eviction will recycle.
+    /// buffer-pool pages and decoded bitmap of the old file become
+    /// unreachable garbage that LRU eviction will recycle.
     pub fn replace(&mut self, old: BitmapHandle, codec: CodecKind, bv: &Bitvec) -> BitmapHandle {
         let name = self
             .names
@@ -505,7 +526,7 @@ mod tests {
         let mut ctx = ReadContext::new();
         let read = store.read(h, pool, &mut ctx);
         store.charge(ctx.take_stats());
-        read
+        read.map(|bits| (*bits).clone())
     }
 
     #[test]
@@ -577,7 +598,11 @@ mod tests {
             let h = store.put("b", codec, &bv);
             let pool = BufferPool::striped(16, 4);
             let mut ctx = ReadContext::new();
-            assert_eq!(store.read(h, &pool, &mut ctx).unwrap(), bv, "codec {codec}");
+            assert_eq!(
+                *store.read(h, &pool, &mut ctx).unwrap(),
+                bv,
+                "codec {codec}"
+            );
             assert_eq!(store.stats(), IoStats::new(), "only the context moved");
             assert!(ctx.stats().pages_read > 0);
             // Second read comes from the striped cache.

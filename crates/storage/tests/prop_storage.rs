@@ -99,7 +99,7 @@ proptest! {
         for r in reads {
             let idx = r % handles.len();
             prop_assert_eq!(
-                &store.read(handles[idx], &pool, &mut ctx).unwrap(),
+                &*store.read(handles[idx], &pool, &mut ctx).unwrap(),
                 &bitmaps[idx],
                 "bitmap {} codec {}", idx, codec
             );
