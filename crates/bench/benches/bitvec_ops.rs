@@ -74,5 +74,53 @@ fn bench_densities(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_binary_ops, bench_unary, bench_densities);
+/// Row ids of a 500,000-bit reply bitmap (one `select_hot`-sized
+/// answer): the positions kernel against collecting the ones iterator,
+/// at a density on the kernel's sparse path (2%) and two on its dense
+/// path (17%, 24%).
+fn bench_positions(c: &mut Criterion) {
+    const REPLY_BITS: usize = 500_000;
+    let mut group = c.benchmark_group("positions");
+    for percent in [2u64, 17, 24] {
+        let mut bv = Bitvec::zeros(REPLY_BITS);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ percent;
+        for i in 0..REPLY_BITS {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x % 100 < percent {
+                bv.set(i, true);
+            }
+        }
+        let count = bv.count_ones();
+        group.throughput(Throughput::Elements(count as u64));
+        group.bench_with_input(BenchmarkId::new("kernel", percent), &bv, |bench, bv| {
+            bench.iter(|| {
+                black_box(bix_bitvec::positions(
+                    black_box(bv.words()).iter().copied(),
+                    0,
+                    count,
+                ))
+            })
+        });
+        group.bench_with_input(
+            BenchmarkId::new("ones_collect", percent),
+            &bv,
+            |bench, bv| {
+                bench.iter(|| {
+                    black_box(black_box(bv).ones().map(|p| p as u64).collect::<Vec<u64>>())
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_binary_ops,
+    bench_unary,
+    bench_densities,
+    bench_positions
+);
 criterion_main!(benches);

@@ -15,6 +15,9 @@
 //! 3. **Byte-level access** — the compression crate consumes bitmaps as a
 //!    little-endian byte stream, so [`Bitvec::to_bytes`]/[`Bitvec::from_bytes`]
 //!    round-trip exactly.
+//! 4. **Row ids at memory speed** — [`positions`] turns a run of words into
+//!    the ascending ids of its set bits with no branch on a single bit; it
+//!    is how a result bitmap becomes a reply's row ids.
 //!
 //! # Example
 //!
@@ -40,10 +43,12 @@ mod bitvec;
 mod builder;
 mod iter;
 mod ops;
+mod positions;
 
 pub use bitvec::Bitvec;
 pub use builder::BitvecBuilder;
 pub use iter::{Blocks, Ones};
+pub use positions::positions;
 
 /// Number of bits in one backing word.
 pub const WORD_BITS: usize = 64;

@@ -80,7 +80,7 @@ pub use rewrite::{minimal_intervals, rewrite_interval, rewrite_query};
 pub use update::UpdateStats;
 
 // Re-exports so callers name one source of truth.
-pub use bix_bitvec::Bitvec;
+pub use bix_bitvec::{positions, Bitvec};
 pub use bix_compress::CodecKind;
 pub use bix_storage::{
     BufferPool, CorruptBitmap, CostModel, DiskConfig, DiskFault, FaultPlan, IoMetrics, IoStats,

@@ -25,7 +25,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bix_core::EvalDomain;
 use bix_telemetry::{SpanRecord, TraceContext};
@@ -33,8 +33,8 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use crate::protocol::{
-    read_frame, write_frame, ErrorCode, Frame, Message, Request, Response, RowsReply, StatsFormat,
-    WireError, FLAG_ALLOW_DEGRADED, FLAG_PACKED_ROWS,
+    decode_frame, read_frame_bytes, write_frame, ErrorCode, Frame, Message, Request, Response,
+    RowsReply, StatsFormat, WireError, FLAG_ALLOW_DEGRADED, FLAG_PACKED_ROWS,
 };
 
 /// Client-side failure modes.
@@ -229,6 +229,18 @@ pub struct IngestAck {
     pub total_rows: u64,
 }
 
+/// Where the time of one sampled exchange went: writing the request
+/// frame, the blocking read of the whole reply frame, and decoding it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExchangeTiming {
+    /// Encoding and writing the request frame, in nanoseconds.
+    pub write_ns: u64,
+    /// From the request written to the reply frame's last byte read.
+    pub wait_ns: u64,
+    /// Decoding the reply frame (CRC, row sections, spans).
+    pub decode_ns: u64,
+}
+
 /// How a generic client re-establishes its transport for a retry.
 type Dialer<S> = Box<dyn FnMut() -> io::Result<S> + Send>;
 
@@ -246,6 +258,7 @@ pub struct Client<S: Read + Write + Send = TcpStream> {
     last_shard: u16,
     trace: TraceContext,
     last_spans: Vec<SpanRecord>,
+    last_timing: Option<ExchangeTiming>,
 }
 
 impl Client<TcpStream> {
@@ -287,6 +300,7 @@ impl Client<TcpStream> {
             last_shard: 0,
             trace: TraceContext::default(),
             last_spans: Vec::new(),
+            last_timing: None,
         })
     }
 }
@@ -308,6 +322,7 @@ impl<S: Read + Write + Send> Client<S> {
             last_shard: 0,
             trace: TraceContext::default(),
             last_spans: Vec::new(),
+            last_timing: None,
         }
     }
 
@@ -326,6 +341,7 @@ impl<S: Read + Write + Send> Client<S> {
             last_shard: 0,
             trace: TraceContext::default(),
             last_spans: Vec::new(),
+            last_timing: None,
         }
     }
 
@@ -378,6 +394,13 @@ impl<S: Read + Write + Send> Client<S> {
         &self.last_spans
     }
 
+    /// Where the most recent exchange's time went, when its request was
+    /// sampled ([`Client::set_trace`]); `None` otherwise, and an
+    /// unsampled exchange reads no clock.
+    pub fn last_timing(&self) -> Option<ExchangeTiming> {
+        self.last_timing
+    }
+
     /// Sends one request and reads its reply on the current transport.
     fn attempt(&mut self, request: &Request) -> Result<Response, ClientError> {
         if self.stream.is_none() {
@@ -398,8 +421,22 @@ impl<S: Read + Write + Send> Client<S> {
             frame.flags |= FLAG_ALLOW_DEGRADED;
         }
         frame.trace = self.trace;
+        self.last_timing = None;
+        let clock = || self.trace.sampled.then(Instant::now);
+        let start = clock();
         write_frame(stream, &frame)?;
-        let (reply, _) = read_frame(stream)?;
+        let written = clock();
+        let bytes = read_frame_bytes(stream)?;
+        let read = clock();
+        let (reply, _) = decode_frame(&bytes)?;
+        if let (Some(start), Some(written), Some(read)) = (start, written, read) {
+            let ns = |d: Duration| d.as_nanos() as u64;
+            self.last_timing = Some(ExchangeTiming {
+                write_ns: ns(written - start),
+                wait_ns: ns(read - written),
+                decode_ns: ns(read.elapsed()),
+            });
+        }
         self.last_epoch = reply.epoch;
         self.last_shard = reply.shard_id;
         self.last_spans = reply.spans;

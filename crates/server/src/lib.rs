@@ -44,7 +44,9 @@ pub mod router;
 pub mod server;
 pub mod supervisor;
 
-pub use client::{Client, ClientError, ClientStats, CountReply, IngestAck, Outcome, RetryPolicy};
+pub use client::{
+    Client, ClientError, ClientStats, CountReply, ExchangeTiming, IngestAck, Outcome, RetryPolicy,
+};
 pub use netfault::{Direction, FaultyStream, NetFault, NetFaultPlan};
 pub use protocol::{
     decode_frame, encode_frame, read_frame, rows_wire_len, try_encode_frame, write_frame,

@@ -81,14 +81,32 @@
 //! bytes ([`rows_wire_len`]); a dense answer ships as the bitmap it is,
 //! about one bit per row of its window instead of 64. A server's own
 //! answers ([`Response::Bitmaps`]) are encoded straight from the fold's
-//! result bitmap: the window is its words between the first and last
-//! set words, shifted down to the first row, and a list is written by
+//! result bitmap, whose row count and extent [`BitmapReply::new`] finds
+//! once for the server's size check and the encoder alike: the window
+//! is its words between the first and last set words, shifted down to
+//! the first row into an output resized once (copied as they are when
+//! the first row is word-aligned), and a list is written by
 //! `trailing_zeros` — the same bytes a [`RowsReply`] of those rows
-//! encodes to, with no row id materialised. The decoder takes
-//! the layout from the frame's own flags, never from connection state.
-//! It bounds a window by the remaining payload before allocating and
-//! rejects, typed, a window whose end overflows `u64`, one that does not
-//! start and end on a row, and a popcount that disagrees with `count`.
+//! encodes to, with no row id materialised. An id list packs by
+//! building each window word in a register, so no row reads the window
+//! back.
+//!
+//! The decoder takes the layout from the frame's own flags, never from
+//! connection state. It bounds a window by the remaining payload before
+//! allocating and rejects, typed, a window whose end overflows `u64`,
+//! one that does not start and end on a row, and a popcount that
+//! disagrees with `count`. The popcount check comes before the ids are
+//! allocated because `count` sizes that buffer: a hostile `count` must
+//! never size it unchecked. The ids then come out of the window by the
+//! positions kernel ([`bix_core::positions`]), which
+//! [`Response::with_row_ids`] uses too: each word is drained by
+//! `trailing_zeros` into a fixed block of slots written whole, the
+//! output advances by the word's popcount, and the slack is trimmed at
+//! the end, so no branch depends on a single bit. The block is chosen
+//! once per window from `count` and its word count: 8 slots, repeated
+//! while the word has bits, above 4 ids a word on average, and below
+//! that one 4-slot block and any further bits one by one, since on a
+//! sparse window the wide block writes mostly slack.
 //!
 //! The codec in this module is pure — it maps between byte slices and
 //! typed [`Frame`] values without touching sockets — so every decode
@@ -103,7 +121,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use bix_core::{Bitvec, EvalDomain};
+use bix_core::{positions, Bitvec, EvalDomain};
 use bix_storage::crc32;
 use bix_telemetry::{SpanId, SpanRecord, TraceContext};
 
@@ -228,6 +246,10 @@ pub struct RowsReply {
 /// `i` set when row `i` matches) and its cost summary. It goes out as
 /// exactly the row section of the [`RowsReply`] holding the bitmap's set
 /// rows, and a peer decodes it as that reply.
+///
+/// [`BitmapReply::new`] counts the rows and finds their extent once; the
+/// server's size check ([`BitmapReply::wire_len`]) and the encoder both
+/// read them from here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitmapReply {
     /// Bitmap scans charged to the query (the paper's cost metric).
@@ -235,7 +257,43 @@ pub struct BitmapReply {
     /// Compressed bitmaps materialised during evaluation.
     pub decompressions: u64,
     /// The matching rows.
-    pub bitmap: Bitvec,
+    bitmap: Bitvec,
+    count: u64,
+    extent: Option<Extent>,
+}
+
+impl BitmapReply {
+    /// The reply answering with the set rows of `bitmap`.
+    pub fn new(scans: u64, decompressions: u64, bitmap: Bitvec) -> BitmapReply {
+        let count = bitmap.count_ones() as u64;
+        let extent = extent(bitmap.words());
+        BitmapReply {
+            scans,
+            decompressions,
+            bitmap,
+            count,
+            extent,
+        }
+    }
+
+    /// How many rows match.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Wire bytes of this reply's row section ([`rows_wire_len`] of its
+    /// extent), without materialising a row id.
+    pub fn wire_len(&self, packed: bool) -> u64 {
+        match &self.extent {
+            Some(e) => rows_wire_len(self.count, e.first, e.last, packed),
+            None => rows_wire_len(0, 0, 0, packed),
+        }
+    }
+
+    /// The reply's row ids, ascending, by the positions kernel.
+    fn row_ids(&self) -> Vec<u64> {
+        positions(self.bitmap.words().iter().copied(), 0, self.count as usize)
+    }
 }
 
 /// A client-to-server message.
@@ -380,7 +438,7 @@ impl Response {
                     .map(|r| RowsReply {
                         scans: r.scans,
                         decompressions: r.decompressions,
-                        rows: r.bitmap.ones().map(|p| p as u64).collect(),
+                        rows: r.row_ids(),
                     })
                     .collect();
                 if batch {
@@ -654,7 +712,7 @@ fn packs_smaller(count: u64, first: u64, last: u64) -> bool {
 /// header and the `u64` list, or, on a frame carrying
 /// [`FLAG_PACKED_ROWS`], a layout tag and the smaller of the list and
 /// the packed window. The encoder picks its layout by this count, and
-/// `bitmap_wire_len` prices a server's bitmap reply by it.
+/// [`BitmapReply::wire_len`] prices a server's bitmap reply by it.
 pub fn rows_wire_len(count: u64, first: u64, last: u64, packed: bool) -> u64 {
     let list = count.saturating_mul(8);
     match (packed, packs_smaller(count, first, last)) {
@@ -683,12 +741,11 @@ fn encode_rows(out: &mut Vec<u8>, r: &RowsReply, packed: bool) {
     }
 }
 
-/// Appends the packed layout of non-empty `rows`, setting each id's bit
-/// straight in the zeroed window (bit `i` of a little-endian word is bit
-/// `i % 8` of its byte `i / 8`). Returns false, having appended nothing,
-/// when `rows` is not strictly ascending: such a list has no window that
-/// decodes back to it, so it goes out as a list. Callers pack only a
-/// window smaller than the list, which bounds the bytes zeroed.
+/// Appends the packed layout of non-empty `rows`. Returns false, having
+/// appended nothing, when `rows` is not strictly ascending: such a list
+/// has no window that decodes back to it, so it goes out as a list.
+/// Callers pack only a window smaller than the list, which bounds the
+/// bytes zeroed.
 fn put_window(out: &mut Vec<u8>, rows: &[u64]) -> bool {
     if rows.windows(2).any(|pair| pair[0] >= pair[1]) {
         return false;
@@ -701,15 +758,24 @@ fn put_window(out: &mut Vec<u8>, rows: &[u64]) -> bool {
     let at = out.len();
     out.resize(at + 8 * (span / 64 + 1) as usize, 0);
     let window = &mut out[at..];
+    // Window word `k` is built in a register from its rows and stored
+    // whole after each one, so no row reads the window back; moving on
+    // to a new word clears the register by a mask, not a branch, since
+    // at a few rows a word that branch is taken unpredictably.
+    let (mut k, mut word) = (0, 0u64);
     for &row in rows {
         let off = row - first;
-        window[(off / 8) as usize] |= 1 << (off % 8);
+        let at_word = (off / 64) as usize;
+        word = (word & 0u64.wrapping_sub(u64::from(at_word == k))) | 1 << (off % 64);
+        k = at_word;
+        window[8 * k..8 * k + 8].copy_from_slice(&word.to_le_bytes());
     }
     true
 }
 
 /// Where a bitmap's set rows lie: its first and last non-zero words
 /// (`lo`, `hi`) and its first and last set rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Extent {
     lo: usize,
     hi: usize,
@@ -718,8 +784,6 @@ struct Extent {
 }
 
 /// The [`Extent`] of the bitmap `words`, or `None` when no bit is set.
-/// The bitmap encoder and [`bitmap_wire_len`] both start from it, so a
-/// server's pricing and the frame it sends cannot disagree.
 fn extent(words: &[u64]) -> Option<Extent> {
     let lo = words.iter().position(|&w| w != 0)?;
     let hi = words.iter().rposition(|&w| w != 0)?;
@@ -731,26 +795,17 @@ fn extent(words: &[u64]) -> Option<Extent> {
     })
 }
 
-/// Wire bytes of the row section answering with the `count` set rows of
-/// the bitmap `words` ([`rows_wire_len`] of its extent), without
-/// materialising a row id.
-pub(crate) fn bitmap_wire_len(words: &[u64], count: u64, packed: bool) -> u64 {
-    match extent(words) {
-        Some(e) => rows_wire_len(count, e.first, e.last, packed),
-        None => rows_wire_len(0, 0, 0, packed),
-    }
-}
-
 /// Appends the row section of `r`, byte for byte what [`encode_rows`]
 /// appends for the [`RowsReply`] of its set rows, straight from the
-/// bitmap's words: a packed window is those words from the first set
-/// one, shifted down by `first % 64` a `u64` at a time; a list is each
-/// word's set bits by `trailing_zeros`.
+/// bitmap's words and the count and extent [`BitmapReply::new`] found: a
+/// packed window is those words from the first set one, shifted down by
+/// `first % 64` (copied as they are when that is 0) into the window
+/// resized in one step; a list is each word's set bits by
+/// `trailing_zeros`.
 fn encode_bitmap(out: &mut Vec<u8>, r: &BitmapReply, packed: bool) {
     let words = r.bitmap.words();
-    let count = r.bitmap.count_ones() as u64;
-    let extent = extent(words);
-    out.reserve(bitmap_wire_len(words, count, packed) as usize);
+    let count = r.count;
+    out.reserve(r.wire_len(packed) as usize);
     put_u64(out, r.scans);
     put_u64(out, r.decompressions);
     put_u64(out, count);
@@ -759,7 +814,7 @@ fn encode_bitmap(out: &mut Vec<u8>, r: &BitmapReply, packed: bool) {
         hi,
         first,
         last,
-    }) = extent
+    }) = r.extent
     else {
         if packed {
             out.push(ROWS_LIST);
@@ -772,15 +827,28 @@ fn encode_bitmap(out: &mut Vec<u8>, r: &BitmapReply, packed: bool) {
             out.push(ROWS_PACKED);
             put_u64(out, first);
             put_u64(out, last - first);
+            let at = out.len();
+            let n_words = ((last - first) / 64 + 1) as usize;
+            out.resize(at + 8 * n_words, 0);
+            let mut window = out[at..].chunks_exact_mut(8);
             // The window's word k is bits `first % 64..` of `set[k]` and
-            // the low bits of `set[k + 1]`; it never reads past `hi`.
-            let shift = first % 64;
-            for k in 0..=((last - first) / 64) as usize {
-                let above = match set.get(k + 1) {
-                    Some(&next) if shift > 0 => next << (64 - shift),
-                    _ => 0,
-                };
-                put_u64(out, set[k] >> shift | above);
+            // the low bits of `set[k + 1]`; it never reads past `hi`. A
+            // window one word longer than the pairs ends on the top bits
+            // of `set[hi]` alone.
+            let shift = (first % 64) as u32;
+            if shift == 0 {
+                for (dst, w) in window.zip(set) {
+                    dst.copy_from_slice(&w.to_le_bytes());
+                }
+            } else {
+                // The pairs lead the zip, so a window word past them is
+                // not consumed when they run out.
+                for ((w, next), dst) in set.iter().zip(&set[1..]).zip(window.by_ref()) {
+                    dst.copy_from_slice(&(w >> shift | next << (64 - shift)).to_le_bytes());
+                }
+                if let Some(dst) = window.next() {
+                    dst.copy_from_slice(&(set[set.len() - 1] >> shift).to_le_bytes());
+                }
             }
             return;
         }
@@ -824,8 +892,8 @@ fn decode_rows(r: &mut Reader<'_>, packed: bool) -> Result<RowsReply, WireError>
 
 /// Reads a packed window holding `count` rows. The window is bounded by
 /// the remaining payload and its popcount checked against `count`
-/// before the row ids are allocated; ids come out of whole words by
-/// `trailing_zeros`.
+/// before the row ids are allocated; the ids come out of the window's
+/// bytes by the positions kernel ([`bix_core::positions`]).
 fn decode_window(r: &mut Reader<'_>, count: u64) -> Result<Vec<u64>, WireError> {
     let first = r.u64()?;
     let span = r.u64()?;
@@ -853,29 +921,9 @@ fn decode_window(r: &mut Reader<'_>, count: u64) -> Result<Vec<u64>, WireError> 
     if ones != count {
         return Err(WireError::Malformed("row count disagrees with the window"));
     }
-    // Each word appends its first four candidate rows unconditionally and
-    // then trims to its popcount, so a sparse window runs no branch that
-    // depends on the data; denser words go on bit by bit.
-    let mut rows = Vec::with_capacity(count as usize + 4);
-    let mut base = first;
-    for mut w in words() {
-        let (len, n) = (rows.len(), w.count_ones() as usize);
-        let mut four = [0u64; 4];
-        for row in &mut four {
-            *row = base.wrapping_add(u64::from(w.trailing_zeros()));
-            w &= w.wrapping_sub(1);
-        }
-        rows.extend_from_slice(&four);
-        if n <= 4 {
-            rows.truncate(len + n);
-        }
-        while w != 0 {
-            rows.push(base + u64::from(w.trailing_zeros()));
-            w &= w - 1;
-        }
-        base = base.wrapping_add(64);
-    }
-    Ok(rows)
+    // Only now, with `count` known to be the window's popcount, does it
+    // size the row buffer.
+    Ok(positions(words(), first, count as usize))
 }
 
 impl Message {
@@ -1412,6 +1460,13 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, WireError
 /// so a CRC mismatch or grammar violation surfaces as the same typed
 /// [`WireError`].
 pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), WireError> {
+    decode_frame(&read_frame_bytes(r)?)
+}
+
+/// Reads the bytes of one whole frame from a transport, validating its
+/// header before allocating; [`read_frame`] without the decode, so a
+/// caller can time the wait and the decode apart.
+pub(crate) fn read_frame_bytes(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
     let mut head = [0u8; HEADER_LEN + 1];
     r.read_exact(&mut head[..HEADER_LEN])?;
     let (have, total) = match frame_extent(&head[..HEADER_LEN]) {
@@ -1425,7 +1480,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), WireError> {
     let mut buf = vec![0u8; total];
     buf[..have].copy_from_slice(&head[..have]);
     r.read_exact(&mut buf[have..])?;
-    decode_frame(&buf)
+    Ok(buf)
 }
 
 #[cfg(test)]
@@ -2151,11 +2206,7 @@ mod tests {
     /// states, and decodes to [`Response::with_row_ids`] of itself.
     fn assert_sent_as_its_ids(bitmap: &Bitvec) {
         let rows: Vec<u64> = bitmap.ones().map(|p| p as u64).collect();
-        let reply = |bitmap: &Bitvec| BitmapReply {
-            scans: 3,
-            decompressions: 1,
-            bitmap: bitmap.clone(),
-        };
+        let reply = |bitmap: &Bitvec| BitmapReply::new(3, 1, bitmap.clone());
         let empty = Bitvec::zeros(0);
         for flags in [0, FLAG_PACKED_ROWS] {
             let frame = |msg| Frame {
@@ -2190,7 +2241,7 @@ mod tests {
                 assert_eq!(got.msg, Message::Response(ids));
                 assert_eq!(got.msg, Message::Response(sent.with_row_ids()));
             }
-            let priced = bitmap_wire_len(bitmap.words(), rows.len() as u64, flags != 0);
+            let priced = reply(bitmap).wire_len(flags != 0);
             assert_eq!(
                 priced,
                 section(&encode_frame(&rows_frame(&rows, flags != 0))).len() as u64

@@ -58,7 +58,7 @@ use bix_telemetry::{
     unix_ms_now, Counter, Gauge, SlowLog, SlowQuery, SpanId, TraceContext, Tracer,
 };
 
-use crate::client::{Client, ClientError, RetryPolicy};
+use crate::client::{Client, ClientError, ExchangeTiming, RetryPolicy};
 use crate::protocol::{ErrorCode, Request, Response, RowsReply, StatsFormat, WireError};
 use crate::server::{RequestMeta, ServeHandler};
 use crate::supervisor::{ShardState, Supervisor, SupervisorConfig};
@@ -268,6 +268,17 @@ enum LegReply {
         scans: u64,
         decompressions: u64,
     },
+}
+
+/// One answered exchange with a shard.
+struct Exchanged {
+    reply: LegReply,
+    /// The epoch stamped on the reply frame.
+    epoch: u64,
+    /// The shard's span forest; empty unless the request was sampled.
+    spans: Vec<bix_telemetry::SpanRecord>,
+    /// Where the exchange's time went; `None` unless sampled.
+    timing: Option<ExchangeTiming>,
 }
 
 /// Outcome of one shard leg of a fan-out.
@@ -503,9 +514,7 @@ impl RouterInner {
     }
 
     /// One request/reply exchange with a shard over its kept link (or a
-    /// fresh one; see [`RouterInner::with_link`]). Returns the reply,
-    /// the epoch stamped on the reply frame, and the shard's span
-    /// forest (empty unless `trace` was sampled). A dial opens a `dial`
+    /// fresh one; see [`RouterInner::with_link`]). A dial opens a `dial`
     /// span under `attempt`.
     #[allow(clippy::too_many_arguments)]
     fn exchange(
@@ -517,7 +526,7 @@ impl RouterInner {
         trace: TraceContext,
         tracer: &Tracer,
         attempt: Option<SpanId>,
-    ) -> Result<(LegReply, u64, Vec<bix_telemetry::SpanRecord>), ClientError> {
+    ) -> Result<Exchanged, ClientError> {
         self.with_link(shard, Reuse::Kept, tracer, attempt, |client| {
             client.set_trace(trace);
             let reply = match req {
@@ -540,7 +549,12 @@ impl RouterInner {
                     }
                 }
             };
-            Ok((reply, client.last_epoch(), client.last_spans().to_vec()))
+            Ok(Exchanged {
+                reply,
+                epoch: client.last_epoch(),
+                spans: client.last_spans().to_vec(),
+                timing: client.last_timing(),
+            })
         })
     }
 
@@ -616,10 +630,21 @@ impl RouterInner {
             let outcome =
                 self.exchange(shard, req, domain, budget_ms, leg_trace, tracer, attempt_id);
             match outcome {
-                Ok((reply, epoch, spans)) => {
+                Ok(Exchanged {
+                    reply,
+                    epoch,
+                    spans,
+                    timing,
+                }) => {
                     if let Some(id) = attempt_id {
                         let base_ns = tracer.start_ns(id).unwrap_or(0);
                         tracer.graft(attempt_id, &spans, base_ns);
+                    }
+                    // The attempt's own time, split without new spans.
+                    if let Some(t) = timing {
+                        attempt_span.attr("write_ns", t.write_ns);
+                        attempt_span.attr("wait_ns", t.wait_ns);
+                        attempt_span.attr("decode_ns", t.decode_ns);
                     }
                     attempt_span.finish();
                     self.supervisor

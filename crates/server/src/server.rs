@@ -59,8 +59,8 @@ use bix_telemetry::{
 };
 
 use crate::protocol::{
-    bitmap_wire_len, read_frame, write_frame, BitmapReply, ErrorCode, Frame, Message, Request,
-    Response, StatsFormat, WireError, FLAG_ALLOW_DEGRADED, FLAG_PACKED_ROWS,
+    read_frame, write_frame, BitmapReply, ErrorCode, Frame, Message, Request, Response,
+    StatsFormat, WireError, FLAG_ALLOW_DEGRADED, FLAG_PACKED_ROWS,
 };
 
 /// Tunables for [`Server::start`] / [`Server::serve`].
@@ -999,17 +999,24 @@ impl IndexHandler {
             });
         }
         // Bound the reply before sending it: its frame in the layout it
-        // will be sent in (each row section as `bitmap_wire_len` prices
-        // it, the frame 8), since a frame larger than MAX_PAYLOAD must
-        // surface as a typed error, not a panic; and the row ids the peer
-        // will decode, which a packed frame no longer bounds.
-        let reply_bytes: u64 = batch
+        // will be sent in (each row section as `BitmapReply::wire_len`
+        // prices it, the frame 8), since a frame larger than MAX_PAYLOAD
+        // must surface as a typed error, not a panic; and the row ids the
+        // peer will decode, which a packed frame no longer bounds. Each
+        // reply counts its rows and finds their extent once, for this
+        // check and for the encoder. The fold's own bitmaps go to the
+        // encoder; no row id is built.
+        let replies: Vec<BitmapReply> = batch
             .results
+            .into_iter()
+            .map(|r| BitmapReply::new(r.scans as u64, r.decompressions as u64, r.bitmap))
+            .collect();
+        let reply_bytes: u64 = replies
             .iter()
-            .map(|r| bitmap_wire_len(r.bitmap.words(), r.count(), meta.packed_rows))
+            .map(|r| r.wire_len(meta.packed_rows))
             .sum::<u64>()
             + 8;
-        let reply_rows: u64 = batch.results.iter().map(|r| r.count()).sum();
+        let reply_rows: u64 = replies.iter().map(BitmapReply::count).sum();
         let oversize = if reply_bytes > u64::from(crate::protocol::MAX_PAYLOAD) {
             Some(format!(
                 "reply of {reply_bytes} bytes exceeds the frame cap"
@@ -1028,16 +1035,6 @@ impl IndexHandler {
             });
         }
         self.metrics.rows_returned.add(reply_rows);
-        // The fold's own bitmaps go to the encoder; no row id is built.
-        let replies = batch
-            .results
-            .into_iter()
-            .map(|r| BitmapReply {
-                scans: r.scans as u64,
-                decompressions: r.decompressions as u64,
-                bitmap: r.bitmap,
-            })
-            .collect();
         Ok(Response::Bitmaps {
             batch: matches!(selection, Selection::Predicates { batch: true, .. }),
             replies,
@@ -1565,24 +1562,22 @@ mod tests {
                     rows: rows.clone(),
                 })));
                 let header = if packed { HEADER_LEN + 12 } else { HEADER_LEN };
+                let reply = BitmapReply::new(0, 0, bitmap.clone());
                 assert_eq!(
-                    bitmap_wire_len(&words, count, packed),
+                    reply.wire_len(packed),
                     (encoded.len() - header - 4) as u64,
                     "{count} rows, packed {packed}"
                 );
                 // The server's bitmap reply is that very frame.
                 let sent = crate::protocol::encode_frame(&frame(Response::Bitmaps {
                     batch: false,
-                    replies: vec![BitmapReply {
-                        scans: 0,
-                        decompressions: 0,
-                        bitmap: bitmap.clone(),
-                    }],
+                    replies: vec![reply],
                 }));
                 assert_eq!(sent, encoded, "{count} rows, packed {packed}");
             }
             // A v1 client is priced exactly as before: header plus list.
-            assert_eq!(bitmap_wire_len(&words, count, false), 24 + 8 * count);
+            let reply = BitmapReply::new(0, 0, bitmap);
+            assert_eq!(reply.wire_len(false), 24 + 8 * count);
         }
     }
 

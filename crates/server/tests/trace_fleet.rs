@@ -419,3 +419,80 @@ fn dial_errors_are_traced_attempts() {
         shard.shutdown();
     }
 }
+
+#[test]
+fn sampled_attempts_split_their_time_without_new_spans() {
+    let column = corpus();
+    let bounds = [0, 3_000, ROWS];
+    let shards = start_shards(&column, &bounds);
+    let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
+    let router = Router::new(addrs, router_config());
+
+    let tracer = Tracer::new();
+    let root = tracer.span("serve", None);
+    let meta = RequestMeta {
+        trace: TraceContext::generate(),
+        tracer: tracer.clone(),
+        span: root.id(),
+        ..RequestMeta::default()
+    };
+    let response = router.handle(
+        Request::Query {
+            domain: EvalDomain::Auto,
+            deadline_ms: 4_000,
+            predicate: "in:1,2,3".into(),
+        },
+        &meta,
+    );
+    root.finish();
+    assert!(matches!(response, Response::Rows(_)), "{response:?}");
+
+    // Each answered attempt carries its frame write, its blocking read
+    // and its frame decode as attributes, within its own duration.
+    let spans = tracer.records();
+    let attempts: Vec<&SpanRecord> = spans
+        .iter()
+        .filter(|s| s.name.starts_with("attempt"))
+        .collect();
+    assert_eq!(attempts.len(), 2, "one attempt per shard");
+    for attempt in attempts {
+        let ns = |key: &str| -> u64 {
+            let (_, v) = attempt
+                .attrs
+                .iter()
+                .find(|(k, _)| k == key)
+                .unwrap_or_else(|| panic!("attempt lacks {key}: {:?}", attempt.attrs));
+            v.parse().expect("nanoseconds")
+        };
+        let parts = ns("write_ns") + ns("wait_ns") + ns("decode_ns");
+        assert!(
+            parts <= attempt.end_ns - attempt.start_ns,
+            "{parts} ns of parts in a {} ns attempt",
+            attempt.end_ns - attempt.start_ns
+        );
+    }
+    // The split adds no span: every router-side span is one the tree
+    // had before (shard spans graft under the attempts).
+    for (i, s) in spans.iter().enumerate() {
+        let router_side = ["serve", "fanout", "round", "leg", "attempt", "merge"]
+            .iter()
+            .any(|p| s.name.starts_with(p));
+        assert!(
+            router_side || has_ancestor(&spans, i, "attempt"),
+            "unexpected span {:?}",
+            s.name
+        );
+    }
+
+    // An unsampled exchange reads no clock and reports no split.
+    let mut client = bix_server::Client::connect(shards[0].addr()).expect("dial shard");
+    client.query("=3", EvalDomain::Auto, 4_000).expect("query");
+    assert_eq!(client.last_timing(), None);
+    client.set_trace(TraceContext::generate());
+    client.query("=3", EvalDomain::Auto, 4_000).expect("query");
+    assert!(client.last_timing().is_some());
+
+    for shard in shards {
+        shard.shutdown();
+    }
+}
