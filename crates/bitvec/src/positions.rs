@@ -3,26 +3,26 @@
 //! [`positions`] is how a result bitmap becomes the row ids a reply hands
 //! its client. It follows the array-conversion loops of Roaring
 //! (Lemire–Ssi-Yan-Kai–Kaser): a word is drained by `trailing_zeros` and
-//! "clear lowest set bit" into a fixed block of slots that is written
-//! whole, whatever the word holds, and the output length then advances by
-//! the word's popcount, so the slots past it are overwritten by the next
-//! word or trimmed at the end. No branch depends on a single bit.
+//! "clear lowest set bit" into a fixed block of slots on the stack that
+//! is appended whole, whatever the word holds, repeated while the word
+//! still has bits; the output is then cut back to the word's popcount, so
+//! the slots past it are overwritten by the next word. No branch depends
+//! on a single bit, and the buffer is never zero-filled first.
 //!
-//! The block width is chosen once per call from the run's density:
-//!
-//! - **dense** (more than [`SPARSE_ROWS_PER_WORD`] ids a word on average):
-//!   blocks of 8, repeated while the word still has bits;
-//! - **sparse**: a block of 4, then any further bits one by one. At a
-//!   handful of ids a word the 8-wide block spends most of its slots on
-//!   bits that are not there; on 500,000-bit runs (2-vCPU x86-64) the
-//!   4-wide path read 47–54 µs against 65–66 µs for the 8-wide one at
-//!   5–6.25% density, and lost 83 to 72 µs at 8%.
+//! The block width is chosen once per call from the run's density: 8
+//! slots above [`SPARSE_ROWS_PER_WORD`] ids a word on average, 4 at or
+//! below it, where a wide block spends most of its slots on bits that are
+//! not there. That band is real traffic: packed windows go out from about
+//! 1 id a word, and windows of 1 to 4 ids a word carry 55% of the ids
+//! decoded on `e2ebench`'s `table_routed` (and a quarter of the windows,
+//! 3–4% of the ids, on its other workloads). On 500,000-bit runs of 1 to
+//! 2 ids a word (2-vCPU x86-64) 8-wide blocks took 15–36% longer than
+//! 4-wide ones; from about 3 ids a word the two read the same.
 
-/// Mean ids per word at or below which [`positions`] takes its 4-wide
-/// sparse path.
+/// Mean ids per word at or below which [`positions`] uses 4-slot blocks.
 const SPARSE_ROWS_PER_WORD: usize = 4;
 
-/// Slots past the last id that a block may write before the trim: a
+/// Spare capacity past `count`, so that no block regrows the buffer: a
 /// word's last block ends at most 7 slots past its last id, and an empty
 /// word's block at 8 past the previous one.
 const SLACK: usize = 8;
@@ -32,10 +32,11 @@ const SLACK: usize = 8;
 /// The run is any exact-size sequence of words, so a wire window is read
 /// straight from its little-endian bytes.
 ///
-/// `count` must be at least the number of set bits: it sizes the buffer
-/// and picks the path. A smaller `count` panics on the buffer's bounds;
-/// a larger one only costs slack. Callers that take `count` from an
-/// untrusted source check it against the popcount first.
+/// `count` is the number of set bits: it sizes the buffer and picks the
+/// block width. A wrong `count` never changes the ids, only what they
+/// cost (a smaller one regrows the buffer, a larger one leaves spare
+/// capacity), but callers that take `count` from an untrusted source
+/// check it against the popcount first, since it sizes an allocation.
 ///
 /// ```
 /// let words = [0b1011, 0, 1 << 63];
@@ -48,60 +49,34 @@ where
     I::IntoIter: ExactSizeIterator,
 {
     let words = words.into_iter();
-    // A fresh zeroed allocation: the zeroing is free on new pages, and
-    // every slot before the trim is written before it is read.
-    let mut buf = vec![0u64; count + SLACK];
-    let len = if count <= SPARSE_ROWS_PER_WORD * words.len() {
-        fill::<4, true>(&mut buf, words, base)
+    let mut ids = Vec::with_capacity(count + SLACK);
+    if count <= SPARSE_ROWS_PER_WORD * words.len() {
+        fill::<4>(&mut ids, words, base);
     } else {
-        fill::<8, false>(&mut buf, words, base)
-    };
-    buf.truncate(len);
-    buf
+        fill::<8>(&mut ids, words, base);
+    }
+    ids
 }
 
-/// Writes the ids of `words` into `buf` from slot 0 and returns how many
-/// there are. Each word writes one `N`-wide block unconditionally; bits
-/// past it go one by one (`SINGLE`) or in further `N`-wide blocks.
-fn fill<const N: usize, const SINGLE: bool>(
-    buf: &mut [u64],
-    words: impl Iterator<Item = u64>,
-    base: u64,
-) -> usize {
-    let mut len = 0;
+/// Appends the ids of `words` to `ids`, one `N`-slot block at a time.
+fn fill<const N: usize>(ids: &mut Vec<u64>, words: impl Iterator<Item = u64>, base: u64) {
     let mut base = base;
     for word in words {
-        let n = word.count_ones() as usize;
+        let len = ids.len() + word.count_ones() as usize;
         let mut w = word;
-        block::<N>(&mut buf[len..len + N], base, &mut w);
-        let mut at = len + N;
-        if SINGLE {
-            while w != 0 {
-                buf[at] = base.wrapping_add(u64::from(w.trailing_zeros()));
-                w &= w - 1;
-                at += 1;
+        loop {
+            let mut block = [0u64; N];
+            for slot in &mut block {
+                *slot = base.wrapping_add(u64::from(w.trailing_zeros()));
+                w &= w.wrapping_sub(1);
             }
-        } else if n > N {
-            while w != 0 {
-                block::<N>(&mut buf[at..at + N], base, &mut w);
-                at += N;
+            ids.extend_from_slice(&block);
+            if w == 0 {
+                break;
             }
         }
-        len += n;
+        ids.truncate(len);
         base = base.wrapping_add(64);
-    }
-    len
-}
-
-/// Drains the next `N` set bits of `w` into `dst` as ids from `base`; a
-/// slot past the word's last bit gets `base + 64`, to be overwritten or
-/// trimmed.
-#[inline(always)]
-fn block<const N: usize>(dst: &mut [u64], base: u64, w: &mut u64) {
-    let dst: &mut [u64; N] = dst.try_into().expect("an N-slot block");
-    for slot in dst {
-        *slot = base.wrapping_add(u64::from(w.trailing_zeros()));
-        *w &= w.wrapping_sub(1);
     }
 }
 
@@ -133,7 +108,7 @@ mod tests {
     }
 
     #[test]
-    fn positions_match_the_ones_iterator_on_both_paths() {
+    fn positions_match_the_ones_iterator_at_both_widths() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
         // Densities on either side of the 4-ids-a-word switch (1/16).
         for density in [
@@ -196,8 +171,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn a_smaller_count_panics_rather_than_drop_ids() {
-        positions([u64::MAX; 4], 0, 100);
+    fn a_smaller_count_only_regrows_the_buffer() {
+        let words = [u64::MAX; 4];
+        assert_eq!(positions(words, 0, 100), naive(&words, 0));
+        assert_eq!(positions(words, 7, 0), naive(&words, 7));
     }
 }

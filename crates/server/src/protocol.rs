@@ -100,13 +100,12 @@
 //! never size it unchecked. The ids then come out of the window by the
 //! positions kernel ([`bix_core::positions`]), which
 //! [`Response::with_row_ids`] uses too: each word is drained by
-//! `trailing_zeros` into a fixed block of slots written whole, the
-//! output advances by the word's popcount, and the slack is trimmed at
-//! the end, so no branch depends on a single bit. The block is chosen
-//! once per window from `count` and its word count: 8 slots, repeated
-//! while the word has bits, above 4 ids a word on average, and below
-//! that one 4-slot block and any further bits one by one, since on a
-//! sparse window the wide block writes mostly slack.
+//! `trailing_zeros` into a fixed block of slots on the stack, appended
+//! whole and repeated while the word has bits, and the output is cut
+//! back to the word's popcount, so no branch depends on a single bit.
+//! The block width is chosen once per window from `count` and its word
+//! count: 8 slots above 4 ids a word on average, 4 at or below, since
+//! on a sparse window the wide block writes mostly slack.
 //!
 //! The codec in this module is pure — it maps between byte slices and
 //! typed [`Frame`] values without touching sockets — so every decode
